@@ -182,16 +182,19 @@ Status NetSubsystem::NetifRx(NetDevice* device, SkbPtr skb, uint16_t queue) {
     device->stats().rx_dropped++;
     return Status(ErrorCode::kPermissionDenied, "firewall rejected packet");
   }
-  device->stats().rx_packets++;
-  if (queue < kNetMaxQueues) {
-    device->queue_stats(queue).rx_packets++;
-  }
   if (FlowTable* flows = device->flow_table()) {
     flows->Record(FlowHash(skb->span()), queue);
   }
   if (device->rx_sink()) {
     device->rx_sink()(*skb);
   }
+  // The counters are the completion signal, so they move last: a thread that
+  // polls rx_packets from outside finds the flow record and the sink's work
+  // for every frame it counts.
+  if (queue < kNetMaxQueues) {
+    device->queue_stats(queue).rx_packets++;
+  }
+  device->stats().rx_packets++;
   return Status::Ok();
 }
 

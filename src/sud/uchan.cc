@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <iterator>
+#include <thread>
 
 #include "src/base/fault_injector.h"
 #include "src/base/log.h"
@@ -16,6 +17,25 @@ constexpr size_t kInitialReplySlots = 64;  // power of two
 // still fails — just these few hundred microseconds later.
 constexpr int kRingFullRetries = 2;
 constexpr uint64_t kRingFullBackoffUs = 100;
+// How long a driver thread that found its ring empty polls before parking on
+// upcall_cv_. On a request/response loop the next upcall usually lands well
+// inside it, and a parked thread costs a real scheduler wakeup (several
+// microseconds) per handoff.
+constexpr std::chrono::microseconds kIdlePollWindow{50};
+
+// A poller on a single CPU only delays the producer it waits for.
+bool PollBeforePark() {
+  static const bool multi_cpu = std::thread::hardware_concurrency() > 1;
+  return multi_cpu;
+}
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
 }  // namespace
 
 const CpuCosts& Uchan::costs() const {
@@ -173,6 +193,7 @@ Status Uchan::EnqueueUpcallLocked(UchanMsg&& msg) {
   }
   ring_[(ring_head_ + ring_count_) % config_.ring_entries] = std::move(msg);
   ++ring_count_;
+  ring_count_mirror_.store(ring_count_, std::memory_order_release);
   return Status::Ok();
 }
 
@@ -185,6 +206,7 @@ UchanMsg Uchan::PopUpcallLocked() {
   UchanMsg msg = std::move(ring_[ring_head_]);
   ring_head_ = (ring_head_ + 1) % config_.ring_entries;
   --ring_count_;
+  ring_count_mirror_.store(ring_count_, std::memory_order_release);
   ChargeDriverLocked(costs().uchan_msg);
   return msg;
 }
@@ -344,7 +366,21 @@ Status Uchan::WaitForUpcallLocked(uint64_t timeout_ms, std::unique_lock<std::mut
     if (timeout_ms == 0) {
       return Status(ErrorCode::kTimedOut, "no pending upcalls");
     }
-    auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+    auto now = std::chrono::steady_clock::now();
+    auto deadline = now + std::chrono::milliseconds(timeout_ms);
+    if (PollBeforePark()) {
+      // The driver is already idle for the model: an upcall published while
+      // this thread polls charges its process wakeup exactly as if it had
+      // parked. Only the host thread skips the scheduler round trip.
+      lock.unlock();
+      auto poll_until = now + kIdlePollWindow;
+      while (ring_count_mirror_.load(std::memory_order_acquire) == 0 &&
+             !shutdown_mirror_.load(std::memory_order_acquire) &&
+             std::chrono::steady_clock::now() < poll_until) {
+        CpuRelax();
+      }
+      lock.lock();
+    }
     while (ring_count_ == 0 && !shutdown_) {
       if (upcall_cv_.wait_until(lock, deadline) == std::cv_status::timeout && ring_count_ == 0) {
         return Status(ErrorCode::kTimedOut, "no pending upcalls");
@@ -547,8 +583,10 @@ void Uchan::FlushDowncalls() {
 void Uchan::Shutdown() {
   std::lock_guard<std::mutex> lock(mu_);
   shutdown_ = true;
+  shutdown_mirror_.store(true, std::memory_order_release);
   ring_head_ = 0;
   ring_count_ = 0;
+  ring_count_mirror_.store(0, std::memory_order_release);
   for (UchanMsg& msg : ring_) {
     msg = UchanMsg{};
   }

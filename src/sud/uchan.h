@@ -18,6 +18,15 @@
 //                               and only then "selects" (sleeps). Also the
 //                               flush point for batched async downcalls.
 //                               WaitBatch dequeues a burst per crossing.
+//                               With a timeout, the host thread that finds
+//                               the ring empty polls it without the lock for
+//                               a few tens of microseconds before it parks,
+//                               so a prompt upcall costs no real scheduler
+//                               wakeup. The poll is host-side only: the
+//                               modeled select syscall is charged when the
+//                               ring is found empty and the next enqueue
+//                               still charges one process wakeup, whether
+//                               the thread was polling or parked.
 //  * sud_reply  -> Reply:       driver answers a synchronous upcall.
 //
 // Downcalls reverse the roles; per Section 3.1, the kernel returns results
@@ -33,13 +42,15 @@
 // live in a small open-addressed seq->slot hash table instead of a std::map.
 //
 // Threading: kernel-side and driver-side calls may run on different threads
-// (DriverHost's threaded mode) or on one thread with a "pump" that runs the
-// driver's dispatch loop inline when the kernel would otherwise block.
+// (DriverHost's per-queue pump threads) or on one thread with a "pump" that
+// runs the driver's dispatch loop inline when the kernel would otherwise
+// block.
 
 #ifndef SUD_SRC_SUD_UCHAN_H_
 #define SUD_SRC_SUD_UCHAN_H_
 
 #include <array>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -217,7 +228,8 @@ class Uchan {
   void RunDowncallLocked(UchanMsg& msg, std::unique_lock<std::mutex>& lock);
   // Blocks until the ring is non-empty (or timeout/shutdown); returns Ok when
   // at least one message is dequeueable. Charges the select/read syscall when
-  // the driver goes idle.
+  // the driver goes idle, then (mu_ released) polls the mirrors below
+  // before parking.
   Status WaitForUpcallLocked(uint64_t timeout_ms, std::unique_lock<std::mutex>& lock);
   UchanMsg PopUpcallLocked();
 
@@ -251,6 +263,11 @@ class Uchan {
   bool shutdown_ = false;
   bool driver_idle_ = true;  // true while the driver would be asleep in select
   Stats stats_;
+  // Copies of ring_count_ and shutdown_, stored with release under mu_
+  // wherever those change, so the driver's pre-park poll reads them without
+  // taking the lock.
+  std::atomic<size_t> ring_count_mirror_{0};
+  std::atomic<bool> shutdown_mirror_{false};
 };
 
 // UchanShardSet: the sharded uchan of the multi-queue design — one

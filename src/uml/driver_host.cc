@@ -4,6 +4,13 @@
 
 namespace sud::uml {
 
+namespace {
+// How long a pump thread parks in its uchan Wait before it re-checks
+// stop_requested_. Kill does not wait it out: shutting the shards down wakes
+// every parked pump at once.
+constexpr uint64_t kPumpParkTimeoutMs = 5;
+}  // namespace
+
 DriverHost::DriverHost(kern::Kernel* kernel, SudDeviceContext* ctx, std::string name,
                        kern::Uid uid)
     : kernel_(kernel), ctx_(ctx), name_(std::move(name)), uid_(uid) {}
@@ -46,10 +53,7 @@ Status DriverHost::StartLocked(std::unique_ptr<Driver> driver, Mode mode) {
     return probed;
   }
 
-  if (mode == Mode::kThreaded) {
-    stop_requested_ = false;
-    threads_.emplace_back([this]() { ThreadLoop(); });
-  } else if (mode == Mode::kThreadedPerQueue) {
+  if (mode == Mode::kThreadedPerQueue) {
     stop_requested_ = false;
     for (uint16_t q = 0; q < ctx_->num_queues(); ++q) {
       threads_.emplace_back([this, q]() { QueueThreadLoop(q); });
@@ -60,18 +64,12 @@ Status DriverHost::StartLocked(std::unique_ptr<Driver> driver, Mode mode) {
   return Status::Ok();
 }
 
-void DriverHost::ThreadLoop() {
-  while (!stop_requested_) {
-    (void)runtime_->RunOnce(/*timeout_ms=*/5);
-  }
-}
-
 void DriverHost::QueueThreadLoop(uint16_t queue) {
   // One pump per uchan shard: this thread only ever touches queue-`queue`
   // state (its ring pair, its rx array, its descriptor rings), so the packet
   // path scales across queues without a shared lock.
   while (!stop_requested_) {
-    (void)runtime_->RunOnceQueue(queue, /*timeout_ms=*/5);
+    (void)runtime_->RunOnceQueue(queue, kPumpParkTimeoutMs);
   }
 }
 
@@ -137,7 +135,7 @@ uint32_t DriverHost::pool_outstanding() const {
 
 void DriverHost::Pump() {
   // Comatose drivers never service their uchan (that is the point), and in
-  // the threaded modes the pump threads own the dispatch loop — draining from
+  // per-queue mode the pump threads own the dispatch loop — draining from
   // this thread too would race their per-queue rx arrays. The lifecycle lock
   // keeps runtime_ alive against a concurrent supervisor Kill.
   std::lock_guard<std::mutex> lock(lifecycle_mu_);

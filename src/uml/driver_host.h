@@ -11,11 +11,12 @@
 // Execution modes:
 //  * pumped (default): the driver's dispatch loop runs inline whenever the
 //    kernel would block on it — deterministic, used by tests and benches;
-//  * threaded: a real std::thread runs the dispatch loop, used by the
-//    liveness tests (hung-driver timeouts against a real concurrent driver);
-//  * threaded-per-queue: one std::thread per uchan shard, each pumping its
-//    own queue's ring pair — the multi-queue scaling configuration, where
-//    the packet path runs with no lock shared between queues.
+//  * threaded-per-queue: one real std::thread per uchan shard (one for a
+//    single-queue device), each pumping its own queue's ring pair, so the
+//    packet path runs with no lock shared between queues. An idle pump
+//    polls its empty ring briefly before it parks in the uchan Wait (see
+//    Uchan); the modeled select and wakeup charges are the same either way;
+//  * comatose: the process exists but never services its uchan.
 
 #ifndef SUD_SRC_UML_DRIVER_HOST_H_
 #define SUD_SRC_UML_DRIVER_HOST_H_
@@ -37,7 +38,7 @@ class DriverHost {
  public:
   // kComatose models a driver process stuck in an infinite loop: it exists,
   // holds its resources, but never services its uchan.
-  enum class Mode { kPumped, kThreaded, kThreadedPerQueue, kComatose };
+  enum class Mode { kPumped, kThreadedPerQueue, kComatose };
 
   DriverHost(kern::Kernel* kernel, SudDeviceContext* ctx, std::string name, kern::Uid uid);
   ~DriverHost();
@@ -58,7 +59,7 @@ class DriverHost {
   // Restart with a fresh driver instance (usually the same type).
   Status Restart(std::unique_ptr<Driver> driver, Mode mode = Mode::kPumped);
 
-  // Pumped mode: process pending upcalls now. In the threaded modes this is
+  // Pumped mode: process pending upcalls now. In the other modes this is
   // a no-op — the pump threads own the dispatch loop, and draining shards
   // from the caller's thread as well would race the per-queue rx arrays that
   // each pump thread touches without a lock.
@@ -66,8 +67,8 @@ class DriverHost {
 
   bool running() const { return running_; }
   Mode mode() const { return mode_; }
-  // Dispatch threads currently running (0 pumped, 1 threaded, one per shard
-  // in per-queue mode).
+  // Dispatch threads currently running (one per shard in per-queue mode,
+  // otherwise 0).
   size_t thread_count() const { return threads_.size(); }
   kern::Process* process() { return process_; }
   UmlRuntime* runtime() { return runtime_.get(); }
@@ -84,7 +85,6 @@ class DriverHost {
   uint32_t pool_outstanding() const;
 
  private:
-  void ThreadLoop();
   void QueueThreadLoop(uint16_t queue);
   Status StartLocked(std::unique_ptr<Driver> driver, Mode mode);
   Status KillLocked();
@@ -96,7 +96,7 @@ class DriverHost {
   kern::Process* process_ = nullptr;
   std::unique_ptr<UmlRuntime> runtime_;
   std::unique_ptr<Driver> driver_;
-  std::vector<std::thread> threads_;  // one (kThreaded) or one per shard
+  std::vector<std::thread> threads_;  // one per shard (kThreadedPerQueue)
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> running_{false};
   Mode mode_ = Mode::kPumped;

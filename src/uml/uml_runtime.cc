@@ -189,12 +189,6 @@ void UmlRuntime::FlushRxPendingQueue(uint16_t queue, bool enter_kernel) {
   }
 }
 
-void UmlRuntime::FlushRxPending(bool enter_kernel) {
-  for (uint16_t q = 0; q < ctx_->num_queues(); ++q) {
-    FlushRxPendingQueue(q, enter_kernel);
-  }
-}
-
 Status UmlRuntime::RegisterNetdev(const uint8_t mac[6], NetDriverOps ops) {
   UchanMsg msg;
   msg.inline_data.assign(mac, mac + 6);
@@ -337,32 +331,6 @@ void UmlRuntime::SubmitKeyEvent(uint8_t usage_code) {
   msg.opcode = kUsbDownKeyEvent;
   msg.args[0] = usage_code;
   (void)AsyncDowncall(std::move(msg));
-}
-
-Status UmlRuntime::RunOnce(uint64_t timeout_ms) {
-  // Hand any accumulated rx arrays to their shards' batches so the Wait
-  // entry (the flush point) carries them into the kernel.
-  FlushRxPending(/*enter_kernel=*/false);
-  // Poll every shard first (no sleeping): queue shards carry packet work.
-  for (uint16_t q = 1; q < ctx_->num_queues(); ++q) {
-    Result<UchanMsg> msg = ctx_->ctl(q).Wait(0);
-    if (msg.ok()) {
-      Dispatch(msg.value(), q);
-      queue_progress_[q].fetch_add(1, std::memory_order_relaxed);
-      return Status::Ok();
-    }
-    if (msg.status().code() != ErrorCode::kTimedOut) {
-      return msg.status();
-    }
-  }
-  // Timed blocking on shard 0, the control lane.
-  Result<UchanMsg> msg = ctx_->ctl().Wait(timeout_ms);
-  if (!msg.ok()) {
-    return msg.status();
-  }
-  Dispatch(msg.value(), 0);
-  queue_progress_[0].fetch_add(1, std::memory_order_relaxed);
-  return Status::Ok();
 }
 
 Status UmlRuntime::RunOnceQueue(uint16_t queue, uint64_t timeout_ms) {

@@ -8,7 +8,7 @@
 //     Write become filtered syscalls, DmaAllocCoherent allocates through the
 //     dma_coherent device file (which installs the IOMMU mapping), and
 //     RequestIrq asks the kernel to forward interrupt upcalls;
-//  2. the upcall dispatch loop (RunOnce/ProcessPending) receives kernel
+//  2. the upcall dispatch loop (RunOnceQueue/ProcessPending) receives kernel
 //     upcalls and invokes the registered driver callbacks — with the
 //     idle-thread rule of Section 4.2: callbacks that may block are handed
 //     to a (modelled) worker-thread pool, non-blocking ones run inline;
@@ -77,9 +77,6 @@ class UmlRuntime : public DriverEnv {
   void SubmitKeyEvent(uint8_t usage_code) override;
 
   // --- dispatch loop ----------------------------------------------------------
-  // Processes one pending upcall from any shard; kTimedOut when none arrive
-  // in time (timed blocking is on shard 0, the control lane).
-  Status RunOnce(uint64_t timeout_ms);
   // Per-queue pump: processes one batch of shard q's upcalls, blocking up to
   // `timeout_ms`. This is the body of DriverHost's per-queue threads.
   Status RunOnceQueue(uint16_t queue, uint64_t timeout_ms);
@@ -153,7 +150,6 @@ class UmlRuntime : public DriverEnv {
   // always enter the kernel *before* later downcalls on their shard (ring
   // order is per-shard; control rides shard 0).
   Status AsyncDowncall(UchanMsg msg);
-  void FlushRxPending(bool enter_kernel);
   void FlushRxPendingQueue(uint16_t queue, bool enter_kernel);
   // interrupt_ack for queue q, on shard q (after flushing its rx array).
   Status InterruptAckQueue(uint16_t queue);

@@ -1,4 +1,4 @@
-// DriverHost lifecycle tests: pumped / threaded / comatose modes, restart
+// DriverHost lifecycle tests: pumped / per-queue threaded / comatose modes, restart
 // semantics, resource reclamation across repeated kill cycles, and rlimit /
 // scheduling-policy plumbing (§4.1).
 
@@ -67,8 +67,10 @@ TEST(DriverHost, ThreadedModeServicesUpcalls) {
   NetBench bench;
   ASSERT_TRUE(bench.host
                   ->Start(std::make_unique<drivers::E1000eDriver>(),
-                          uml::DriverHost::Mode::kThreaded)
+                          uml::DriverHost::Mode::kThreadedPerQueue)
                   .ok());
+  // A one-queue device gets exactly one pump thread.
+  EXPECT_EQ(bench.host->thread_count(), 1u);
   // The open upcall is answered by the driver thread, not a pump.
   Status up = bench.kernel.net().BringUp("eth0");
   EXPECT_TRUE(up.ok()) << up.ToString();
@@ -92,7 +94,7 @@ TEST(DriverHost, KillUnblocksSleepingThread) {
   NetBench bench;
   ASSERT_TRUE(bench.host
                   ->Start(std::make_unique<drivers::E1000eDriver>(),
-                          uml::DriverHost::Mode::kThreaded)
+                          uml::DriverHost::Mode::kThreadedPerQueue)
                   .ok());
   // The driver thread is asleep in Wait; Kill must join promptly.
   auto start = std::chrono::steady_clock::now();

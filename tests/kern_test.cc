@@ -273,6 +273,29 @@ TEST(NetSubsystem, NetifRxChecksumAndFirewall) {
   EXPECT_EQ(dev->stats().driver_errors, 1u);  // the runt
 }
 
+// rx_packets is the completion signal threaded callers poll: it may count a
+// frame only once the sink has run for it, or a poller reads a sink digest
+// that is missing the last frame.
+TEST(NetSubsystem, NetifRxCountsAfterTheSinkRuns) {
+  hw::Machine machine;
+  Kernel kernel(&machine);
+  FakeOps ops;
+  NetDevice* dev = kernel.net().RegisterNetdev("eth0", kMacA, &ops).value();
+  constexpr uint16_t kQueue = 1;
+  std::vector<std::pair<uint64_t, uint64_t>> seen;  // (device, queue) inside the sink
+  dev->set_rx_sink([&](const Skb&) {
+    seen.emplace_back(dev->stats().rx_packets.load(), dev->queue_stats(kQueue).rx_packets.load());
+  });
+  auto frame = BuildPacket(kMacA, kMacB, 1, 80, {});
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(kernel.net().NetifRx(dev, MakeSkb({frame.data(), frame.size()}), kQueue).ok());
+  }
+  using Counts = std::vector<std::pair<uint64_t, uint64_t>>;
+  EXPECT_EQ(seen, (Counts{{0, 0}, {1, 1}, {2, 2}}));
+  EXPECT_EQ(dev->stats().rx_packets, 3u);
+  EXPECT_EQ(dev->queue_stats(kQueue).rx_packets, 3u);
+}
+
 class FakeWifiOps : public WirelessOps {
  public:
   explicit FakeWifiOps(Kernel* kernel) : kernel_(kernel) {}

@@ -1,9 +1,10 @@
 // Uchan unit + property tests: the Figure 3 semantics — sync/async upcalls,
-// interruptable timeouts, downcall batching, replies, shutdown — plus a
-// randomized ordering property.
+// interruptable timeouts, downcall batching, replies, shutdown, the
+// cross-thread handoff — plus a randomized ordering property.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "src/base/fault_injector.h"
@@ -186,6 +187,71 @@ TEST(Uchan, WakeupsCountedWhenDriverIdle) {
   (void)uchan.Wait(0);
   ASSERT_TRUE(uchan.SendAsync(UchanMsg{}).ok());
   EXPECT_EQ(uchan.stats().wakeups, 1u);
+}
+
+// ---- cross-thread handoff ---------------------------------------------------
+// A driver thread waiting with a timeout polls its empty ring briefly, then
+// parks. Which of the two an upcall finds it in is host timing, so the
+// modeled charges must not depend on it.
+
+// Returns once the driver side has found its ring empty and charged select.
+void AwaitDriverIdle(const Uchan& uchan, const CpuModel& cpu) {
+  while (uchan.stats().driver_ns < cpu.costs().syscall) {
+    std::this_thread::yield();
+  }
+}
+
+// Param: how long the sender waits after the driver went idle, in ms. At 0
+// the upcall usually lands inside the poll window; at 20 the thread parked.
+class UchanHandoffTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(UchanHandoffTest, UpcallWakesWaitingThreadWithPumpedCharges) {
+  CpuModel cpu;
+  Uchan uchan(Uchan::Config{}, &cpu);
+  Status status;
+  size_t received = 0;
+  std::chrono::steady_clock::duration waited{};
+  std::thread driver([&]() {
+    auto start = std::chrono::steady_clock::now();
+    Result<std::vector<UchanMsg>> batch = uchan.WaitBatch(5000, 64);
+    waited = std::chrono::steady_clock::now() - start;
+    status = batch.status();
+    received = batch.ok() ? batch.value().size() : 0;
+  });
+  AwaitDriverIdle(uchan, cpu);
+  std::this_thread::sleep_for(std::chrono::milliseconds(GetParam()));
+  Status sent = uchan.SendAsync(UchanMsg{});
+  driver.join();
+  ASSERT_TRUE(sent.ok()) << sent.ToString();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(received, 1u);
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(waited).count(), 1000);
+
+  // Exactly the charges of the pumped sequence in WakeupsCountedWhenDriverIdle:
+  // one idle entry (one select syscall), one wakeup, one message enqueued and
+  // dequeued.
+  EXPECT_EQ(uchan.stats().wakeups, 1u);
+  EXPECT_EQ(cpu.busy(kAccountKernel), cpu.costs().process_wakeup + cpu.costs().uchan_msg);
+  EXPECT_EQ(cpu.busy(kAccountDriver), cpu.costs().syscall + cpu.costs().uchan_msg);
+}
+
+INSTANTIATE_TEST_SUITE_P(SendDelayMs, UchanHandoffTest, ::testing::Values(0, 20));
+
+TEST(UchanHandoff, ShutdownDuringPollWindowUnblocksPromptly) {
+  CpuModel cpu;
+  Uchan uchan(Uchan::Config{}, &cpu);
+  Status status;
+  std::chrono::steady_clock::duration waited{};
+  std::thread driver([&]() {
+    auto start = std::chrono::steady_clock::now();
+    status = uchan.WaitBatch(5000, 64).status();
+    waited = std::chrono::steady_clock::now() - start;
+  });
+  AwaitDriverIdle(uchan, cpu);
+  uchan.Shutdown();  // at once: the driver thread is still polling
+  driver.join();
+  EXPECT_EQ(status.code(), ErrorCode::kUnavailable);
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(waited).count(), 1000);
 }
 
 // ---- batch fast path --------------------------------------------------------
