@@ -354,13 +354,16 @@ void RunStall(NetBench& bench, uint64_t seed, bool threaded, uml::DriverHost::Mo
 
   FaultInjector& injector = FaultInjector::Get();
   injector.ClearSchedules();
-  // A short run-in, then queue 1's pump freezes for as long as the engine
-  // stays armed; the bench disarms right after the watchdog's first recovery
-  // so the replacement driver comes up clean instead of re-wedging into the
-  // restart budget. Both dispatch modes evaluate this site: the per-queue
-  // pump thread hits it directly, and the single-threaded Pump() sweep hits
-  // it through ProcessPendingQueue's RunOnceQueue loop.
-  injector.Configure(kStallSite, FaultInjector::Burst(20, 1ull << 40));
+  // Queue 1's pump freezes from its first pass after arming, while its flow
+  // still has traffic to carry, for as long as the engine stays armed. (A
+  // run-in let a fast stack finish the whole flow before the freeze, so the
+  // watchdog never saw a pending upcall.) The bench disarms right after the
+  // watchdog's first recovery so the replacement driver comes up clean
+  // instead of re-wedging into the restart budget. Both dispatch modes
+  // evaluate this site: the per-queue pump thread hits it directly, and the
+  // single-threaded Pump() sweep hits it through ProcessPendingQueue's
+  // RunOnceQueue loop.
+  injector.Configure(kStallSite, FaultInjector::Burst(1, 1ull << 40));
   injector.Arm(seed ^ kStallSalt);
 
   // Threaded generators in BOTH modes: the serial replay has no go-back-N,
