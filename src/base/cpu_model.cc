@@ -67,35 +67,4 @@ CoreSchedule ScheduleOnCoresWithTotal(const std::vector<uint64_t>& queue_kernel_
                          cores);
 }
 
-std::string_view CpuAccountName(CpuAccount account) {
-  switch (account) {
-    case CpuAccount::kKernel:
-      return "kernel";
-    case CpuAccount::kDriver:
-      return "driver";
-    case CpuAccount::kDevice:
-      return "device";
-    case CpuAccount::kPeer:
-      return "peer";
-    default:
-      return "other";
-  }
-}
-
-CpuAccount CpuAccountFromName(std::string_view name) {
-  if (name == "kernel") {
-    return CpuAccount::kKernel;
-  }
-  if (name == "driver") {
-    return CpuAccount::kDriver;
-  }
-  if (name == "device") {
-    return CpuAccount::kDevice;
-  }
-  if (name == "peer") {
-    return CpuAccount::kPeer;
-  }
-  return CpuAccount::kOther;
-}
-
 }  // namespace sud

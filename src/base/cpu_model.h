@@ -15,8 +15,7 @@
 // CPU% = busy_time / wall_time, exactly as netperf's CPU measurement does.
 //
 // Charge() is on the per-packet fast path of every bench, so accounts are a
-// small fixed enum indexing a flat array rather than a map keyed by strings;
-// the string overloads remain for ad-hoc accounts in tests.
+// small fixed enum indexing a flat array rather than a map keyed by strings.
 //
 // Default constants are calibrated so that bench/fig8_netperf lands near the
 // published table; every constant is overridable so the ablation benches can
@@ -28,8 +27,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/base/clock.h"
@@ -59,14 +56,12 @@ struct CpuCosts {
   SimTime iotlb_shootdown = 450;     // one synchronous IOTLB invalidation
 };
 
-// The accounts charged by the simulated stack. kOther absorbs ad-hoc string
-// accounts used by tests.
+// The accounts charged by the simulated stack.
 enum class CpuAccount : uint8_t {
   kKernel = 0,
   kDriver,
   kDevice,
   kPeer,
-  kOther,
   kCount,
 };
 
@@ -75,9 +70,6 @@ inline constexpr CpuAccount kAccountKernel = CpuAccount::kKernel;
 inline constexpr CpuAccount kAccountDriver = CpuAccount::kDriver;
 inline constexpr CpuAccount kAccountDevice = CpuAccount::kDevice;
 inline constexpr CpuAccount kAccountPeer = CpuAccount::kPeer;  // the traffic generator
-
-std::string_view CpuAccountName(CpuAccount account);
-CpuAccount CpuAccountFromName(std::string_view name);  // unknown -> kOther
 
 // Accumulates busy time per account. Not tied to SimClock advancement: the
 // benchmark harness decides how charged time maps onto wall time (a single
@@ -97,9 +89,6 @@ class CpuModel {
   void Charge(CpuAccount account, SimTime nanos) {
     busy_[static_cast<size_t>(account)].fetch_add(nanos, std::memory_order_relaxed);
   }
-  void Charge(std::string_view account, SimTime nanos) {
-    Charge(CpuAccountFromName(account), nanos);
-  }
 
   // Fractional per-byte charges (copy/checksum passes).
   void ChargeBytes(CpuAccount account, double ns_per_byte, uint64_t bytes) {
@@ -111,7 +100,6 @@ class CpuModel {
   SimTime busy(CpuAccount account) const {
     return busy_[static_cast<size_t>(account)].load(std::memory_order_relaxed);
   }
-  SimTime busy(std::string_view account) const { return busy(CpuAccountFromName(account)); }
 
   // Total across all accounts.
   SimTime total_busy() const {

@@ -38,11 +38,6 @@ void DriverSupervisor::set_config_replay(ConfigReplayHook hook) {
   config_replay_ = std::move(hook);
 }
 
-void DriverSupervisor::ObserveHungReports(uint64_t reports) {
-  std::lock_guard<std::mutex> lock(mu_);
-  hung_reports_ = reports;
-}
-
 bool DriverSupervisor::CheckAndRecover() {
   std::lock_guard<std::mutex> lock(mu_);
   return CheckAndRecoverLocked();
@@ -52,12 +47,9 @@ bool DriverSupervisor::CheckAndRecoverLocked() {
   bool dead = !host_->running() ||
               (host_->process() != nullptr && !host_->process()->alive());
   bool hung = false;
-  if (options_.hung_report_threshold > 0) {
-    hung = hung_reports_ >= options_.hung_report_threshold;
-    if (!hung && proxy_ != nullptr) {
-      uint64_t reports = proxy_->stats().hung_reports.load(std::memory_order_relaxed);
-      hung = reports - proxy_hung_baseline_ >= options_.hung_report_threshold;
-    }
+  if (options_.hung_report_threshold > 0 && proxy_ != nullptr) {
+    uint64_t reports = proxy_->stats().hung_reports.load(std::memory_order_relaxed);
+    hung = reports - proxy_hung_baseline_ >= options_.hung_report_threshold;
   }
   bool wedged = false;
   if (!dead && !hung) {
@@ -164,7 +156,6 @@ bool DriverSupervisor::RecoverLocked(Reason reason) {
     (void)kernel_->net().BringDown(shadow_ifname_);
   }
   ResetWatchdogLocked();
-  hung_reports_ = 0;
 
   Status started = host_->Start(factory_(), options_.restart_mode);
   if (proxy_ != nullptr) {
@@ -249,7 +240,6 @@ Status DriverSupervisor::Upgrade(DriverFactory new_factory) {
   }
   factory_ = std::move(new_factory);
   ResetWatchdogLocked();
-  hung_reports_ = 0;
 
   Status started = host_->Start(factory_(), options_.restart_mode);
   if (proxy_ != nullptr) {

@@ -6,8 +6,7 @@
 // dance automatically. Detection is three-pronged:
 //   * dead: the host stopped running or its process died (kill -9, crash);
 //   * hung: the attached EthernetProxy's hung_reports counter advanced past
-//     the threshold (the transmit ring stopped draining), or the harness fed
-//     a count via ObserveHungReports (the legacy seam);
+//     the threshold (the transmit ring stopped draining);
 //   * wedged: the per-queue watchdog saw a shard with pending upcalls whose
 //     UmlRuntime progress counter did not advance for `watchdog_strikes`
 //     consecutive checks — a driver that is alive but silently stuck on one
@@ -103,10 +102,6 @@ class DriverSupervisor {
   // Operator-config replay after restarts (e.g. RETA reprogramming).
   void set_config_replay(ConfigReplayHook hook);
 
-  // Observes a hung report count from the proxy (legacy seam: harnesses
-  // without AttachProxy feed the counter by hand).
-  void ObserveHungReports(uint64_t reports);
-
   // One supervision step: restart if the driver looks dead, hung or wedged.
   // Returns true if a recovery was performed.
   bool CheckAndRecover();
@@ -145,7 +140,6 @@ class DriverSupervisor {
   std::string shadow_ifname_;
 
   mutable std::mutex mu_;
-  uint64_t hung_reports_ = 0;         // hand-fed (ObserveHungReports)
   uint64_t proxy_hung_baseline_ = 0;  // proxy counter value at last restart
   std::array<uint64_t, kSudMaxQueues> last_progress_{};
   std::array<uint32_t, kSudMaxQueues> strikes_{};

@@ -192,12 +192,12 @@ TEST(Bytes, FormatMac) {
 
 TEST(CpuModel, ChargesPerAccount) {
   CpuModel cpu;
-  cpu.Charge("kernel", 100);
-  cpu.Charge("driver", 50);
-  cpu.Charge("kernel", 25);
-  EXPECT_EQ(cpu.busy("kernel"), 125u);
-  EXPECT_EQ(cpu.busy("driver"), 50u);
-  EXPECT_EQ(cpu.busy("nobody"), 0u);
+  cpu.Charge(kAccountKernel, 100);
+  cpu.Charge(kAccountDriver, 50);
+  cpu.Charge(kAccountKernel, 25);
+  EXPECT_EQ(cpu.busy(kAccountKernel), 125u);
+  EXPECT_EQ(cpu.busy(kAccountDriver), 50u);
+  EXPECT_EQ(cpu.busy(kAccountPeer), 0u);
   EXPECT_EQ(cpu.total_busy(), 175u);
   cpu.Reset();
   EXPECT_EQ(cpu.total_busy(), 0u);

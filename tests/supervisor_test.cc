@@ -62,6 +62,7 @@ TEST(Supervisor, RecoversFromHungDriver) {
                   .ok());
   uml::DriverSupervisor supervisor(&bench.kernel, bench.host.get(), MakeE1000e);
   supervisor.ShadowNetdev("eth0");
+  supervisor.AttachProxy(bench.proxy.get());
 
   // The kernel piles up transmits until the proxy reports the driver hung.
   auto frame = kern::BuildPacket(testing::kMacB, testing::kMacA, 1, 2, {});
@@ -70,8 +71,8 @@ TEST(Supervisor, RecoversFromHungDriver) {
   }
   ASSERT_GE(bench.proxy->stats().hung_reports, 1u);
 
-  supervisor.ObserveHungReports(bench.proxy->stats().hung_reports);
   EXPECT_TRUE(supervisor.CheckAndRecover());
+  EXPECT_EQ(supervisor.stats().hung_recoveries, 1u);
   // The replacement is a real e1000e; the interface works again.
   EXPECT_TRUE(bench.kernel.net().Find("eth0")->is_up());
   int received = 0;
