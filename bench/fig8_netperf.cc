@@ -349,7 +349,7 @@ Row RunUdpTx(bool is_sud) {
 // TCP_STREAM at the jumbo MTU, transmit side: the SUT streams 9000-byte-MTU
 // segments at the peer as FRAG skbs riding the TX scatter/gather chains —
 // head + page frags staged per-fragment into standard pool buffers, one
-// kEthUpXmitChain upcall and a 5-descriptor chain per segment, zero
+// 5-fragment kEthUpXmit upcall and a 5-descriptor chain per segment, zero
 // linearize copies. The link is the bottleneck at the jumbo wire occupancy;
 // the number the row exists for is CPU%-per-byte (and tx_copies_per_pkt=0),
 // which the paper's 1500-byte testbed could not show.

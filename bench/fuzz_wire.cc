@@ -135,6 +135,12 @@ UchanMsg RandomValid(const wire::MessageSchema& s, Rng& rng) {
     case wire::PayloadKind::kRecords: {
       size_t count =
           rng.Range(s.min_records, std::min<uint64_t>(s.max_records, 8));
+      // A fragment list's head shares the frame-total budget with its tail.
+      size_t shares = count + (s.head != wire::FrameHead::kNone ? 1 : 0);
+      if (s.head != wire::FrameHead::kNone) {
+        wire::SetHeadLength(s, rng.Range(1, std::max<uint64_t>(s.record.sum_max / shares, 1)),
+                            &msg);
+      }
       msg.inline_data.assign(count * s.record.bytes, 0);
       for (size_t r = 0; r < count; ++r) {
         for (size_t f = 0; f < s.record.num_fields; ++f) {
@@ -147,8 +153,8 @@ UchanMsg RandomValid(const wire::MessageSchema& s, Rng& rng) {
             continue;
           }
           uint64_t hi = std::min<uint64_t>(field.max, field.min + 0xffff);
-          if (static_cast<int8_t>(f) == s.record.sum_field && count > 0) {
-            hi = std::min<uint64_t>(hi, std::max<uint64_t>(s.record.sum_max / count, 1));
+          if (static_cast<int8_t>(f) == s.record.sum_field) {
+            hi = std::min<uint64_t>(hi, std::max<uint64_t>(s.record.sum_max / shares, 1));
           }
           PokeField(&msg, s.record, r, f, rng.Range(field.min, hi));
         }
@@ -201,7 +207,15 @@ UchanMsg MutateCount(const wire::MessageSchema& s, UchanMsg msg, Rng& rng) {
 // scalar — pushed out of its declared bounds.
 bool MutateBounds(const wire::MessageSchema& s, UchanMsg& msg, Rng& rng) {
   struct Choice {
-    enum Kind { kDeadArg, kNamedArg, kForgedBuffer, kOversizeBuffer, kFieldHigh, kFieldLow };
+    enum Kind {
+      kDeadArg,
+      kNamedArg,
+      kForgedBuffer,
+      kOversizeBuffer,
+      kEmptyHead,
+      kFieldHigh,
+      kFieldLow
+    };
     Kind kind;
     size_t a = 0, f = 0;
   };
@@ -217,6 +231,9 @@ bool MutateBounds(const wire::MessageSchema& s, UchanMsg& msg, Rng& rng) {
     choices.push_back({Choice::kForgedBuffer});
   } else if (s.max_buffer_len < UINT32_MAX) {
     choices.push_back({Choice::kOversizeBuffer});
+  }
+  if (s.head != wire::FrameHead::kNone) {
+    choices.push_back({Choice::kEmptyHead});
   }
   if (s.payload == wire::PayloadKind::kRecords && !msg.inline_data.empty()) {
     for (size_t f = 0; f < s.record.num_fields; ++f) {
@@ -254,6 +271,9 @@ bool MutateBounds(const wire::MessageSchema& s, UchanMsg& msg, Rng& rng) {
       break;
     case Choice::kOversizeBuffer:
       msg.buffer_len = s.max_buffer_len + 1;
+      break;
+    case Choice::kEmptyHead:
+      wire::SetHeadLength(s, 0, &msg);
       break;
     case Choice::kFieldHigh:
       PokeField(&msg, s.record, rng.Below(count), c.f, s.record.fields[c.f].max + 1);
@@ -340,23 +360,28 @@ void FuzzLiveBoundary(Rng& rng, Tally& tally) {
       m.args[0] = rng.Next();
       m.args[1] = kern::kJumboMaxFrameBytes + 1 + rng.Below(100);
     }
-    {  // ragged rx chain payload
-      wire::RxFrag frags[2] = {{rng.Next(), 256}, {rng.Next(), 256}};
+    {  // ragged rx tail payload
+      DmaFrag frags[3] = {{rng.Next(), 256}, {rng.Next(), 256}, {rng.Next(), 256}};
       UchanMsg& m = forge(static_cast<uint16_t>(rng.Below(2)));
-      wire::EncodeRxChain(frags, 2, &m);
+      wire::EncodeNetifRx(frags, &m);
       m.inline_data.resize(m.inline_data.size() - 1 - rng.Below(11));
     }
-    {  // per-fragment lengths fine, total over the reassembly cap
+    {  // per-fragment lengths fine, head plus tail over the reassembly cap
       uint32_t len = static_cast<uint32_t>(kern::kJumboMaxFrameBytes - rng.Below(100));
-      wire::RxFrag frags[2] = {{rng.Next(), len}, {rng.Next(), len}};
+      DmaFrag frags[2] = {{rng.Next(), len}, {rng.Next(), len}};
       UchanMsg& m = forge(static_cast<uint16_t>(rng.Below(2)));
-      wire::EncodeRxChain(frags, 2, &m);
+      wire::EncodeNetifRx(frags, &m);
     }
-    {  // advertised fragment count disagrees with the payload
-      wire::RxFrag frags[2] = {{rng.Next(), 128}, {rng.Next(), 128}};
+    {  // advertised tail count disagrees with the payload
+      DmaFrag frags[3] = {{rng.Next(), 128}, {rng.Next(), 128}, {rng.Next(), 128}};
       UchanMsg& m = forge(static_cast<uint16_t>(rng.Below(2)));
-      wire::EncodeRxChain(frags, 2, &m);
-      m.args[0] = 3 + rng.Below(8);
+      wire::EncodeNetifRx(frags, &m);
+      m.args[2] = 3 + rng.Below(8);
+    }
+    {  // empty head fragment
+      UchanMsg& m = forge(static_cast<uint16_t>(rng.Below(2)));
+      m.opcode = kEthDownNetifRx;
+      m.args[0] = rng.Next();
     }
     {  // free-buffer batch lying about its count (salvage path)
       int32_t ids[2] = {static_cast<int32_t>(900 + rng.Below(50)),
@@ -406,29 +431,29 @@ void FuzzLiveBoundary(Rng& rng, Tally& tally) {
   for (int round = 0; round < 5; ++round) {
     std::vector<std::pair<UchanMsg, uint16_t>> storm;
     uint16_t shard = static_cast<uint16_t>(rng.Below(2));
-    {  // xmit chain whose fragments sum past the jumbo ceiling
+    {  // xmit whose fragments sum past the jumbo ceiling
       int32_t ids[6] = {0, 1, 2, 3, 4, 5};
       uint32_t lens[6];
       for (uint32_t& len : lens) {
         len = 2048;
       }
       UchanMsg m;
-      wire::EncodeXmitChain(shard, ids, lens, 6, 6 * 2048, &m);
+      wire::EncodeXmit(shard, ids, lens, 6, &m);
       storm.emplace_back(std::move(m), shard);
     }
-    {  // xmit chain count/payload mismatch
+    {  // xmit tail count/payload mismatch
       int32_t ids[2] = {0, 1};
       uint32_t lens[2] = {512, 512};
       UchanMsg m;
-      wire::EncodeXmitChain(shard, ids, lens, 2, 1024, &m);
+      wire::EncodeXmit(shard, ids, lens, 2, &m);
       m.args[1] += 1 + rng.Below(4);
       storm.emplace_back(std::move(m), shard);
     }
-    {  // truncated xmit chain payload
-      int32_t ids[2] = {0, 1};
-      uint32_t lens[2] = {512, 512};
+    {  // truncated xmit tail payload
+      int32_t ids[3] = {0, 1, 2};
+      uint32_t lens[3] = {512, 512, 512};
       UchanMsg m;
-      wire::EncodeXmitChain(shard, ids, lens, 2, 1024, &m);
+      wire::EncodeXmit(shard, ids, lens, 3, &m);
       m.inline_data.resize(m.inline_data.size() - 1 - rng.Below(7));
       storm.emplace_back(std::move(m), shard);
     }

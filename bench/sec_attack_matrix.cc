@@ -291,7 +291,7 @@ Cell RunTornChain(NetBench::Options options, const std::string& config) {
   (void)p->FireOverCapChains(8);
   (void)p->FireWildChains(8);
   bench.host->Pump();
-  uint64_t rejected = bench.proxy->stats().rx_bad_chain.load();
+  uint64_t rejected = bench.proxy->stats().rx_malformed.load();
   uint64_t delivered = bench.kernel.net().Find("eth0") != nullptr
                            ? bench.kernel.net().Find("eth0")->stats().rx_packets.load()
                            : 0;
@@ -419,7 +419,7 @@ Cell RunTxOverCapChain(NetBench::Options options, const std::string& config) {
   return {"over-cap TX chain", config, contained, note};
 }
 
-// Forged kEthUpXmitChain messages: fragment-record count mismatches, bogus
+// Forged multi-fragment kEthUpXmit messages: tail count mismatches, bogus
 // pool ids, per-fragment lengths above one staging buffer, oversize totals.
 // The runtime must reject each one before a single descriptor is armed.
 Cell RunTxChainForgery(NetBench::Options options, const std::string& config) {
@@ -428,25 +428,30 @@ Cell RunTxChainForgery(NetBench::Options options, const std::string& config) {
     return {"forged TX chain upcall", config, false, "sut failed to start"};
   }
   uint64_t tx_before = bench.sut_nic.stats().tx_frames.load();
-  auto forge = [&](uint64_t claimed_count, std::vector<std::pair<uint32_t, uint32_t>> records) {
+  uint64_t armed_before = bench.sut_driver->stats().tx_queued.load();
+  // `frags` is the whole frame, head first; `tail_count` is what args[1]
+  // claims about the rest.
+  auto forge = [&](uint64_t tail_count, std::vector<std::pair<uint32_t, uint32_t>> frags) {
     UchanMsg msg;
-    msg.opcode = kEthUpXmitChain;
+    msg.opcode = kEthUpXmit;
     msg.args[0] = 0;
-    msg.args[1] = claimed_count;
-    msg.inline_data.resize(records.size() * kXmitChainFragBytes);
-    for (size_t i = 0; i < records.size(); ++i) {
-      StoreLe32(msg.inline_data.data() + i * kXmitChainFragBytes, records[i].first);
-      StoreLe32(msg.inline_data.data() + i * kXmitChainFragBytes + 4, records[i].second);
+    msg.args[1] = tail_count;
+    msg.buffer_id = static_cast<int32_t>(frags[0].first);
+    msg.buffer_len = frags[0].second;
+    msg.inline_data.resize((frags.size() - 1) * kXmitFragBytes);
+    for (size_t i = 1; i < frags.size(); ++i) {
+      StoreLe32(msg.inline_data.data() + (i - 1) * kXmitFragBytes, frags[i].first);
+      StoreLe32(msg.inline_data.data() + (i - 1) * kXmitFragBytes + 4, frags[i].second);
     }
     (void)bench.ctx->ctl().SendAsync(std::move(msg));
   };
-  forge(3, {{0, 512}, {1, 512}});                            // count != payload
-  forge(2, {{0, 512}, {60000, 512}});                        // bogus pool id
-  forge(2, {{0, 4096}, {1, 512}});                           // len > one buffer
-  forge(6, {{0, 2048}, {1, 2048}, {2, 2048}, {3, 2048}, {4, 2048}, {5, 2048}});  // oversize
+  forge(2, {{0, 512}, {1, 512}});                            // count != payload
+  forge(1, {{0, 512}, {60000, 512}});                        // bogus pool id
+  forge(1, {{0, 4096}, {1, 512}});                           // len > one buffer
+  forge(5, {{0, 2048}, {1, 2048}, {2, 2048}, {3, 2048}, {4, 2048}, {5, 2048}});  // oversize
   bench.host->Pump();
-  uint64_t rejected = bench.host->runtime()->stats().xmit_chains_rejected.load();
-  uint64_t armed = bench.host->runtime()->stats().xmit_chain_upcalls.load();
+  uint64_t rejected = bench.host->runtime()->stats().xmit_rejected.load();
+  uint64_t armed = bench.sut_driver->stats().tx_queued.load() - armed_before;
   uint64_t transmitted = bench.sut_nic.stats().tx_frames.load() - tx_before;
   bool contained = rejected == 4 && armed == 0 && transmitted == 0;
   char note[96];

@@ -162,11 +162,8 @@ Status E1000eDriver::Probe(uml::DriverEnv& env) {
   uml::NetDriverOps ops;
   ops.open = [this]() { return Open(); };
   ops.stop = [this]() { return Stop(); };
-  ops.xmit = [this](uint64_t iova, uint32_t len, int32_t id, uint16_t queue) {
-    return Xmit(iova, len, id, queue);
-  };
-  ops.xmit_chain = [this](const std::vector<uml::TxFrag>& frags, uint16_t queue) {
-    return XmitChain(frags, queue);
+  ops.xmit = [this](std::span<const uml::TxFrag> frags, uint16_t queue) {
+    return Xmit(frags, queue);
   };
   ops.sg = true;  // frag skbs arrive as fragment lists, never linearized
   ops.ioctl = [this](uint32_t cmd) { return Ioctl(cmd); };
@@ -340,38 +337,7 @@ Status E1000eDriver::Stop() {
   return env_->FreeIrq();
 }
 
-Status E1000eDriver::Xmit(uint64_t frame_iova, uint32_t len, int32_t pool_buffer_id,
-                          uint16_t queue) {
-  if (!open_) {
-    return Status(ErrorCode::kUnavailable, "interface down");
-  }
-  if (queue >= num_queues_) {
-    queue = 0;
-  }
-  QueueState& qs = queues_[queue];
-  uint32_t next = (qs.tx_tail + 1) % kTxDescriptors;
-  if (next == qs.tx_reap) {
-    ReapTxCompletions(queue);
-    if (next == qs.tx_reap) {
-      return Status(ErrorCode::kQueueFull, "tx ring full");
-    }
-  }
-  // Zero-copy: point the descriptor at the frame where it already lives
-  // (shared-pool buffer under SUD, bounce buffer in-kernel).
-  RingDescriptor desc;
-  desc.buffer_addr = frame_iova;
-  desc.length = static_cast<uint16_t>(len);
-  desc.cmd = devices::kNicDescCmdEop | devices::kNicDescCmdReportStatus;
-  SUD_RETURN_IF_ERROR(qs.tx_eng->Arm(qs.tx_tail, desc));
-  qs.tx_slot_buffer[qs.tx_tail] = pool_buffer_id;
-  qs.tx_slot_eop[qs.tx_tail] = 1;
-  qs.tx_tail = next;
-  stats_.tx_queued.fetch_add(1, std::memory_order_relaxed);
-  stats_.tx_desc_queued.fetch_add(1, std::memory_order_relaxed);
-  return env_->MmioWrite32(0, QueueRegBase(devices::kNicRegTdbal, queue) + 0x18, qs.tx_tail);
-}
-
-Status E1000eDriver::XmitChain(const std::vector<uml::TxFrag>& frags, uint16_t queue) {
+Status E1000eDriver::Xmit(std::span<const uml::TxFrag> frags, uint16_t queue) {
   if (!open_) {
     return Status(ErrorCode::kUnavailable, "interface down");
   }
@@ -395,6 +361,8 @@ Status E1000eDriver::XmitChain(const std::vector<uml::TxFrag>& frags, uint16_t q
       return Status(ErrorCode::kQueueFull, "tx ring full");
     }
   }
+  // Zero-copy: point each descriptor at its fragment where it already lives
+  // (shared-pool buffers under SUD, bounce slots in-kernel).
   uint32_t chain_start = qs.tx_tail;
   for (size_t i = 0; i < frags.size(); ++i) {
     bool last = i + 1 == frags.size();
@@ -530,7 +498,7 @@ void E1000eDriver::ReapRxRing(uint16_t queue) {
     if (qs.chain.empty()) {
       qs.chain_start = index;
     }
-    qs.chain.push_back(uml::DmaFrag{buffer_iova, desc.value().length});
+    qs.chain.push_back(DmaFrag{buffer_iova, desc.value().length});
     qs.chain_bytes += desc.value().length;
 
     if (!eop) {
@@ -556,20 +524,14 @@ void E1000eDriver::ReapRxRing(uint16_t queue) {
       RecycleChain(queue);
       continue;
     }
-    if (qs.chain.size() == 1) {
-      // Single-descriptor frame: the legacy path, bit-identical MMIO/uchan
-      // footprint (arm + tail write per packet).
-      (void)env_->NetifRx(qs.chain[0].iova, qs.chain[0].len, queue);
-      stats_.rx_delivered.fetch_add(1, std::memory_order_relaxed);
-      ArmRxAndAdvanceTail(queue, qs.chain_start, rx_base);
-      qs.chain.clear();
-      qs.chain_bytes = 0;
-    } else {
-      (void)env_->NetifRxChain(qs.chain, queue);
-      stats_.rx_delivered.fetch_add(1, std::memory_order_relaxed);
+    // One netif_rx per frame, then the frame's descriptors go back to the
+    // device with one tail write (arm + tail write per one-descriptor frame).
+    (void)env_->NetifRx(qs.chain, queue);
+    stats_.rx_delivered.fetch_add(1, std::memory_order_relaxed);
+    if (qs.chain.size() > 1) {
       stats_.rx_chains.fetch_add(1, std::memory_order_relaxed);
-      RecycleChain(queue);
     }
+    RecycleChain(queue);
   }
 }
 

@@ -15,8 +15,8 @@
 // Jumbo frames (mtu > 1500): the driver programs the per-queue RX buffer
 // size register and RCTL.LPE, and reassembles the device's EOP descriptor
 // chains — frames scattered across consecutive descriptors, DD per
-// descriptor, EOP status on the last — delivering the whole frame in one
-// netif_rx (or netif_rx_chain) call. Reassembly is BOUNDED: a chain that
+// descriptor, EOP status on the last — delivering the whole frame as one
+// fragment list in one netif_rx call. Reassembly is BOUNDED: a chain that
 // exceeds kern::kMaxChainFrags descriptors or the interface's maximum frame
 // size without an EOP (the torn/endless-chain attack a malicious device or
 // corrupted ring can mount) is dropped, counted in rx_chain_dropped, and the
@@ -24,9 +24,9 @@
 // memory claims, because in the in-kernel configuration this code IS the
 // trusted side of the descriptor interface.
 //
-// TX scatter/gather (NETIF_F_SG): frag skbs arrive as fragment lists
-// (NetDriverOps::xmit_chain) and are armed as multi-descriptor TX chains —
-// every fragment report-status only, the last one CMD.EOP — symmetric with
+// TX scatter/gather (NETIF_F_SG): every frame arrives as a fragment list
+// (NetDriverOps::xmit) and is armed as a TX descriptor chain — every
+// fragment report-status only, the last one CMD.EOP — symmetric with
 // the RX EOP chains above. The reap completes on EOP only: a chain's pool
 // buffers are freed together in the coalesced free-buffer batch once the
 // EOP descriptor's DD lands, never while earlier fragments alone show DD.
@@ -60,6 +60,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/devices/sim_nic.h"
@@ -177,7 +178,7 @@ class E1000eDriver : public uml::Driver {
     std::unique_ptr<hw::DescRingEngine> rx_eng;
     // In-progress EOP chain: descriptor-order frags collected since the
     // chain's first descriptor (empty when no chain is pending).
-    std::vector<uml::DmaFrag> chain;
+    std::vector<DmaFrag> chain;
     uint32_t chain_start = 0;  // ring index of the chain's first descriptor
     uint64_t chain_bytes = 0;
     // Resync after a dropped chain: descriptors are recycled unparsed until
@@ -201,12 +202,11 @@ class E1000eDriver : public uml::Driver {
 
   Status Open();
   Status Stop();
-  Status Xmit(uint64_t frame_iova, uint32_t len, int32_t pool_buffer_id, uint16_t queue);
-  // Scatter/gather transmit: arms one descriptor per fragment — full frags
-  // report-status only, the last one CMD.EOP — and rings the doorbell once
-  // for the whole chain. Whole-chain-or-nothing: without room for every
-  // fragment the frame is refused, never partially armed.
-  Status XmitChain(const std::vector<uml::TxFrag>& frags, uint16_t queue);
+  // Transmit: arms one descriptor per fragment — full frags report-status
+  // only, the last one CMD.EOP — and rings the doorbell once for the whole
+  // frame. Whole-frame-or-nothing: without room for every fragment the frame
+  // is refused, never partially armed.
+  Status Xmit(std::span<const uml::TxFrag> frags, uint16_t queue);
   Result<std::string> Ioctl(uint32_t cmd);
   // Legacy single-queue interrupt path: reads ICR (read-clears) and reaps.
   void IrqHandler();

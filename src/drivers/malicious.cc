@@ -201,8 +201,8 @@ Result<int> BogusRxDriver::Fire(int count) {
   const uint64_t wild_iovas[] = {0x0, 0x1000, 0xfee00000ull, 0xffffffff00000000ull, 0x42000000ull};
   for (int i = 0; i < count; ++i) {
     uint64_t iova = wild_iovas[i % (sizeof(wild_iovas) / sizeof(wild_iovas[0]))];
-    uint32_t len = (i % 2 == 0) ? 1514 : 0xffffu;
-    if (env_->NetifRx(iova, len).ok()) {
+    DmaFrag frame{iova, (i % 2 == 0) ? 1514u : 0xffffu};
+    if (env_->NetifRx({&frame, 1}).ok()) {
       // Async downcall: acceptance means the proxy processed it without
       // complaint — the flush path returns per-message errors via msg.error,
       // which NetifRx folds into its Status on the synchronous flush.
@@ -254,9 +254,10 @@ Result<int> DupDeliveryDriver::DeliverSameBuffer(ConstByteSpan frame, int times)
     return view.status();
   }
   std::memcpy(view.value().data(), frame.data(), frame.size());
+  DmaFrag delivery{buffers_.iova, static_cast<uint32_t>(frame.size())};
   int accepted = 0;
   for (int i = 0; i < times; ++i) {
-    if (env_->NetifRx(buffers_.iova, static_cast<uint32_t>(frame.size())).ok()) {
+    if (env_->NetifRx({&delivery, 1}).ok()) {
       ++accepted;
     }
   }
@@ -286,8 +287,8 @@ Result<int> ChainAttackDriver::FireOversizeChains(int count) {
   // eight 2048-byte fragments claim a 16 KB "frame", past the jumbo maximum.
   int accepted = 0;
   for (int i = 0; i < count; ++i) {
-    std::vector<uml::DmaFrag> frags(8, uml::DmaFrag{buffers_.iova, 2048});
-    if (env_->NetifRxChain(frags).ok()) {
+    std::vector<DmaFrag> frags(8, DmaFrag{buffers_.iova, 2048});
+    if (env_->NetifRx(frags).ok()) {
       ++accepted;
     }
   }
@@ -299,9 +300,8 @@ Result<int> ChainAttackDriver::FireOverCapChains(int count) {
   // marshalled): tiny fragments, absurd count.
   int accepted = 0;
   for (int i = 0; i < count; ++i) {
-    std::vector<uml::DmaFrag> frags(kern::kMaxChainFrags + 8,
-                                    uml::DmaFrag{buffers_.iova, 64});
-    if (env_->NetifRxChain(frags).ok()) {
+    std::vector<DmaFrag> frags(kern::kMaxChainFrags + 8, DmaFrag{buffers_.iova, 64});
+    if (env_->NetifRx(frags).ok()) {
       ++accepted;
     }
   }
@@ -315,12 +315,12 @@ Result<int> ChainAttackDriver::FireWildChains(int count) {
   const uint64_t wild_iovas[] = {0x0, 0x1000, 0xfee00000ull, 0xffffffff00000000ull};
   int accepted = 0;
   for (int i = 0; i < count; ++i) {
-    std::vector<uml::DmaFrag> frags;
-    frags.push_back(uml::DmaFrag{buffers_.iova, 1024});
-    frags.push_back(uml::DmaFrag{
+    std::vector<DmaFrag> frags;
+    frags.push_back(DmaFrag{buffers_.iova, 1024});
+    frags.push_back(DmaFrag{
         wild_iovas[static_cast<size_t>(i) % (sizeof(wild_iovas) / sizeof(wild_iovas[0]))],
         1024});
-    if (env_->NetifRxChain(frags).ok()) {
+    if (env_->NetifRx(frags).ok()) {
       ++accepted;
     }
   }
@@ -439,13 +439,7 @@ Status StaleReplayDriver::Probe(uml::DriverEnv& env) {
   // Accept every transmit, stash the handle, never free: the handle leaks
   // into attacker-persisted storage and the staging buffer stays in flight
   // (what Teardown must quarantine when this instance is killed).
-  ops.xmit = [this](uint64_t, uint32_t, int32_t pool_buffer_id, uint16_t) {
-    if (pool_buffer_id >= 0) {
-      notebook_->push_back(pool_buffer_id);
-    }
-    return Status::Ok();
-  };
-  ops.xmit_chain = [this](const std::vector<uml::TxFrag>& frags, uint16_t) {
+  ops.xmit = [this](std::span<const uml::TxFrag> frags, uint16_t) {
     for (const uml::TxFrag& frag : frags) {
       if (frag.pool_buffer_id >= 0) {
         notebook_->push_back(frag.pool_buffer_id);

@@ -235,7 +235,7 @@ class DupDeliveryDriver : public uml::Driver {
   DmaRegion buffers_{};
 };
 
-// Forges netif_rx chain downcalls — the marshalled form of an EOP
+// Forges multi-fragment netif_rx downcalls — the marshalled form of an EOP
 // descriptor chain — that a correct driver could never produce: fragment
 // lists summing past the jumbo maximum, fragment counts past the chain cap,
 // and fragments pointing outside the driver's DMA space. The proxy must
@@ -247,7 +247,7 @@ class ChainAttackDriver : public uml::Driver {
 
   // Each enqueues `count` forged chain downcalls and returns how many the
   // runtime accepted for transport (the rejection happens kernel-side:
-  // judge containment by the proxy's rx_bad_chain / rx_packets counters
+  // judge containment by the proxy's rx_malformed / rx_packets counters
   // after a pump).
   Result<int> FireOversizeChains(int count);
   Result<int> FireOverCapChains(int count);

@@ -34,8 +34,10 @@ Status Ne2kDriver::Probe(uml::DriverEnv& env) {
   uml::NetDriverOps ops;
   ops.open = [this]() { return Open(); };
   ops.stop = [this]() { return Stop(); };
-  ops.xmit = [this](uint64_t iova, uint32_t len, int32_t id, uint16_t /*queue*/) {
-    return Xmit(iova, len, id);  // single-queue device: steering is a no-op
+  // No NETIF_F_SG: the kernel side linearizes, so every frame is one
+  // fragment; a single-queue device ignores the steering.
+  ops.xmit = [this](std::span<const uml::TxFrag> frags, uint16_t /*queue*/) {
+    return Xmit(frags[0].iova, frags[0].len, frags[0].pool_buffer_id);
   };
   ops.ioctl = [this](uint32_t cmd) -> Result<std::string> {
     return Status(ErrorCode::kInvalidArgument, "ne2k supports no ioctls");
@@ -74,7 +76,7 @@ Status Ne2kDriver::Xmit(uint64_t frame_iova, uint32_t len, int32_t pool_buffer_i
   Out(devices::kNe2kPortCmd, devices::kNe2kCmdStart | devices::kNe2kCmdTransmit);
   ++stats_.tx_frames;
   if (pool_buffer_id >= 0) {
-    env_->FreeTxBuffer(pool_buffer_id);
+    env_->FreeTxBuffers(0, {&pool_buffer_id, 1});
   }
   return Status::Ok();
 }
@@ -107,7 +109,8 @@ Result<int> Ne2kDriver::Poll() {
     for (uint16_t i = 0; i < len; ++i) {
       scratch.value()[i] = In(devices::kNe2kPortData);
     }
-    (void)env_->NetifRx(scratch_iova_, len);
+    DmaFrag frame{scratch_iova_, len};
+    (void)env_->NetifRx({&frame, 1});
     ++stats_.rx_frames;
     ++delivered;
   }

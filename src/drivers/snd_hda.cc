@@ -79,7 +79,7 @@ Status SndHdaDriver::Write(uint64_t samples_iova, uint32_t len, int32_t pool_buf
   ++stats_.writes;
   stats_.bytes_written += len;
   if (pool_buffer_id >= 0) {
-    env_->FreeTxBuffer(pool_buffer_id);
+    env_->FreeTxBuffers(0, {&pool_buffer_id, 1});
   }
   return Status::Ok();
 }

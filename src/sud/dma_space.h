@@ -43,6 +43,13 @@ struct DmaRegion {
   uint8_t* host_base = nullptr;
 };
 
+// One fragment of a frame in a DMA space (an EOP chain's per-descriptor
+// chunk). Crossing the uchan it is driver data: re-validated, never trusted.
+struct DmaFrag {
+  uint64_t iova = 0;
+  uint32_t len = 0;
+};
+
 class DmaSpace {
  public:
   DmaSpace(hw::PhysicalMemory* dram, hw::Iommu* iommu, uint16_t source_id,

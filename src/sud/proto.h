@@ -25,18 +25,16 @@ namespace sud {
 // Upcalls (kernel -> driver).
 inline constexpr uint32_t kEthUpOpen = kOpDeviceClassBase + 0;    // "net_open" (sync)
 inline constexpr uint32_t kEthUpStop = kOpDeviceClassBase + 1;    // (sync)
-// args[0]: TX queue the kernel steered the frame to (== the shard it rides).
-inline constexpr uint32_t kEthUpXmit = kOpDeviceClassBase + 2;    // (async, shared buffer)
+// ONE frame as a fragment list. args[0]: TX queue the kernel steered it to
+// (== the shard it rides); buffer_id/buffer_len: the head fragment's pool
+// buffer; args[1]: tail count; inline_data: that many (LE32 pool buffer id,
+// LE32 len) records, 8 bytes each (empty when the frame fits one buffer).
+// The runtime re-validates every fragment — count vs payload vs
+// kern::kMaxChainFrags, every id resolvable, every length within one buffer,
+// head plus tail within the jumbo maximum — before arming a descriptor.
+inline constexpr uint32_t kEthUpXmit = kOpDeviceClassBase + 2;    // (async, shared buffers)
 inline constexpr uint32_t kEthUpIoctl = kOpDeviceClassBase + 3;   // "ioctl" (sync)
-// Scatter/gather transmit: ONE frame staged across multiple shared-pool
-// buffers (the TX counterpart of kEthDownNetifRxChain). args[0]: TX queue;
-// args[1]: fragment count; inline_data: that many (LE32 pool buffer id,
-// LE32 length) records — 8 bytes each. The runtime re-validates every record
-// against the pool — count vs payload vs kern::kMaxChainFrags, every id
-// resolvable, every length within one buffer, the total within the jumbo
-// maximum — before a single descriptor is armed.
-inline constexpr uint32_t kEthUpXmitChain = kOpDeviceClassBase + 4;  // (async, shared buffers)
-inline constexpr size_t kXmitChainFragBytes = 8;
+inline constexpr size_t kXmitFragBytes = 8;
 // Downcalls (driver -> kernel).
 // args[0]: number of TX/RX queues the driver services; args[1]: interface
 // MTU (kernel-clamped; bounds every receive length check); args[2]: feature
@@ -44,8 +42,14 @@ inline constexpr size_t kXmitChainFragBytes = 8;
 inline constexpr uint32_t kEthDownRegisterNetdev = kOpDownDeviceClassBase + 0;
 // Feature bits for kEthDownRegisterNetdev args[2].
 inline constexpr uint64_t kEthFeatureSg = 1ull << 0;  // NETIF_F_SG
-// args[0]: frame iova, args[1]: length. Delivered on the RX queue's shard.
-inline constexpr uint32_t kEthDownNetifRx = kOpDownDeviceClassBase + 1;  // "netif_rx" (async, buffer)
+// ONE frame as a fragment list, on the RX queue's shard. args[0]/args[1]:
+// the head fragment's iova/len; args[2]: tail count; inline_data: that many
+// (LE64 iova, LE32 len) records, 12 bytes each (empty for a one-descriptor
+// frame). The kernel re-validates the count against the payload and
+// kern::kMaxChainFrags, every fragment against the driver's DMA space, and
+// head plus tail against the interface's maximum frame, before copying.
+inline constexpr uint32_t kEthDownNetifRx = kOpDownDeviceClassBase + 1;  // "netif_rx" (async, buffers)
+inline constexpr size_t kNetifRxFragBytes = 12;
 inline constexpr uint32_t kEthDownSetCarrier = kOpDownDeviceClassBase + 2;  // args[0]: 0/1 (mirror)
 // Unified layout: args[0]: id count, inline_data: that many little-endian
 // int32 buffer ids. A single completion is a batch of one; a TX reap pass
@@ -56,14 +60,6 @@ inline constexpr size_t kFreeBufferIdBytes = 4;
 // Static cap on one free batch (a reap pass can never legitimately carry
 // more ids than this many pool buffers).
 inline constexpr size_t kMaxFreeBufferIds = 1024;
-// netif_rx for an EOP-chained multi-descriptor frame. args[0]: fragment
-// count; inline_data: that many (LE64 iova, LE32 len) records — 12 bytes
-// each. The kernel side re-validates EVERYTHING: the count against the
-// payload and kern::kMaxChainFrags, every fragment against the driver's DMA
-// space, and the total against the jumbo frame maximum; the reassembled
-// frame is guard-copied fragment-by-fragment into one private skb.
-inline constexpr uint32_t kEthDownNetifRxChain = kOpDownDeviceClassBase + 4;
-inline constexpr size_t kNetifRxChainFragBytes = 12;
 
 // ---- Wireless class ---------------------------------------------------------
 inline constexpr uint32_t kWifiUpScan = kOpDeviceClassBase + 16;            // (sync)
@@ -95,11 +91,11 @@ inline constexpr size_t kMaxSsidBytes = 32;
 inline constexpr size_t kWifiBitrateBytes = 4;
 inline constexpr size_t kMaxWifiBitrates = 64;
 
-// Device-class messages defined above (Ethernet 5 up + 5 down, wireless
+// Device-class messages defined above (Ethernet 4 up + 4 down, wireless
 // 3 + 3, audio 3 + 2, USB 1). Every one must have a wire_schema registry
 // entry — wire_schema.cc static_asserts on this count, so adding a message
 // here without a schema fails the build. Bump when adding an opcode.
-inline constexpr size_t kProtoMessageCount = 22;
+inline constexpr size_t kProtoMessageCount = 20;
 
 }  // namespace sud
 

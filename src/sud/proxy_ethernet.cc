@@ -97,28 +97,54 @@ uint32_t EthernetProxy::DeclaredMtu(uint64_t declared) const {
 }
 
 size_t EthernetProxy::StagedBufferIds(const UchanMsg& msg, int32_t* out) {
-  if (msg.opcode == kEthUpXmitChain) {
-    size_t count = wire::XmitChainCount(msg);
-    for (size_t i = 0; i < count; ++i) {
-      out[i] = wire::DecodeXmitFrag(msg, i).pool_id;
-    }
-    return count;
+  size_t count = wire::XmitFragCount(msg);
+  for (size_t i = 0; i < count; ++i) {
+    out[i] = wire::XmitFragAt(msg, i).pool_id;
   }
-  if (msg.buffer_id >= 0) {
-    out[0] = msg.buffer_id;
-    return 1;
-  }
-  return 0;
+  return count;
 }
 
-Status EthernetProxy::StageXmitChain(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t queue) {
+// Fragment records the skb's geometry would stage: each segment (head, then
+// every frag) chunked by the pool buffer size.
+size_t EthernetProxy::StagedChainRecords(const kern::Skb& skb) const {
+  size_t buffer_bytes = ctx_->pool().buffer_bytes();
+  size_t records = (skb.data_len() + buffer_bytes - 1) / buffer_bytes;
+  for (size_t i = 0; i < skb.nr_frags(); ++i) {
+    records += (skb.tx_frag(i).size() + buffer_bytes - 1) / buffer_bytes;
+  }
+  return records;
+}
+
+Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t queue) {
   kern::Skb& skb = *skb_ptr;
   CpuModel& cpu = kernel_->machine().cpu();
   uint32_t buffer_bytes = ctx_->pool().buffer_bytes();
+  if (!skb.is_linear() && (!driver_sg_ || StagedChainRecords(skb) > kern::kMaxChainFrags)) {
+    // Linearize fallback: non-SG drivers always, and — like the real stack
+    // linearizing skbs over MAX_SKB_FRAGS — frames whose fragment geometry
+    // (many tiny frags) would burst the chain cap even for an SG driver.
+    // One extra charged full-frame pass, the copy the SG path deletes.
+    size_t linear_cap = driver_sg_ ? buffer_bytes * kern::kMaxChainFrags : buffer_bytes;
+    cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_copy, skb.total_len());
+    if (!skb.Linearize(linear_cap)) {
+      stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
+      return Status(ErrorCode::kInvalidArgument, "frame exceeds staging buffer");
+    }
+    if (netdev_ != nullptr) {
+      netdev_->stats().tx_linearized++;
+    }
+  }
+  if (!driver_sg_ && skb.data_len() > buffer_bytes) {
+    // Never truncate: a frame one staging buffer cannot hold is dropped whole
+    // (only reachable by handing the interface frames above its MTU — the
+    // MTU itself is clamped to pool capacity at registration).
+    stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
+    return Status(ErrorCode::kInvalidArgument, "frame exceeds staging buffer");
+  }
   size_t total = skb.total_len();
   // Sealed TX: DRAM-backed frags (page-cache pages the kernel owns) cross as
   // read-only grants — one external mapping spanning the frame's frag pages,
-  // per-chunk grant handles in the ordinary chain records — instead of
+  // per-chunk grant handles in the ordinary fragment records — instead of
   // staging copies. Read-only IS the seal: a driver-directed device write to
   // a granted page faults in the IOMMU. A mapping failure degrades to the
   // counted staging-copy fallback, never a dropped frame.
@@ -144,13 +170,14 @@ Status EthernetProxy::StageXmitChain(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint1
       stats_.tx_grant_fallbacks.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  // Stage head then frags, chunking every segment by the pool buffer size —
-  // per-fragment staging into STANDARD buffers, where the old path memcpy'd
-  // the linearized frame into one oversized one. The record list is bounded
-  // by the same chain cap the ring setup asserts — unreachable here, since
-  // PrepareXmit pre-checks the geometry (linearizing over-fragmented skbs)
-  // and the registration-time MTU clamp bounds the total — and a frame that
-  // somehow cannot be expressed within it is dropped whole, never truncated.
+  // Stage head then frags, chunking every segment by the pool buffer size:
+  // a linear frame that fits one buffer is a one-fragment list, anything
+  // bigger chains across STANDARD buffers instead of one oversized one. The
+  // list is bounded by the same chain cap the ring setup asserts —
+  // unreachable here, since the geometry check above linearizes
+  // over-fragmented skbs and the registration-time MTU clamp bounds the
+  // total — and a frame that somehow cannot be expressed within it is
+  // dropped whole, never truncated.
   std::array<int32_t, kern::kMaxChainFrags> ids;
   std::array<uint32_t, kern::kMaxChainFrags> lens;
   size_t count = 0;
@@ -177,7 +204,10 @@ Status EthernetProxy::StageXmitChain(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint1
       }
       Result<ByteSpan> buffer = ctx_->pool().Buffer(buffer_id.value());
       if (!buffer.ok()) {
+        // Freshly allocated id failed validation (torn-down pool): return the
+        // buffer and count the drop — never a silent loss or a leaked buffer.
         ctx_->pool().Free(buffer_id.value());
+        stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
         staging = buffer.status();
         return;
       }
@@ -241,99 +271,17 @@ Status EthernetProxy::StageXmitChain(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint1
     // Ablation: model an intermediate bounce buffer (one extra pass).
     cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_copy, total);
   }
-  // One staging pass over the copied bytes — the same per-byte cost the
-  // linear path charges, just scattered across the chain's buffers. Granted
-  // bytes pay nothing: that is the copy this path deletes.
+  // One staging pass over the copied bytes, wherever they landed. Granted
+  // bytes pay nothing: that is the copy sealed TX deletes.
   cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_copy, copied_bytes);
 
-  wire::EncodeXmitChain(queue, ids.data(), lens.data(), count, static_cast<uint32_t>(total),
-                        msg);
-  stats_.xmit_chain_upcalls.fetch_add(1, std::memory_order_relaxed);
-  if (group != nullptr && count > 0) {
+  wire::EncodeXmit(queue, ids.data(), lens.data(), count, msg);
+  if (group != nullptr) {
     // The frag pages must outlive the device's reads: the frame's skb moves
     // into the grant group and dies when the last grant chunk is freed.
     group->skb = std::move(skb_ptr);
     stats_.tx_grant_frames.fetch_add(1, std::memory_order_relaxed);
   }
-  return Status::Ok();
-}
-
-// Chain records the skb's geometry would stage: each segment (head, then
-// every frag) chunked by the pool buffer size.
-size_t EthernetProxy::StagedChainRecords(const kern::Skb& skb) const {
-  size_t buffer_bytes = ctx_->pool().buffer_bytes();
-  size_t records = (skb.data_len() + buffer_bytes - 1) / buffer_bytes;
-  for (size_t i = 0; i < skb.nr_frags(); ++i) {
-    records += (skb.tx_frag(i).size() + buffer_bytes - 1) / buffer_bytes;
-  }
-  return records;
-}
-
-Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t queue) {
-  kern::Skb& skb = *skb_ptr;
-  CpuModel& cpu = kernel_->machine().cpu();
-  if (!skb.is_linear()) {
-    if (driver_sg_ && StagedChainRecords(skb) <= kern::kMaxChainFrags) {
-      return StageXmitChain(skb_ptr, msg, queue);
-    }
-    // Linearize fallback: non-SG drivers always, and — like the real stack
-    // linearizing skbs over MAX_SKB_FRAGS — frames whose fragment geometry
-    // (many tiny frags) would burst the chain cap even for an SG driver.
-    // One extra charged full-frame pass, the copy the SG chain deletes.
-    size_t linear_cap = ctx_->pool().buffer_bytes();
-    if (driver_sg_) {
-      linear_cap *= kern::kMaxChainFrags;  // re-chained by total size below
-    }
-    cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_copy, skb.total_len());
-    if (!skb.Linearize(linear_cap)) {
-      stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
-      return Status(ErrorCode::kInvalidArgument, "frame exceeds staging buffer");
-    }
-    if (netdev_ != nullptr) {
-      netdev_->stats().tx_linearized++;
-    }
-  }
-  if (skb.data_len() > ctx_->pool().buffer_bytes()) {
-    if (driver_sg_) {
-      // A linear frame larger than one buffer still chains for an SG driver.
-      return StageXmitChain(skb_ptr, msg, queue);
-    }
-    // Never truncate: a frame one staging buffer cannot hold is dropped
-    // whole (only reachable by handing the interface frames above its MTU —
-    // the MTU itself is clamped to pool capacity at registration).
-    stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
-    return Status(ErrorCode::kInvalidArgument, "frame exceeds staging buffer");
-  }
-  Result<int32_t> buffer_id = ctx_->pool().Alloc();
-  if (!buffer_id.ok()) {
-    stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
-    if (netdev_ != nullptr) {
-      netdev_->stats().tx_no_buffer++;
-    }
-    NoteXmitFull();
-    return Status(ErrorCode::kQueueFull, "no shared buffers (driver slow or hung)");
-  }
-  Result<ByteSpan> buffer = ctx_->pool().Buffer(buffer_id.value());
-  if (!buffer.ok()) {
-    // Freshly allocated id failed validation (torn-down pool): return the
-    // buffer and count the drop — never a silent loss or a leaked buffer.
-    ctx_->pool().Free(buffer_id.value());
-    stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
-    return buffer.status();
-  }
-  size_t len = skb.data_len();
-  if (!options_.zero_copy) {
-    // Ablation: model an intermediate bounce buffer (one extra pass).
-    cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_copy, len);
-  }
-  std::memcpy(buffer.value().data(), skb.data(), len);
-  cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_copy, len);
-
-  msg->opcode = kEthUpXmit;
-  msg->droppable = true;  // loss-tolerant data plane: fault-injection eligible
-  msg->args[0] = queue;
-  msg->buffer_id = buffer_id.value();
-  msg->buffer_len = static_cast<uint32_t>(len);
   return Status::Ok();
 }
 
@@ -529,9 +477,6 @@ void EthernetProxy::HandleDowncall(UchanMsg& msg, uint16_t shard) {
     case kEthDownNetifRx:
       HandleNetifRx(msg, shard);
       return;
-    case kEthDownNetifRxChain:
-      HandleNetifRxChain(msg, shard);
-      return;
     case kEthDownSetCarrier:
       // Shared-memory mirror update (Section 3.3): ordered with respect to
       // other control downcalls because it travels the same (control) shard.
@@ -572,7 +517,7 @@ void EthernetProxy::HandleFreeBuffer(UchanMsg& msg) {
   msg.error = 0;
 }
 
-bool EthernetProxy::RxDowncallProlog(UchanMsg& msg, uint16_t shard, bool chain) {
+bool EthernetProxy::RxDowncallProlog(UchanMsg& msg, uint16_t shard) {
   if (msg.seq != 0 && msg.seq <= last_rx_seq_[shard]) {
     // Duplicated delivery (channel fault or replay): the shard's seqs are
     // strictly increasing, so a non-advancing one was already handled.
@@ -582,14 +527,18 @@ bool EthernetProxy::RxDowncallProlog(UchanMsg& msg, uint16_t shard, bool chain) 
   }
   last_rx_seq_[shard] = msg.seq;
   stats_.rx_downcalls.fetch_add(1, std::memory_order_relaxed);
-  if (chain) {
-    stats_.rx_chain_downcalls.fetch_add(1, std::memory_order_relaxed);
-  }
   if (netdev_ == nullptr) {
     msg.error = static_cast<int32_t>(ErrorCode::kUnavailable);
     return false;
   }
   return true;
+}
+
+void EthernetProxy::RejectNetifRx(UchanMsg& msg, const char* why) {
+  stats_.rx_malformed.fetch_add(1, std::memory_order_relaxed);
+  netdev_->stats().driver_errors++;
+  SUD_LOG(kAttack) << "netif_rx downcall rejected: " << why;
+  msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
 }
 
 void EthernetProxy::RejectDowncall(UchanMsg& msg, uint16_t shard, wire::Malform verdict) {
@@ -601,27 +550,13 @@ void EthernetProxy::RejectDowncall(UchanMsg& msg, uint16_t shard, wire::Malform 
   }
   switch (msg.opcode) {
     case kEthDownNetifRx:
-    case kEthDownNetifRxChain: {
       // A structurally malformed delivery leaves the same books behind as a
-      // semantically rejected one always did: the dedup watermark advances,
-      // the downcall counters bump, and the attack lands in the historical
-      // rx_bad_* counter.
-      bool chain = msg.opcode == kEthDownNetifRxChain;
-      if (!RxDowncallProlog(msg, shard, chain)) {
-        return;
+      // semantically rejected one: the dedup watermark advances, the
+      // downcall counter bumps, and the attack lands in rx_malformed.
+      if (RxDowncallProlog(msg, shard)) {
+        RejectNetifRx(msg, wire::MalformName(verdict));
       }
-      if (chain) {
-        stats_.rx_bad_chain.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        stats_.rx_bad_buffer_id.fetch_add(1, std::memory_order_relaxed);
-      }
-      netdev_->stats().driver_errors++;
-      SUD_LOG(kAttack) << "netif_rx" << (chain ? " chain" : "")
-                       << " downcall structurally malformed ("
-                       << wire::MalformName(verdict) << ")";
-      msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
       return;
-    }
     case kEthDownFreeBuffer: {
       // Tolerate-and-salvage: a count that disagrees with the payload is a
       // malformed (malicious) message, but the ids the payload actually
@@ -650,34 +585,79 @@ void EthernetProxy::RejectDowncall(UchanMsg& msg, uint16_t shard, wire::Malform 
 }
 
 void EthernetProxy::HandleNetifRx(UchanMsg& msg, uint16_t shard) {
-  if (!RxDowncallProlog(msg, shard, /*chain=*/false)) {
+  if (!RxDowncallProlog(msg, shard)) {
     return;
   }
-  // The downcall carries (iova, len) into the driver's own DMA space: the
-  // packet sits in the RX buffer the device DMA'd it into (zero-copy,
-  // Section 3.1.2). Anything outside the driver's mappings — kernel
-  // addresses, other devices' buffers, absurd lengths — is rejected here,
-  // never dereferenced.
+  // The downcall carries the frame as (iova, len) fragments in the driver's
+  // own DMA space: the RX buffers the device DMA'd it into (zero-copy,
+  // Section 3.1.2). The schema certified the shape (tail count vs payload vs
+  // the chain cap, no empty fragment, the jumbo total); the fragments are
+  // still driver-marshalled, so re-validate the SEMANTIC facts — every
+  // fragment within the driver's own mappings (never kernel addresses or
+  // other devices' buffers), the total within the INTERFACE's maximum frame
+  // (a standard-MTU interface rejects jumbo lengths) — before a single byte
+  // is copied.
+  size_t max_frame = netdev_->max_frame_bytes();
+  size_t count = wire::NetifRxFragCount(msg);
   uint64_t iova = msg.args[0];
-  uint32_t len = static_cast<uint32_t>(msg.args[1]);
-  if (len == 0 || len > netdev_->max_frame_bytes()) {
-    stats_.rx_bad_buffer_id.fetch_add(1, std::memory_order_relaxed);
-    netdev_->stats().driver_errors++;
-    SUD_LOG(kAttack) << "netif_rx downcall with bogus length " << len << " from driver";
-    msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
+  uint64_t total = msg.args[1];
+  if (total > max_frame) {
+    RejectNetifRx(msg, "frame exceeds the interface maximum");
     return;
   }
-  Result<ByteSpan> buffer = ctx_->dma().HostView(iova, len);
-  if (!buffer.ok()) {
-    stats_.rx_bad_buffer_id.fetch_add(1, std::memory_order_relaxed);
-    netdev_->stats().driver_errors++;
-    SUD_LOG(kAttack) << "netif_rx downcall with address outside the driver's dma space";
-    msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
+  Result<ByteSpan> head = ctx_->dma().HostView(iova, total);
+  if (!head.ok()) {
+    RejectNetifRx(msg, "fragment outside the driver's dma space");
     return;
   }
-  ByteSpan shared = buffer.value();
   CpuModel& cpu = kernel_->machine().cpu();
-
+  auto charge_guard_copy = [&](uint64_t bytes) {
+    // The copy is fused with the checksum pass in the model (one charged
+    // pass, Section 3.1.2) unless the ablation unfuses it.
+    double per_byte = cpu.costs().per_byte_checksum;
+    if (!options_.fuse_guard_with_checksum) {
+      per_byte += cpu.costs().per_byte_copy;
+    }
+    cpu.ChargeBytes(kAccountKernel, per_byte, bytes);
+    stats_.guard_copies.fetch_add(1, std::memory_order_relaxed);
+  };
+  if (count > 1) {
+    // An EOP-chained frame: validate every tail fragment, then guard-copy
+    // fragment by fragment into ONE private skb before any verdict (chains
+    // always guard-copy; sealing and the vulnerable ablation model the
+    // one-descriptor path only). The checksum runs over the assembled copy.
+    std::array<ByteSpan, kern::kMaxChainFrags> views;
+    views[0] = head.value();
+    for (size_t i = 1; i < count; ++i) {
+      DmaFrag frag = wire::NetifRxFragAt(msg, i);
+      total += frag.len;
+      if (total > max_frame) {
+        RejectNetifRx(msg, "frame exceeds the interface maximum");
+        return;
+      }
+      Result<ByteSpan> view = ctx_->dma().HostView(frag.iova, frag.len);
+      if (!view.ok()) {
+        RejectNetifRx(msg, "fragment outside the driver's dma space");
+        return;
+      }
+      views[i] = view.value();
+    }
+    auto skb = std::make_unique<kern::Skb>();
+    for (size_t i = 0; i < count; ++i) {
+      // Cannot fail: the total was bounded by max_frame above.
+      (void)skb->AppendFrag(ConstByteSpan(views[i].data(), views[i].size()), max_frame);
+    }
+    bool checksum_ok = skb->VerifyChecksumPrivate();
+    charge_guard_copy(total);
+    if (toctou_hook_) {
+      // Attacker rewrites the shared fragments now — too late, we own a copy.
+      toctou_hook_(views[0]);
+    }
+    FinishRxSkb(std::move(skb), checksum_ok, static_cast<size_t>(total), shard);
+    msg.error = 0;  // a dropped packet is not a downcall failure
+    return;
+  }
+  ByteSpan shared = head.value();
   bool force_guard = false;
   if (options_.sealed_delivery) {
     if (TrySealedDeliver(iova, shared, shard)) {
@@ -691,57 +671,46 @@ void EthernetProxy::HandleNetifRx(UchanMsg& msg, uint16_t shard) {
     stats_.sealed_fallback_copies.fetch_add(1, std::memory_order_relaxed);
     force_guard = true;
   }
-  kern::SkbPtr skb;
   if (options_.guard_copy || force_guard) {
     // Safe ordering: copy out of shared memory *first*, then let the stack
-    // filter the private copy. The copy is fused with the checksum pass both
-    // in the model (one charged pass, Section 3.1.2) and on the simulator's
-    // own clock: AssignAndVerifyChecksum copies and sums in a single
-    // traversal, and the stack skips its (redundant) checksum pass for skbs
-    // the proxy already verified.
-    skb = std::make_unique<kern::Skb>();
+    // filter the private copy. On the simulator's own clock too the copy and
+    // the checksum are one traversal (AssignAndVerifyChecksum), and the
+    // stack skips its (redundant) checksum pass for skbs the proxy already
+    // verified.
+    auto skb = std::make_unique<kern::Skb>();
     bool checksum_ok = skb->AssignAndVerifyChecksum(ConstByteSpan(shared.data(), shared.size()));
-    stats_.guard_copies.fetch_add(1, std::memory_order_relaxed);
-    if (options_.fuse_guard_with_checksum) {
-      cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_checksum, shared.size());
-    } else {
-      cpu.ChargeBytes(kAccountKernel,
-                      cpu.costs().per_byte_copy + cpu.costs().per_byte_checksum, shared.size());
-    }
+    charge_guard_copy(shared.size());
     if (toctou_hook_) {
       // Attacker rewrites the shared buffer now — too late, we own a copy.
       toctou_hook_(shared);
     }
-    size_t frame_bytes = skb->data_len();
-    FinishRxSkb(std::move(skb), checksum_ok, frame_bytes, shard);
+    FinishRxSkb(std::move(skb), checksum_ok, shared.size(), shard);
     msg.error = 0;  // rejection by firewall/checksum is not a downcall failure
     return;
-  } else {
-    // VULNERABLE ordering (ablation/attack demonstration): verdict computed
-    // over live shared memory, then the attacker flips it, then we copy.
-    kern::PacketView pre_view{ConstByteSpan(shared.data(), shared.size())};
-    cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_checksum, shared.size());
-    if (!pre_view.valid() || !pre_view.ChecksumOk() ||
-        !kernel_->net().firewall().Accept(pre_view)) {
-      netdev_->stats().rx_dropped++;
-      msg.error = 0;  // packet dropped; not a driver error
-      return;
-    }
-    if (toctou_hook_) {
-      toctou_hook_(shared);  // attacker wins the race
-    }
-    skb = kern::MakeSkb(ConstByteSpan(shared.data(), shared.size()));
-    cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_copy, shared.size());
-    // Deliver directly, bypassing the second check (that is the bug this
-    // configuration demonstrates).
-    skb->checksum_verified = true;
-    netdev_->stats().rx_packets++;
-    if (netdev_->rx_sink()) {
-      netdev_->rx_sink()(*skb);
-    }
-    msg.error = 0;
+  }
+  // VULNERABLE ordering (ablation/attack demonstration): verdict computed
+  // over live shared memory, then the attacker flips it, then we copy.
+  kern::PacketView pre_view{ConstByteSpan(shared.data(), shared.size())};
+  cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_checksum, shared.size());
+  if (!pre_view.valid() || !pre_view.ChecksumOk() ||
+      !kernel_->net().firewall().Accept(pre_view)) {
+    netdev_->stats().rx_dropped++;
+    msg.error = 0;  // packet dropped; not a driver error
     return;
   }
+  if (toctou_hook_) {
+    toctou_hook_(shared);  // attacker wins the race
+  }
+  kern::SkbPtr skb = kern::MakeSkb(ConstByteSpan(shared.data(), shared.size()));
+  cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_copy, shared.size());
+  // Deliver directly, bypassing the second check (that is the bug this
+  // configuration demonstrates).
+  skb->checksum_verified = true;
+  netdev_->stats().rx_packets++;
+  if (netdev_->rx_sink()) {
+    netdev_->rx_sink()(*skb);
+  }
+  msg.error = 0;
 }
 
 bool EthernetProxy::TrySealedDeliver(uint64_t iova, ByteSpan shared, uint16_t shard) {
@@ -846,70 +815,6 @@ void EthernetProxy::FinishRxSkb(kern::SkbPtr skb, bool checksum_ok, size_t frame
   // NAPI-style: the private copy joins the shard's poll bundle; the whole
   // array enters the stack once, at the end of this kernel entry.
   rx_bundle_[shard].push_back(std::move(skb));
-}
-
-void EthernetProxy::HandleNetifRxChain(UchanMsg& msg, uint16_t shard) {
-  if (!RxDowncallProlog(msg, shard, /*chain=*/true)) {
-    return;
-  }
-  // The schema certified the chain's SHAPE (count vs payload vs the chain
-  // cap, per-fragment lengths, the jumbo total). The fragment list is still
-  // driver-marshalled: re-validate the SEMANTIC facts — every fragment
-  // within the driver's own DMA space, the total within the INTERFACE's
-  // maximum frame (the MTU the driver declared at registration, not the
-  // global jumbo ceiling: a standard-MTU interface rejects jumbo-sized
-  // chains outright) — before a single byte is copied.
-  auto reject = [&](const char* why) {
-    stats_.rx_bad_chain.fetch_add(1, std::memory_order_relaxed);
-    netdev_->stats().driver_errors++;
-    SUD_LOG(kAttack) << "netif_rx chain rejected: " << why;
-    msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
-  };
-  size_t count = wire::RxChainCount(msg);
-  size_t max_frame = netdev_->max_frame_bytes();
-  ByteSpan views[kern::kMaxChainFrags];
-  uint64_t total = 0;
-  for (size_t i = 0; i < count; ++i) {
-    wire::RxFrag frag = wire::DecodeRxFrag(msg, i);
-    total += frag.len;
-    if (total > max_frame) {
-      reject("fragment lengths exceed the interface frame maximum");
-      return;
-    }
-    Result<ByteSpan> view = ctx_->dma().HostView(frag.iova, frag.len);
-    if (!view.ok()) {
-      reject("fragment outside the driver's dma space");
-      return;
-    }
-    views[i] = view.value();
-  }
-  CpuModel& cpu = kernel_->machine().cpu();
-  // Guard copy, fragment by fragment, into ONE private skb — the copy
-  // happens before any verdict, exactly like the single-descriptor path
-  // (chains always guard-copy; the vulnerable check-then-copy ablation
-  // models the legacy single-frame path only). The checksum runs over the
-  // assembled private copy and is charged as the fused pass.
-  auto skb = std::make_unique<kern::Skb>();
-  for (size_t i = 0; i < count; ++i) {
-    if (!skb->AppendFrag(ConstByteSpan(views[i].data(), views[i].size()), max_frame)) {
-      reject("assembled chain exceeds the interface frame maximum");
-      return;
-    }
-  }
-  bool checksum_ok = skb->VerifyChecksumPrivate();
-  stats_.guard_copies.fetch_add(1, std::memory_order_relaxed);
-  if (options_.fuse_guard_with_checksum) {
-    cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_checksum, total);
-  } else {
-    cpu.ChargeBytes(kAccountKernel,
-                    cpu.costs().per_byte_copy + cpu.costs().per_byte_checksum, total);
-  }
-  if (toctou_hook_) {
-    // Attacker rewrites the shared fragments now — too late, we own a copy.
-    toctou_hook_(views[0]);
-  }
-  FinishRxSkb(std::move(skb), checksum_ok, static_cast<size_t>(total), shard);
-  msg.error = 0;  // a dropped packet is not a downcall failure
 }
 
 void EthernetProxy::DeliverRxBundle(uint16_t shard) {

@@ -6,20 +6,24 @@
 //
 //   ndo_open/ndo_stop  -> synchronous upcalls (interruptable: ifconfig on a
 //                         hung driver returns an error instead of blocking)
-//   ndo_start_xmit     -> asynchronous upcall carrying a shared-pool buffer
+//   ndo_start_xmit     -> one asynchronous kEthUpXmit upcall per frame,
+//                         carrying it as a list of shared-pool buffers
 //                         (zero-copy hand-off; the driver points its NIC at
-//                         the same bytes). Frag skbs for an SG driver stage
-//                         per-fragment into standard pool buffers and cross
-//                         as ONE kEthUpXmitChain upcall (count + records) —
-//                         no linearize copy, no oversized staging buffer;
-//                         for a non-SG driver the proxy linearizes first
-//                         (the fallback copy the SG path deletes)
+//                         the same bytes): the head buffer in the message's
+//                         fixed fields, further fragments as records. Frag
+//                         skbs for an SG driver stage per-fragment into
+//                         standard pool buffers — no linearize copy, no
+//                         oversized staging buffer; for a non-SG driver the
+//                         proxy linearizes first (the fallback copy the SG
+//                         path deletes)
 //   ndo_do_ioctl       -> synchronous upcall (the MII status example)
-//   netif_rx           <- asynchronous downcall carrying a shared buffer;
-//                         the proxy *guard-copies* the packet into an skb,
-//                         fused with the checksum pass (Section 3.1.2), so a
-//                         malicious driver rewriting the buffer after the
-//                         firewall verdict attacks only its own copy
+//   netif_rx           <- one asynchronous kEthDownNetifRx downcall per
+//                         frame, a list of (iova, len) fragments in the
+//                         driver's DMA space laid out the same way; the proxy
+//                         *guard-copies* the packet into an skb, fused with
+//                         the checksum pass (Section 3.1.2), so a malicious
+//                         driver rewriting the buffer after the firewall
+//                         verdict attacks only its own copy
 //   carrier on/off     <- mirror downcalls for the shared-memory link state
 //                         (Section 3.3)
 //
@@ -111,13 +115,13 @@ class EthernetProxy : public kern::NetDeviceOps {
   struct Stats {
     std::atomic<uint64_t> xmit_upcalls{0};
     std::atomic<uint64_t> xmit_batches{0};      // StartXmitBatch crossings
-    std::atomic<uint64_t> xmit_chain_upcalls{0};  // multi-fragment xmit messages
     std::atomic<uint64_t> xmit_dropped{0};
     std::atomic<uint64_t> rx_downcalls{0};
     std::atomic<uint64_t> rx_bundles{0};        // NAPI deliveries into the stack
-    std::atomic<uint64_t> rx_chain_downcalls{0};  // multi-fragment netif_rx messages
-    std::atomic<uint64_t> rx_bad_buffer_id{0};  // malicious buffer ids rejected
-    std::atomic<uint64_t> rx_bad_chain{0};      // malformed/oversize chains rejected
+    // Malformed netif_rx deliveries (bad shape, a fragment outside the
+    // driver's DMA space, a frame over the interface maximum), each rejected
+    // before a byte is copied.
+    std::atomic<uint64_t> rx_malformed{0};
     // netif_rx downcalls whose per-shard sequence number was not strictly
     // greater than the last one seen: a duplicated (replayed or
     // fault-injected) delivery, rejected before any guard copy. Neither a
@@ -145,8 +149,7 @@ class EthernetProxy : public kern::NetDeviceOps {
   const Stats& stats() const { return stats_; }
 
   // Structural (wire-schema) rejections at the downcall boundary, per
-  // message. The per-attack counters above (rx_bad_buffer_id, rx_bad_chain)
-  // keep their historical meaning and cover structural AND semantic rejects.
+  // message. rx_malformed above covers structural AND semantic rejects.
   const wire::RejectStats& wire_rejects() const { return wire_rejects_; }
 
   // Test seam modelling a perfectly-timed concurrent attacker: invoked (when
@@ -172,16 +175,21 @@ class EthernetProxy : public kern::NetDeviceOps {
  private:
   void HandleDowncall(UchanMsg& msg, uint16_t shard);
   // Structural rejection: counts the message in wire_rejects_ and applies the
-  // per-opcode disposition (rx rejects keep their historical counters and
-  // dedup/prologue ordering; malformed free batches are tolerated and their
+  // per-opcode disposition (netif_rx rejects keep the dedup/prologue books
+  // of a semantic reject; malformed free batches are tolerated and their
   // payload ids salvaged; everything else is refused with kInvalidArgument).
   void RejectDowncall(UchanMsg& msg, uint16_t shard, wire::Malform verdict);
-  // Shared head of the netif_rx paths — dedup against the shard's seq
-  // watermark, the downcall counters, the netdev-liveness check — run for
-  // accepted AND structurally rejected deliveries so the accounting a
-  // malformed message leaves behind matches what it always was. Returns false
-  // when the message is already fully handled (dup or no netdev).
-  bool RxDowncallProlog(UchanMsg& msg, uint16_t shard, bool chain);
+  // Head of every netif_rx delivery — dedup against the shard's seq
+  // watermark, the downcall counter, the netdev-liveness check — run for
+  // accepted AND structurally rejected deliveries alike. Returns false when
+  // the message is already fully handled (dup or no netdev).
+  bool RxDowncallProlog(UchanMsg& msg, uint16_t shard);
+  // Counts and refuses a malformed netif_rx delivery (rx_malformed).
+  void RejectNetifRx(UchanMsg& msg, const char* why);
+  // netif_rx: re-validates the fragment list (addresses, interface total),
+  // then delivers. A one-fragment frame is sealed or guard-copied with the
+  // fused checksum (or, in the vulnerable ablation, checked then copied); a
+  // longer one is guard-copied fragment by fragment into ONE private skb.
   void HandleNetifRx(UchanMsg& msg, uint16_t shard);
   // The sealed zero-copy delivery attempt: write-seal the buffer's pages,
   // verify the checksum in place, hand the stack an extern skb whose death
@@ -194,35 +202,29 @@ class EthernetProxy : public kern::NetDeviceOps {
   // bind generation moved on (crash-reap quarantine: never unseal a dead
   // epoch's page into a successor's IO space).
   void ReleaseSealedPages(uint64_t base, uint64_t len, uint32_t epoch);
-  // netif_rx for an EOP-chained frame: re-validates the fragment list
-  // (count, addresses, total) and guard-copies fragment-by-fragment into ONE
-  // private skb before any verdict.
-  void HandleNetifRxChain(UchanMsg& msg, uint16_t shard);
-  // Tail of both rx paths: charges the stack costs, applies the bad-checksum
-  // drop accounting, and joins the shard's NAPI bundle.
+  // Tail of every rx delivery: charges the stack costs, applies the
+  // bad-checksum drop accounting, and joins the shard's NAPI bundle.
   void FinishRxSkb(kern::SkbPtr skb, bool checksum_ok, size_t frame_bytes, uint16_t shard);
   void HandleFreeBuffer(UchanMsg& msg);
-  // Stages one skb for transmit and fills `msg`: the single-buffer kEthUpXmit
-  // fast path for linear frames that fit one pool buffer, the chain path for
-  // SG frag skbs, and the linearize fallback (an extra charged full-frame
-  // copy) for frag skbs headed at a non-SG driver. On failure the hung-driver
-  // accounting has already been applied and nothing stays allocated.
-  // Takes the skb by owning pointer: the sealed-TX path moves it into the
-  // frame's grant group (its DRAM frag pages must outlive the device's
-  // reads); every other path leaves it with the caller.
+  // Stages one skb for transmit and fills `msg` with its kEthUpXmit upcall:
+  // head and frags chunked by the pool buffer size into a fragment list
+  // bounded by kern::kMaxChainFrags (one fragment for a linear frame that
+  // fits one buffer), behind the linearize fallback (an extra charged
+  // full-frame copy) for frag skbs headed at a non-SG driver or over the
+  // fragment cap. Under sealed_tx, DRAM-backed frags cross as read-only
+  // grants instead of staged copies (same records, no memcpy). On failure
+  // the hung-driver accounting has already been applied and nothing stays
+  // allocated. Takes the skb by owning pointer: the sealed-TX path moves it
+  // into the frame's grant group (its DRAM frag pages must outlive the
+  // device's reads); every other path leaves it with the caller.
   Status PrepareXmit(kern::SkbPtr& skb, UchanMsg* msg, uint16_t queue);
-  // Stages one frame across per-fragment pool buffers as a kEthUpXmitChain
-  // message: head and frags chunked by the pool buffer size, bounded by
-  // kern::kMaxChainFrags. Under sealed_tx, DRAM-backed frags cross as
-  // read-only grants instead of staged copies (same records, no memcpy).
-  Status StageXmitChain(kern::SkbPtr& skb, UchanMsg* msg, uint16_t queue);
-  // Extracts every pool buffer id a staged xmit message references (the
-  // single buffer_id, or the chain's whole record list) into `out`, which
-  // must hold kern::kMaxChainFrags entries; returns how many. The failure
-  // paths free exactly these when a message never reaches the ring.
+  // Extracts every pool buffer id a staged xmit message references into
+  // `out`, which must hold kern::kMaxChainFrags entries; returns how many.
+  // The failure paths free exactly these when a message never reaches the
+  // ring.
   static size_t StagedBufferIds(const UchanMsg& msg, int32_t* out);
-  // Chain records the skb's geometry would stage (each segment chunked by
-  // the pool buffer size): the chain-vs-linearize decision input.
+  // Fragment records the skb's geometry would stage (each segment chunked by
+  // the pool buffer size): the stage-vs-linearize decision input.
   size_t StagedChainRecords(const kern::Skb& skb) const;
   // The driver-declared MTU clamped to what the TX staging pool can hold
   // (one buffer for single-buffer drivers, a bounded chain of them for SG).
@@ -237,7 +239,7 @@ class EthernetProxy : public kern::NetDeviceOps {
   Options options_;
   kern::NetDevice* netdev_ = nullptr;
   // NETIF_F_SG as the driver declared it at register_netdev (kEthFeatureSg
-  // in the marshalled feature bits): selects chain staging vs linearize.
+  // in the marshalled feature bits): selects fragment staging vs linearize.
   bool driver_sg_ = false;
   std::atomic<uint32_t> consecutive_full_{0};
   Stats stats_;

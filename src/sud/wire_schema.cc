@@ -21,12 +21,13 @@ constexpr MessageSchema Msg(Dir dir, uint32_t opcode, const char* name, Rpc rpc,
   return s;
 }
 
-// kEthUpXmitChain fragments: {le32 pool id, le32 len}. Per-fragment lengths
-// and the chain total are statically capped by the jumbo ceiling; whether a
-// length fits ONE pool buffer is dynamic (the runtime's semantic check).
-constexpr RecordSpec XmitChainRecord() {
+// kEthUpXmit tail fragments: {le32 pool id, le32 len}. Per-fragment lengths
+// and the frame total (head included) are statically capped by the jumbo
+// ceiling; whether a length fits ONE pool buffer is dynamic (the runtime's
+// semantic check).
+constexpr RecordSpec XmitFragRecord() {
   RecordSpec r{};
-  r.bytes = kXmitChainFragBytes;
+  r.bytes = kXmitFragBytes;
   r.fields[0] = FieldSpec{"pool_id", FieldType::kLe32, 0, 4, 0, 0x7fffffff};
   r.fields[1] = FieldSpec{"len", FieldType::kLe32, 4, 4, 1, kern::kJumboMaxFrameBytes};
   r.num_fields = 2;
@@ -35,13 +36,13 @@ constexpr RecordSpec XmitChainRecord() {
   return r;
 }
 
-// kEthDownNetifRxChain fragments: {le64 iova, le32 len}. The iova has no
+// kEthDownNetifRx tail fragments: {le64 iova, le32 len}. The iova has no
 // static bound (whether it maps is the DMA space's semantic check); lengths
-// and the total are capped by the jumbo ceiling — the tighter per-interface
-// MTU bound is dynamic and stays in the proxy.
-constexpr RecordSpec RxChainRecord() {
+// and the frame total (head included) are capped by the jumbo ceiling — the
+// tighter per-interface MTU bound is dynamic and stays in the proxy.
+constexpr RecordSpec NetifRxFragRecord() {
   RecordSpec r{};
-  r.bytes = kNetifRxChainFragBytes;
+  r.bytes = kNetifRxFragBytes;
   r.fields[0] = FieldSpec{"iova", FieldType::kLe64, 0, 8, 0, UINT64_MAX};
   r.fields[1] = FieldSpec{"len", FieldType::kLe32, 8, 4, 1, kern::kJumboMaxFrameBytes};
   r.num_fields = 2;
@@ -101,26 +102,17 @@ constexpr std::array<MessageSchema, kRegistryCapacity> BuildRegistry() {
     s.carries_buffer = true;
     s.max_buffer_len = kern::kJumboMaxFrameBytes;
     s.args[0] = ArgSpec{"queue", kMaxQueueIndex};
+    s.args[1] = ArgSpec{"tail_count", kern::kMaxChainFrags - 1};
+    s.payload = PayloadKind::kRecords;
+    s.count_arg = 1;
+    s.max_records = kern::kMaxChainFrags - 1;
+    s.record = XmitFragRecord();
+    s.head = FrameHead::kBuffer;
     reg[i++] = s;
   }
   {
     MessageSchema s = Msg(Dir::kUp, kEthUpIoctl, "eth_ioctl", Rpc::kSync, Lane::kControl);
     s.args[0] = ArgSpec{"cmd", UINT32_MAX};
-    reg[i++] = s;
-  }
-  {
-    MessageSchema s =
-        Msg(Dir::kUp, kEthUpXmitChain, "eth_xmit_chain", Rpc::kAsync, Lane::kQueue);
-    s.droppable = true;
-    s.carries_buffer = true;
-    s.max_buffer_len = kern::kJumboMaxFrameBytes;
-    s.args[0] = ArgSpec{"queue", kMaxQueueIndex};
-    s.args[1] = ArgSpec{"count", kern::kMaxChainFrags};
-    s.payload = PayloadKind::kRecords;
-    s.count_arg = 1;
-    s.min_records = 1;
-    s.max_records = kern::kMaxChainFrags;
-    s.record = XmitChainRecord();
     reg[i++] = s;
   }
   {
@@ -195,6 +187,12 @@ constexpr std::array<MessageSchema, kRegistryCapacity> BuildRegistry() {
     s.droppable = true;
     s.args[0] = ArgSpec{"iova", UINT64_MAX};
     s.args[1] = ArgSpec{"len", kern::kJumboMaxFrameBytes};
+    s.args[2] = ArgSpec{"tail_count", kern::kMaxChainFrags - 1};
+    s.payload = PayloadKind::kRecords;
+    s.count_arg = 2;
+    s.max_records = kern::kMaxChainFrags - 1;
+    s.record = NetifRxFragRecord();
+    s.head = FrameHead::kArgs;
     reg[i++] = s;
   }
   {
@@ -212,18 +210,6 @@ constexpr std::array<MessageSchema, kRegistryCapacity> BuildRegistry() {
     s.min_records = 1;
     s.max_records = kMaxFreeBufferIds;
     s.record = FreeBufferRecord();
-    reg[i++] = s;
-  }
-  {
-    MessageSchema s = Msg(Dir::kDown, kEthDownNetifRxChain, "eth_netif_rx_chain", Rpc::kAsync,
-                          Lane::kQueue);
-    s.droppable = true;
-    s.args[0] = ArgSpec{"count", kern::kMaxChainFrags};
-    s.payload = PayloadKind::kRecords;
-    s.count_arg = 0;
-    s.min_records = 1;
-    s.max_records = kern::kMaxChainFrags;
-    s.record = RxChainRecord();
     reg[i++] = s;
   }
   {
@@ -295,9 +281,10 @@ uint64_t LoadField(const FieldSpec& f, const uint8_t* record) {
   return 0;
 }
 
+// `sum` starts at the head fragment's length (0 when there is none).
 Malform ValidateRecords(const RecordSpec& record, uint32_t min_records, uint32_t max_records,
                         int8_t count_arg, const UchanMsg& msg,
-                        const std::vector<uint8_t>& payload) {
+                        const std::vector<uint8_t>& payload, uint64_t sum) {
   if (record.bytes == 0 || payload.size() % record.bytes != 0) {
     return Malform::kPayloadSize;
   }
@@ -308,7 +295,6 @@ Malform ValidateRecords(const RecordSpec& record, uint32_t min_records, uint32_t
   if (count < min_records || count > max_records) {
     return Malform::kCountMismatch;
   }
-  uint64_t sum = 0;
   for (size_t r = 0; r < count; ++r) {
     const uint8_t* bytes = payload.data() + r * record.bytes;
     for (size_t f = 0; f < record.num_fields; ++f) {
@@ -398,6 +384,10 @@ Malform ValidateStructure(Dir dir, const UchanMsg& msg, uint16_t shard) {
   } else if (msg.buffer_id != -1 || msg.buffer_len != 0) {
     return Malform::kArgRange;
   }
+  uint64_t head_len = HeadLength(*s, msg);
+  if (s->head != FrameHead::kNone && head_len == 0) {
+    return Malform::kArgRange;
+  }
   switch (s->payload) {
     case PayloadKind::kNone:
       return msg.inline_data.empty() ? Malform::kNone : Malform::kPayloadSize;
@@ -408,8 +398,17 @@ Malform ValidateStructure(Dir dir, const UchanMsg& msg, uint16_t shard) {
                  ? Malform::kNone
                  : Malform::kPayloadSize;
     case PayloadKind::kRecords:
+      if (msg.inline_data.empty() && s->min_records == 0) {
+        // Nothing to walk (every one-fragment frame): the count must say so,
+        // and a head alone stays within its own field's bound.
+        if (s->count_arg >= 0 && msg.args[static_cast<size_t>(s->count_arg)] != 0) {
+          return Malform::kCountMismatch;
+        }
+        return s->record.sum_field < 0 || head_len <= s->record.sum_max ? Malform::kNone
+                                                                        : Malform::kFieldRange;
+      }
       return ValidateRecords(s->record, s->min_records, s->max_records, s->count_arg, msg,
-                             msg.inline_data);
+                             msg.inline_data, head_len);
   }
   return Malform::kNone;
 }
@@ -420,7 +419,7 @@ Malform ValidateReplyStructure(const MessageSchema& schema, const UchanMsg& repl
       return Malform::kNone;  // reply payloads are free-form unless declared
     case PayloadKind::kRecords:
       return ValidateRecords(schema.reply_record, 0, schema.reply_max_records,
-                             /*count_arg=*/-1, reply, reply.inline_data);
+                             /*count_arg=*/-1, reply, reply.inline_data, /*sum=*/0);
     default:
       return Malform::kNone;
   }
@@ -442,50 +441,34 @@ std::vector<std::pair<std::string, uint64_t>> RejectStats::NonZero() const {
 
 // ---- typed codec ------------------------------------------------------------
 
-void EncodeXmitChain(uint16_t queue, const int32_t* ids, const uint32_t* lens, size_t count,
-                     uint32_t total_bytes, UchanMsg* msg) {
-  msg->opcode = kEthUpXmitChain;
+void EncodeXmit(uint16_t queue, const int32_t* ids, const uint32_t* lens, size_t count,
+                UchanMsg* msg) {
+  msg->opcode = kEthUpXmit;
   msg->droppable = true;  // loss-tolerant data plane: fault-injection eligible
   msg->args[0] = queue;
-  msg->args[1] = count;
-  msg->buffer_id = count > 0 ? ids[0] : -1;
-  msg->buffer_len = total_bytes;
-  msg->inline_data.resize(count * kXmitChainFragBytes);
-  for (size_t i = 0; i < count; ++i) {
-    uint8_t* record = msg->inline_data.data() + i * kXmitChainFragBytes;
+  msg->args[1] = count - 1;
+  msg->buffer_id = ids[0];
+  msg->buffer_len = lens[0];
+  msg->inline_data.resize((count - 1) * kXmitFragBytes);
+  for (size_t i = 1; i < count; ++i) {
+    uint8_t* record = msg->inline_data.data() + (i - 1) * kXmitFragBytes;
     StoreLe32(record, static_cast<uint32_t>(ids[i]));
     StoreLe32(record + 4, lens[i]);
   }
 }
 
-size_t XmitChainCount(const UchanMsg& msg) {
-  return msg.inline_data.size() / kXmitChainFragBytes;
-}
-
-XmitFrag DecodeXmitFrag(const UchanMsg& msg, size_t index) {
-  const uint8_t* record = msg.inline_data.data() + index * kXmitChainFragBytes;
-  return XmitFrag{static_cast<int32_t>(LoadLe32(record)), LoadLe32(record + 4)};
-}
-
-void EncodeRxChain(const RxFrag* frags, size_t count, UchanMsg* msg) {
-  msg->opcode = kEthDownNetifRxChain;
+void EncodeNetifRx(std::span<const DmaFrag> frags, UchanMsg* msg) {
+  msg->opcode = kEthDownNetifRx;
   msg->droppable = true;  // loss-tolerant data plane: fault-injection eligible
-  msg->args[0] = count;
-  msg->inline_data.resize(count * kNetifRxChainFragBytes);
-  for (size_t i = 0; i < count; ++i) {
-    uint8_t* record = msg->inline_data.data() + i * kNetifRxChainFragBytes;
+  msg->args[0] = frags[0].iova;
+  msg->args[1] = frags[0].len;
+  msg->args[2] = frags.size() - 1;
+  msg->inline_data.resize((frags.size() - 1) * kNetifRxFragBytes);
+  for (size_t i = 1; i < frags.size(); ++i) {
+    uint8_t* record = msg->inline_data.data() + (i - 1) * kNetifRxFragBytes;
     StoreLe64(record, frags[i].iova);
     StoreLe32(record + 8, frags[i].len);
   }
-}
-
-size_t RxChainCount(const UchanMsg& msg) {
-  return msg.inline_data.size() / kNetifRxChainFragBytes;
-}
-
-RxFrag DecodeRxFrag(const UchanMsg& msg, size_t index) {
-  const uint8_t* record = msg.inline_data.data() + index * kNetifRxChainFragBytes;
-  return RxFrag{LoadLe64(record), LoadLe32(record + 8)};
 }
 
 void EncodeFreeBuffers(const int32_t* ids, size_t count, UchanMsg* msg) {

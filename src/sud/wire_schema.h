@@ -29,11 +29,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/base/bytes.h"
 #include "src/kern/wireless.h"
+#include "src/sud/dma_space.h"
 #include "src/sud/proto.h"
 #include "src/sud/safe_pci.h"
 #include "src/sud/uchan.h"
@@ -74,10 +77,21 @@ struct RecordSpec {
   uint16_t bytes = 0;  // record stride; payload size must be a multiple
   std::array<FieldSpec, kMaxRecordFields> fields{};
   uint8_t num_fields = 0;
-  // If >= 0: index of the field whose values, summed over every record, must
-  // not exceed sum_max (the xmit/rx chains' static total-frame ceiling).
+  // If >= 0: index of the field whose values, summed over every record (plus
+  // the message's head fragment, see FrameHead), must not exceed sum_max
+  // (the data plane's static frame-total ceiling).
   int8_t sum_field = -1;
   uint64_t sum_max = 0;
+};
+
+// Fragment-list messages (the Ethernet data plane) carry a frame's FIRST
+// fragment in fixed fields and any further fragments as records. The head
+// must be non-empty, and its length joins the record sum, so the static
+// frame-total cap covers head plus tail.
+enum class FrameHead : uint8_t {
+  kNone,
+  kBuffer,  // buffer_id / buffer_len (kEthUpXmit)
+  kArgs,    // args[0] iova / args[1] len (kEthDownNetifRx)
 };
 
 enum class PayloadKind : uint8_t {
@@ -114,6 +128,7 @@ struct MessageSchema {
   uint32_t min_records = 0;
   uint32_t max_records = 0;
   RecordSpec record{};
+  FrameHead head = FrameHead::kNone;
   // Sync messages whose REPLY carries a record payload (kWifiUpScan).
   PayloadKind reply_payload = PayloadKind::kNone;
   RecordSpec reply_record{};
@@ -126,7 +141,8 @@ enum class Malform : uint8_t {
   kUnknownOpcode,  // no schema for (dir, opcode)
   kWrongLane,      // control-lane message delivered on a queue shard
   kArgRange,       // an args slot out of bounds (or a dead slot non-zero),
-                   // or an illegal buffer_id/buffer_len attachment
+                   // an illegal buffer_id/buffer_len attachment, or a
+                   // zero-length head fragment
   kPayloadSize,    // inline payload size violates the schema shape
   kCountMismatch,  // count arg disagrees with the payload, or count bounds
   kFieldRange,     // a record field outside its static bound (or sum cap)
@@ -201,24 +217,58 @@ struct XmitFrag {
   uint32_t len = 0;
 };
 
-struct RxFrag {
-  uint64_t iova = 0;
-  uint32_t len = 0;
-};
+// Length of a fragment-list message's head fragment (0 for other messages),
+// and its setter for the generators that build messages off the table.
+inline uint64_t HeadLength(const MessageSchema& schema, const UchanMsg& msg) {
+  switch (schema.head) {
+    case FrameHead::kBuffer:
+      return msg.buffer_len;
+    case FrameHead::kArgs:
+      return msg.args[1];
+    case FrameHead::kNone:
+      break;
+  }
+  return 0;
+}
+inline void SetHeadLength(const MessageSchema& schema, uint64_t len, UchanMsg* msg) {
+  if (schema.head == FrameHead::kBuffer) {
+    msg->buffer_len = static_cast<uint32_t>(len);
+  } else if (schema.head == FrameHead::kArgs) {
+    msg->args[1] = len;
+  }
+}
 
-// kEthUpXmitChain: args[0] = TX queue, args[1] = count, one 8-byte
-// {le32 pool id, le32 len} record per fragment; buffer_id/buffer_len carry
-// the head fragment and the frame total for the staging bookkeeping.
-void EncodeXmitChain(uint16_t queue, const int32_t* ids, const uint32_t* lens, size_t count,
-                     uint32_t total_bytes, UchanMsg* msg);
-size_t XmitChainCount(const UchanMsg& msg);
-XmitFrag DecodeXmitFrag(const UchanMsg& msg, size_t index);
+// kEthUpXmit: args[0] = TX queue, the head fragment in buffer_id/buffer_len,
+// args[1] = tail count, one 8-byte {le32 pool id, le32 len} record per tail
+// fragment. A one-fragment frame leaves inline_data empty. The accessors are
+// inline: both boundaries decode every frame.
+void EncodeXmit(uint16_t queue, const int32_t* ids, const uint32_t* lens, size_t count,
+                UchanMsg* msg);
+inline size_t XmitFragCount(const UchanMsg& msg) {
+  return 1 + msg.inline_data.size() / kXmitFragBytes;
+}
+inline XmitFrag XmitFragAt(const UchanMsg& msg, size_t index) {
+  if (index == 0) {
+    return XmitFrag{msg.buffer_id, msg.buffer_len};
+  }
+  const uint8_t* record = msg.inline_data.data() + (index - 1) * kXmitFragBytes;
+  return XmitFrag{static_cast<int32_t>(LoadLe32(record)), LoadLe32(record + 4)};
+}
 
-// kEthDownNetifRxChain: args[0] = count, one 12-byte {le64 iova, le32 len}
-// record per fragment.
-void EncodeRxChain(const RxFrag* frags, size_t count, UchanMsg* msg);
-size_t RxChainCount(const UchanMsg& msg);
-RxFrag DecodeRxFrag(const UchanMsg& msg, size_t index);
+// kEthDownNetifRx: the head fragment in args[0] (iova) / args[1] (len),
+// args[2] = tail count, one 12-byte {le64 iova, le32 len} record per tail
+// fragment. `frags` is the whole frame, head first, and must not be empty.
+void EncodeNetifRx(std::span<const DmaFrag> frags, UchanMsg* msg);
+inline size_t NetifRxFragCount(const UchanMsg& msg) {
+  return 1 + msg.inline_data.size() / kNetifRxFragBytes;
+}
+inline DmaFrag NetifRxFragAt(const UchanMsg& msg, size_t index) {
+  if (index == 0) {
+    return DmaFrag{msg.args[0], static_cast<uint32_t>(msg.args[1])};
+  }
+  const uint8_t* record = msg.inline_data.data() + (index - 1) * kNetifRxFragBytes;
+  return DmaFrag{LoadLe64(record), LoadLe32(record + 8)};
+}
 
 // kEthDownFreeBuffer, unified layout: args[0] = id count, one 4-byte le32
 // buffer id per record — a single completion is simply a batch of one (the

@@ -40,15 +40,11 @@ class DirectEnv::NetAdapter : public kern::NetDeviceOps {
       return Status(ErrorCode::kUnavailable, "no xmit op");
     }
     CpuModel& cpu = env_->kernel_->machine().cpu();
-    if (!skb.is_linear()) {
-      if (env_->net_ops_.sg && env_->net_ops_.xmit_chain &&
-          ChainRecords(skb) <= kern::kMaxChainFrags) {
-        return XmitChain(skb, queue);
-      }
+    if (!skb.is_linear() && (!env_->net_ops_.sg || ChainRecords(skb) > kern::kMaxChainFrags)) {
       // Linearize fallback: non-SG drivers always, and frag geometries that
       // would burst the chain cap (the real stack linearizes skbs over
       // MAX_SKB_FRAGS the same way) — one charged full-frame pass, the copy
-      // the SG chain deletes.
+      // the SG path deletes.
       cpu.ChargeBytes(env_->account_, cpu.costs().per_byte_copy, skb.total_len());
       if (!skb.Linearize(kTxBounceBytes)) {
         return Status(ErrorCode::kInvalidArgument, "frame exceeds bounce buffer");
@@ -57,46 +53,18 @@ class DirectEnv::NetAdapter : public kern::NetDeviceOps {
         env_->netdev_->stats().tx_linearized++;
       }
     }
-    // In-kernel transmit: the driver DMA-maps the skb and points the device
-    // at it. Modelled as a bounce-buffer copy charged at dma_map cost (a
-    // constant), not a per-byte copy — the baseline must not pay SUD's
-    // copy-to-shared-buffer price.
-    Result<uint64_t> bounce = env_->AcquireTxBounce();
-    if (!bounce.ok()) {
-      return bounce.status();
-    }
-    Result<ByteSpan> view = env_->dma_->HostView(bounce.value(), kTxBounceBytes);
-    if (!view.ok()) {
-      return view.status();
-    }
-    size_t len = std::min<size_t>(skb.data_len(), kTxBounceBytes);
-    std::memcpy(view.value().data(), skb.data(), len);
-    cpu.Charge(env_->account_, cpu.costs().dma_map);
-    return env_->net_ops_.xmit(bounce.value(), static_cast<uint32_t>(len), -1, queue);
-  }
-
-  // Bounce slots the skb's geometry would map (each segment chunked by the
-  // slot size) — the XmitChain-vs-linearize decision input.
-  static size_t ChainRecords(const kern::Skb& skb) {
-    size_t records = (skb.data_len() + kTxBounceBytes - 1) / kTxBounceBytes;
-    for (size_t i = 0; i < skb.nr_frags(); ++i) {
-      records += (skb.tx_frag(i).size() + kTxBounceBytes - 1) / kTxBounceBytes;
-    }
-    return records;
-  }
-
-  // Scatter/gather transmit, in-kernel: each segment (head, then every frag)
-  // is DMA-mapped as its own bounce slot and charged one dma_map — exactly
-  // how the real driver skb_frag_dma_maps a frag list, with no linearize and
-  // no per-byte staging pass.
-  Status XmitChain(const kern::Skb& skb, uint16_t queue) {
-    CpuModel& cpu = env_->kernel_->machine().cpu();
-    std::vector<uml::TxFrag> frags;
-    frags.reserve(1 + skb.nr_frags());
+    // In-kernel transmit: the driver DMA-maps each segment (head, then every
+    // frag) as its own bounce slot, charged one dma_map each — exactly how
+    // the real driver skb_frag_dma_maps a frag list. Modelled as a
+    // bounce-buffer copy charged at dma_map cost (a constant), not a
+    // per-byte copy: the baseline must not pay SUD's copy-to-shared-buffer
+    // price.
+    std::array<uml::TxFrag, kern::kMaxChainFrags> frags;
+    size_t count = 0;
     auto map_segment = [&](ConstByteSpan segment) -> Status {
       size_t off = 0;
       while (off < segment.size()) {
-        if (frags.size() >= kern::kMaxChainFrags) {
+        if (count >= kern::kMaxChainFrags) {
           return Status(ErrorCode::kInvalidArgument, "frame exceeds the chain cap");
         }
         size_t chunk = std::min<size_t>(segment.size() - off, kTxBounceBytes);
@@ -110,7 +78,7 @@ class DirectEnv::NetAdapter : public kern::NetDeviceOps {
         }
         std::memcpy(view.value().data(), segment.data() + off, chunk);
         cpu.Charge(env_->account_, cpu.costs().dma_map);
-        frags.push_back(uml::TxFrag{bounce.value(), static_cast<uint32_t>(chunk), -1});
+        frags[count++] = uml::TxFrag{bounce.value(), static_cast<uint32_t>(chunk), -1};
         off += chunk;
       }
       return Status::Ok();
@@ -119,10 +87,20 @@ class DirectEnv::NetAdapter : public kern::NetDeviceOps {
     for (size_t i = 0; i < skb.nr_frags(); ++i) {
       SUD_RETURN_IF_ERROR(map_segment(skb.tx_frag(i)));
     }
-    if (frags.empty()) {
+    if (count == 0) {
       return Status(ErrorCode::kInvalidArgument, "empty frame");
     }
-    return env_->net_ops_.xmit_chain(frags, queue);
+    return env_->net_ops_.xmit(std::span<const uml::TxFrag>(frags.data(), count), queue);
+  }
+
+  // Bounce slots the skb's geometry would map (each segment chunked by the
+  // slot size) — the map-vs-linearize decision input.
+  static size_t ChainRecords(const kern::Skb& skb) {
+    size_t records = (skb.data_len() + kTxBounceBytes - 1) / kTxBounceBytes;
+    for (size_t i = 0; i < skb.nr_frags(); ++i) {
+      records += (skb.tx_frag(i).size() + kTxBounceBytes - 1) / kTxBounceBytes;
+    }
+    return records;
   }
 
  public:
@@ -366,28 +344,14 @@ Status DirectEnv::RegisterNetdev(const uint8_t mac[6], NetDriverOps ops) {
   return Status::Ok();
 }
 
-Status DirectEnv::NetifRx(uint64_t frame_iova, uint32_t len, uint16_t queue) {
+Status DirectEnv::NetifRx(std::span<const DmaFrag> frags, uint16_t queue) {
   if (netdev_ == nullptr) {
     return Status(ErrorCode::kUnavailable, "netdev not registered");
   }
-  Result<ByteSpan> view = dma_->HostView(frame_iova, len);
-  if (!view.ok()) {
-    return view.status();
-  }
-  CpuModel& cpu = kernel_->machine().cpu();
-  cpu.ChargeBytes(account_, cpu.costs().per_byte_checksum, len);
-  cpu.Charge(account_, cpu.costs().skb_alloc + cpu.costs().stack_work_per_pkt);
-  auto skb = kern::MakeSkb(ConstByteSpan(view.value().data(), len));
-  return kernel_->net().NetifRx(netdev_, std::move(skb), queue);
-}
-
-Status DirectEnv::NetifRxChain(const std::vector<DmaFrag>& frags, uint16_t queue) {
-  if (netdev_ == nullptr) {
-    return Status(ErrorCode::kUnavailable, "netdev not registered");
-  }
-  // In-kernel reassembly of an EOP descriptor chain: frag-append each chunk
-  // into one skb. Even the trusted baseline bounds the total — the chain
-  // came out of descriptor memory a faulty device could have corrupted.
+  // In-kernel delivery: copy the frame — frag-appending an EOP chain's
+  // descriptors — into one skb. Even the trusted baseline bounds the total:
+  // the chain came out of descriptor memory a faulty device could have
+  // corrupted.
   auto skb = std::make_unique<kern::Skb>();
   uint64_t total = 0;
   for (const DmaFrag& frag : frags) {
@@ -399,7 +363,7 @@ Status DirectEnv::NetifRxChain(const std::vector<DmaFrag>& frags, uint16_t queue
                          netdev_->max_frame_bytes())) {
       netdev_->stats().rx_dropped++;
       netdev_->stats().driver_errors++;
-      return Status(ErrorCode::kInvalidArgument, "chained frame exceeds interface maximum");
+      return Status(ErrorCode::kInvalidArgument, "frame exceeds interface maximum");
     }
     total += frag.len;
   }
@@ -419,10 +383,6 @@ void DirectEnv::NetifCarrierOff() {
   if (netdev_ != nullptr) {
     netdev_->set_carrier(false);
   }
-}
-
-void DirectEnv::FreeTxBuffer(int32_t pool_buffer_id) {
-  // In-kernel: the "buffer" was a bounce slot, recycled by AcquireTxBounce.
 }
 
 Status DirectEnv::RegisterWifi(uint32_t supported_features, WifiDriverOps ops) {

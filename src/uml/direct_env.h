@@ -54,11 +54,11 @@ class DirectEnv : public DriverEnv {
   Status FreeIrq() override;
   Status InterruptAck() override { return Status::Ok(); }  // in-kernel: nothing to unmask
   Status RegisterNetdev(const uint8_t mac[6], NetDriverOps ops) override;
-  Status NetifRx(uint64_t frame_iova, uint32_t len, uint16_t queue = 0) override;
-  Status NetifRxChain(const std::vector<DmaFrag>& frags, uint16_t queue = 0) override;
+  Status NetifRx(std::span<const DmaFrag> frags, uint16_t queue = 0) override;
   void NetifCarrierOn() override;
   void NetifCarrierOff() override;
-  void FreeTxBuffer(int32_t pool_buffer_id) override;
+  // In-kernel TX "buffers" are bounce slots, recycled by AcquireTxBounce.
+  void FreeTxBuffers(uint16_t, std::span<const int32_t>) override {}
   Status RegisterWifi(uint32_t supported_features, WifiDriverOps ops) override;
   void WifiBssChange(bool associated) override;
   void WifiSetBitrates(const std::vector<uint32_t>& rates) override;

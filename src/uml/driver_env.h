@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,45 +31,32 @@
 
 namespace sud::uml {
 
-// One fragment of a frame scattered across DMA memory (an EOP descriptor
-// chain's per-descriptor chunk): an address in the driver's DMA space plus
-// its length. The kernel side re-validates every fragment — the pair is
-// driver-marshalled data, never trusted.
-struct DmaFrag {
-  uint64_t iova = 0;
-  uint32_t len = 0;
-};
-
-// One transmit fragment of a scatter/gather frame: the staged bytes in
-// DMA-visible memory (a shared-pool buffer under SUD, a bounce slot
-// in-kernel) plus the pool buffer backing it (-1 in-kernel). An SG driver
-// arms one TX descriptor per fragment and must return every pool buffer of
-// the chain once the frame has transmitted.
+// One transmit fragment of a frame: the staged bytes in DMA-visible memory
+// (a shared-pool buffer under SUD, a bounce slot in-kernel) plus the pool
+// buffer backing it (-1 in-kernel). An SG driver arms one TX descriptor per
+// fragment and must return every pool buffer of the frame once it has
+// transmitted. (RX fragments are DmaFrag, from dma_space.h.)
 struct TxFrag {
   uint64_t iova = 0;
   uint32_t len = 0;
   int32_t pool_buffer_id = -1;
 };
 
-// Callbacks a network driver registers with register_netdev. `xmit` receives
-// the frame already in DMA-visible memory at `frame_iova`; `pool_buffer_id`
-// is >= 0 when the frame lives in a shared-pool buffer the driver must
-// return with FreeTxBuffer once transmitted. `queue` is the TX queue the
-// kernel's flow steering selected (always 0 for single-queue drivers).
+// Callbacks a network driver registers with register_netdev. `xmit`
+// receives one frame as a fragment list already in DMA-visible memory, each
+// fragment to become one TX descriptor of an EOP-terminated chain; fragments
+// with a pool buffer id must be returned with FreeTxBuffers once
+// transmitted. `queue` is the TX queue the kernel's flow steering selected
+// (always 0 for single-queue drivers).
 struct NetDriverOps {
   std::function<Status()> open;       // ndo_open
   std::function<Status()> stop;       // ndo_stop
-  std::function<Status(uint64_t frame_iova, uint32_t len, int32_t pool_buffer_id, uint16_t queue)>
-      xmit;                           // ndo_start_xmit
-  // Scatter/gather transmit: one frame as a fragment list, each fragment to
-  // become one TX descriptor of an EOP-terminated chain. Only invoked when
-  // `sg` is set; the fragment list is bounded by kern::kMaxChainFrags and
-  // every fragment fits one staging buffer.
-  std::function<Status(const std::vector<TxFrag>& frags, uint16_t queue)> xmit_chain;
+  std::function<Status(std::span<const TxFrag> frags, uint16_t queue)> xmit;  // ndo_start_xmit
   std::function<Result<std::string>(uint32_t cmd)> ioctl;
-  // NETIF_F_SG: the driver maps frag skbs as TX descriptor chains. When
-  // false (ne2k and friends) the kernel side linearizes frag skbs before
-  // xmit — the driver never sees a chain.
+  // NETIF_F_SG: the driver maps frag skbs as TX descriptor chains, so `xmit`
+  // may see several fragments (at most kern::kMaxChainFrags, each within one
+  // staging buffer). When false (ne2k and friends) the kernel side
+  // linearizes frag skbs first — the driver only ever sees one fragment.
   bool sg = false;
   // Number of TX/RX queue pairs the driver services (netif_set_real_num_
   // tx_queues): the kernel steers flows across [0, num_queues) and the SUD
@@ -137,34 +125,18 @@ class DriverEnv {
 
   // --- network subsystem
   virtual Status RegisterNetdev(const uint8_t mac[6], NetDriverOps ops) = 0;
+  // netif_rx for one frame as a fragment list in the driver's DMA space —
+  // one fragment per descriptor of an EOP chain, a single one for most
+  // frames — reassembled kernel-side into ONE skb (guard-copied under SUD).
   // `queue` names the RX queue the frame arrived on (per-queue NAPI array
   // under SUD: each queue batches and flushes independently).
-  virtual Status NetifRx(uint64_t frame_iova, uint32_t len, uint16_t queue = 0) = 0;
-  // netif_rx for a frame scattered across an EOP descriptor chain: the
-  // fragments are reassembled kernel-side into ONE skb (guard-copied under
-  // SUD, Skb frag-append in both environments). The default collapses a
-  // single-fragment chain onto the plain path and rejects anything longer —
-  // environments that host jumbo-capable drivers override it.
-  virtual Status NetifRxChain(const std::vector<DmaFrag>& frags, uint16_t queue = 0) {
-    if (frags.size() == 1) {
-      return NetifRx(frags[0].iova, frags[0].len, queue);
-    }
-    return Status(ErrorCode::kUnavailable, "environment cannot deliver chained frames");
-  }
+  virtual Status NetifRx(std::span<const DmaFrag> frags, uint16_t queue = 0) = 0;
   virtual void NetifCarrierOn() = 0;   // mirror macros (§3.3)
   virtual void NetifCarrierOff() = 0;
-  // Returns a transmitted shared-pool buffer (no-op in-kernel).
-  virtual void FreeTxBuffer(int32_t pool_buffer_id) = 0;
-  // TX completion coalescing: returns a whole reap pass worth of buffers in
-  // ONE downcall on queue `queue`'s shard (one message carrying the id
-  // array, against one message per id). The default loops for environments
-  // without the batched path.
-  virtual void FreeTxBuffers(uint16_t queue, const std::vector<int32_t>& pool_buffer_ids) {
-    (void)queue;
-    for (int32_t id : pool_buffer_ids) {
-      FreeTxBuffer(id);
-    }
-  }
+  // Returns transmitted shared-pool buffers (no-op in-kernel): a whole TX
+  // reap pass in ONE downcall on queue `queue`'s shard, a single completion
+  // as a list of one.
+  virtual void FreeTxBuffers(uint16_t queue, std::span<const int32_t> pool_buffer_ids) = 0;
 
   // --- wireless subsystem
   virtual Status RegisterWifi(uint32_t supported_features, WifiDriverOps ops) = 0;

@@ -220,38 +220,20 @@ Status UmlRuntime::QueueRxDowncall(UchanMsg msg, uint16_t queue, uint64_t frame_
   return Status::Ok();
 }
 
-Status UmlRuntime::NetifRx(uint64_t frame_iova, uint32_t len, uint16_t queue) {
-  if (queue >= ctx_->num_queues()) {
-    queue = 0;
-  }
-  UchanMsg msg;
-  msg.opcode = kEthDownNetifRx;
-  msg.droppable = true;  // loss-tolerant data plane: fault-injection eligible
-  msg.args[0] = frame_iova;
-  msg.args[1] = len;
-  return QueueRxDowncall(std::move(msg), queue, len);
-}
-
-Status UmlRuntime::NetifRxChain(const std::vector<DmaFrag>& frags, uint16_t queue) {
-  if (queue >= ctx_->num_queues()) {
-    queue = 0;
-  }
+Status UmlRuntime::NetifRx(std::span<const DmaFrag> frags, uint16_t queue) {
   if (frags.empty()) {
-    return Status(ErrorCode::kInvalidArgument, "empty fragment chain");
+    return Status(ErrorCode::kInvalidArgument, "empty fragment list");
   }
-  if (frags.size() == 1) {
-    return NetifRx(frags[0].iova, frags[0].len, queue);
+  if (queue >= ctx_->num_queues()) {
+    queue = 0;
   }
-  std::vector<wire::RxFrag> records;
-  records.reserve(frags.size());
-  uint64_t total = 0;
+  uint64_t frame_bytes = 0;
   for (const DmaFrag& frag : frags) {
-    records.push_back(wire::RxFrag{frag.iova, frag.len});
-    total += frag.len;
+    frame_bytes += frag.len;
   }
   UchanMsg msg;
-  wire::EncodeRxChain(records.data(), records.size(), &msg);
-  return QueueRxDowncall(std::move(msg), queue, total);
+  wire::EncodeNetifRx(frags, &msg);
+  return QueueRxDowncall(std::move(msg), queue, frame_bytes);
 }
 
 void UmlRuntime::NetifCarrierOn() {
@@ -268,13 +250,7 @@ void UmlRuntime::NetifCarrierOff() {
   (void)AsyncDowncall(std::move(msg));
 }
 
-void UmlRuntime::FreeTxBuffer(int32_t pool_buffer_id) {
-  UchanMsg msg;
-  wire::EncodeFreeBuffers(&pool_buffer_id, 1, &msg);
-  (void)AsyncDowncall(std::move(msg));
-}
-
-void UmlRuntime::FreeTxBuffers(uint16_t queue, const std::vector<int32_t>& pool_buffer_ids) {
+void UmlRuntime::FreeTxBuffers(uint16_t queue, std::span<const int32_t> pool_buffer_ids) {
   if (pool_buffer_ids.empty()) {
     return;
   }
@@ -394,9 +370,10 @@ void UmlRuntime::RejectUpcall(UchanMsg& msg, wire::Malform verdict) {
   if (verdict == wire::Malform::kUnknownOpcode) {
     stats_.unknown_upcalls.fetch_add(1, std::memory_order_relaxed);
     SUD_LOG(kWarning) << "sud-uml: unknown upcall opcode " << msg.opcode;
-  } else if (msg.opcode == kEthUpXmitChain) {
-    stats_.xmit_chains_rejected.fetch_add(1, std::memory_order_relaxed);
-    SUD_LOG_RL(kWarning) << "sud-uml: malformed xmit chain upcall rejected before arming";
+  } else if (msg.opcode == kEthUpXmit) {
+    stats_.xmit_rejected.fetch_add(1, std::memory_order_relaxed);
+    SUD_LOG_RL(kWarning) << "sud-uml: malformed xmit upcall rejected before arming ("
+                         << wire::MalformName(verdict) << ")";
   } else {
     SUD_LOG_RL(kWarning) << "sud-uml: malformed upcall " << msg.opcode << " rejected ("
                          << wire::MalformName(verdict) << ")";
@@ -485,74 +462,40 @@ void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
     }
     case kEthUpXmit: {
       stats_.inline_dispatches.fetch_add(1, std::memory_order_relaxed);
+      // The schema already certified the shape (tail count vs payload vs the
+      // chain cap, no empty fragment, the jumbo total). The fragments are
+      // still kernel-crossing data: re-validate the SEMANTIC facts — every
+      // pool id resolvable, every length within one staging buffer — BEFORE
+      // any descriptor is armed. A correct proxy never fails these; a forged
+      // or corrupted message must never reach the DMA path.
+      size_t count = wire::XmitFragCount(msg);
+      std::array<TxFrag, kern::kMaxChainFrags> frags;
+      for (size_t i = 0; i < count; ++i) {
+        wire::XmitFrag frag = wire::XmitFragAt(msg, i);
+        Result<uint64_t> iova = ctx_->pool().BufferIova(frag.pool_id);
+        if (!iova.ok() || frag.len > ctx_->pool().buffer_bytes()) {
+          stats_.xmit_rejected.fetch_add(1, std::memory_order_relaxed);
+          SUD_LOG_RL(kWarning) << "sud-uml: xmit upcall with a bad fragment rejected before arming";
+          return;
+        }
+        frags[i] = TxFrag{iova.value(), frag.len, frag.pool_id};
+      }
       uint16_t queue = static_cast<uint16_t>(msg.args[0]);
       Status xmit = Status(ErrorCode::kUnavailable, "no xmit op");
-      if (net_registered_ && net_ops_.xmit) {
-        Result<uint64_t> iova = ctx_->pool().BufferIova(msg.buffer_id);
-        if (iova.ok()) {
-          xmit = net_ops_.xmit(iova.value(), msg.buffer_len, msg.buffer_id, queue);
-        }
-      }
-      if (!xmit.ok()) {
-        stats_.xmit_refused.fetch_add(1, std::memory_order_relaxed);
-        if (msg.buffer_id >= 0) {
-          // Refused (ring full, interface down): nothing was armed, so
-          // nothing will ever reap this buffer — return it like the chain
-          // path does.
-          FreeTxBuffer(msg.buffer_id);
-        }
-      }
-      return;
-    }
-    case kEthUpXmitChain: {
-      stats_.inline_dispatches.fetch_add(1, std::memory_order_relaxed);
-      // The schema already certified the shape (count vs payload vs the chain
-      // cap, lengths within the jumbo total). The fragment records are still
-      // kernel-crossing data: re-validate the SEMANTIC facts — every buffer
-      // id resolvable, every length within one staging buffer — BEFORE any
-      // descriptor is armed. A correct proxy never fails these; a forged or
-      // corrupted message must never reach the DMA path.
-      size_t count = wire::XmitChainCount(msg);
-      bool ok = net_registered_;
-      std::vector<TxFrag> frags;
-      if (ok) {
-        frags.reserve(count);
-        for (size_t i = 0; i < count; ++i) {
-          wire::XmitFrag frag = wire::DecodeXmitFrag(msg, i);
-          Result<uint64_t> iova = ctx_->pool().BufferIova(frag.pool_id);
-          if (!iova.ok() || frag.len > ctx_->pool().buffer_bytes()) {
-            ok = false;
-            break;
-          }
-          frags.push_back(TxFrag{iova.value(), frag.len, frag.pool_id});
-        }
-      }
-      if (!ok) {
-        stats_.xmit_chains_rejected.fetch_add(1, std::memory_order_relaxed);
-        SUD_LOG_RL(kWarning) << "sud-uml: malformed xmit chain upcall rejected before arming";
-        return;
-      }
-      stats_.xmit_chain_upcalls.fetch_add(1, std::memory_order_relaxed);
-      uint16_t queue = static_cast<uint16_t>(msg.args[0]);
-      Status xmit = Status(ErrorCode::kUnavailable, "no chain op");
-      if (net_ops_.xmit_chain) {
-        xmit = net_ops_.xmit_chain(frags, queue);
-      } else if (frags.size() == 1 && net_ops_.xmit) {
-        // A single-fragment chain degrades to the plain xmit for drivers
-        // without the chain op.
-        xmit = net_ops_.xmit(frags[0].iova, frags[0].len, frags[0].pool_buffer_id, queue);
+      // A driver without NETIF_F_SG never sees more than one fragment.
+      if (net_registered_ && net_ops_.xmit && (count == 1 || net_ops_.sg)) {
+        xmit = net_ops_.xmit(std::span<const TxFrag>(frags.data(), count), queue);
       }
       if (!xmit.ok()) {
         stats_.xmit_refused.fetch_add(1, std::memory_order_relaxed);
         // Refused (ring full, interface down, no op): the driver armed
-        // nothing, so nothing will ever reap these buffers — return the
-        // whole chain now or the pool drains one refusal at a time.
-        std::vector<int32_t> ids;
-        ids.reserve(frags.size());
-        for (const TxFrag& frag : frags) {
-          ids.push_back(frag.pool_buffer_id);
+        // nothing, so nothing will ever reap these buffers — return the whole
+        // frame now or the pool drains one refusal at a time.
+        std::array<int32_t, kern::kMaxChainFrags> ids;
+        for (size_t i = 0; i < count; ++i) {
+          ids[i] = frags[i].pool_buffer_id;
         }
-        FreeTxBuffers(queue, ids);
+        FreeTxBuffers(queue, std::span<const int32_t>(ids.data(), count));
       }
       return;
     }

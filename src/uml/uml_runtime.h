@@ -63,12 +63,10 @@ class UmlRuntime : public DriverEnv {
   Status FreeIrq() override;
   Status InterruptAck() override;
   Status RegisterNetdev(const uint8_t mac[6], NetDriverOps ops) override;
-  Status NetifRx(uint64_t frame_iova, uint32_t len, uint16_t queue = 0) override;
-  Status NetifRxChain(const std::vector<DmaFrag>& frags, uint16_t queue = 0) override;
+  Status NetifRx(std::span<const DmaFrag> frags, uint16_t queue = 0) override;
   void NetifCarrierOn() override;
   void NetifCarrierOff() override;
-  void FreeTxBuffer(int32_t pool_buffer_id) override;
-  void FreeTxBuffers(uint16_t queue, const std::vector<int32_t>& pool_buffer_ids) override;
+  void FreeTxBuffers(uint16_t queue, std::span<const int32_t> pool_buffer_ids) override;
   Status RegisterWifi(uint32_t supported_features, WifiDriverOps ops) override;
   void WifiBssChange(bool associated) override;
   void WifiSetBitrates(const std::vector<uint32_t>& rates) override;
@@ -107,10 +105,9 @@ class UmlRuntime : public DriverEnv {
     std::atomic<uint64_t> inline_dispatches{0};
     std::atomic<uint64_t> unknown_upcalls{0};
     std::atomic<uint64_t> rx_batches_flushed{0};  // netif_rx arrays handed to the kernel
-    std::atomic<uint64_t> xmit_chain_upcalls{0};  // scatter/gather transmits dispatched
-    // Malformed kEthUpXmitChain messages (count/payload mismatch, bogus pool
-    // ids, over-cap or oversize records) rejected before any DMA arming.
-    std::atomic<uint64_t> xmit_chains_rejected{0};
+    // Malformed kEthUpXmit messages (count/payload mismatch, bogus pool ids,
+    // over-cap or oversize fragments) rejected before any DMA arming.
+    std::atomic<uint64_t> xmit_rejected{0};
     // Pump passes swallowed by the "uml.pump.stall.qN" fault sites (the
     // injected wedge the supervisor's watchdog must detect).
     std::atomic<uint64_t> injected_pump_stalls{0};
@@ -122,8 +119,8 @@ class UmlRuntime : public DriverEnv {
   const Stats& stats() const { return stats_; }
 
   // Structural (wire-schema) rejections at the upcall boundary, per message.
-  // Semantic rejections (unresolvable pool ids, oversize-for-pool lengths)
-  // keep their historical counters (xmit_chains_rejected above).
+  // Malformed xmit upcalls, structural or semantic (unresolvable pool ids,
+  // oversize-for-pool lengths), also count in xmit_rejected above.
   const wire::RejectStats& wire_rejects() const { return wire_rejects_; }
 
   // Per-queue driver heartbeat: upcalls serviced on each shard. The
@@ -161,7 +158,7 @@ class UmlRuntime : public DriverEnv {
   std::function<void()> irq_handler_;
   std::function<void(uint16_t)> irq_queue_handler_;
   uint32_t rx_batch_depth_ = 64;
-  // Joins a built netif_rx(_chain) message carrying `frame_bytes` of packet
+  // Joins a built netif_rx message carrying `frame_bytes` of packet
   // data to queue `queue`'s pending array, flushing at the depth/byte budget.
   Status QueueRxDowncall(UchanMsg msg, uint16_t queue, uint64_t frame_bytes);
 

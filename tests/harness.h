@@ -100,8 +100,8 @@ class NetBench {
     uint32_t nic_queues = 1;
     // SUT interface MTU. Above kern::kStdMtu the driver enables RCTL.LPE and
     // EOP-chain reassembly; on transmit, jumbo frames ride TX scatter/gather
-    // chains staged across STANDARD-sized pool buffers (kEthUpXmitChain), so
-    // the pool never upsizes for jumbo MTUs.
+    // fragment lists staged across STANDARD-sized pool buffers, so the pool
+    // never upsizes for jumbo MTUs.
     uint32_t mtu = static_cast<uint32_t>(kern::kStdMtu);
     // Peer interface MTU (the traffic generator / receiver machine): raise
     // it for workloads where the SUT transmits jumbo frames at the peer.
@@ -365,7 +365,7 @@ struct ConservationLedger {
   uint64_t tx_accepted = 0;              // SUT netdev tx_packets
   uint64_t tx_stack_dropped = 0;         // SUT netdev tx_dropped (staging/ring-full)
   uint64_t xmit_refused = 0;             // driver refused the transmit upcall
-  uint64_t xmit_chains_rejected = 0;     // malformed chain upcalls rejected
+  uint64_t xmit_rejected = 0;            // malformed xmit upcalls rejected
   uint64_t nic_tx_dropped_chain = 0;     // SUT NIC whole-chain drops (incl. DMA faults)
   uint64_t peer_rx_oversize = 0;
   uint64_t peer_rx_no_desc = 0;
@@ -393,7 +393,7 @@ struct ConservationLedger {
     d.tx_accepted -= base.tx_accepted;
     d.tx_stack_dropped -= base.tx_stack_dropped;
     d.xmit_refused -= base.xmit_refused;
-    d.xmit_chains_rejected -= base.xmit_chains_rejected;
+    d.xmit_rejected -= base.xmit_rejected;
     d.nic_tx_dropped_chain -= base.nic_tx_dropped_chain;
     d.peer_rx_oversize -= base.peer_rx_oversize;
     d.peer_rx_no_desc -= base.peer_rx_no_desc;
@@ -414,7 +414,7 @@ struct ConservationLedger {
   }
   // Frames the TX path lost with a counter advancing, past netdev acceptance.
   uint64_t TxCountedLosses() const {
-    return xmit_refused + xmit_chains_rejected + nic_tx_dropped_chain + peer_rx_oversize +
+    return xmit_refused + xmit_rejected + nic_tx_dropped_chain + peer_rx_oversize +
            peer_rx_no_desc + peer_rx_dma + peer_driver_rx_chain_dropped + peer_stack_dropped;
   }
   // Exact conservation over a fully drained, restart-free window.
@@ -474,7 +474,7 @@ inline ConservationLedger CollectLedger(NetBench& bench) {
   }
   if (bench.host != nullptr && bench.host->runtime() != nullptr) {
     ledger.xmit_refused = bench.host->runtime()->stats().xmit_refused.load();
-    ledger.xmit_chains_rejected = bench.host->runtime()->stats().xmit_chains_rejected.load();
+    ledger.xmit_rejected = bench.host->runtime()->stats().xmit_rejected.load();
   }
   return ledger;
 }

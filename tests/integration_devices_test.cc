@@ -182,7 +182,7 @@ TEST(Ne2kIntegration, FragSkbThroughNonSgDriverMatchesSgDigest) {
                                  {payload.data(), payload.size()});
   uint64_t frame_digest = devices::EtherLink::FrameHash({frame.data(), frame.size()});
 
-  // Path 1: the ne2k (no SG bit, no xmit_chain) — the proxy linearizes.
+  // Path 1: the ne2k (no SG bit) — the proxy linearizes.
   uint64_t ne2k_digest = 0;
   {
     hw::Machine machine;

@@ -350,7 +350,7 @@ TEST(IntegrationNet, JumboEopChainsSurviveSerialAndThreadedDelivery) {
 }
 
 // TX scatter/gather determinism: the SUT transmits jumbo FRAG skbs across 4
-// queues — every frame a 5-record kEthUpXmitChain upcall and a 5-descriptor
+// queues — every frame a 5-fragment kEthUpXmit upcall and a 5-descriptor
 // TX chain — serial-pumped vs threaded-per-queue. Both modes must put every
 // frame on the wire whole (per-queue device counts equal and known, the
 // order-independent FNV digest of the wire frames equal to the digest of the

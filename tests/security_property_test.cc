@@ -168,9 +168,10 @@ TEST_P(RxFuzzTest, BogusDowncallsNeverDeliverUnvalidatedPackets) {
   });
 
   for (int i = 0; i < 500; ++i) {
-    uint64_t iova = rng.Chance(1, 3) ? kDmaIovaBase + rng.Below(1 << 20) : rng.Next();
-    uint32_t len = static_cast<uint32_t>(rng.Below(1 << 18));
-    (void)bench.host->runtime()->NetifRx(iova, len);
+    DmaFrag frame;
+    frame.iova = rng.Chance(1, 3) ? kDmaIovaBase + rng.Below(1 << 20) : rng.Next();
+    frame.len = static_cast<uint32_t>(rng.Below(1 << 18));
+    (void)bench.host->runtime()->NetifRx({&frame, 1});
     if (i % 50 == 0) {
       bench.host->Pump();
     }
@@ -179,7 +180,7 @@ TEST_P(RxFuzzTest, BogusDowncallsNeverDeliverUnvalidatedPackets) {
   // Random bytes essentially never form a valid checksummed packet; and the
   // kernel is still alive to assert that.
   EXPECT_EQ(delivered, 0);
-  EXPECT_GT(bench.proxy->stats().rx_bad_buffer_id +
+  EXPECT_GT(bench.proxy->stats().rx_malformed +
             bench.kernel.net().Find("eth0")->stats().rx_dropped, 0u);
 }
 

@@ -410,7 +410,7 @@ TEST(Security, BogusNetifRxAddressesAreRejected) {
   bench.host->Pump();  // flush the batched downcalls into the proxy
   // Every wild address/length was rejected at validation; nothing reached
   // the stack.
-  EXPECT_EQ(bench.proxy->stats().rx_bad_buffer_id, 20u);
+  EXPECT_EQ(bench.proxy->stats().rx_malformed, 20u);
   EXPECT_EQ(bench.kernel.net().Find("eth0")->stats().rx_packets, 0u);
 }
 
@@ -429,9 +429,10 @@ TEST(Security, ResourceHogStopsAtRlimit) {
             bench.ctx->bound_process()->rlimits().memory_bytes);
 }
 
-// Forged EOP-chain downcalls (oversize totals, over-cap fragment counts,
-// fragments outside the driver's DMA space): the proxy rejects every one
-// before dereferencing a byte, and nothing reaches the stack.
+// Forged multi-fragment netif_rx downcalls (oversize totals, over-cap
+// fragment counts, fragments outside the driver's DMA space): the proxy
+// rejects every one before dereferencing a byte, and nothing reaches the
+// stack.
 TEST(Security, ForgedChainDowncallsAreRejected) {
   NetBench bench;
   auto attack = std::make_unique<drivers::ChainAttackDriver>();
@@ -442,12 +443,12 @@ TEST(Security, ForgedChainDowncallsAreRejected) {
   ASSERT_TRUE(attack_ptr->FireOverCapChains(6).ok());
   ASSERT_TRUE(attack_ptr->FireWildChains(6).ok());
   bench.host->Pump();
-  EXPECT_EQ(bench.proxy->stats().rx_chain_downcalls, 18u);
-  EXPECT_EQ(bench.proxy->stats().rx_bad_chain, 18u);
+  EXPECT_EQ(bench.proxy->stats().rx_downcalls, 18u);
+  EXPECT_EQ(bench.proxy->stats().rx_malformed, 18u);
   EXPECT_EQ(bench.kernel.net().Find("eth0")->stats().rx_packets, 0u);
 }
 
-// A chain message whose advertised fragment count disagrees with its payload
+// A netif_rx message whose advertised tail count disagrees with its payload
 // (a hand-rolled malicious runtime, below even the attack driver's API) is
 // rejected by the count/payload cross-check.
 TEST(Security, ChainCountMismatchIsRejected) {
@@ -456,16 +457,63 @@ TEST(Security, ChainCountMismatchIsRejected) {
   ASSERT_TRUE(bench.host->Start(std::move(attack)).ok());
 
   UchanMsg msg;
-  msg.opcode = kEthDownNetifRxChain;
-  msg.args[0] = 7;                       // claims seven fragments...
-  msg.inline_data.resize(2 * kNetifRxChainFragBytes);  // ...carries two
+  msg.opcode = kEthDownNetifRx;
+  msg.args[0] = 0x42430000ull;
+  msg.args[1] = 256;
+  msg.args[2] = 7;                                  // claims seven tail fragments...
+  msg.inline_data.resize(2 * kNetifRxFragBytes);  // ...carries two
   StoreLe64(msg.inline_data.data(), 0x42430000ull);
   StoreLe32(msg.inline_data.data() + 8, 256);
   StoreLe64(msg.inline_data.data() + 12, 0x42430000ull);
   StoreLe32(msg.inline_data.data() + 20, 256);
   Status status = bench.ctx->ctl().DowncallSync(msg);
   EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(bench.proxy->stats().rx_bad_chain, 1u);
+  EXPECT_EQ(bench.proxy->stats().rx_malformed, 1u);
+}
+
+// Every rule the one-message netif_rx layout adds — the tail count must match
+// the payload, the head must not be empty, every tail fragment must lie in the
+// driver's DMA space, head plus tail must fit the static cap and the
+// interface's maximum — rejects the delivery before a byte is copied, and
+// counts it exactly once.
+TEST(Security, NetifRxLayoutRulesRejectBeforeAnyCopy) {
+  NetBench bench;  // e1000e at the default 1500-byte MTU
+  ASSERT_TRUE(bench.StartSut().ok());
+  kern::NetDevice* netdev = bench.kernel.net().Find("eth0");
+  const uint64_t kMapped = 0x42430000ull;  // a valid driver iova
+  struct Case {
+    const char* rule;
+    uint64_t head_len;
+    uint64_t tail_count;
+    std::vector<DmaFrag> tail;
+  };
+  const Case cases[] = {
+      {"tail count disagrees with the payload", 64, 3, {{kMapped, 64}}},
+      {"zero-length head", 0, 0, {}},
+      {"tail fragment outside the dma space", 64, 1, {{0xfee00000ull, 64}}},
+      {"head plus tail over the static cap", 1500, 5, std::vector<DmaFrag>(5, {kMapped, 2048})},
+      {"head plus tail over the interface maximum", 1000, 1, {{kMapped, 1000}}},
+  };
+  for (const Case& c : cases) {
+    uint64_t malformed = bench.proxy->stats().rx_malformed;
+    uint64_t errors = netdev->stats().driver_errors;
+    uint64_t copies = bench.proxy->stats().guard_copies;
+    UchanMsg msg;
+    msg.opcode = kEthDownNetifRx;
+    msg.args[0] = kMapped;
+    msg.args[1] = c.head_len;
+    msg.args[2] = c.tail_count;
+    msg.inline_data.resize(c.tail.size() * kNetifRxFragBytes);
+    for (size_t i = 0; i < c.tail.size(); ++i) {
+      StoreLe64(msg.inline_data.data() + i * kNetifRxFragBytes, c.tail[i].iova);
+      StoreLe32(msg.inline_data.data() + i * kNetifRxFragBytes + 8, c.tail[i].len);
+    }
+    EXPECT_EQ(bench.ctx->ctl().DowncallSync(msg).code(), ErrorCode::kInvalidArgument) << c.rule;
+    EXPECT_EQ(bench.proxy->stats().rx_malformed - malformed, 1u) << c.rule;
+    EXPECT_EQ(netdev->stats().driver_errors - errors, 1u) << c.rule;
+    EXPECT_EQ(bench.proxy->stats().guard_copies - copies, 0u) << c.rule;
+  }
+  EXPECT_EQ(netdev->stats().rx_packets, 0u);
 }
 
 // The receive length bound follows the INTERFACE's declared MTU, not the
@@ -481,7 +529,7 @@ TEST(Security, JumboLengthsRejectedOnStandardMtuInterface) {
   msg.args[1] = kern::kJumboMaxFrameBytes;  // ...with a jumbo length
   Status status = bench.ctx->ctl().DowncallSync(msg);
   EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(bench.proxy->stats().rx_bad_buffer_id, 1u);
+  EXPECT_EQ(bench.proxy->stats().rx_malformed, 1u);
   EXPECT_EQ(bench.kernel.net().Find("eth0")->stats().rx_packets, 0u);
 }
 
@@ -594,38 +642,46 @@ TEST(Security, OverCapTxChainDropsWholeAndResyncs) {
   EXPECT_EQ(wire.frames[0], std::vector<uint8_t>(64, 0xa3));
 }
 
-// Forged kEthUpXmitChain messages (count/payload mismatch, bogus pool ids,
-// fragment lengths above one staging buffer, oversize totals): the runtime
-// re-validates every record against the pool and rejects the message before
-// a single descriptor is armed.
-TEST(Security, ForgedXmitChainUpcallsRejectedBeforeArming) {
+// Forged kEthUpXmit messages (tail count/payload mismatch, bogus pool ids,
+// fragment lengths above one staging buffer, oversize totals, an empty
+// head): the runtime re-validates every fragment against the pool and
+// rejects the message before a single descriptor is armed.
+TEST(Security, ForgedXmitUpcallsRejectedBeforeArming) {
   NetBench bench;
   ASSERT_TRUE(bench.StartSut().ok());
+  // Two live pool buffers, so the bad-length case fails on its length alone.
+  int32_t a = bench.ctx->pool().Alloc().value();
+  int32_t b = bench.ctx->pool().Alloc().value();
 
-  auto forge = [&](uint64_t claimed,
-                   std::vector<std::pair<uint32_t, uint32_t>> records) {
+  // `frags` is the whole frame, head first; `tail_count` is what args[1]
+  // claims about the rest.
+  auto forge = [&](uint64_t tail_count, std::vector<std::pair<int32_t, uint32_t>> frags) {
     UchanMsg msg;
-    msg.opcode = kEthUpXmitChain;
+    msg.opcode = kEthUpXmit;
     msg.args[0] = 0;
-    msg.args[1] = claimed;
-    msg.inline_data.resize(records.size() * kXmitChainFragBytes);
-    for (size_t i = 0; i < records.size(); ++i) {
-      StoreLe32(msg.inline_data.data() + i * kXmitChainFragBytes, records[i].first);
-      StoreLe32(msg.inline_data.data() + i * kXmitChainFragBytes + 4, records[i].second);
+    msg.args[1] = tail_count;
+    msg.buffer_id = frags[0].first;
+    msg.buffer_len = frags[0].second;
+    msg.inline_data.resize((frags.size() - 1) * kXmitFragBytes);
+    for (size_t i = 1; i < frags.size(); ++i) {
+      uint8_t* record = msg.inline_data.data() + (i - 1) * kXmitFragBytes;
+      StoreLe32(record, static_cast<uint32_t>(frags[i].first));
+      StoreLe32(record + 4, frags[i].second);
     }
     ASSERT_TRUE(bench.ctx->ctl().SendAsync(std::move(msg)).ok());
   };
-  forge(3, {{0, 512}, {1, 512}});      // count disagrees with the payload
-  forge(2, {{0, 512}, {60000, 512}});  // id the pool never issued
-  forge(2, {{0, 4096}, {1, 512}});     // fragment larger than one buffer
-  forge(6, {{0, 2048}, {1, 2048}, {2, 2048}, {3, 2048}, {4, 2048}, {5, 2048}});  // > jumbo
-  forge(1, {{0, 0}});                  // zero-length fragment
+  forge(2, {{a, 512}, {b, 512}});      // tail count disagrees with the payload
+  forge(1, {{a, 512}, {60000, 512}});  // id the pool never issued
+  forge(1, {{a, 4096}, {b, 512}});     // fragment larger than one buffer
+  forge(5, {{a, 2048}, {b, 2048}, {a, 2048}, {b, 2048}, {a, 2048}, {b, 2048}});  // > jumbo
+  forge(0, {{a, 0}});                  // zero-length head
   bench.host->Pump();
 
-  EXPECT_EQ(bench.host->runtime()->stats().xmit_chains_rejected, 5u);
-  EXPECT_EQ(bench.host->runtime()->stats().xmit_chain_upcalls, 0u);
+  EXPECT_EQ(bench.host->runtime()->stats().xmit_rejected, 5u);
   EXPECT_EQ(bench.sut_nic.stats().tx_frames, 0u);
   EXPECT_EQ(bench.sut_driver->stats().tx_queued, 0u);
+  bench.ctx->pool().Free(a);
+  bench.ctx->pool().Free(b);
 }
 
 // Buffer-id reuse across a chain's completion (the same pool buffer "freed"

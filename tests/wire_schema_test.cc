@@ -89,18 +89,18 @@ TEST(WireSchema, RegistryIsCompleteAndUnique) {
   const std::pair<Dir, uint32_t> kAll[] = {
       {Dir::kUp, kOpInterrupt},          {Dir::kUp, kEthUpOpen},
       {Dir::kUp, kEthUpStop},            {Dir::kUp, kEthUpXmit},
-      {Dir::kUp, kEthUpIoctl},           {Dir::kUp, kEthUpXmitChain},
-      {Dir::kUp, kWifiUpScan},           {Dir::kUp, kWifiUpAssociate},
-      {Dir::kUp, kWifiUpEnableFeatures}, {Dir::kUp, kAudioUpOpenStream},
-      {Dir::kUp, kAudioUpCloseStream},   {Dir::kUp, kAudioUpWrite},
-      {Dir::kDown, kOpInterruptAck},     {Dir::kDown, kOpRequestRegion},
-      {Dir::kDown, kOpPciFindCapability}, {Dir::kDown, kEthDownRegisterNetdev},
-      {Dir::kDown, kEthDownNetifRx},     {Dir::kDown, kEthDownSetCarrier},
-      {Dir::kDown, kEthDownFreeBuffer},  {Dir::kDown, kEthDownNetifRxChain},
+      {Dir::kUp, kEthUpIoctl},           {Dir::kUp, kWifiUpScan},
+      {Dir::kUp, kWifiUpAssociate},      {Dir::kUp, kWifiUpEnableFeatures},
+      {Dir::kUp, kAudioUpOpenStream},    {Dir::kUp, kAudioUpCloseStream},
+      {Dir::kUp, kAudioUpWrite},         {Dir::kDown, kOpInterruptAck},
+      {Dir::kDown, kOpRequestRegion},    {Dir::kDown, kOpPciFindCapability},
+      {Dir::kDown, kEthDownRegisterNetdev}, {Dir::kDown, kEthDownNetifRx},
+      {Dir::kDown, kEthDownSetCarrier},  {Dir::kDown, kEthDownFreeBuffer},
       {Dir::kDown, kWifiDownRegister},   {Dir::kDown, kWifiDownBssChange},
       {Dir::kDown, kWifiDownSetBitrates}, {Dir::kDown, kAudioDownRegister},
       {Dir::kDown, kAudioDownPeriodElapsed}, {Dir::kDown, kUsbDownKeyEvent},
   };
+  EXPECT_EQ(std::size(kAll), 24u);
   EXPECT_EQ(std::size(kAll), SchemaCount());
   for (const auto& [dir, opcode] : kAll) {
     EXPECT_NE(FindSchema(dir, opcode), nullptr) << "no schema for opcode " << opcode;
@@ -262,6 +262,26 @@ TEST(WireSchema, EverySingleFieldMutationIsRejected) {
         break;
       }
     }
+
+    // Fragment-list head: never empty, and counted toward the frame cap.
+    if (s.head != FrameHead::kNone) {
+      UchanMsg empty_head = base;
+      SetHeadLength(s, 0, &empty_head);
+      EXPECT_EQ(ValidateStructure(s.dir, empty_head, 0), Malform::kArgRange)
+          << s.name << " zero-length head";
+      // A head alone at the cap is legal; any tail on top of it is not.
+      UchanMsg full_head = base;
+      SetHeadLength(s, s.record.sum_max, &full_head);
+      EXPECT_EQ(ValidateStructure(s.dir, full_head, 0), Malform::kFieldRange)
+          << s.name << " head plus tail over cap";
+      full_head.inline_data.clear();
+      full_head.args[static_cast<size_t>(s.count_arg)] = 0;
+      EXPECT_EQ(ValidateStructure(s.dir, full_head, 0), Malform::kNone)
+          << s.name << " one-fragment frame at the cap";
+      full_head.args[static_cast<size_t>(s.count_arg)] = 1;
+      EXPECT_EQ(ValidateStructure(s.dir, full_head, 0), Malform::kCountMismatch)
+          << s.name << " tail count without a tail";
+    }
   }
 }
 
@@ -279,35 +299,55 @@ TEST(WireSchema, UnknownOpcodeAndDirectionConfusionRejected) {
 
 // ---- codec round trips ------------------------------------------------------
 
-TEST(WireCodec, XmitChainRoundTrip) {
+TEST(WireCodec, XmitRoundTrip) {
   const int32_t ids[] = {7, 12, 3};
   const uint32_t lens[] = {1500, 900, 64};
   UchanMsg msg;
-  EncodeXmitChain(/*queue=*/1, ids, lens, 3, 2464, &msg);
-  EXPECT_EQ(msg.opcode, kEthUpXmitChain);
+  EncodeXmit(/*queue=*/1, ids, lens, 3, &msg);
+  EXPECT_EQ(msg.opcode, kEthUpXmit);
   EXPECT_EQ(ValidateStructure(Dir::kUp, msg, 1), Malform::kNone);
-  ASSERT_EQ(XmitChainCount(msg), 3u);
+  EXPECT_EQ(msg.buffer_id, ids[0]);
+  EXPECT_EQ(msg.buffer_len, lens[0]);
+  EXPECT_EQ(msg.args[1], 2u);
+  ASSERT_EQ(XmitFragCount(msg), 3u);
   for (size_t i = 0; i < 3; ++i) {
-    XmitFrag frag = DecodeXmitFrag(msg, i);
+    XmitFrag frag = XmitFragAt(msg, i);
     EXPECT_EQ(frag.pool_id, ids[i]);
     EXPECT_EQ(frag.len, lens[i]);
   }
-  EXPECT_EQ(msg.buffer_id, ids[0]);
-  EXPECT_EQ(msg.buffer_len, 2464u);
+  // A one-fragment frame lives in the fixed fields alone.
+  UchanMsg one;
+  EncodeXmit(/*queue=*/0, ids, lens, 1, &one);
+  EXPECT_TRUE(one.inline_data.empty());
+  EXPECT_EQ(one.args[1], 0u);
+  EXPECT_EQ(ValidateStructure(Dir::kUp, one, 0), Malform::kNone);
+  ASSERT_EQ(XmitFragCount(one), 1u);
+  EXPECT_EQ(XmitFragAt(one, 0).pool_id, 7);
+  EXPECT_EQ(XmitFragAt(one, 0).len, 1500u);
 }
 
-TEST(WireCodec, RxChainRoundTrip) {
-  const RxFrag frags[] = {{0x10000, 2048}, {0x23000, 2048}, {0x55000, 100}};
+TEST(WireCodec, NetifRxRoundTrip) {
+  const DmaFrag frags[] = {{0x10000, 2048}, {0x23000, 2048}, {0x55000, 100}};
   UchanMsg msg;
-  EncodeRxChain(frags, 3, &msg);
-  EXPECT_EQ(msg.opcode, kEthDownNetifRxChain);
+  EncodeNetifRx(frags, &msg);
+  EXPECT_EQ(msg.opcode, kEthDownNetifRx);
   EXPECT_EQ(ValidateStructure(Dir::kDown, msg, 2), Malform::kNone);
-  ASSERT_EQ(RxChainCount(msg), 3u);
+  EXPECT_EQ(msg.args[0], 0x10000u);
+  EXPECT_EQ(msg.args[1], 2048u);
+  EXPECT_EQ(msg.args[2], 2u);
+  ASSERT_EQ(NetifRxFragCount(msg), 3u);
   for (size_t i = 0; i < 3; ++i) {
-    RxFrag frag = DecodeRxFrag(msg, i);
+    DmaFrag frag = NetifRxFragAt(msg, i);
     EXPECT_EQ(frag.iova, frags[i].iova);
     EXPECT_EQ(frag.len, frags[i].len);
   }
+  UchanMsg one;
+  EncodeNetifRx(std::span<const DmaFrag>(frags, 1), &one);
+  EXPECT_TRUE(one.inline_data.empty());
+  EXPECT_EQ(one.args[2], 0u);
+  EXPECT_EQ(ValidateStructure(Dir::kDown, one, 0), Malform::kNone);
+  ASSERT_EQ(NetifRxFragCount(one), 1u);
+  EXPECT_EQ(NetifRxFragAt(one, 0).iova, 0x10000u);
 }
 
 TEST(WireCodec, FreeBuffersRoundTripIncludingBatchOfOne) {
@@ -380,12 +420,12 @@ TEST(WireCodec, ScanResultsRoundTripWithSsidTruncation) {
 
 TEST(WireSchema, RejectStatsCountsPerMessageAndUnknown) {
   RejectStats stats;
-  stats.Count(Dir::kDown, kEthDownNetifRxChain);
-  stats.Count(Dir::kDown, kEthDownNetifRxChain);
-  stats.Count(Dir::kUp, kEthUpXmitChain);
+  stats.Count(Dir::kDown, kEthDownNetifRx);
+  stats.Count(Dir::kDown, kEthDownNetifRx);
+  stats.Count(Dir::kUp, kEthUpXmit);
   stats.Count(Dir::kDown, 0xdead);
-  EXPECT_EQ(stats.rejected(Dir::kDown, kEthDownNetifRxChain), 2u);
-  EXPECT_EQ(stats.rejected(Dir::kUp, kEthUpXmitChain), 1u);
+  EXPECT_EQ(stats.rejected(Dir::kDown, kEthDownNetifRx), 2u);
+  EXPECT_EQ(stats.rejected(Dir::kUp, kEthUpXmit), 1u);
   EXPECT_EQ(stats.unknown_opcode(), 1u);
   EXPECT_EQ(stats.total(), 4u);
   auto nonzero = stats.NonZero();
