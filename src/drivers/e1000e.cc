@@ -274,6 +274,12 @@ Status E1000eDriver::Open() {
     SUD_RETURN_IF_ERROR(env_->MmioWrite32(0, tx_base + 0x10, 0));
     SUD_RETURN_IF_ERROR(env_->MmioWrite32(0, tx_base + 0x18, 0));
     uint64_t rx_base = QueueRegBase(devices::kNicRegRdbal, q);
+    // Empty the ring (head == tail) before re-arming it. A device still
+    // receiving on a previous driver instance's head and tail would fill
+    // descriptors as they are armed, and those stale DD bits would later run
+    // the reap ahead of the device, which then owns no descriptor at all.
+    SUD_RETURN_IF_ERROR(env_->MmioWrite32(0, rx_base + 0x10, 0));
+    SUD_RETURN_IF_ERROR(env_->MmioWrite32(0, rx_base + 0x18, 0));
     SUD_RETURN_IF_ERROR(env_->MmioWrite32(0, rx_base + 0x0,
                                           static_cast<uint32_t>(qs.rx_ring.iova)));
     SUD_RETURN_IF_ERROR(env_->MmioWrite32(0, rx_base + 0x4,
@@ -296,7 +302,6 @@ Status E1000eDriver::Open() {
     qs.chain_bytes = 0;
     qs.skip_to_eop = false;
     qs.pending_rearm.clear();
-    SUD_RETURN_IF_ERROR(env_->MmioWrite32(0, rx_base + 0x10, 0));
     // Tail one behind head: the full ring minus one is armed, as on real HW.
     SUD_RETURN_IF_ERROR(env_->MmioWrite32(0, rx_base + 0x18, kRxDescriptors - 1));
     qs.tx_tail = 0;

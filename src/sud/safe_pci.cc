@@ -75,7 +75,6 @@ Status SudDeviceContext::Bind(kern::Process* proc) {
   device_->config().set_msi_address(hw::kMsiRangeBase);
   device_->config().set_msi_data(vector_base_);
   device_->config().set_msi_enabled(true);
-  device_->config().set_msi_masked(false);
   if (machine.iommu().interrupt_remapping()) {
     for (uint32_t q = 0; q < num_queues_; ++q) {
       SUD_RETURN_IF_ERROR(machine.iommu().SetInterruptRemapEntry(
@@ -93,9 +92,6 @@ Status SudDeviceContext::Bind(kern::Process* proc) {
   if (downcall_flush_handler_) {
     shards_->set_downcall_flush_handler(downcall_flush_handler_);
   }
-  irq_in_flight_.fill(false);
-  irq_pended_.fill(false);
-  interrupts_while_masked_ = 0;
   dma_ = std::make_unique<DmaSpace>(&machine.dram(), &machine.iommu(), source_id());
   // Each bind is a new pool epoch: handles issued to the previous (dead)
   // driver instance fail validation everywhere in the fresh one.
@@ -111,8 +107,21 @@ Status SudDeviceContext::Bind(kern::Process* proc) {
   }
 
   process_ = proc;
-  bound_ = true;
   torn_down_ = false;
+  {
+    // A device interrupt that entered OnDeviceInterrupt for the previous
+    // instance can still hold irq_mu_. Publishing the fresh interrupt state
+    // together with bound_ under the lock means that handler's mask or
+    // in-flight mark is either reset here or never made: unmasking first
+    // let it re-mask for an upcall no driver would ever ack, wedging every
+    // queue.
+    std::lock_guard<std::recursive_mutex> lock(irq_mu_);
+    irq_in_flight_.fill(false);
+    irq_pended_.fill(false);
+    interrupts_while_masked_ = 0;
+    device_->config().set_msi_masked(false);
+    bound_ = true;
+  }
   SUD_LOG(kInfo) << device_->name() << ": bound to pid " << proc->pid() << " (uid " << proc->uid()
                  << "), irq vectors " << int{vector_base_} << ".."
                  << int{vector_base_} + static_cast<int>(num_queues_) - 1;
@@ -241,10 +250,13 @@ Status SudDeviceContext::RequestIoRegion() {
 }
 
 void SudDeviceContext::OnDeviceInterrupt(uint16_t queue, uint16_t msi_source_id) {
-  if (!bound_ || queue >= num_queues_) {
+  if (queue >= num_queues_) {
     return;
   }
   std::lock_guard<std::recursive_mutex> lock(irq_mu_);
+  if (!bound_) {
+    return;
+  }
   hw::Machine& machine = kernel_->machine();
   if (msi_source_id != source_id()) {
     // Our vector, someone else's requester id: a forged interrupt via stray
@@ -430,7 +442,10 @@ void SudDeviceContext::Teardown() {
   device_->config().set_msi_enabled(false);
   uint16_t command = device_->config().command();
   device_->config().set_command(command & static_cast<uint16_t>(~hw::kPciCommandBusMaster));
-  bound_ = false;
+  {
+    std::lock_guard<std::recursive_mutex> lock(irq_mu_);
+    bound_ = false;
+  }
   process_ = nullptr;
   torn_down_ = true;
   SUD_LOG(kInfo) << device_->name() << ": context torn down, all resources reclaimed";
