@@ -41,7 +41,9 @@ struct Skb {
   // is fused with this pass, Section 3.1.2).
   bool checksum_verified = false;
 
-  Skb() = default;
+  // User-provided on purpose: std::make_unique<Skb>() value-initializes, and
+  // a defaulted constructor would zero the 2 KB inline buffer per packet.
+  Skb() {}
   explicit Skb(std::vector<uint8_t> bytes) : heap_(std::move(bytes)), len_(heap_.size()) {}
   explicit Skb(ConstByteSpan bytes) { Assign(bytes); }
 

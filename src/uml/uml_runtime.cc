@@ -469,7 +469,7 @@ void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
       // any descriptor is armed. A correct proxy never fails these; a forged
       // or corrupted message must never reach the DMA path.
       size_t count = wire::XmitFragCount(msg);
-      std::array<TxFrag, kern::kMaxChainFrags> frags;
+      std::array<TxFrag, kern::kMaxChainFrags>& frags = xmit_frags_[shard];
       for (size_t i = 0; i < count; ++i) {
         wire::XmitFrag frag = wire::XmitFragAt(msg, i);
         Result<uint64_t> iova = ctx_->pool().BufferIova(frag.pool_id);

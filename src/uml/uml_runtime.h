@@ -32,6 +32,7 @@
 #include <string>
 
 #include "src/kern/kernel.h"
+#include "src/kern/net_limits.h"
 #include "src/sud/proto.h"
 #include "src/sud/safe_pci.h"
 #include "src/sud/wire_schema.h"
@@ -176,6 +177,9 @@ class UmlRuntime : public DriverEnv {
   Stats stats_;
   wire::RejectStats wire_rejects_;
   std::array<std::atomic<uint64_t>, kSudMaxQueues> queue_progress_{};
+  // The xmit upcall being dispatched, its fragments resolved against the
+  // pool: one scratch list per shard, touched only by that shard's pump.
+  std::array<std::array<TxFrag, kern::kMaxChainFrags>, kSudMaxQueues> xmit_frags_{};
 };
 
 }  // namespace sud::uml
