@@ -400,7 +400,7 @@ Malform ValidateStructure(Dir dir, const UchanMsg& msg, uint16_t shard) {
     case PayloadKind::kRecords:
       if (msg.inline_data.empty() && s->min_records == 0) {
         // Nothing to walk (every one-fragment frame): the count must say so,
-        // and a head alone stays within its own field's bound.
+        // and the head alone must fit the frame cap.
         if (s->count_arg >= 0 && msg.args[static_cast<size_t>(s->count_arg)] != 0) {
           return Malform::kCountMismatch;
         }

@@ -240,8 +240,9 @@ inline void SetHeadLength(const MessageSchema& schema, uint64_t len, UchanMsg* m
 
 // kEthUpXmit: args[0] = TX queue, the head fragment in buffer_id/buffer_len,
 // args[1] = tail count, one 8-byte {le32 pool id, le32 len} record per tail
-// fragment. A one-fragment frame leaves inline_data empty. The accessors are
-// inline: both boundaries decode every frame.
+// fragment. `ids`/`lens` are the whole frame, head first (count >= 1); a
+// one-fragment frame leaves inline_data empty. The accessors are inline:
+// both boundaries decode every frame.
 void EncodeXmit(uint16_t queue, const int32_t* ids, const uint32_t* lens, size_t count,
                 UchanMsg* msg);
 inline size_t XmitFragCount(const UchanMsg& msg) {
