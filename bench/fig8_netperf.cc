@@ -352,16 +352,15 @@ Row RunUdpTx(bool is_sud) {
 // 5-fragment kEthUpXmit upcall and a 5-descriptor chain per segment, zero
 // linearize copies. The link is the bottleneck at the jumbo wire occupancy;
 // the number the row exists for is CPU%-per-byte (and tx_copies_per_pkt=0),
-// which the paper's 1500-byte testbed could not show.
+// which the paper's 1500-byte testbed could not show. `sealed` (SUD only) is
+// the TX mirror of zero-copy delivery: the frags are DRAM-backed kernel
+// pages, which the proxy grant-maps read-only into the device's IOMMU
+// domain, so descriptors arm straight from them and nothing is staged.
 Row RunTcpStreamJumboTx(bool is_sud, bool sealed = false) {
   NetBench::Options options;
   options.start_sut = is_sud;
   options.mtu = static_cast<uint32_t>(kern::kJumboMtu);
   options.peer_mtu = static_cast<uint32_t>(kern::kJumboMtu);
-  // sealed (SUD only): the TX mirror of zero-copy delivery — descriptors arm
-  // straight from sealed kernel frag pages grant-mapped into the device's
-  // IOMMU domain; nothing is staged into pool buffers.
-  options.proxy.sealed_tx = sealed;
   Config config{std::make_unique<NetBench>(options), is_sud};
   if (is_sud) {
     (void)config.bench->StartSut();

@@ -89,17 +89,14 @@ Status NetSubsystem::Transmit(const std::string& name, SkbPtr skb) {
 }
 
 Status NetSubsystem::Transmit(NetDevice* device, SkbPtr skb) {
-  if (!device->up_) {
-    device->stats().tx_dropped++;
-    return Status(ErrorCode::kUnavailable, device->name() + " is down");
+  std::vector<SkbPtr> burst;
+  burst.push_back(std::move(skb));
+  Result<size_t> accepted = TransmitBatch(device, std::move(burst));
+  if (!accepted.ok()) {
+    return accepted.status();
   }
-  Status status = device->ops()->StartXmit(std::move(skb));
-  if (status.ok()) {
-    device->stats().tx_packets++;
-  } else {
-    device->stats().tx_dropped++;
-  }
-  return status;
+  return accepted.value() == 1 ? Status::Ok()
+                               : Status(ErrorCode::kQueueFull, "driver dropped the frame");
 }
 
 Result<size_t> NetSubsystem::TransmitBatch(const std::string& name, std::vector<SkbPtr> skbs) {

@@ -42,24 +42,11 @@ class NetDeviceOps {
   virtual ~NetDeviceOps() = default;
   virtual Status Open() = 0;                              // ndo_open
   virtual Status Stop() = 0;                              // ndo_stop
-  virtual Status StartXmit(SkbPtr skb) = 0;               // ndo_start_xmit
-  // NAPI-style transmit burst for TX queue `queue`: hand a whole array of
-  // frames (already steered to that queue by the caller's flow hash) to the
-  // driver in one call. Returns how many frames the driver accepted (a full
-  // queue drops the tail). The default forwards one by one and ignores the
-  // queue; batching multi-queue drivers (the SUD Ethernet proxy) override it
-  // to amortize the per-crossing cost and to hit the queue's own channel.
-  virtual size_t StartXmitBatch(std::vector<SkbPtr> skbs, uint16_t queue) {
-    (void)queue;
-    size_t accepted = 0;
-    for (SkbPtr& skb : skbs) {
-      if (!StartXmit(std::move(skb)).ok()) {
-        break;
-      }
-      ++accepted;
-    }
-    return accepted;
-  }
+  // ndo_start_xmit, burst-shaped: the frames of TX queue `queue`, already
+  // steered there by the caller's flow hash, in one call (a single send is a
+  // burst of one). Returns how many frames the driver accepted; a full queue
+  // drops the tail.
+  virtual size_t StartXmitBatch(std::vector<SkbPtr> skbs, uint16_t queue) = 0;
   virtual Result<std::string> Ioctl(uint32_t cmd) = 0;    // ndo_do_ioctl (e.g. SIOCGMIIREG)
 };
 
@@ -206,9 +193,11 @@ class NetSubsystem {
   Status BringUp(const std::string& name);
   Status BringDown(const std::string& name);
 
-  // The kernel's transmit entry (dev_queue_xmit): hands the skb to the
-  // driver's ndo_start_xmit. The NetDevice* overloads skip the name lookup
-  // for callers that already hold the interface (the per-packet bench loops).
+  // The kernel's transmit entry (dev_queue_xmit): a one-frame TransmitBatch,
+  // so a single send is steered and counted exactly like a burst. kQueueFull
+  // when the driver did not accept the frame. The NetDevice* overloads skip
+  // the name lookup for callers that already hold the interface (the
+  // per-packet bench loops).
   Status Transmit(const std::string& name, SkbPtr skb);
   Status Transmit(NetDevice* device, SkbPtr skb);
   // Burst transmit: the qdisc draining its queue in one go. On a multi-queue

@@ -157,6 +157,16 @@ struct Skb {
   }
   // Head bytes plus every fragment: the length the wire will carry.
   size_t total_len() const { return len_ + tx_frag_bytes_; }
+  // Transmit descriptors the frame needs when the head and each fragment are
+  // split into `chunk_bytes` pieces (a pool buffer, a bounce slot): the
+  // map-or-linearize input of every transmit environment.
+  size_t TxChunks(size_t chunk_bytes) const {
+    size_t chunks = (len_ + chunk_bytes - 1) / chunk_bytes;
+    for (const TxFrag& frag : tx_frags_) {
+      chunks += (frag.view.size() + chunk_bytes - 1) / chunk_bytes;
+    }
+    return chunks;
+  }
   void AppendTxFrag(ConstByteSpan bytes) {
     tx_frag_bytes_ += bytes.size();
     TxFrag frag;

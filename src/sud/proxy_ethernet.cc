@@ -96,30 +96,11 @@ uint32_t EthernetProxy::DeclaredMtu(uint64_t declared) const {
   return static_cast<uint32_t>(std::min<uint64_t>(declared, pool_cap));
 }
 
-size_t EthernetProxy::StagedBufferIds(const UchanMsg& msg, int32_t* out) {
-  size_t count = wire::XmitFragCount(msg);
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = wire::XmitFragAt(msg, i).pool_id;
-  }
-  return count;
-}
-
-// Fragment records the skb's geometry would stage: each segment (head, then
-// every frag) chunked by the pool buffer size.
-size_t EthernetProxy::StagedChainRecords(const kern::Skb& skb) const {
-  size_t buffer_bytes = ctx_->pool().buffer_bytes();
-  size_t records = (skb.data_len() + buffer_bytes - 1) / buffer_bytes;
-  for (size_t i = 0; i < skb.nr_frags(); ++i) {
-    records += (skb.tx_frag(i).size() + buffer_bytes - 1) / buffer_bytes;
-  }
-  return records;
-}
-
 Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t queue) {
   kern::Skb& skb = *skb_ptr;
   CpuModel& cpu = kernel_->machine().cpu();
   uint32_t buffer_bytes = ctx_->pool().buffer_bytes();
-  if (!skb.is_linear() && (!driver_sg_ || StagedChainRecords(skb) > kern::kMaxChainFrags)) {
+  if (!skb.is_linear() && (!driver_sg_ || skb.TxChunks(buffer_bytes) > kern::kMaxChainFrags)) {
     // Linearize fallback: non-SG drivers always, and — like the real stack
     // linearizing skbs over MAX_SKB_FRAGS — frames whose fragment geometry
     // (many tiny frags) would burst the chain cap even for an SG driver.
@@ -150,7 +131,7 @@ Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t
   // counted staging-copy fallback, never a dropped frame.
   std::shared_ptr<TxGrantGroup> group;
   uint64_t grant_lo = 0;
-  if (options_.sealed_tx && skb.has_dram_frags()) {
+  if (skb.has_dram_frags()) {
     uint64_t lo = UINT64_MAX;
     uint64_t hi = 0;
     for (size_t i = 0; i < skb.nr_frags(); ++i) {
@@ -172,87 +153,66 @@ Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t
   }
   // Stage head then frags, chunking every segment by the pool buffer size:
   // a linear frame that fits one buffer is a one-fragment list, anything
-  // bigger chains across STANDARD buffers instead of one oversized one. The
-  // list is bounded by the same chain cap the ring setup asserts —
-  // unreachable here, since the geometry check above linearizes
-  // over-fragmented skbs and the registration-time MTU clamp bounds the
-  // total — and a frame that somehow cannot be expressed within it is
-  // dropped whole, never truncated.
+  // bigger chains across STANDARD buffers instead of one oversized one. A
+  // granted chunk gets the same record as a staged one, with no memcpy: its
+  // handle resolves (driver-side, unchanged) to the granted IOVA inside the
+  // frame's external mapping. The list is bounded by the same chain cap the
+  // ring setup asserts — unreachable here, since the geometry check above
+  // linearizes over-fragmented skbs and the registration-time MTU clamp
+  // bounds the total — and a frame that somehow cannot be expressed within
+  // it is dropped whole, never truncated.
   std::array<int32_t, kern::kMaxChainFrags> ids;
   std::array<uint32_t, kern::kMaxChainFrags> lens;
   size_t count = 0;
   size_t copied_bytes = 0;  // bytes that paid a staging memcpy
   Status staging = Status::Ok();
-  auto stage_segment = [&](ConstByteSpan segment) {
-    copied_bytes += segment.size();
-    size_t off = 0;
-    while (off < segment.size() && staging.ok()) {
+  auto stage_segment = [&](ConstByteSpan segment, uint64_t paddr) {
+    bool grant = group != nullptr && paddr != 0;
+    for (size_t off = 0; off < segment.size() && staging.ok();) {
       if (count >= kern::kMaxChainFrags) {
-        stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
         staging = Status(ErrorCode::kInvalidArgument, "frame exceeds the staging chain cap");
         return;
       }
-      Result<int32_t> buffer_id = ctx_->pool().Alloc();
-      if (!buffer_id.ok()) {
-        stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
-        if (netdev_ != nullptr) {
-          netdev_->stats().tx_no_buffer++;
+      uint32_t chunk = static_cast<uint32_t>(std::min<size_t>(segment.size() - off, buffer_bytes));
+      Result<int32_t> id =
+          grant ? ctx_->pool().GrantExternal(group->region_iova + (paddr + off - grant_lo), chunk,
+                                             [group]() mutable { group.reset(); })
+                : ctx_->pool().Alloc();
+      if (!id.ok()) {
+        staging = id.status();
+        if (!grant) {
+          if (netdev_ != nullptr) {
+            netdev_->stats().tx_no_buffer++;
+          }
+          NoteXmitFull();
+          staging = Status(ErrorCode::kQueueFull, "no shared buffers (driver slow or hung)");
         }
-        NoteXmitFull();
-        staging = Status(ErrorCode::kQueueFull, "no shared buffers (driver slow or hung)");
         return;
       }
-      Result<ByteSpan> buffer = ctx_->pool().Buffer(buffer_id.value());
-      if (!buffer.ok()) {
-        // Freshly allocated id failed validation (torn-down pool): return the
-        // buffer and count the drop — never a silent loss or a leaked buffer.
-        ctx_->pool().Free(buffer_id.value());
-        stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
-        staging = buffer.status();
-        return;
+      ids[count] = id.value();
+      lens[count++] = chunk;
+      if (grant) {
+        stats_.tx_grants.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        Result<ByteSpan> buffer = ctx_->pool().Buffer(id.value());
+        if (!buffer.ok()) {
+          // Freshly allocated id failed validation (torn-down pool): the
+          // failure path below returns it — never a leaked buffer.
+          staging = buffer.status();
+          return;
+        }
+        std::memcpy(buffer.value().data(), segment.data() + off, chunk);
+        copied_bytes += chunk;
       }
-      size_t chunk = segment.size() - off < buffer_bytes ? segment.size() - off : buffer_bytes;
-      std::memcpy(buffer.value().data(), segment.data() + off, chunk);
-      ids[count] = buffer_id.value();
-      lens[count] = static_cast<uint32_t>(chunk);
-      ++count;
       off += chunk;
     }
   };
-  // Grant staging: same chunking, same records, no memcpy — the handle
-  // resolves (driver-side, unchanged) to the granted IOVA inside the
-  // frame's external mapping.
-  auto grant_segment = [&](ConstByteSpan segment, uint64_t paddr) {
-    size_t off = 0;
-    while (off < segment.size() && staging.ok()) {
-      if (count >= kern::kMaxChainFrags) {
-        stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
-        staging = Status(ErrorCode::kInvalidArgument, "frame exceeds the staging chain cap");
-        return;
-      }
-      size_t chunk = segment.size() - off < buffer_bytes ? segment.size() - off : buffer_bytes;
-      uint64_t iova = group->region_iova + (paddr + off - grant_lo);
-      Result<int32_t> grant_id = ctx_->pool().GrantExternal(
-          iova, static_cast<uint32_t>(chunk), [group]() mutable { group.reset(); });
-      if (!grant_id.ok()) {
-        stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
-        staging = grant_id.status();
-        return;
-      }
-      stats_.tx_grants.fetch_add(1, std::memory_order_relaxed);
-      ids[count] = grant_id.value();
-      lens[count] = static_cast<uint32_t>(chunk);
-      ++count;
-      off += chunk;
-    }
-  };
-  stage_segment(skb.span());
+  stage_segment(skb.span(), 0);
   for (size_t i = 0; i < skb.nr_frags() && staging.ok(); ++i) {
-    if (group != nullptr && skb.tx_frag_paddr(i) != 0) {
-      grant_segment(skb.tx_frag(i), skb.tx_frag_paddr(i));
-    } else {
-      stage_segment(skb.tx_frag(i));
-    }
+    stage_segment(skb.tx_frag(i), skb.tx_frag_paddr(i));
+  }
+  if (staging.ok() && count == 0) {
+    staging = Status(ErrorCode::kInvalidArgument, "empty frame");
   }
   if (!staging.ok()) {
     for (size_t i = 0; i < count; ++i) {
@@ -261,11 +221,8 @@ Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t
       // the local reference below.
       ctx_->pool().Free(ids[i]);
     }
-    return staging;
-  }
-  if (count == 0) {
     stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
-    return Status(ErrorCode::kInvalidArgument, "empty frame");
+    return staging;
   }
   if (!options_.zero_copy) {
     // Ablation: model an intermediate bounce buffer (one extra pass).
@@ -282,30 +239,6 @@ Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t
     group->skb = std::move(skb_ptr);
     stats_.tx_grant_frames.fetch_add(1, std::memory_order_relaxed);
   }
-  return Status::Ok();
-}
-
-Status EthernetProxy::StartXmit(kern::SkbPtr skb) {
-  uint16_t queue =
-      netdev_ != nullptr ? kern::FlowQueue(skb->span(), netdev_->num_queues()) : 0;
-  UchanMsg msg;
-  SUD_RETURN_IF_ERROR(PrepareXmit(skb, &msg, queue));
-  // The ring consumes msg; keep just the ids for the failure path.
-  int32_t staged[kern::kMaxChainFrags];
-  size_t staged_count = StagedBufferIds(msg, staged);
-  Status status = ctx_->ctl(queue).SendAsync(std::move(msg));
-  if (!status.ok()) {
-    for (size_t i = 0; i < staged_count; ++i) {
-      ctx_->pool().Free(staged[i]);
-    }
-    stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
-    if (status.code() == ErrorCode::kQueueFull) {
-      NoteXmitFull();
-    }
-    return status;
-  }
-  consecutive_full_.store(0, std::memory_order_relaxed);
-  stats_.xmit_upcalls.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -327,7 +260,7 @@ size_t EthernetProxy::StartXmitBatch(std::vector<kern::SkbPtr> skbs, uint16_t qu
   }
   if (staging.code() == ErrorCode::kQueueFull) {
     // Each frame behind the failing one would have hit the same empty pool:
-    // account them like the per-packet path would (drop + hung detection).
+    // account them as if each had tried (drop + hung detection).
     for (size_t rest = msgs.size() + 1; rest < skbs.size(); ++rest) {
       stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
       if (netdev_ != nullptr) {
@@ -343,46 +276,25 @@ size_t EthernetProxy::StartXmitBatch(std::vector<kern::SkbPtr> skbs, uint16_t qu
   if (msgs.empty()) {
     return 0;
   }
-  // Staged buffer ids captured before the ring consumes the messages: one
-  // flat array plus a per-message count, so the failure paths can free
-  // exactly the messages that never enqueued.
-  size_t total_msgs = msgs.size();
-  std::vector<int32_t> staged_ids;
-  std::vector<uint32_t> staged_counts;
-  staged_ids.reserve(total_msgs);
-  staged_counts.reserve(total_msgs);
-  int32_t scratch[kern::kMaxChainFrags];
-  for (const UchanMsg& msg : msgs) {
-    size_t count = StagedBufferIds(msg, scratch);
-    staged_counts.push_back(static_cast<uint32_t>(count));
-    staged_ids.insert(staged_ids.end(), scratch, scratch + count);
-  }
   stats_.xmit_batches.fetch_add(1, std::memory_order_relaxed);
-  Result<size_t> enqueued = ctx_->ctl(queue).SendAsyncBatch(std::move(msgs));
-  if (!enqueued.ok()) {
-    for (int32_t id : staged_ids) {
-      ctx_->pool().Free(id);
+  Result<size_t> sent = ctx_->ctl(queue).SendAsyncBatch(msgs);
+  size_t enqueued = sent.ok() ? sent.value() : 0;
+  // The messages the ring did not take (a full ring's tail, or all of them
+  // on a shut-down channel) are still intact: free their staged buffers.
+  for (size_t i = enqueued; i < msgs.size(); ++i) {
+    for (size_t f = 0; f < wire::XmitFragCount(msgs[i]); ++f) {
+      ctx_->pool().Free(wire::XmitFragAt(msgs[i], f).pool_id);
     }
-    stats_.xmit_dropped.fetch_add(total_msgs, std::memory_order_relaxed);
-    return 0;
   }
-  // Reclaim the buffers of the ring-full tail.
-  size_t tail_start = 0;
-  for (size_t i = 0; i < enqueued.value(); ++i) {
-    tail_start += staged_counts[i];
-  }
-  for (size_t i = tail_start; i < staged_ids.size(); ++i) {
-    ctx_->pool().Free(staged_ids[i]);
-  }
-  size_t dropped = total_msgs - enqueued.value();
+  size_t dropped = msgs.size() - enqueued;
   stats_.xmit_dropped.fetch_add(dropped, std::memory_order_relaxed);
-  stats_.xmit_upcalls.fetch_add(enqueued.value(), std::memory_order_relaxed);
-  if (dropped > 0) {
-    NoteXmitFull();
-  } else if (enqueued.value() > 0) {
+  stats_.xmit_upcalls.fetch_add(enqueued, std::memory_order_relaxed);
+  if (dropped == 0) {
     consecutive_full_.store(0, std::memory_order_relaxed);
+  } else if (sent.ok()) {
+    NoteXmitFull();
   }
-  return enqueued.value();
+  return enqueued;
 }
 
 Result<std::string> EthernetProxy::Ioctl(uint32_t cmd) {

@@ -6,16 +6,20 @@
 //
 //   ndo_open/ndo_stop  -> synchronous upcalls (interruptable: ifconfig on a
 //                         hung driver returns an error instead of blocking)
-//   ndo_start_xmit     -> one asynchronous kEthUpXmit upcall per frame,
-//                         carrying it as a list of shared-pool buffers
-//                         (zero-copy hand-off; the driver points its NIC at
-//                         the same bytes): the head buffer in the message's
-//                         fixed fields, further fragments as records. Frag
-//                         skbs for an SG driver stage per-fragment into
-//                         standard pool buffers — no linearize copy, no
-//                         oversized staging buffer; for a non-SG driver the
-//                         proxy linearizes first (the fallback copy the SG
-//                         path deletes)
+//   ndo_start_xmit     -> StartXmitBatch, the one transmit entry (a single
+//                         send is a burst of one): one asynchronous
+//                         kEthUpXmit upcall per frame, the whole burst in
+//                         one crossing. Each carries its frame as a list of
+//                         shared-pool buffers (zero-copy hand-off; the
+//                         driver points its NIC at the same bytes): the head
+//                         buffer in the message's fixed fields, further
+//                         fragments as records. Frag skbs for an SG driver
+//                         stage per-fragment into standard pool buffers — no
+//                         linearize copy, no oversized staging buffer; for a
+//                         non-SG driver the proxy linearizes first (the
+//                         fallback copy the SG path deletes). DRAM-backed
+//                         frags cross as read-only IOMMU grants instead of
+//                         staged copies (sealed TX: see PrepareXmit)
 //   ndo_do_ioctl       -> synchronous upcall (the MII status example)
 //   netif_rx           <- one asynchronous kEthDownNetifRx downcall per
 //                         frame, a list of (iova, len) fragments in the
@@ -76,9 +80,6 @@ class EthernetProxy : public kern::NetDeviceOps {
     // e.g. the single-queue 16 KB layout) qualify; everything else — and any
     // seal failure — degrades to the counted guard-copy fallback.
     bool sealed_delivery = false;
-    // TX mirror: DRAM-backed skb frags (page-cache model) arm descriptors
-    // through read-only IOMMU grants instead of staging copies into the pool.
-    bool sealed_tx = false;
     // Consecutive full-ring transmissions before the driver is reported hung.
     uint32_t hung_threshold = 8;
   };
@@ -90,13 +91,13 @@ class EthernetProxy : public kern::NetDeviceOps {
   // kern::NetDeviceOps
   Status Open() override;
   Status Stop() override;
-  // Single-frame transmit: steers by flow hash onto the frame's queue shard.
-  Status StartXmit(kern::SkbPtr skb) override;
-  // NAPI-style burst for TX queue `queue`: stages every frame into a
-  // shared-pool buffer, then enqueues the whole array of xmit upcalls in ONE
-  // crossing of shard `queue` (one lock acquisition, at most one driver
-  // wakeup — and no lock shared with any other queue). Frames the ring
-  // cannot take are dropped and their pool buffers reclaimed.
+  // The transmit entry, for a burst or a single frame on TX queue `queue`:
+  // stages every frame into shared-pool buffers (or grants), then enqueues
+  // the whole array of xmit upcalls in ONE crossing of shard `queue` (one
+  // lock acquisition, at most one driver wakeup — and no lock shared with
+  // any other queue). Frames the ring cannot take are dropped, counted in
+  // xmit_dropped, and their pool buffers freed straight from the messages
+  // the channel handed back.
   size_t StartXmitBatch(std::vector<kern::SkbPtr> skbs, uint16_t queue) override;
   Result<std::string> Ioctl(uint32_t cmd) override;
 
@@ -114,7 +115,7 @@ class EthernetProxy : public kern::NetDeviceOps {
 
   struct Stats {
     std::atomic<uint64_t> xmit_upcalls{0};
-    std::atomic<uint64_t> xmit_batches{0};      // StartXmitBatch crossings
+    std::atomic<uint64_t> xmit_batches{0};      // transmit crossings (a single send is one)
     std::atomic<uint64_t> xmit_dropped{0};
     std::atomic<uint64_t> rx_downcalls{0};
     std::atomic<uint64_t> rx_bundles{0};        // NAPI deliveries into the stack
@@ -143,7 +144,7 @@ class EthernetProxy : public kern::NetDeviceOps {
     std::atomic<uint64_t> tx_grants{0};
     // Frames whose DRAM frags crossed as grants instead of staging copies.
     std::atomic<uint64_t> tx_grant_frames{0};
-    // Frames that wanted TX grants but staged copies (mapping failure).
+    // Frames with DRAM frags that staged copies instead (mapping failure).
     std::atomic<uint64_t> tx_grant_fallbacks{0};
   };
   const Stats& stats() const { return stats_; }
@@ -211,21 +212,14 @@ class EthernetProxy : public kern::NetDeviceOps {
   // bounded by kern::kMaxChainFrags (one fragment for a linear frame that
   // fits one buffer), behind the linearize fallback (an extra charged
   // full-frame copy) for frag skbs headed at a non-SG driver or over the
-  // fragment cap. Under sealed_tx, DRAM-backed frags cross as read-only
-  // grants instead of staged copies (same records, no memcpy). On failure
-  // the hung-driver accounting has already been applied and nothing stays
-  // allocated. Takes the skb by owning pointer: the sealed-TX path moves it
-  // into the frame's grant group (its DRAM frag pages must outlive the
-  // device's reads); every other path leaves it with the caller.
+  // fragment cap. One chunk loop serves both kinds of fragment: a chunk of a
+  // DRAM-backed frag becomes a read-only grant, any other chunk a staged
+  // copy (same records; a grant costs no memcpy). On failure the drop and
+  // hung-driver accounting has already been applied and nothing stays
+  // allocated. Takes the skb by owning pointer: a frame with grants moves it
+  // into its grant group (the DRAM frag pages must outlive the device's
+  // reads); every other frame leaves it with the caller.
   Status PrepareXmit(kern::SkbPtr& skb, UchanMsg* msg, uint16_t queue);
-  // Extracts every pool buffer id a staged xmit message references into
-  // `out`, which must hold kern::kMaxChainFrags entries; returns how many.
-  // The failure paths free exactly these when a message never reaches the
-  // ring.
-  static size_t StagedBufferIds(const UchanMsg& msg, int32_t* out);
-  // Fragment records the skb's geometry would stage (each segment chunked by
-  // the pool buffer size): the stage-vs-linearize decision input.
-  size_t StagedChainRecords(const kern::Skb& skb) const;
   // The driver-declared MTU clamped to what the TX staging pool can hold
   // (one buffer for single-buffer drivers, a bounded chain of them for SG).
   uint32_t DeclaredMtu(uint64_t declared) const;

@@ -171,7 +171,7 @@ Status Uchan::EnqueueUpcallLocked(UchanMsg&& msg) {
     // Section 3.1.1: "if the device driver's queue is full, the kernel can
     // wait a short period of time to determine if the user-space driver is
     // making any progress at all" — the short wait is the bounded retry in
-    // SendAsync/SendAsyncBatch; callers count the drop when they give up.
+    // SendAsyncBatch; callers count the drop when they give up.
     return Status(ErrorCode::kQueueFull, "kernel-to-user ring full");
   }
   // Forced ring-full injection, restricted to loss-tolerant messages: the
@@ -297,36 +297,29 @@ Status Uchan::RetryEnqueueLocked(UchanMsg& msg, Status status,
 }
 
 Status Uchan::SendAsync(UchanMsg msg) {
-  std::unique_lock<std::mutex> lock(mu_);
-  msg.seq = next_seq_++;
-  msg.needs_reply = false;
-  stats_.upcalls_async++;
-  Status status = EnqueueUpcallLocked(std::move(msg));
-  if (!status.ok()) {
-    status = RetryEnqueueLocked(msg, status, lock);
+  Result<size_t> sent = SendAsyncBatch(std::span<UchanMsg>(&msg, 1));
+  if (!sent.ok()) {
+    return sent.status();
   }
-  if (status.ok()) {
-    upcall_cv_.notify_all();
-  } else if (status.code() == ErrorCode::kQueueFull) {
-    stats_.upcalls_dropped_full++;
-  }
-  return status;
+  return sent.value() == 1 ? Status::Ok()
+                           : Status(ErrorCode::kQueueFull, "kernel-to-user ring full");
 }
 
-Result<size_t> Uchan::SendAsyncBatch(std::vector<UchanMsg> msgs) {
+Result<size_t> Uchan::SendAsyncBatch(std::span<UchanMsg> msgs) {
   std::unique_lock<std::mutex> lock(mu_);
   if (shutdown_) {
     return Status(ErrorCode::kUnavailable, "uchan shut down");
   }
   stats_.upcall_batches++;
+  stats_.upcalls_async += msgs.size();
   size_t enqueued = 0;
-  for (size_t i = 0; i < msgs.size(); ++i) {
-    UchanMsg& msg = msgs[i];
+  Status status = Status::Ok();
+  for (; enqueued < msgs.size(); ++enqueued) {
+    UchanMsg& msg = msgs[enqueued];
     msg.seq = next_seq_++;
     msg.needs_reply = false;
-    stats_.upcalls_async++;
-    Status status = EnqueueUpcallLocked(std::move(msg));
-    if (!status.ok() && status.code() == ErrorCode::kQueueFull) {
+    status = EnqueueUpcallLocked(std::move(msg));
+    if (status.code() == ErrorCode::kQueueFull) {
       if (enqueued > 0) {
         // Wake the driver on what is already queued before backing off.
         upcall_cv_.notify_all();
@@ -334,19 +327,13 @@ Result<size_t> Uchan::SendAsyncBatch(std::vector<UchanMsg> msgs) {
       status = RetryEnqueueLocked(msg, status, lock);
     }
     if (!status.ok()) {
-      if (status.code() == ErrorCode::kQueueFull) {
-        // Ring stayed full through the bounded retry: drop this message and
-        // the rest of the batch (counted; the caller reclaims resources).
-        for (size_t rest = i; rest < msgs.size(); ++rest) {
-          if (rest > i) {
-            stats_.upcalls_async++;
-          }
-          stats_.upcalls_dropped_full++;
-        }
-      }
       break;
     }
-    ++enqueued;
+  }
+  if (status.code() == ErrorCode::kQueueFull) {
+    // Ring stayed full through the bounded retry: this message and the rest
+    // of the batch are dropped (counted; they stay intact for the caller).
+    stats_.upcalls_dropped_full += msgs.size() - enqueued;
   }
   if (enqueued > 0) {
     upcall_cv_.notify_all();
@@ -392,13 +379,6 @@ Status Uchan::WaitForUpcallLocked(uint64_t timeout_ms, std::unique_lock<std::mut
   }
   driver_idle_ = false;
   return Status::Ok();
-}
-
-Result<UchanMsg> Uchan::Wait(uint64_t timeout_ms) {
-  FlushDowncalls();
-  std::unique_lock<std::mutex> lock(mu_);
-  SUD_RETURN_IF_ERROR(WaitForUpcallLocked(timeout_ms, lock));
-  return PopUpcallLocked();
 }
 
 Result<std::vector<UchanMsg>> Uchan::WaitBatch(uint64_t timeout_ms, size_t max_msgs) {

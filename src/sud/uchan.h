@@ -9,15 +9,16 @@
 //                               *interruptable*: a timeout (the model's
 //                               Ctrl-C) returns kTimedOut instead of hanging
 //                               the kernel on a malicious driver.
-//  * sud_asend  -> SendAsync:   asynchronous upcall; returns kQueueFull when
-//                               the ring stays full (hung-driver signal).
-//                               SendAsyncBatch enqueues a whole burst under
-//                               one lock acquisition and one wakeup charge —
-//                               the NAPI-style crossing of Section 3.1.2.
-//  * sud_wait   -> Wait:        driver-side dequeue; polls the ring first
-//                               and only then "selects" (sleeps). Also the
-//                               flush point for batched async downcalls.
-//                               WaitBatch dequeues a burst per crossing.
+//  * sud_asend  -> SendAsyncBatch: asynchronous upcalls; a whole burst
+//                               under one lock acquisition and one wakeup
+//                               charge — the NAPI-style crossing of Section
+//                               3.1.2. A ring that stays full drops the tail
+//                               (hung-driver signal). SendAsync is the burst
+//                               of one, kQueueFull when it was dropped.
+//  * sud_wait   -> WaitBatch:   driver-side dequeue of up to a burst per
+//                               crossing; polls the ring first and only then
+//                               "selects" (sleeps). Also the flush point for
+//                               batched async downcalls.
 //                               With a timeout, the host thread that finds
 //                               the ring empty polls it without the lock for
 //                               a few tens of microseconds before it parks,
@@ -33,9 +34,9 @@
 // of synchronous downcalls by writing into the caller's message rather than
 // sending a separate message — DowncallSync therefore takes the message by
 // reference and the handler mutates it in place. Async downcalls are
-// *batched* in the uchan library and flushed on the next Wait/SendSync entry
-// into the kernel (Section 3.1.2), which is the optimization the
-// abl_uchan_batching bench sweeps.
+// *batched* in the uchan library and flushed on the next WaitBatch or
+// DowncallSync entry into the kernel (Section 3.1.2), which is the
+// optimization the abl_uchan_batching bench sweeps.
 //
 // Fast-path data structures: the kernel-to-user ring is a pre-sized ring
 // buffer (no per-message heap allocation for queue nodes), and sync replies
@@ -56,6 +57,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "src/base/cpu_model.h"
@@ -148,13 +150,16 @@ class Uchan {
 
   // ---- kernel (proxy driver) side -----------------------------------------
   Result<UchanMsg> SendSync(UchanMsg msg);
-  Status SendAsync(UchanMsg msg);
   // Enqueues `msgs` in order under ONE lock acquisition, charging at most one
-  // process wakeup for the whole burst. Returns the number of messages
-  // actually enqueued: when the ring fills mid-batch the tail of the batch is
-  // dropped (counted in upcalls_dropped_full) and the caller reclaims those
-  // messages' resources. A full ring returns ok with value 0.
-  Result<size_t> SendAsyncBatch(std::vector<UchanMsg> msgs);
+  // process wakeup for the whole burst. Returns how many were enqueued: the
+  // first ones, which the ring consumed. When the ring stays full through
+  // the bounded retry, the rest are dropped (counted in upcalls_dropped_full)
+  // and left intact in `msgs`, so the caller reclaims their resources
+  // straight from them. A full ring returns ok with value 0; a shut-down
+  // channel returns kUnavailable.
+  Result<size_t> SendAsyncBatch(std::span<UchanMsg> msgs);
+  // A burst of one: kQueueFull when the ring dropped it.
+  Status SendAsync(UchanMsg msg);
 
   // The kernel half of the downcall path: invoked once per downcall when the
   // driver enters the kernel (flush or sync downcall). Mutates the message
@@ -163,12 +168,10 @@ class Uchan {
   void set_downcall_handler(DowncallHandler handler);
 
   // ---- driver (user-space) side -------------------------------------------
-  // Dequeues the next upcall. Flushes batched downcalls first. Returns
-  // kTimedOut if nothing arrives within `timeout_ms` (0 = poll only).
-  Result<UchanMsg> Wait(uint64_t timeout_ms);
   // Dequeues up to `max_msgs` pending upcalls under one lock acquisition —
-  // one modeled select/read crossing for the whole burst. Same timeout
-  // semantics as Wait; never returns an empty vector on success.
+  // one modeled select/read crossing for the whole burst. Flushes batched
+  // downcalls first. Returns kTimedOut if nothing arrives within
+  // `timeout_ms` (0 = poll only); never an empty vector on success.
   Result<std::vector<UchanMsg>> WaitBatch(uint64_t timeout_ms, size_t max_msgs);
   void Reply(const UchanMsg& request, UchanMsg reply);
   Status DowncallSync(UchanMsg& msg);

@@ -22,7 +22,6 @@ class DirectEnv::NetAdapter : public kern::NetDeviceOps {
     return env_->net_ops_.stop ? env_->net_ops_.stop()
                                : Status(ErrorCode::kUnavailable, "no stop op");
   }
-  Status StartXmit(kern::SkbPtr skb) override { return XmitOne(*skb, /*queue=*/0); }
   size_t StartXmitBatch(std::vector<kern::SkbPtr> skbs, uint16_t queue) override {
     size_t accepted = 0;
     for (kern::SkbPtr& skb : skbs) {
@@ -33,6 +32,12 @@ class DirectEnv::NetAdapter : public kern::NetDeviceOps {
     }
     return accepted;
   }
+  Result<std::string> Ioctl(uint32_t cmd) override {
+    if (!env_->net_ops_.ioctl) {
+      return Status(ErrorCode::kUnavailable, "no ioctl op");
+    }
+    return env_->net_ops_.ioctl(cmd);
+  }
 
  private:
   Status XmitOne(kern::Skb& skb, uint16_t queue) {
@@ -40,7 +45,8 @@ class DirectEnv::NetAdapter : public kern::NetDeviceOps {
       return Status(ErrorCode::kUnavailable, "no xmit op");
     }
     CpuModel& cpu = env_->kernel_->machine().cpu();
-    if (!skb.is_linear() && (!env_->net_ops_.sg || ChainRecords(skb) > kern::kMaxChainFrags)) {
+    if (!skb.is_linear() &&
+        (!env_->net_ops_.sg || skb.TxChunks(kTxBounceBytes) > kern::kMaxChainFrags)) {
       // Linearize fallback: non-SG drivers always, and frag geometries that
       // would burst the chain cap (the real stack linearizes skbs over
       // MAX_SKB_FRAGS the same way) — one charged full-frame pass, the copy
@@ -93,25 +99,6 @@ class DirectEnv::NetAdapter : public kern::NetDeviceOps {
     return env_->net_ops_.xmit(std::span<const uml::TxFrag>(frags.data(), count), queue);
   }
 
-  // Bounce slots the skb's geometry would map (each segment chunked by the
-  // slot size) — the map-vs-linearize decision input.
-  static size_t ChainRecords(const kern::Skb& skb) {
-    size_t records = (skb.data_len() + kTxBounceBytes - 1) / kTxBounceBytes;
-    for (size_t i = 0; i < skb.nr_frags(); ++i) {
-      records += (skb.tx_frag(i).size() + kTxBounceBytes - 1) / kTxBounceBytes;
-    }
-    return records;
-  }
-
- public:
-  Result<std::string> Ioctl(uint32_t cmd) override {
-    if (!env_->net_ops_.ioctl) {
-      return Status(ErrorCode::kUnavailable, "no ioctl op");
-    }
-    return env_->net_ops_.ioctl(cmd);
-  }
-
- private:
   DirectEnv* env_;
 };
 
@@ -251,10 +238,6 @@ Result<DmaRegion> DirectEnv::DmaAllocCaching(uint64_t bytes) {
 
 Result<ByteSpan> DirectEnv::DmaView(uint64_t iova, uint64_t len) {
   return dma_->HostView(iova, len);
-}
-
-Status DirectEnv::RequestIrq(std::function<void()> handler) {
-  return RequestQueueIrqs(1, [handler = std::move(handler)](uint16_t) { handler(); });
 }
 
 Status DirectEnv::RequestQueueIrqs(uint16_t num_queues, std::function<void(uint16_t)> handler) {

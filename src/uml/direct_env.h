@@ -46,13 +46,11 @@ class DirectEnv : public DriverEnv {
   Result<DmaRegion> DmaAllocCoherent(uint64_t bytes) override;
   Result<DmaRegion> DmaAllocCaching(uint64_t bytes) override;
   Result<ByteSpan> DmaView(uint64_t iova, uint64_t len) override;
-  Status RequestIrq(std::function<void()> handler) override;
-  // In-kernel multi-queue: allocates a contiguous vector range and registers
-  // one kernel irq per queue, exactly how pci_alloc_irq_vectors + per-vector
-  // request_irq behave for a real MSI multi-message device.
+  // In-kernel: allocates a contiguous vector range and registers one kernel
+  // irq per queue, exactly how pci_alloc_irq_vectors + per-vector request_irq
+  // behave for a real MSI multi-message device.
   Status RequestQueueIrqs(uint16_t num_queues, std::function<void(uint16_t)> handler) override;
   Status FreeIrq() override;
-  Status InterruptAck() override { return Status::Ok(); }  // in-kernel: nothing to unmask
   Status RegisterNetdev(const uint8_t mac[6], NetDriverOps ops) override;
   Status NetifRx(std::span<const DmaFrag> frags, uint16_t queue = 0) override;
   void NetifCarrierOn() override;

@@ -110,18 +110,17 @@ class DriverEnv {
   virtual Result<ByteSpan> DmaView(uint64_t iova, uint64_t len) = 0;
 
   // --- interrupts
-  virtual Status RequestIrq(std::function<void()> handler) = 0;
-  virtual Status FreeIrq() = 0;
-  // Signals end-of-interrupt handling ("interrupt_ack" downcall under SUD).
-  virtual Status InterruptAck() = 0;
-  // Multi-queue interrupt registration (pci_alloc_irq_vectors + per-vector
-  // request_irq): `handler(q)` runs when MSI message q fires. The default
-  // degrades to the single-vector path, collapsing every queue onto
-  // message 0 — correct for environments that predate per-queue vectors.
-  virtual Status RequestQueueIrqs(uint16_t num_queues, std::function<void(uint16_t)> handler) {
-    (void)num_queues;
-    return RequestIrq([handler = std::move(handler)]() { handler(0); });
+  // request_irq for `num_queues` MSI messages (pci_alloc_irq_vectors plus a
+  // request_irq per vector): `handler(q)` runs when message q fires. Drivers
+  // never acknowledge: under SUD the runtime sends the "interrupt_ack"
+  // downcall itself once the handler returns, then polls once more.
+  virtual Status RequestQueueIrqs(uint16_t num_queues, std::function<void(uint16_t)> handler) = 0;
+  // Single-vector request_irq: a one-queue registration.
+  Status RequestIrq(std::function<void()> handler) {
+    return RequestQueueIrqs(1, [handler = std::move(handler)](uint16_t) { handler(); });
   }
+  // free_irq: no handler call starts once it has returned.
+  virtual Status FreeIrq() = 0;
 
   // --- network subsystem
   virtual Status RegisterNetdev(const uint8_t mac[6], NetDriverOps ops) = 0;

@@ -5,7 +5,7 @@
 namespace sud::uml {
 
 namespace {
-// How long a pump thread parks in its uchan Wait before it re-checks
+// How long a pump thread parks in uchan WaitBatch before it re-checks
 // stop_requested_. Kill does not wait it out: shutting the shards down wakes
 // every parked pump at once.
 constexpr uint64_t kPumpParkTimeoutMs = 5;
@@ -84,7 +84,7 @@ Status DriverHost::KillLocked() {
   }
   stop_requested_ = true;
   for (uint16_t q = 0; q < ctx_->num_queues(); ++q) {
-    ctx_->ctl(q).Shutdown();  // unblocks threads stuck in Wait
+    ctx_->ctl(q).Shutdown();  // unblocks threads stuck in WaitBatch
   }
   for (std::thread& thread : threads_) {
     if (thread.joinable()) {

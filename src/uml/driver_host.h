@@ -14,7 +14,7 @@
 //  * threaded-per-queue: one real std::thread per uchan shard (one for a
 //    single-queue device), each pumping its own queue's ring pair, so the
 //    packet path runs with no lock shared between queues. An idle pump
-//    polls its empty ring briefly before it parks in the uchan Wait (see
+//    polls its empty ring briefly before it parks in uchan WaitBatch (see
 //    Uchan); the modeled select and wakeup charges are the same either way;
 //  * comatose: the process exists but never services its uchan.
 

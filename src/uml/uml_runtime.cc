@@ -126,29 +126,30 @@ Result<ByteSpan> UmlRuntime::DmaView(uint64_t iova, uint64_t len) {
   return ctx_->dma().HostView(iova, len);
 }
 
-Status UmlRuntime::RequestIrq(std::function<void()> handler) {
-  irq_handler_ = std::move(handler);
-  irq_queue_handler_ = nullptr;
-  return Status::Ok();
-}
-
 Status UmlRuntime::RequestQueueIrqs(uint16_t num_queues, std::function<void(uint16_t)> handler) {
   if (num_queues > ctx_->num_queues()) {
     return Status(ErrorCode::kInvalidArgument,
                   "driver wants more irq vectors than the exported device has");
   }
-  irq_queue_handler_ = std::move(handler);
-  irq_handler_ = nullptr;
+  std::lock_guard<std::mutex> lock(irq_mu_);
+  irq_handler_ = std::make_shared<const std::function<void(uint16_t)>>(std::move(handler));
   return Status::Ok();
 }
 
 Status UmlRuntime::FreeIrq() {
-  irq_handler_ = nullptr;
-  irq_queue_handler_ = nullptr;
+  std::lock_guard<std::mutex> lock(irq_mu_);
+  irq_handler_.reset();  // a call already running holds its own reference
   return Status::Ok();
 }
 
-Status UmlRuntime::InterruptAck() { return InterruptAckQueue(0); }
+void UmlRuntime::RunIrqHandler(uint16_t queue) {
+  std::unique_lock<std::mutex> lock(irq_mu_);
+  std::shared_ptr<const std::function<void(uint16_t)>> handler = irq_handler_;
+  lock.unlock();
+  if (handler != nullptr) {
+    (*handler)(queue);
+  }
+}
 
 Status UmlRuntime::InterruptAckQueue(uint16_t queue) {
   // The queue's pending rx array must be ordered ahead of this synchronous
@@ -208,7 +209,7 @@ Status UmlRuntime::QueueRxDowncall(UchanMsg msg, uint16_t queue, uint64_t frame_
   // NAPI accumulation: the message joins the queue's local rx array; the
   // whole array crosses into the kernel on the queue's shard once `depth`
   // packets — or a standard-frame-equivalent byte budget, for jumbo chains —
-  // are pending (or at the next flush point — Wait, a sync downcall —
+  // are pending (or at the next flush point — WaitBatch, a sync downcall —
   // whichever comes first).
   rx_pending_[queue].push_back(std::move(msg));
   rx_pending_bytes_[queue] += frame_bytes;
@@ -408,38 +409,22 @@ void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
       if (queue >= ctx_->num_queues()) {
         queue = 0;
       }
-      if (irq_queue_handler_) {
-        irq_queue_handler_(queue);
-        // Re-enable the interrupt (on the queue's own shard, behind the rx
-        // array the poll produced), then poll once more: an event that fired
-        // while our interrupt was masked-and-coalesced left no pending MSI,
-        // so the classic NAPI poll/ack race is closed by re-polling after
-        // the ack. An empty re-poll touches no modeled state (descriptor
-        // peeks are host-side), so the charge stream is unchanged.
-        (void)InterruptAckQueue(queue);
-        irq_queue_handler_(queue);
-      } else {
-        if (irq_handler_) {
-          irq_handler_();
-        }
-        // Re-enable the device interrupt once handling completes, then poll
-        // once more — the same NAPI poll/ack race closure as the per-queue
-        // branch above. Without it, an event that arrived while this upcall
-        // was in flight is coalesced-and-masked by safe-PCI with no pending
-        // MSI, the legacy ICR stays asserted so every later cause is
-        // edge-suppressed, and the driver sleeps forever on a ring full of
-        // done descriptors (the threaded traffic-generator peers widened
-        // this window enough for TSAN runs to hit it every time).
-        // Ack the queue the upcall names, not queue 0: with no handler
-        // registered yet (the restart window between Bind and the fresh
-        // driver's RequestIrq) an upcall for queue q>0 must still clear
-        // q's in-flight flag, or every later MSI on q coalesces into a
-        // mask that no ack will ever lift.
-        (void)InterruptAckQueue(queue);
-        if (irq_handler_) {
-          irq_handler_();
-        }
-      }
+      RunIrqHandler(queue);
+      // Re-enable the interrupt (on the queue's own shard, behind the rx
+      // array the poll produced), then poll once more: an event that fired
+      // while our interrupt was masked-and-coalesced left no pending MSI, so
+      // the classic NAPI poll/ack race is closed by re-polling after the ack.
+      // Without it, the legacy ICR stays asserted so every later cause is
+      // edge-suppressed, and the driver sleeps forever on a ring full of done
+      // descriptors (the threaded traffic-generator peers widened this window
+      // enough for TSAN runs to hit it every time). An empty re-poll touches
+      // no modeled state (descriptor peeks are host-side), so the charge
+      // stream is unchanged. The ack goes out even with no handler registered
+      // (the restart window between Bind and the fresh driver's RequestIrq):
+      // an upcall for queue q must still clear q's in-flight flag, or every
+      // later MSI on q coalesces into a mask that no ack will ever lift.
+      (void)InterruptAckQueue(queue);
+      RunIrqHandler(queue);
       return;
     }
     case kEthUpOpen: {

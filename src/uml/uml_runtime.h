@@ -29,6 +29,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "src/kern/kernel.h"
@@ -59,10 +60,8 @@ class UmlRuntime : public DriverEnv {
   Result<DmaRegion> DmaAllocCoherent(uint64_t bytes) override;
   Result<DmaRegion> DmaAllocCaching(uint64_t bytes) override;
   Result<ByteSpan> DmaView(uint64_t iova, uint64_t len) override;
-  Status RequestIrq(std::function<void()> handler) override;
   Status RequestQueueIrqs(uint16_t num_queues, std::function<void(uint16_t)> handler) override;
   Status FreeIrq() override;
-  Status InterruptAck() override;
   Status RegisterNetdev(const uint8_t mac[6], NetDriverOps ops) override;
   Status NetifRx(std::span<const DmaFrag> frags, uint16_t queue = 0) override;
   void NetifCarrierOn() override;
@@ -151,13 +150,16 @@ class UmlRuntime : public DriverEnv {
   void FlushRxPendingQueue(uint16_t queue, bool enter_kernel);
   // interrupt_ack for queue q, on shard q (after flushing its rx array).
   Status InterruptAckQueue(uint16_t queue);
+  // Calls the driver's interrupt handler for `queue`, read under irq_mu_
+  // right before the call: a dispatch past FreeIrq finds none and skips it.
+  void RunIrqHandler(uint16_t queue);
 
   kern::Kernel* kernel_;
   SudDeviceContext* ctx_;
   kern::Process* proc_;
 
-  std::function<void()> irq_handler_;
-  std::function<void(uint16_t)> irq_queue_handler_;
+  std::mutex irq_mu_;  // FreeIrq may run on another queue's pump thread
+  std::shared_ptr<const std::function<void(uint16_t)>> irq_handler_;
   uint32_t rx_batch_depth_ = 64;
   // Joins a built netif_rx message carrying `frame_bytes` of packet
   // data to queue `queue`'s pending array, flushing at the depth/byte budget.

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -112,7 +113,7 @@ TEST(DriverHost, ComatoseDriverHoldsResourcesUntilKilled) {
   // Upcalls pile up unserviced.
   auto frame = kern::BuildPacket(testing::kMacB, testing::kMacA, 1, 2, {});
   for (int i = 0; i < 4; ++i) {
-    (void)bench.proxy->StartXmit(kern::MakeSkb({frame.data(), frame.size()}));
+    (void)testing::ProxyXmit(*bench.proxy, {frame.data(), frame.size()});
   }
   EXPECT_GT(bench.ctx->ctl().pending_upcalls(), 0u);
   ASSERT_TRUE(bench.host->Kill().ok());
@@ -144,6 +145,80 @@ TEST(DriverHost, ProcessCarriesPolicyAndLimits) {
   // The e1000e's DMA footprint (rings + 16 MB buffers + pool) is charged.
   EXPECT_GT(proc->memory_used(), 16u * 1024 * 1024);
   EXPECT_LE(proc->memory_used(), proc->rlimits().memory_bytes);
+}
+
+// A two-queue driver whose queue-1 interrupt handler parks on a latch the
+// test releases (bounded, so a broken run fails instead of hanging), and
+// whose ndo_stop frees its interrupts, as e1000e's does.
+class ParkingIrqDriver : public uml::Driver {
+ public:
+  const char* name() const override { return "parking-irq"; }
+  Status Probe(uml::DriverEnv& env) override {
+    SUD_RETURN_IF_ERROR(env.RequestQueueIrqs(2, [this](uint16_t queue) { OnIrq(queue); }));
+    uml::NetDriverOps ops;
+    ops.open = [] { return Status::Ok(); };
+    ops.stop = [&env] { return env.FreeIrq(); };
+    ops.num_queues = 2;
+    return env.RegisterNetdev(testing::kMacA, std::move(ops));
+  }
+
+  std::array<std::atomic<int>, 2> calls{};
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+
+ private:
+  void OnIrq(uint16_t queue) {
+    if (calls[queue].fetch_add(1) > 0 || queue != 1) {
+      return;
+    }
+    parked = true;
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!release && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+};
+
+// Polls `done` for up to 5 s.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// ifconfig down while another queue's interrupt handler runs: ndo_stop frees
+// the irq on the control pump while queue 1's pump thread is inside its
+// handler. The in-flight dispatch must finish (ack included) without calling
+// the freed handler again for its post-ack re-poll.
+TEST(DriverHost, FreeIrqDuringInterruptDispatchIsSafe) {
+  NetBench::Options options;
+  options.nic_queues = 2;
+  NetBench bench(options);
+  auto owned = std::make_unique<ParkingIrqDriver>();
+  ParkingIrqDriver* driver = owned.get();
+  ASSERT_TRUE(
+      bench.host->Start(std::move(owned), uml::DriverHost::Mode::kThreadedPerQueue).ok());
+  ASSERT_EQ(bench.host->thread_count(), 2u);
+  ASSERT_TRUE(bench.kernel.net().BringUp("eth0").ok());
+
+  // Queue 1's interrupt upcall, on its own shard, as safe-PCI forwards one.
+  UchanMsg irq;
+  irq.opcode = kOpInterrupt;
+  irq.args[0] = 1;
+  ASSERT_TRUE(bench.ctx->ctl(1).SendAsync(std::move(irq)).ok());
+  ASSERT_TRUE(WaitFor([&] { return driver->parked.load(); }));
+
+  ASSERT_TRUE(bench.kernel.net().BringDown("eth0").ok());  // Stop -> FreeIrq
+  driver->release = true;
+  ASSERT_TRUE(WaitFor([&] { return bench.host->queue_progress(1) >= 1; }));
+  EXPECT_EQ(driver->calls[1].load(), 1);  // no re-poll after FreeIrq
+  ASSERT_TRUE(bench.host->Kill().ok());
 }
 
 }  // namespace

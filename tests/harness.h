@@ -50,9 +50,9 @@ struct WireRecorder : devices::EtherEndpoint {
 // shape a sendfile-style transmit produces): `head_len` bytes stay in the
 // linear head, the remainder is written ONCE into a contiguous DRAM block and
 // referenced — not copied — in `frag_len`-sized fragments carrying their
-// physical addresses. Under EthernetProxy::Options::sealed_tx these frags
-// cross as read-only IOMMU grants with zero staging copies. The skb's release
-// hook frees the pages at death (after TX reap frees the last grant chunk).
+// physical addresses. The Ethernet proxy sends these frags as read-only IOMMU
+// grants with zero staging copies. The skb's release hook frees the pages at
+// death (after TX reap frees the last grant chunk).
 // Returns nullptr when DRAM is exhausted.
 inline kern::SkbPtr MakeDramFragSkb(hw::PhysicalMemory& dram, ConstByteSpan frame,
                                     size_t head_len, size_t frag_len) {
@@ -81,6 +81,15 @@ inline kern::SkbPtr MakeDramFragSkb(hw::PhysicalMemory& dram, ConstByteSpan fram
   uint64_t base = paddr.value();
   skb->set_release([dram_ptr, base, pages] { dram_ptr->FreePages(base, pages); });
   return skb;
+}
+
+// Hands the Ethernet proxy's transmit op `frame` as a one-frame burst on
+// `queue`, below the stack: for drivers that never bring the interface up
+// (comatose ones). True when the frame reached the uchan ring.
+inline bool ProxyXmit(EthernetProxy& proxy, ConstByteSpan frame, uint16_t queue = 0) {
+  std::vector<kern::SkbPtr> burst;
+  burst.push_back(kern::MakeSkb(frame));
+  return proxy.StartXmitBatch(std::move(burst), queue) == 1;
 }
 
 // A machine with one switch, the SUT NIC and a trusted peer NIC linked by

@@ -199,15 +199,14 @@ class FakeOps : public NetDeviceOps {
     ++stops;
     return Status::Ok();
   }
-  Status StartXmit(SkbPtr skb) override {
-    last_len = skb->data_len();
-    ++xmits;
-    return Status::Ok();
+  size_t StartXmitBatch(std::vector<SkbPtr> skbs, uint16_t queue) override {
+    xmit_queues.push_back(queue);
+    return skbs.size();
   }
   Result<std::string> Ioctl(uint32_t cmd) override { return std::string("ok"); }
 
-  int opens = 0, stops = 0, xmits = 0;
-  size_t last_len = 0;
+  int opens = 0, stops = 0;
+  std::vector<uint16_t> xmit_queues;  // the queue of every transmit call
   Status open_result = Status::Ok();
 };
 
@@ -237,6 +236,34 @@ TEST(NetSubsystem, OpenFailurePropagates) {
   ASSERT_TRUE(kernel.net().RegisterNetdev("eth0", kMacA, &ops).ok());
   EXPECT_EQ(kernel.net().BringUp("eth0").code(), ErrorCode::kTimedOut);
   EXPECT_FALSE(kernel.net().Find("eth0")->is_up());
+}
+
+// A single send is a one-frame burst: on a multi-queue interface it reaches
+// the driver on the queue its flow hashes to, and counts there.
+TEST(NetSubsystem, TransmitCountsInTheSteeredQueue) {
+  hw::Machine machine;
+  Kernel kernel(&machine);
+  FakeOps ops;
+  NetDevice* dev = kernel.net().RegisterNetdev("eth0", kMacA, &ops).value();
+  constexpr uint16_t kQueues = 4;
+  dev->set_num_queues(kQueues);
+  ASSERT_TRUE(kernel.net().BringUp("eth0").ok());
+  std::array<uint64_t, kQueues> expected{};
+  for (uint16_t port = 1; port <= 16; ++port) {
+    auto frame = BuildPacket(kMacB, kMacA, port, 80, {});
+    uint16_t queue = FlowQueue({frame.data(), frame.size()}, kQueues);
+    ++expected[queue];
+    ASSERT_TRUE(kernel.net().Transmit(dev, MakeSkb({frame.data(), frame.size()})).ok());
+    EXPECT_EQ(ops.xmit_queues.back(), queue) << "port " << port;
+  }
+  size_t used = 0;
+  for (uint16_t q = 0; q < kQueues; ++q) {
+    EXPECT_EQ(dev->queue_stats(q).tx_packets.load(), expected[q]) << "queue " << q;
+    used += expected[q] > 0 ? 1 : 0;
+  }
+  EXPECT_GT(used, 1u);  // the flows really spread
+  EXPECT_EQ(dev->stats().tx_packets.load(), 16u);
+  EXPECT_EQ(dev->stats().tx_dropped.load(), 0u);
 }
 
 TEST(NetSubsystem, NetifRxChecksumAndFirewall) {

@@ -37,7 +37,7 @@ TEST(EthernetProxyTest, XmitExhaustsPoolThenRecovers) {
   // Without pumping, each xmit holds one pool buffer.
   int accepted = 0;
   for (int i = 0; i < 8; ++i) {
-    if (bench.proxy->StartXmit(kern::MakeSkb({frame.data(), frame.size()})).ok()) {
+    if (testing::ProxyXmit(*bench.proxy, {frame.data(), frame.size()})) {
       ++accepted;
     }
   }
@@ -45,7 +45,52 @@ TEST(EthernetProxyTest, XmitExhaustsPoolThenRecovers) {
   EXPECT_EQ(bench.proxy->stats().xmit_dropped, 4u);
   // Pumping lets the driver transmit and free the buffers; service resumes.
   bench.host->Pump();
-  EXPECT_TRUE(bench.proxy->StartXmit(kern::MakeSkb({frame.data(), frame.size()})).ok());
+  EXPECT_TRUE(testing::ProxyXmit(*bench.proxy, {frame.data(), frame.size()}));
+}
+
+// One transmit contract for every burst: the frames a full ring cannot take
+// are the tail, counted by the proxy and by the stack, and each dropped
+// frame's staged buffers — one or several — go straight back to the pool.
+TEST(EthernetProxyTest, RingFullTailOfABurstIsCountedAndFreed) {
+  NetBench::Options options;
+  options.sud.uchan.ring_entries = 4;
+  options.mtu = static_cast<uint32_t>(kern::kJumboMtu);
+  options.proxy.hung_threshold = 100;  // the tail, not the hung report, is under test
+  NetBench bench(options);
+  ASSERT_TRUE(bench.StartSut().ok());
+  kern::NetDevice* netdev = bench.kernel.net().Find("eth0");
+  ASSERT_EQ(bench.ctx->ctl().pending_upcalls(), 0u);
+  ASSERT_EQ(bench.ctx->pool().outstanding(), 0u);
+  // From here on the driver never services its ring (comatose after open):
+  // not even the ring-full retry may drain it.
+  bench.ctx->ctl().set_user_pump(nullptr);
+
+  // Six frames for four free slots; every other one a multi-buffer jumbo
+  // frag frame, so the tail holds one of each kind.
+  std::vector<uint8_t> small(64, 0x11);
+  std::vector<uint8_t> jumbo(8000, 0x22);
+  auto small_frame = kern::BuildPacket(kMacB, kMacA, 1, 2, {small.data(), small.size()});
+  auto jumbo_frame = kern::BuildPacket(kMacB, kMacA, 1, 2, {jumbo.data(), jumbo.size()});
+  std::vector<kern::SkbPtr> burst;
+  size_t ring_buffers = 0;  // staged buffers of the frames that fit
+  for (int i = 0; i < 6; ++i) {
+    kern::SkbPtr skb =
+        i % 2 == 1 ? kern::MakeFragSkb({jumbo_frame.data(), jumbo_frame.size()}, 2048, 2048)
+                   : kern::MakeSkb({small_frame.data(), small_frame.size()});
+    if (i < 4) {
+      ring_buffers += skb->TxChunks(bench.ctx->pool().buffer_bytes());
+    }
+    burst.push_back(std::move(skb));
+  }
+  Result<size_t> sent = bench.kernel.net().TransmitBatch(netdev, std::move(burst));
+  ASSERT_TRUE(sent.ok());
+  EXPECT_EQ(sent.value(), 4u);
+  EXPECT_EQ(bench.ctx->ctl().pending_upcalls(), 4u);
+  EXPECT_EQ(bench.proxy->stats().xmit_dropped.load(), 2u);
+  EXPECT_EQ(netdev->stats().tx_dropped.load(), 2u);
+  EXPECT_EQ(netdev->stats().tx_packets.load(), 4u);
+  EXPECT_GT(ring_buffers, 4u);  // the jumbo frames staged several buffers each
+  EXPECT_EQ(bench.ctx->pool().outstanding(), ring_buffers);
 }
 
 TEST(EthernetProxyTest, CarrierMirrorFollowsDriverDowncalls) {
@@ -306,8 +351,7 @@ TEST_F(ProxyFaultTest, InjectedPoolExhaustionCountsTxBackpressureAndRecovers) {
   FaultInjector::Get().Arm(31);
   auto frame = kern::BuildPacket(kMacB, kMacA, 1, 2, {});
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(bench.proxy->StartXmit(kern::MakeSkb({frame.data(), frame.size()})).code(),
-              ErrorCode::kQueueFull);
+    EXPECT_FALSE(testing::ProxyXmit(*bench.proxy, {frame.data(), frame.size()}));
   }
   EXPECT_EQ(bench.proxy->stats().xmit_dropped.load(), 4u);
   EXPECT_EQ(netdev->stats().tx_no_buffer.load(), 4u);
@@ -316,7 +360,7 @@ TEST_F(ProxyFaultTest, InjectedPoolExhaustionCountsTxBackpressureAndRecovers) {
 
   // Clearing the fault restores service with no residue.
   FaultInjector::Get().Disarm();
-  ASSERT_TRUE(bench.proxy->StartXmit(kern::MakeSkb({frame.data(), frame.size()})).ok());
+  ASSERT_TRUE(testing::ProxyXmit(*bench.proxy, {frame.data(), frame.size()}));
   bench.host->Pump();
   EXPECT_EQ(bench.peer_nic.stats().rx_frames.load(), 1u);
   EXPECT_EQ(bench.ctx->pool().free_count(), bench.ctx->pool().count());
@@ -437,7 +481,6 @@ TEST(SealedDeliveryTest, HeldSkbAcrossRestartQuarantinesInsteadOfUnsealing) {
 // a counted rejection that fires no release hook.
 TEST(SealedTxTest, OutstandingGrantsQuarantineAndStaleGrantIdsAreRejected) {
   NetBench::Options options;
-  options.proxy.sealed_tx = true;
   options.mtu = static_cast<uint32_t>(kern::kJumboMtu);
   options.peer_mtu = static_cast<uint32_t>(kern::kJumboMtu);
   NetBench bench(options);
@@ -482,6 +525,29 @@ TEST(SealedTxTest, OutstandingGrantsQuarantineAndStaleGrantIdsAreRejected) {
   ASSERT_TRUE(bench.SutSendDramFragBurst(6100, 80, {payload.data(), payload.size()}, 2).ok());
   bench.host->Pump();
   EXPECT_EQ(bench.proxy->stats().tx_grant_frames.load(), frames_before + 2);
+}
+
+// Grants follow the frags, not a switch: heap-owned frags always stage
+// copies, DRAM-backed ones cross as read-only grants.
+TEST(SealedTxTest, OnlyDramBackedFragsMintGrants) {
+  NetBench::Options options;
+  options.mtu = static_cast<uint32_t>(kern::kJumboMtu);
+  options.peer_mtu = static_cast<uint32_t>(kern::kJumboMtu);
+  NetBench bench(options);
+  ASSERT_TRUE(bench.StartSut().ok());
+  std::vector<uint8_t> payload(8000, 0x3c);
+  ASSERT_TRUE(bench.SutSendFragBurst(6000, 80, {payload.data(), payload.size()}, 4).ok());
+  bench.host->Pump();
+  EXPECT_EQ(bench.peer_nic.stats().rx_frames.load(), 4u);
+  EXPECT_EQ(bench.proxy->stats().tx_grants.load(), 0u);
+  EXPECT_EQ(bench.proxy->stats().tx_grant_frames.load(), 0u);
+
+  ASSERT_TRUE(bench.SutSendDramFragBurst(6000, 80, {payload.data(), payload.size()}, 4).ok());
+  bench.host->Pump();
+  EXPECT_EQ(bench.peer_nic.stats().rx_frames.load(), 8u);
+  EXPECT_EQ(bench.proxy->stats().tx_grant_frames.load(), 4u);
+  EXPECT_GT(bench.proxy->stats().tx_grants.load(), 0u);
+  EXPECT_EQ(bench.ctx->pool().outstanding(), 0u);  // every buffer and grant came back
 }
 
 TEST(WirelessProxyTest, EnableFeaturesNeverBlocksInAtomicContext) {

@@ -309,8 +309,7 @@ TEST(Security, AsyncUpcallsToFullRingReportHungDriver) {
   auto frame = kern::BuildPacket(testing::kMacB, testing::kMacA, 1, 2, {});
   int drops = 0;
   for (int i = 0; i < 64; ++i) {
-    kern::SkbPtr skb = kern::MakeSkb(ConstByteSpan(frame.data(), frame.size()));
-    if (!bench.proxy->StartXmit(std::move(skb)).ok()) {
+    if (!testing::ProxyXmit(*bench.proxy, {frame.data(), frame.size()})) {
       ++drops;
     }
   }

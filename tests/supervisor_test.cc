@@ -67,7 +67,7 @@ TEST(Supervisor, RecoversFromHungDriver) {
   // The kernel piles up transmits until the proxy reports the driver hung.
   auto frame = kern::BuildPacket(testing::kMacB, testing::kMacA, 1, 2, {});
   for (int i = 0; i < 16; ++i) {
-    (void)bench.proxy->StartXmit(kern::MakeSkb({frame.data(), frame.size()}));
+    (void)testing::ProxyXmit(*bench.proxy, {frame.data(), frame.size()});
   }
   ASSERT_GE(bench.proxy->stats().hung_reports, 1u);
 

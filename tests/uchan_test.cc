@@ -21,6 +21,15 @@ Uchan::Config FastConfig() {
   return config;
 }
 
+// The driver side's single-message dequeue: a WaitBatch of one.
+Result<UchanMsg> WaitOne(Uchan& uchan, uint64_t timeout_ms) {
+  Result<std::vector<UchanMsg>> batch = uchan.WaitBatch(timeout_ms, 1);
+  if (!batch.ok()) {
+    return batch.status();
+  }
+  return std::move(batch.value().front());
+}
+
 TEST(Uchan, AsyncUpcallDeliveredInOrder) {
   Uchan uchan;
   for (uint32_t i = 0; i < 5; ++i) {
@@ -30,11 +39,11 @@ TEST(Uchan, AsyncUpcallDeliveredInOrder) {
   }
   EXPECT_EQ(uchan.pending_upcalls(), 5u);
   for (uint32_t i = 0; i < 5; ++i) {
-    Result<UchanMsg> msg = uchan.Wait(0);
+    Result<UchanMsg> msg = WaitOne(uchan, 0);
     ASSERT_TRUE(msg.ok());
     EXPECT_EQ(msg.value().opcode, 100 + i);
   }
-  EXPECT_EQ(uchan.Wait(0).status().code(), ErrorCode::kTimedOut);
+  EXPECT_EQ(WaitOne(uchan, 0).status().code(), ErrorCode::kTimedOut);
 }
 
 TEST(Uchan, RingFullReportsQueueFull) {
@@ -60,7 +69,7 @@ TEST(Uchan, SyncUpcallTimesOutWithoutResponder) {
 TEST(Uchan, SyncUpcallRoundTripViaPump) {
   Uchan uchan(FastConfig());
   uchan.set_user_pump([&]() {
-    Result<UchanMsg> msg = uchan.Wait(0);
+    Result<UchanMsg> msg = WaitOne(uchan, 0);
     ASSERT_TRUE(msg.ok());
     UchanMsg reply;
     reply.args[0] = msg.value().args[0] * 2;
@@ -76,7 +85,7 @@ TEST(Uchan, SyncUpcallRoundTripViaPump) {
 TEST(Uchan, SyncUpcallRoundTripViaThread) {
   Uchan uchan;
   std::thread responder([&]() {
-    Result<UchanMsg> msg = uchan.Wait(1000);
+    Result<UchanMsg> msg = WaitOne(uchan, 1000);
     if (msg.ok()) {
       UchanMsg reply;
       reply.args[0] = 99;
@@ -93,7 +102,7 @@ TEST(Uchan, PumpedDriverThatIgnoresRequestInterruptsSender) {
   Uchan uchan(FastConfig());
   uchan.set_user_pump([&]() {
     // Driver runs but deliberately does not reply (malicious).
-    (void)uchan.Wait(0);
+    (void)WaitOne(uchan, 0);
   });
   Result<UchanMsg> reply = uchan.SendSync(UchanMsg{});
   EXPECT_EQ(reply.status().code(), ErrorCode::kTimedOut);
@@ -110,7 +119,7 @@ TEST(Uchan, DowncallBatchingFlushesOnWait) {
     ASSERT_TRUE(uchan.DowncallAsync(std::move(msg)).ok());
   }
   EXPECT_TRUE(handled.empty());  // batched, not yet in the kernel
-  (void)uchan.Wait(0);           // the flush point
+  (void)WaitOne(uchan, 0);           // the flush point
   EXPECT_EQ(handled, (std::vector<uint32_t>{10, 11, 12, 13}));
   EXPECT_EQ(uchan.stats().downcall_batches, 1u);  // one kernel entry for all four
 }
@@ -160,7 +169,7 @@ TEST(Uchan, ShutdownFailsEverything) {
   uchan.Shutdown();
   EXPECT_EQ(uchan.SendAsync(UchanMsg{}).code(), ErrorCode::kUnavailable);
   EXPECT_EQ(uchan.SendSync(UchanMsg{}).status().code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(uchan.Wait(0).status().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(WaitOne(uchan, 0).status().code(), ErrorCode::kUnavailable);
   UchanMsg msg;
   EXPECT_EQ(uchan.DowncallSync(msg).code(), ErrorCode::kUnavailable);
 }
@@ -168,7 +177,7 @@ TEST(Uchan, ShutdownFailsEverything) {
 TEST(Uchan, ShutdownUnblocksSleepingDriver) {
   Uchan uchan;
   std::thread sleeper([&]() {
-    Result<UchanMsg> msg = uchan.Wait(10000);
+    Result<UchanMsg> msg = WaitOne(uchan, 10000);
     EXPECT_EQ(msg.status().code(), ErrorCode::kUnavailable);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -179,12 +188,12 @@ TEST(Uchan, ShutdownUnblocksSleepingDriver) {
 TEST(Uchan, WakeupsCountedWhenDriverIdle) {
   CpuModel cpu;
   Uchan uchan(Uchan::Config{}, &cpu);
-  (void)uchan.Wait(0);  // driver goes idle (select)
+  (void)WaitOne(uchan, 0);  // driver goes idle (select)
   ASSERT_TRUE(uchan.SendAsync(UchanMsg{}).ok());
   EXPECT_EQ(uchan.stats().wakeups, 1u);
   EXPECT_GE(cpu.busy(kAccountKernel), cpu.costs().process_wakeup);
   // While the driver is busy (just dequeued), further sends don't wake.
-  (void)uchan.Wait(0);
+  (void)WaitOne(uchan, 0);
   ASSERT_TRUE(uchan.SendAsync(UchanMsg{}).ok());
   EXPECT_EQ(uchan.stats().wakeups, 1u);
 }
@@ -264,7 +273,7 @@ TEST(UchanBatch, BatchEnqueueDequeuePreservesOrder) {
     msg.opcode = 200 + i;
     msgs.push_back(std::move(msg));
   }
-  Result<size_t> enqueued = uchan.SendAsyncBatch(std::move(msgs));
+  Result<size_t> enqueued = uchan.SendAsyncBatch(msgs);
   ASSERT_TRUE(enqueued.ok());
   EXPECT_EQ(enqueued.value(), 5u);
   EXPECT_EQ(uchan.pending_upcalls(), 5u);
@@ -292,28 +301,28 @@ TEST(UchanBatch, BatchAndSingleSendInterleaveInOrder) {
   std::vector<UchanMsg> msgs(2);
   msgs[0].opcode = 2;
   msgs[1].opcode = 3;
-  ASSERT_EQ(uchan.SendAsyncBatch(std::move(msgs)).value(), 2u);
+  ASSERT_EQ(uchan.SendAsyncBatch(msgs).value(), 2u);
   ASSERT_TRUE(uchan.SendAsync([] { UchanMsg m; m.opcode = 4; return m; }()).ok());
   for (uint32_t expected = 1; expected <= 4; ++expected) {
-    EXPECT_EQ(uchan.Wait(0).value().opcode, expected);
+    EXPECT_EQ(WaitOne(uchan, 0).value().opcode, expected);
   }
 }
 
 TEST(UchanBatch, OneWakeupPerBatchNotPerMessage) {
   CpuModel cpu;
   Uchan uchan(Uchan::Config{}, &cpu);
-  (void)uchan.Wait(0);  // driver goes idle (select)
+  (void)WaitOne(uchan, 0);  // driver goes idle (select)
   std::vector<UchanMsg> msgs(8);
-  ASSERT_EQ(uchan.SendAsyncBatch(std::move(msgs)).value(), 8u);
+  ASSERT_EQ(uchan.SendAsyncBatch(msgs).value(), 8u);
   // The whole burst woke the driver exactly once.
   EXPECT_EQ(uchan.stats().wakeups, 1u);
   EXPECT_EQ(cpu.busy(kAccountKernel),
             cpu.costs().process_wakeup + 8 * cpu.costs().uchan_msg);
   // Driver drains and goes idle again: the next batch pays one more wakeup.
   (void)uchan.WaitBatch(0, 64);
-  (void)uchan.Wait(0);
+  (void)WaitOne(uchan, 0);
   std::vector<UchanMsg> more(4);
-  ASSERT_EQ(uchan.SendAsyncBatch(std::move(more)).value(), 4u);
+  ASSERT_EQ(uchan.SendAsyncBatch(more).value(), 4u);
   EXPECT_EQ(uchan.stats().wakeups, 2u);
 }
 
@@ -324,12 +333,21 @@ TEST(UchanBatch, RingFullMidBatchDropsTailAndKeepsOrder) {
   std::vector<UchanMsg> msgs(6);
   for (uint32_t i = 0; i < 6; ++i) {
     msgs[i].opcode = 300 + i;
+    msgs[i].buffer_id = static_cast<int32_t>(i);
+    msgs[i].inline_data.assign(3, static_cast<uint8_t>(i));
   }
-  Result<size_t> enqueued = uchan.SendAsyncBatch(std::move(msgs));
+  Result<size_t> enqueued = uchan.SendAsyncBatch(msgs);
   ASSERT_TRUE(enqueued.ok());
   EXPECT_EQ(enqueued.value(), 4u);  // ring filled mid-batch
   EXPECT_EQ(uchan.stats().upcalls_dropped_full, 2u);
   EXPECT_EQ(uchan.stats().upcalls_async, 6u);
+  // The dropped tail is still whole in the caller's messages: the sender
+  // reclaims its resources (staged pool buffers) straight from them.
+  for (uint32_t i = 4; i < 6; ++i) {
+    EXPECT_EQ(msgs[i].opcode, 300 + i);
+    EXPECT_EQ(msgs[i].buffer_id, static_cast<int32_t>(i));
+    EXPECT_EQ(msgs[i].inline_data, std::vector<uint8_t>(3, static_cast<uint8_t>(i)));
+  }
   // The head of the batch survived, in order; the tail was dropped whole.
   Result<std::vector<UchanMsg>> drained = uchan.WaitBatch(0, 64);
   ASSERT_TRUE(drained.ok());
@@ -342,14 +360,14 @@ TEST(UchanBatch, RingFullMidBatchDropsTailAndKeepsOrder) {
     ASSERT_TRUE(uchan.SendAsync(UchanMsg{}).ok());
   }
   std::vector<UchanMsg> overflow(2);
-  EXPECT_EQ(uchan.SendAsyncBatch(std::move(overflow)).value(), 0u);
+  EXPECT_EQ(uchan.SendAsyncBatch(overflow).value(), 0u);
 }
 
 TEST(UchanBatch, BatchFailsAfterShutdown) {
   Uchan uchan;
   uchan.Shutdown();
   std::vector<UchanMsg> msgs(3);
-  EXPECT_EQ(uchan.SendAsyncBatch(std::move(msgs)).status().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(uchan.SendAsyncBatch(msgs).status().code(), ErrorCode::kUnavailable);
   EXPECT_EQ(uchan.WaitBatch(0, 8).status().code(), ErrorCode::kUnavailable);
 }
 
@@ -359,7 +377,7 @@ TEST(Uchan, LateReplyAfterTimeoutIsDropped) {
   Uchan uchan(FastConfig());
   UchanMsg stashed_request;
   uchan.set_user_pump([&]() {
-    Result<UchanMsg> msg = uchan.Wait(0);
+    Result<UchanMsg> msg = WaitOne(uchan, 0);
     if (msg.ok()) {
       stashed_request = msg.value();  // hold the request, do not reply
     }
@@ -374,7 +392,7 @@ TEST(Uchan, LateReplyAfterTimeoutIsDropped) {
 
   // The late reply neither leaked nor got delivered to the next sender.
   uchan.set_user_pump([&]() {
-    Result<UchanMsg> msg = uchan.Wait(0);
+    Result<UchanMsg> msg = WaitOne(uchan, 0);
     if (msg.ok()) {
       UchanMsg fresh;
       fresh.args[0] = 7;
@@ -415,7 +433,7 @@ TEST(UchanShards, MessagesNeverCrossShards) {
     for (uint32_t i = 0; i < 3; ++i) {
       EXPECT_EQ(batch.value()[i].opcode, 1000 * (q + 1) + i);
     }
-    EXPECT_EQ(shards.shard(q).Wait(0).status().code(), ErrorCode::kTimedOut);
+    EXPECT_EQ(WaitOne(shards.shard(q), 0).status().code(), ErrorCode::kTimedOut);
   }
 }
 
@@ -443,8 +461,8 @@ TEST(UchanShards, ShardsDoNotShareLocksOrWakeups) {
   CpuModel cpu;
   UchanShardSet shards(2, Uchan::Config{}, &cpu);
   // Put shard 0's driver side to sleep; shard 1 traffic must not wake it.
-  (void)shards.shard(0).Wait(0);
-  (void)shards.shard(1).Wait(0);
+  (void)WaitOne(shards.shard(0), 0);
+  (void)WaitOne(shards.shard(1), 0);
   ASSERT_TRUE(shards.shard(1).SendAsync(UchanMsg{}).ok());
   EXPECT_EQ(shards.shard(0).stats().wakeups, 0u);
   EXPECT_EQ(shards.shard(1).stats().wakeups, 1u);
@@ -454,7 +472,7 @@ TEST(UchanShards, PerShardCpuAccountingAndAggregate) {
   CpuModel cpu;
   UchanShardSet shards(3, Uchan::Config{}, &cpu);
   ASSERT_TRUE(shards.shard(1).SendAsync(UchanMsg{}).ok());
-  (void)shards.shard(1).Wait(0);
+  (void)WaitOne(shards.shard(1), 0);
   Uchan::Stats busy = shards.shard(1).stats();
   Uchan::Stats idle = shards.shard(0).stats();
   EXPECT_GT(busy.kernel_ns, 0u);
@@ -526,7 +544,7 @@ TEST_F(UchanFaultTest, InjectedRingFullOneShotSurvivesViaBoundedRetry) {
   EXPECT_EQ(stats.injected_ring_full, 1u);
   EXPECT_EQ(stats.ring_full_retries, 1u);
   EXPECT_EQ(stats.upcalls_dropped_full, 0u);
-  Result<UchanMsg> msg = uchan.Wait(0);
+  Result<UchanMsg> msg = WaitOne(uchan, 0);
   ASSERT_TRUE(msg.ok());
   EXPECT_EQ(msg.value().opcode, 9u);
 }
@@ -588,7 +606,7 @@ TEST_F(UchanFaultTest, InjectedDropIsCountedNeverSilent) {
   for (uint32_t i = 1; i <= 4; ++i) {
     ASSERT_TRUE(uchan.DowncallAsync(Droppable(i)).ok());
   }
-  (void)uchan.Wait(0);
+  (void)WaitOne(uchan, 0);
   // Messages 2 and 4 swallowed in flight — but each one counted, so a
   // conservation audit over (delivered + injected_drops) still closes.
   EXPECT_EQ(handled, (std::vector<uint32_t>{1, 3}));
@@ -624,7 +642,7 @@ TEST_P(UchanPropertyTest, FifoNoLossNoDuplication) {
         ++in_flight;
       }
     } else {
-      Result<UchanMsg> msg = uchan.Wait(0);
+      Result<UchanMsg> msg = WaitOne(uchan, 0);
       if (in_flight == 0) {
         EXPECT_FALSE(msg.ok());
       } else {
