@@ -96,10 +96,12 @@ void EtherLink::StartPeers(std::vector<PeerFlow> flows, int side, uint64_t give_
       // Progress-based deadline: the clock only runs while window-blocked
       // with no consumer movement, so a slow-but-live SUT is never abandoned.
       // The rewind clock is separate — retransmitting into a dead consumer
-      // must not postpone the give-up verdict.
+      // must not postpone the give-up verdict, so only a frame beyond the
+      // flow's high-water mark (never a resend) counts as progress.
       auto last_progress = std::chrono::steady_clock::now();
       auto last_rewind = last_progress;
       uint64_t last_acked = 0;
+      uint64_t high_water = 0;
       // `cursor` is the flow position; a go-back-N rewind moves it backwards,
       // so the budget test runs on the cursor while stats.frames keeps
       // counting every (re)transmission.
@@ -149,7 +151,10 @@ void EtherLink::StartPeers(std::vector<PeerFlow> flows, int side, uint64_t give_
           }
         }
         TransmitFromPeer(side, *gen);
-        last_progress = std::chrono::steady_clock::now();
+        if (cursor > high_water) {
+          high_water = cursor;
+          last_progress = std::chrono::steady_clock::now();
+        }
       }
     });
   }

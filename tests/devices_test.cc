@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -895,6 +896,29 @@ TEST(EtherLinkTest, StopPeersEndsGenerationEarly) {
   link.StopPeers();
   EXPECT_LE(link.peer_stats(0).frames.load(), 16u + 8u);
   EXPECT_GT(link.peer_stats(0).frames.load(), 0u);
+}
+
+// A consumer that never acks: the generator rewinds and resends its window
+// every few milliseconds, and none of those resends is progress, so it must
+// still give up once give_up_ms passes without a new frame or an ack.
+TEST(EtherLinkTest, RetransmittingGeneratorStillGivesUp) {
+  EtherLink link;
+  AtomicFrameSink sink;
+  link.Attach(0, &sink);
+  std::vector<EtherLink::PeerFlow> flows(1);
+  flows[0].frame.assign(64, 0x5e);
+  flows[0].count = 1000;
+  flows[0].window = 4;
+  flows[0].acked = []() { return uint64_t{0}; };
+  flows[0].retransmit_on_stall_ms = 5;
+  link.StartPeers(std::move(flows), /*side=*/1, /*give_up_ms=*/100);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (!link.peer_stats(0).gave_up.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  link.StopPeers();  // returns at once when the generator already gave up
+  EXPECT_TRUE(link.peer_stats(0).gave_up.load());
+  EXPECT_GT(link.peer_stats(0).rewinds.load(), 0u);  // it did retransmit first
 }
 
 }  // namespace
