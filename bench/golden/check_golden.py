@@ -5,9 +5,12 @@ Usage: check_golden.py BENCH_BINARY GOLDEN_JSON
 
 Runs BENCH_BINARY in a fresh temporary directory, reads the BENCH_<name>
 file it writes there (<name> is GOLDEN_JSON's file name) and compares every
-field of every golden row with the fresh run. The golden file leaves out
-host wall-clock fields (sim_wall_us), so those are never compared. Exits 1
-naming the first row and field that differ, or when the bench itself fails.
+field of the golden document, at any depth, with the fresh run: objects key
+by key (fields the golden file leaves out, such as the host wall-clock
+sim_wall_us, are never compared), arrays element by element and of equal
+length, everything else by value. Exits 1 naming the path of the first
+field that differs (for example rows[3].cpu_pct), or when the bench itself
+fails.
 """
 
 import json
@@ -17,9 +20,31 @@ import sys
 import tempfile
 
 
-def row_label(index, row):
-    names = [str(row[key]) for key in ("test", "driver") if key in row]
-    return f"row {index} ({', '.join(names)})"
+def first_mismatch(want, got, path):
+    """Returns (path, description) of the first difference, or None."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict):
+            return path, f"got {got!r}, golden an object"
+        for key, value in want.items():
+            child = f"{path}.{key}" if path else key
+            if key not in got:
+                return child, "missing from the fresh run"
+            found = first_mismatch(value, got[key], child)
+            if found:
+                return found
+        return None
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            length = len(got) if isinstance(got, list) else "no"
+            return path, f"got {length} elements, golden has {len(want)}"
+        for index, (w, g) in enumerate(zip(want, got)):
+            found = first_mismatch(w, g, f"{path}[{index}]")
+            if found:
+                return found
+        return None
+    if type(got) is not type(want) or got != want:
+        return path, f"got {got!r}, golden {want!r}"
+    return None
 
 
 def main(argv):
@@ -29,7 +54,7 @@ def main(argv):
     binary = os.path.abspath(argv[1])
     golden_path = os.path.abspath(argv[2])
     with open(golden_path) as f:
-        golden = json.load(f)["rows"]
+        golden = json.load(f)
     with tempfile.TemporaryDirectory() as scratch:
         run = subprocess.run([binary], cwd=scratch, stdout=subprocess.DEVNULL,
                              stderr=subprocess.PIPE, text=True)
@@ -37,17 +62,12 @@ def main(argv):
             print(f"FAIL: {binary} exited {run.returncode}\n{run.stderr}")
             return 1
         with open(os.path.join(scratch, "BENCH_" + os.path.basename(golden_path))) as f:
-            fresh = json.load(f)["rows"]
-    if len(fresh) != len(golden):
-        print(f"FAIL: {len(fresh)} rows, golden has {len(golden)}")
+            fresh = json.load(f)
+    found = first_mismatch(golden, fresh, "")
+    if found:
+        print(f"FAIL: {found[0]}: {found[1]}")
         return 1
-    for index, (want, got) in enumerate(zip(golden, fresh)):
-        for field, value in want.items():
-            if field not in got or got[field] != value:
-                print(f"FAIL: {row_label(index, want)} field {field}: "
-                      f"got {got.get(field)!r}, golden {value!r}")
-                return 1
-    print(f"{len(golden)} rows match {golden_path}")
+    print(f"every field matches {golden_path}")
     return 0
 
 
