@@ -193,7 +193,7 @@ void BM_MsiMaskVsRemap(benchmark::State& state) {
     } else {
       (void)p->TriggerInterrupt();  // second unacked interrupt masks via config
       (void)p->TriggerInterrupt();
-      (void)bench.ctx->InterruptAck();  // unmask for the next round
+      (void)bench.ctx->InterruptAck(0);  // unmask for the next round
     }
     ++operations;
   }

@@ -73,12 +73,13 @@ int main(int argc, char** argv) {
        {root + "sud/safe_pci.h", root + "sud/safe_pci.cc", root + "sud/dma_space.h",
         root + "sud/dma_space.cc", root + "sud/shared_pool.h", root + "sud/shared_pool.cc",
         root + "sud/uchan.h", root + "sud/uchan.cc", root + "sud/proto.h"},
-       2800},
+       2800,
+       2340},
       // Budget: heading for 800 lines (the paper's proxy is 300).
       {"Ethernet proxy driver",
        {root + "sud/proxy_ethernet.h", root + "sud/proxy_ethernet.cc"},
        300,
-       1033},
+       982},
       {"Wireless proxy driver",
        {root + "sud/proxy_wireless.h", root + "sud/proxy_wireless.cc"},
        600},

@@ -347,7 +347,7 @@ void FuzzLiveBoundary(Rng& rng, Tally& tally) {
 
   // --- malformed downcall storm (driver -> kernel boundary) ---
   uint64_t rx_before = netdev->stats().rx_packets.load();
-  uint64_t rejects_before = bench.proxy->wire_rejects().total();
+  uint64_t rejects_before = bench.ctx->wire_rejects().total();
   for (int round = 0; round < 5; ++round) {
     std::vector<std::pair<UchanMsg, uint16_t>> storm;
     auto forge = [&](uint16_t shard) -> UchanMsg& {
@@ -422,7 +422,7 @@ void FuzzLiveBoundary(Rng& rng, Tally& tally) {
       (void)bench.ctx->ctl(shard).DowncallSync(msg);
     }
   }
-  tally.down_rejected += bench.proxy->wire_rejects().total() - rejects_before;
+  tally.down_rejected += bench.ctx->wire_rejects().total() - rejects_before;
   tally.stack_deliveries += netdev->stats().rx_packets.load() - rx_before;
 
   // --- malformed upcall storm (kernel -> driver boundary) ---
@@ -483,7 +483,7 @@ void FuzzLiveBoundary(Rng& rng, Tally& tally) {
 
   // --- after both storms, legitimate traffic must flow untouched ---
   uint64_t all_rejects_before =
-      bench.proxy->wire_rejects().total() + bench.host->runtime()->wire_rejects().total();
+      bench.ctx->wire_rejects().total() + bench.host->runtime()->wire_rejects().total();
   rx_before = netdev->stats().rx_packets.load();
   std::vector<uint8_t> payload(200, 0x33);
   constexpr int kValidFrames = 20;
@@ -496,7 +496,7 @@ void FuzzLiveBoundary(Rng& rng, Tally& tally) {
   tally.valid_sent += kValidFrames;
   tally.valid_delivered += netdev->stats().rx_packets.load() - rx_before;
   uint64_t all_rejects_after =
-      bench.proxy->wire_rejects().total() + bench.host->runtime()->wire_rejects().total();
+      bench.ctx->wire_rejects().total() + bench.host->runtime()->wire_rejects().total();
   if (all_rejects_after != all_rejects_before) {
     uint64_t delta = all_rejects_after - all_rejects_before;
     tally.valid_rejected += delta;

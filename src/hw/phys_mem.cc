@@ -74,6 +74,7 @@ Result<uint64_t> PhysicalMemory::AllocPages(uint64_t num_pages) {
   if (num_pages == 0) {
     return Status(ErrorCode::kInvalidArgument, "zero-page allocation");
   }
+  std::lock_guard<std::mutex> lock(page_mu_);
   uint64_t run = 0;
   for (uint64_t i = 0; i < page_used_.size(); ++i) {
     run = page_used_[i] ? 0 : run + 1;
@@ -90,6 +91,7 @@ Result<uint64_t> PhysicalMemory::AllocPages(uint64_t num_pages) {
 }
 
 void PhysicalMemory::FreePages(uint64_t paddr, uint64_t num_pages) {
+  std::lock_guard<std::mutex> lock(page_mu_);
   uint64_t first = paddr / kPageSize;
   for (uint64_t j = first; j < first + num_pages && j < page_used_.size(); ++j) {
     if (page_used_[j]) {

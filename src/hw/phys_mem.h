@@ -10,6 +10,7 @@
 #define SUD_SRC_HW_PHYS_MEM_H_
 
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "src/base/bytes.h"
@@ -46,12 +47,18 @@ class PhysicalMemory {
 
   // A simple first-fit page allocator over DRAM for the harness: kernel
   // structures, DMA pools and uchan rings carve their backing store here.
+  // Thread-safe: the transmit path allocates frag pages while a pump thread
+  // reaping TX frees another frame's.
   Result<uint64_t> AllocPages(uint64_t num_pages);
   void FreePages(uint64_t paddr, uint64_t num_pages);
-  uint64_t allocated_pages() const { return allocated_pages_; }
+  uint64_t allocated_pages() const {
+    std::lock_guard<std::mutex> lock(page_mu_);
+    return allocated_pages_;
+  }
 
  private:
   std::vector<uint8_t> bytes_;
+  mutable std::mutex page_mu_;  // guards page_used_ and allocated_pages_
   std::vector<bool> page_used_;
   uint64_t allocated_pages_ = 0;
 };

@@ -11,6 +11,7 @@ Result<DmaRegion> DmaSpace::Alloc(uint64_t bytes, bool coherent) {
   if (!paddr.ok()) {
     return paddr.status();
   }
+  std::unique_lock<std::mutex> lock(iova_mu_);
   uint64_t iova = next_iova_;
   Status mapped = iommu_->Map(source_id_, iova, paddr.value(), rounded, /*readable=*/true,
                               /*writable=*/true);
@@ -19,6 +20,7 @@ Result<DmaRegion> DmaSpace::Alloc(uint64_t bytes, bool coherent) {
     return mapped;
   }
   next_iova_ += rounded;
+  lock.unlock();
   DmaRegion region{iova, paddr.value(), rounded, coherent};
   // Resolve the host window once: the steady-state HostView is then pure
   // pointer arithmetic off the cached base.
@@ -34,40 +36,38 @@ Result<DmaRegion> DmaSpace::Alloc(uint64_t bytes, bool coherent) {
   return region;
 }
 
-Result<DmaRegion> DmaSpace::MapExternal(uint64_t paddr, uint64_t bytes) {
+Result<uint64_t> DmaSpace::MapExternal(uint64_t paddr, uint64_t bytes) {
   if (bytes == 0 || !hw::IsPageAligned(paddr)) {
     return Status(ErrorCode::kInvalidArgument, "external dma grant not page aligned");
   }
   uint64_t rounded = hw::PageAlignUp(bytes);
+  std::lock_guard<std::mutex> lock(iova_mu_);
   uint64_t iova = next_iova_;
-  Status mapped = iommu_->Map(source_id_, iova, paddr, rounded, /*readable=*/true,
-                              /*writable=*/false);
-  if (!mapped.ok()) {
-    return mapped;
-  }
+  SUD_RETURN_IF_ERROR(iommu_->Map(source_id_, iova, paddr, rounded, /*readable=*/true,
+                                  /*writable=*/false));
   next_iova_ += rounded;
-  DmaRegion region{iova, paddr, rounded, /*coherent=*/false, /*external=*/true};
-  Result<ByteSpan> window = dram_->Window(region.paddr, region.bytes);
-  if (!window.ok()) {
-    (void)iommu_->Unmap(source_id_, iova, rounded);
-    return window.status();
-  }
-  region.host_base = window.value().data();
-  regions_[iova] = region;
-  mru_region_.store(nullptr, std::memory_order_release);
-  return region;
+  grants_[iova] = rounded;
+  return iova;
 }
 
 Status DmaSpace::Free(uint64_t iova) {
+  {
+    std::lock_guard<std::mutex> lock(iova_mu_);
+    auto grant = grants_.find(iova);
+    if (grant != grants_.end()) {
+      // The pages belong to the caller: unmap only.
+      (void)iommu_->Unmap(source_id_, iova, grant->second);
+      grants_.erase(grant);
+      return Status::Ok();
+    }
+  }
   auto it = regions_.find(iova);
   if (it == regions_.end()) {
     return Status(ErrorCode::kNotFound, "no dma region at iova");
   }
   const DmaRegion& region = it->second;
   (void)iommu_->Unmap(source_id_, region.iova, region.bytes);
-  if (!region.external) {
-    dram_->FreePages(region.paddr, region.bytes / hw::kPageSize);
-  }
+  dram_->FreePages(region.paddr, region.bytes / hw::kPageSize);
   regions_.erase(it);
   mru_region_.store(nullptr, std::memory_order_release);
   return Status::Ok();
@@ -113,12 +113,15 @@ Result<uint64_t> DmaSpace::IovaToPaddr(uint64_t iova) const {
 void DmaSpace::ReleaseAll() {
   for (const auto& [iova, region] : regions_) {
     (void)iommu_->Unmap(source_id_, region.iova, region.bytes);
-    if (!region.external) {
-      dram_->FreePages(region.paddr, region.bytes / hw::kPageSize);
-    }
+    dram_->FreePages(region.paddr, region.bytes / hw::kPageSize);
   }
   regions_.clear();
   mru_region_.store(nullptr, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(iova_mu_);
+  for (const auto& [iova, bytes] : grants_) {
+    (void)iommu_->Unmap(source_id_, iova, bytes);
+  }
+  grants_.clear();
 }
 
 uint64_t DmaSpace::total_bytes() const {

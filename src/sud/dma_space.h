@@ -13,6 +13,17 @@
 //
 // ReleaseAll() is the reclamation path behind "kill -9 and restart"
 // (Section 4.1): it unmaps every region from the IOMMU and returns the pages.
+//
+// TX grants (MapExternal) are device-only: a read-only IOMMU mapping of
+// kernel pages at a fresh IOVA, kept outside the region map, so HostView —
+// the driver's own mapping — never resolves them and the driver cannot
+// write a granted page.
+//
+// Locking: the region map changes only at probe and teardown (Alloc, Free of
+// a region, ReleaseAll), never against the datapath's lock-free HostView.
+// Grants come and go on the datapath — minted on the transmit path, unmapped
+// on whichever pump thread reaps the last chunk — so they live in their own
+// map under iova_mu_, which also guards the IOVA cursor both kinds draw from.
 
 #ifndef SUD_SRC_SUD_DMA_SPACE_H_
 #define SUD_SRC_SUD_DMA_SPACE_H_
@@ -20,6 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <vector>
 
 #include "src/base/status.h"
@@ -35,9 +47,6 @@ struct DmaRegion {
   uint64_t paddr = 0;
   uint64_t bytes = 0;
   bool coherent = false;
-  // External regions map DRAM the caller owns (TX grant pages): Free and
-  // ReleaseAll unmap them from the IOMMU but never return the pages.
-  bool external = false;
   // Host pointer to the region's backing DRAM window, resolved once at Alloc
   // so the per-packet HostView is pure pointer arithmetic.
   uint8_t* host_base = nullptr;
@@ -68,23 +77,24 @@ class DmaSpace {
   Result<DmaRegion> Alloc(uint64_t bytes, bool coherent);
 
   // Maps caller-owned DRAM pages (page-aligned `paddr`) into the device's IO
-  // page table READ-ONLY and returns the grant region. This is the sealed TX
+  // page table READ-ONLY and returns the grant's IOVA. This is the sealed TX
   // path: kernel frag pages become device-readable without a staging copy,
   // and read-only IS the seal — a driver-directed device write faults. The
   // pages are not owned: Free unmaps without returning them to DRAM.
-  Result<DmaRegion> MapExternal(uint64_t paddr, uint64_t bytes);
+  // Thread-safe against other grants and against HostView.
+  Result<uint64_t> MapExternal(uint64_t paddr, uint64_t bytes);
 
-  // Frees one region by IOVA (must match an Alloc or MapExternal).
+  // Frees one region or grant by IOVA (must match an Alloc or MapExternal).
   Status Free(uint64_t iova);
 
-  // The driver's view of a region's memory (host pointer into DRAM).
-  // Steady-state lookups hit a one-entry MRU region cache (packet paths call
-  // this once or more per packet); only the first touch of a region walks
-  // the region map. Thread-safe against concurrent lookups: multi-queue
-  // packet paths resolve views from one thread per queue, and the region map
-  // itself only changes at probe/teardown time (no concurrent Alloc/Free
-  // against lookups — same contract as real dma_alloc_coherent vs the
-  // datapath).
+  // The driver's view of a region's memory (host pointer into DRAM); grants
+  // are not in it. Steady-state lookups hit a one-entry MRU region cache
+  // (packet paths call this once or more per packet); only the first touch
+  // of a region walks the region map. Lock-free and thread-safe against
+  // concurrent lookups: multi-queue packet paths resolve views from one
+  // thread per queue, and the region map itself only changes at
+  // probe/teardown time (no concurrent Alloc/Free against lookups — same
+  // contract as real dma_alloc_coherent vs the datapath).
   Result<ByteSpan> HostView(uint64_t iova, uint64_t len);
 
   // Translate a driver virtual address (== IOVA) to the backing paddr.
@@ -105,8 +115,10 @@ class DmaSpace {
   hw::PhysicalMemory* dram_;
   hw::Iommu* iommu_;
   uint16_t source_id_;
-  uint64_t next_iova_;
   std::map<uint64_t, DmaRegion> regions_;  // keyed by iova
+  std::mutex iova_mu_;                     // guards next_iova_ and grants_
+  uint64_t next_iova_;
+  std::map<uint64_t, uint64_t> grants_;    // grant iova -> mapped bytes
   // MRU cache of the last region FindRegion resolved (the region carries its
   // own host base); invalidated on Free/ReleaseAll. An atomic pointer rather
   // than a plain one: per-queue pump threads race on it, and a stale or torn

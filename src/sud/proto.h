@@ -8,11 +8,27 @@
 #ifndef SUD_SRC_SUD_PROTO_H_
 #define SUD_SRC_SUD_PROTO_H_
 
+#include <cstddef>
 #include <cstdint>
 
-#include "src/sud/safe_pci.h"
-
 namespace sud {
+
+// ---- Generic (SUD core) messages ---------------------------------------------
+// Upcall opcodes issued by the SUD core itself (proxy drivers define their
+// own ranges above kOpDeviceClassBase).
+inline constexpr uint32_t kOpInterrupt = 1;  // Figure 7: "interrupt"; args[0]: queue
+inline constexpr uint32_t kOpDeviceClassBase = 0x100;
+
+// Downcall opcodes (Figure 7 samples). SudDeviceContext serves the first two
+// for every device class.
+inline constexpr uint32_t kOpInterruptAck = 1;      // "interrupt_ack"; args[0]: queue
+inline constexpr uint32_t kOpRequestRegion = 2;     // "request_region"
+inline constexpr uint32_t kOpPciFindCapability = 3; // "pci_find_capability"
+inline constexpr uint32_t kOpDownDeviceClassBase = 0x100;
+
+// Upper bound on uchan shards / MSI messages per exported device (the PCI
+// multiple-message ceiling is 32; 8 matches the device models).
+inline constexpr uint32_t kSudMaxQueues = 8;
 
 // ---- Ethernet class ---------------------------------------------------------
 // Queue discipline: with a sharded uchan (one ring pair per NIC queue),

@@ -8,8 +8,9 @@ namespace sud {
 
 AudioProxy::AudioProxy(kern::Kernel* kernel, SudDeviceContext* ctx)
     : kernel_(kernel), ctx_(ctx) {
-  ctx_->set_downcall_handler(
-      [this](UchanMsg& msg, uint16_t shard) { HandleDowncall(msg, shard); });
+  ctx_->set_downcall_handler([this](UchanMsg& msg, uint16_t /*shard*/, wire::Malform verdict) {
+    HandleDowncall(msg, verdict);
+  });
 }
 
 Status AudioProxy::OpenStream(const kern::PcmConfig& config) {
@@ -70,29 +71,18 @@ Status AudioProxy::WriteSamples(ConstByteSpan samples) {
   return Status::Ok();
 }
 
-void AudioProxy::HandleDowncall(UchanMsg& msg, uint16_t shard) {
-  // Schema-certify the shape before any handler parses a byte. Malformed
-  // free-buffer batches are still tolerated: the ids the payload actually
-  // carries are real completions, salvaged exactly like the ethernet proxy.
-  wire::Malform verdict = wire::ValidateStructure(wire::Dir::kDown, msg, shard);
+void AudioProxy::HandleDowncall(UchanMsg& msg, wire::Malform verdict) {
   if (verdict != wire::Malform::kNone) {
-    wire_rejects_.Count(wire::Dir::kDown, msg.opcode);
-    if (verdict != wire::Malform::kUnknownOpcode && msg.opcode == kEthDownFreeBuffer) {
-      SUD_LOG(kAttack) << "audio proxy: malformed free-buffer batch, salvaging payload ids";
+    // Refused and counted by the context. Malformed free-buffer batches are
+    // still tolerated: the ids the payload actually carries are real
+    // completions, salvaged exactly like the ethernet proxy.
+    if (msg.opcode == kEthDownFreeBuffer) {
       size_t salvage = wire::FreeBufferPayloadCount(msg);
       for (size_t i = 0; i < salvage; ++i) {
         ctx_->pool().Free(wire::DecodeFreeBufferId(msg, i));
       }
       msg.error = 0;
-      return;
     }
-    if (verdict == wire::Malform::kUnknownOpcode) {
-      SUD_LOG(kWarning) << "audio proxy: unknown downcall opcode " << msg.opcode;
-    } else {
-      SUD_LOG(kAttack) << "audio proxy: malformed downcall " << msg.opcode << " rejected ("
-                       << wire::MalformName(verdict) << ")";
-    }
-    msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
     return;
   }
   switch (msg.opcode) {
@@ -126,9 +116,6 @@ void AudioProxy::HandleDowncall(UchanMsg& msg, uint16_t shard) {
       msg.error = 0;
       return;
     }
-    case kOpInterruptAck:
-      msg.error = static_cast<int32_t>(ctx_->InterruptAck().code());
-      return;
     default:
       SUD_LOG(kWarning) << "audio proxy: unknown downcall opcode " << msg.opcode;
       msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);

@@ -35,17 +35,13 @@ class AudioProxy : public kern::PcmOps {
   };
   const Stats& stats() const { return stats_; }
 
-  // Structural (wire-schema) rejections at the downcall boundary, per message.
-  const wire::RejectStats& wire_rejects() const { return wire_rejects_; }
-
  private:
-  void HandleDowncall(UchanMsg& msg, uint16_t shard);
+  void HandleDowncall(UchanMsg& msg, wire::Malform verdict);
 
   kern::Kernel* kernel_;
   SudDeviceContext* ctx_;
   kern::PcmDevice* pcm_ = nullptr;
   Stats stats_;
-  wire::RejectStats wire_rejects_;
 };
 
 }  // namespace sud

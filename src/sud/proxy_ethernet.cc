@@ -43,8 +43,9 @@ struct TxGrantGroup {
 
 EthernetProxy::EthernetProxy(kern::Kernel* kernel, SudDeviceContext* ctx, Options options)
     : kernel_(kernel), ctx_(ctx), options_(options) {
-  ctx_->set_downcall_handler(
-      [this](UchanMsg& msg, uint16_t shard) { HandleDowncall(msg, shard); });
+  ctx_->set_downcall_handler([this](UchanMsg& msg, uint16_t shard, wire::Malform verdict) {
+    HandleDowncall(msg, shard, verdict);
+  });
   ctx_->set_downcall_flush_handler([this](uint16_t shard) { DeliverRxBundle(shard); });
 }
 
@@ -142,10 +143,9 @@ Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t
       lo = std::min(lo, hw::PageAlignDown(paddr));
       hi = std::max(hi, hw::PageAlignUp(paddr + skb.tx_frag(i).size()));
     }
-    Result<DmaRegion> region = ctx_->dma().MapExternal(lo, hi - lo);
-    if (region.ok()) {
-      group = std::make_shared<TxGrantGroup>(ctx_, region.value().iova,
-                                             ctx_->bind_generation());
+    Result<uint64_t> region_iova = ctx_->dma().MapExternal(lo, hi - lo);
+    if (region_iova.ok()) {
+      group = std::make_shared<TxGrantGroup>(ctx_, region_iova.value(), ctx_->bind_generation());
       grant_lo = lo;
     } else {
       stats_.tx_grant_fallbacks.fetch_add(1, std::memory_order_relaxed);
@@ -326,13 +326,10 @@ void EthernetProxy::OnDriverRestart() {
   }
 }
 
-void EthernetProxy::HandleDowncall(UchanMsg& msg, uint16_t shard) {
-  // Schema-certify the shape (opcode known, control lane on shard 0, args in
-  // their static bounds, payload well-formed, MAC exactly six bytes) before
-  // any handler parses a byte. Semantic checks — DMA-space lookups, the
-  // interface's declared MTU, queue-count clamps — stay in the handlers
-  // below, with their historical counters.
-  wire::Malform verdict = wire::ValidateStructure(wire::Dir::kDown, msg, shard);
+void EthernetProxy::HandleDowncall(UchanMsg& msg, uint16_t shard, wire::Malform verdict) {
+  // The context certified the shape (or refused it, counted). Semantic
+  // checks — DMA-space lookups, the interface's declared MTU, queue-count
+  // clamps — stay in the handlers below, with their historical counters.
   if (verdict != wire::Malform::kNone) {
     RejectDowncall(msg, shard, verdict);
     return;
@@ -400,14 +397,6 @@ void EthernetProxy::HandleDowncall(UchanMsg& msg, uint16_t shard) {
     case kEthDownFreeBuffer:
       HandleFreeBuffer(msg);
       return;
-    case kOpInterruptAck:
-      // The ack is for the queue whose shard carried it — not for a queue
-      // index the driver could lie about.
-      msg.error = static_cast<int32_t>(ctx_->InterruptAck(shard).code());
-      return;
-    case kOpRequestRegion:
-      msg.error = static_cast<int32_t>(ctx_->RequestIoRegion().code());
-      return;
     default:
       SUD_LOG(kWarning) << "ethernet proxy: unknown downcall opcode " << msg.opcode;
       msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
@@ -454,12 +443,6 @@ void EthernetProxy::RejectNetifRx(UchanMsg& msg, const char* why) {
 }
 
 void EthernetProxy::RejectDowncall(UchanMsg& msg, uint16_t shard, wire::Malform verdict) {
-  wire_rejects_.Count(wire::Dir::kDown, msg.opcode);
-  if (verdict == wire::Malform::kUnknownOpcode) {
-    SUD_LOG(kWarning) << "ethernet proxy: unknown downcall opcode " << msg.opcode;
-    msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
-    return;
-  }
   switch (msg.opcode) {
     case kEthDownNetifRx:
       // A structurally malformed delivery leaves the same books behind as a
@@ -489,10 +472,7 @@ void EthernetProxy::RejectDowncall(UchanMsg& msg, uint16_t shard, wire::Malform 
       return;
     }
     default:
-      SUD_LOG(kAttack) << "ethernet proxy: malformed downcall " << msg.opcode << " rejected ("
-                       << wire::MalformName(verdict) << ")";
-      msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
-      return;
+      return;  // refused by the context
   }
 }
 
@@ -536,8 +516,8 @@ void EthernetProxy::HandleNetifRx(UchanMsg& msg, uint16_t shard) {
   if (count > 1) {
     // An EOP-chained frame: validate every tail fragment, then guard-copy
     // fragment by fragment into ONE private skb before any verdict (chains
-    // always guard-copy; sealing and the vulnerable ablation model the
-    // one-descriptor path only). The checksum runs over the assembled copy.
+    // always guard-copy; sealing models the one-descriptor path only). The
+    // checksum runs over the assembled copy.
     std::array<ByteSpan, kern::kMaxChainFrags> views;
     views[0] = head.value();
     for (size_t i = 1; i < count; ++i) {
@@ -570,59 +550,28 @@ void EthernetProxy::HandleNetifRx(UchanMsg& msg, uint16_t shard) {
     return;
   }
   ByteSpan shared = head.value();
-  bool force_guard = false;
+  msg.error = 0;  // rejection by firewall/checksum is not a downcall failure
   if (options_.sealed_delivery) {
     if (TrySealedDeliver(iova, shared, shard)) {
-      msg.error = 0;  // rejection by checksum is not a downcall failure
       return;
     }
     // The seal did not happen (unaligned buffer, injected or genuine
-    // failure): degrade to the guard copy — counted, and FORCED even in the
-    // vulnerable ablation, so a failed seal never turns into an unverified
-    // shared-byte delivery.
+    // failure): degrade to the guard copy — counted, so a "zero-copy"
+    // configuration silently copying is visible.
     stats_.sealed_fallback_copies.fetch_add(1, std::memory_order_relaxed);
-    force_guard = true;
   }
-  if (options_.guard_copy || force_guard) {
-    // Safe ordering: copy out of shared memory *first*, then let the stack
-    // filter the private copy. On the simulator's own clock too the copy and
-    // the checksum are one traversal (AssignAndVerifyChecksum), and the
-    // stack skips its (redundant) checksum pass for skbs the proxy already
-    // verified.
-    auto skb = std::make_unique<kern::Skb>();
-    bool checksum_ok = skb->AssignAndVerifyChecksum(ConstByteSpan(shared.data(), shared.size()));
-    charge_guard_copy(shared.size());
-    if (toctou_hook_) {
-      // Attacker rewrites the shared buffer now — too late, we own a copy.
-      toctou_hook_(shared);
-    }
-    FinishRxSkb(std::move(skb), checksum_ok, shared.size(), shard);
-    msg.error = 0;  // rejection by firewall/checksum is not a downcall failure
-    return;
-  }
-  // VULNERABLE ordering (ablation/attack demonstration): verdict computed
-  // over live shared memory, then the attacker flips it, then we copy.
-  kern::PacketView pre_view{ConstByteSpan(shared.data(), shared.size())};
-  cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_checksum, shared.size());
-  if (!pre_view.valid() || !pre_view.ChecksumOk() ||
-      !kernel_->net().firewall().Accept(pre_view)) {
-    netdev_->stats().rx_dropped++;
-    msg.error = 0;  // packet dropped; not a driver error
-    return;
-  }
+  // Copy out of shared memory *first*, then let the stack filter the
+  // private copy. On the simulator's own clock too the copy and the checksum
+  // are one traversal (AssignAndVerifyChecksum), and the stack skips its
+  // (redundant) checksum pass for skbs the proxy already verified.
+  auto skb = std::make_unique<kern::Skb>();
+  bool checksum_ok = skb->AssignAndVerifyChecksum(ConstByteSpan(shared.data(), shared.size()));
+  charge_guard_copy(shared.size());
   if (toctou_hook_) {
-    toctou_hook_(shared);  // attacker wins the race
+    // Attacker rewrites the shared buffer now — too late, we own a copy.
+    toctou_hook_(shared);
   }
-  kern::SkbPtr skb = kern::MakeSkb(ConstByteSpan(shared.data(), shared.size()));
-  cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_copy, shared.size());
-  // Deliver directly, bypassing the second check (that is the bug this
-  // configuration demonstrates).
-  skb->checksum_verified = true;
-  netdev_->stats().rx_packets++;
-  if (netdev_->rx_sink()) {
-    netdev_->rx_sink()(*skb);
-  }
-  msg.error = 0;
+  FinishRxSkb(std::move(skb), checksum_ok, shared.size(), shard);
 }
 
 bool EthernetProxy::TrySealedDeliver(uint64_t iova, ByteSpan shared, uint16_t shard) {

@@ -41,10 +41,16 @@
 // queues or corrupt another queue's bundle. Per-queue state is only ever
 // touched from its own shard's pump thread; shared counters are atomics.
 //
-// The Options knobs exist for the ablation benches: zero_copy off models a
-// copying transmit path; guard_copy off reproduces the vulnerable
-// check-then-copy ordering the TOCTOU attack exploits; fused guard off
-// charges a separate copy pass instead of piggybacking on the checksum.
+// Downcalls reach the proxy through SudDeviceContext, which schema-checks
+// each one, serves interrupt_ack and request_region, and hands the rest over
+// with its verdict.
+//
+// The Options knobs exist for the ablation benches and the sealed rows of
+// fig8: zero_copy off models a copying transmit path; fused guard off
+// charges a separate copy pass instead of piggybacking on the checksum;
+// sealed_delivery swaps the guard copy for an IOMMU write seal. The guard
+// copy itself is not optional: the check-then-copy ordering the TOCTOU
+// attack exploits is not modeled.
 
 #ifndef SUD_SRC_SUD_PROXY_ETHERNET_H_
 #define SUD_SRC_SUD_PROXY_ETHERNET_H_
@@ -69,7 +75,6 @@ class EthernetProxy : public kern::NetDeviceOps {
  public:
   struct Options {
     bool zero_copy = true;
-    bool guard_copy = true;
     bool fuse_guard_with_checksum = true;
     // Sealed zero-copy verified delivery (the revocation alternative the
     // paper priced out of reach, Section 3.1.2): on netif_rx the proxy
@@ -149,14 +154,10 @@ class EthernetProxy : public kern::NetDeviceOps {
   };
   const Stats& stats() const { return stats_; }
 
-  // Structural (wire-schema) rejections at the downcall boundary, per
-  // message. rx_malformed above covers structural AND semantic rejects.
-  const wire::RejectStats& wire_rejects() const { return wire_rejects_; }
-
   // Test seam modelling a perfectly-timed concurrent attacker: invoked (when
-  // set) at the moment between the firewall pre-check and the delivery copy
-  // in the *vulnerable* (guard_copy=false) configuration, and after the
-  // guard copy in the safe configuration — where it is harmless.
+  // set) after the guard copy, where its rewrite of the shared buffer is
+  // harmless, and inside the sealed-delivery verdict window, where it hits
+  // the seal.
   using ToctouHook = std::function<void(ByteSpan shared_buffer)>;
   void set_toctou_hook(ToctouHook hook) { toctou_hook_ = std::move(hook); }
 
@@ -174,11 +175,11 @@ class EthernetProxy : public kern::NetDeviceOps {
   }
 
  private:
-  void HandleDowncall(UchanMsg& msg, uint16_t shard);
-  // Structural rejection: counts the message in wire_rejects_ and applies the
-  // per-opcode disposition (netif_rx rejects keep the dedup/prologue books
-  // of a semantic reject; malformed free batches are tolerated and their
-  // payload ids salvaged; everything else is refused with kInvalidArgument).
+  void HandleDowncall(UchanMsg& msg, uint16_t shard, wire::Malform verdict);
+  // A message the context refused on its shape (counted there): netif_rx
+  // rejects keep the dedup/prologue books of a semantic reject; malformed
+  // free batches are tolerated and their payload ids salvaged; everything
+  // else stays refused.
   void RejectDowncall(UchanMsg& msg, uint16_t shard, wire::Malform verdict);
   // Head of every netif_rx delivery — dedup against the shard's seq
   // watermark, the downcall counter, the netdev-liveness check — run for
@@ -189,8 +190,8 @@ class EthernetProxy : public kern::NetDeviceOps {
   void RejectNetifRx(UchanMsg& msg, const char* why);
   // netif_rx: re-validates the fragment list (addresses, interface total),
   // then delivers. A one-fragment frame is sealed or guard-copied with the
-  // fused checksum (or, in the vulnerable ablation, checked then copied); a
-  // longer one is guard-copied fragment by fragment into ONE private skb.
+  // fused checksum; a longer one is guard-copied fragment by fragment into
+  // ONE private skb.
   void HandleNetifRx(UchanMsg& msg, uint16_t shard);
   // The sealed zero-copy delivery attempt: write-seal the buffer's pages,
   // verify the checksum in place, hand the stack an extern skb whose death
@@ -237,7 +238,6 @@ class EthernetProxy : public kern::NetDeviceOps {
   bool driver_sg_ = false;
   std::atomic<uint32_t> consecutive_full_{0};
   Stats stats_;
-  wire::RejectStats wire_rejects_;
   ToctouHook toctou_hook_;
   // One sealed RX page: how many live extern skbs reference it, and the bind
   // generation it was sealed under. Refcounted because a malicious driver

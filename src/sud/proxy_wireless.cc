@@ -8,8 +8,11 @@ namespace sud {
 
 WirelessProxy::WirelessProxy(kern::Kernel* kernel, SudDeviceContext* ctx)
     : kernel_(kernel), ctx_(ctx) {
-  ctx_->set_downcall_handler(
-      [this](UchanMsg& msg, uint16_t shard) { HandleDowncall(msg, shard); });
+  ctx_->set_downcall_handler([this](UchanMsg& msg, uint16_t /*shard*/, wire::Malform verdict) {
+    if (verdict == wire::Malform::kNone) {
+      HandleDowncall(msg);  // a refused shape stays refused: nothing to salvage
+    }
+  });
 }
 
 uint32_t WirelessProxy::EnableFeatures(uint32_t requested) {
@@ -77,21 +80,9 @@ Status WirelessProxy::Associate(const std::string& ssid) {
   return Status::Ok();
 }
 
-void WirelessProxy::HandleDowncall(UchanMsg& msg, uint16_t shard) {
-  // Schema-certify the shape before any handler parses a byte (the wireless
-  // lanes are all control traffic: anything off shard 0 is malformed).
-  wire::Malform verdict = wire::ValidateStructure(wire::Dir::kDown, msg, shard);
-  if (verdict != wire::Malform::kNone) {
-    wire_rejects_.Count(wire::Dir::kDown, msg.opcode);
-    if (verdict == wire::Malform::kUnknownOpcode) {
-      SUD_LOG(kWarning) << "wireless proxy: unknown downcall opcode " << msg.opcode;
-    } else {
-      SUD_LOG(kAttack) << "wireless proxy: malformed downcall " << msg.opcode << " rejected ("
-                       << wire::MalformName(verdict) << ")";
-    }
-    msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
-    return;
-  }
+void WirelessProxy::HandleDowncall(UchanMsg& msg) {
+  // Schema-certified by the context (the wireless lanes are all control
+  // traffic: anything off shard 0 was refused there).
   switch (msg.opcode) {
     case kWifiDownRegister: {
       mirrored_supported_features_ = static_cast<uint32_t>(msg.args[0]);
@@ -124,9 +115,6 @@ void WirelessProxy::HandleDowncall(UchanMsg& msg, uint16_t shard) {
       msg.error = 0;
       return;
     }
-    case kOpInterruptAck:
-      msg.error = static_cast<int32_t>(ctx_->InterruptAck().code());
-      return;
     default:
       SUD_LOG(kWarning) << "wireless proxy: unknown downcall opcode " << msg.opcode;
       msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);

@@ -40,12 +40,12 @@ class WirelessProxy : public kern::WirelessOps {
   };
   const Stats& stats() const { return stats_; }
 
-  // Structural (wire-schema) rejections at this boundary — downcall shapes
-  // and malformed scan-reply payloads both count here, per message.
+  // Malformed scan-reply payloads, counted per message (downcall shapes are
+  // counted by the device context, ctx->wire_rejects()).
   const wire::RejectStats& wire_rejects() const { return wire_rejects_; }
 
  private:
-  void HandleDowncall(UchanMsg& msg, uint16_t shard);
+  void HandleDowncall(UchanMsg& msg);
 
   kern::Kernel* kernel_;
   SudDeviceContext* ctx_;

@@ -15,22 +15,45 @@ SudDeviceContext::SudDeviceContext(kern::Kernel* kernel, hw::PciDevice* device,
 
 SudDeviceContext::~SudDeviceContext() { Teardown(); }
 
-void SudDeviceContext::set_downcall_handler(QueuedDowncallHandler handler) {
-  downcall_handler_ = std::move(handler);
-  if (shards_ != nullptr) {
-    shards_->set_downcall_handler(downcall_handler_);
-  }
-}
-
-void SudDeviceContext::set_downcall_flush_handler(QueuedFlushHandler handler) {
-  downcall_flush_handler_ = std::move(handler);
-  if (shards_ != nullptr) {
-    shards_->set_downcall_flush_handler(downcall_flush_handler_);
-  }
-}
-
 Uchan::Stats SudDeviceContext::AggregateCtlStats() const {
-  return shards_ != nullptr ? shards_->AggregateStats() : Uchan::Stats{};
+  Uchan::Stats total;
+  for (const auto& shard : shards_) {
+    total += shard->stats();
+  }
+  return total;
+}
+
+void SudDeviceContext::Downcall(UchanMsg& msg, uint16_t shard) {
+  // The one structural check at this boundary (the ownership check at handle
+  // entry): opcode known, control lane on shard 0, args in their static
+  // bounds, payload well-formed — before anything parses a byte. Semantic
+  // checks (DMA-space lookups, the interface's declared MTU, queue-count
+  // clamps) stay with the state they check, in the proxies.
+  wire::Malform verdict = wire::ValidateStructure(wire::Dir::kDown, msg, shard);
+  if (verdict != wire::Malform::kNone) {
+    wire_rejects_.Count(wire::Dir::kDown, msg.opcode);
+    SUD_LOG(kAttack) << device_->name() << ": malformed downcall " << msg.opcode
+                     << " rejected (" << wire::MalformName(verdict) << ")";
+    msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
+  } else if (msg.opcode == kOpInterruptAck) {
+    // The ack is for the queue whose shard carried it — not for a queue
+    // index the driver could lie about.
+    msg.error = static_cast<int32_t>(InterruptAck(shard).code());
+    return;
+  } else if (msg.opcode == kOpRequestRegion) {
+    msg.error = static_cast<int32_t>(RequestIoRegion().code());
+    return;
+  }
+  if (verdict == wire::Malform::kUnknownOpcode || msg.opcode < kOpDownDeviceClassBase) {
+    // Unknown, malformed generic, or a generic call this model does not serve.
+    msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
+    return;
+  }
+  if (!downcall_handler_) {
+    msg.error = static_cast<int32_t>(ErrorCode::kUnavailable);
+    return;
+  }
+  downcall_handler_(msg, shard, verdict);
 }
 
 Status SudDeviceContext::Bind(kern::Process* proc) {
@@ -84,14 +107,19 @@ Status SudDeviceContext::Bind(kern::Process* proc) {
   }
 
   // The sharded ctl file: one ring pair per queue, each with its own lock
-  // and wakeup path. Shard 0 carries control traffic alongside queue 0.
-  shards_ = std::make_unique<UchanShardSet>(num_queues_, options_.uchan, &machine.cpu());
-  if (downcall_handler_) {
-    shards_->set_downcall_handler(downcall_handler_);
+  // and wakeup path. Shard 0 carries control traffic alongside queue 0. Each
+  // shard's handlers pin its index: two words, no heap copy per downcall.
+  std::vector<std::unique_ptr<Uchan>> shards;
+  for (uint16_t q = 0; q < num_queues_; ++q) {
+    shards.push_back(std::make_unique<Uchan>(options_.uchan, &machine.cpu()));
+    shards[q]->set_downcall_handler([this, q](UchanMsg& msg) { Downcall(msg, q); });
+    shards[q]->set_downcall_flush_handler([this, q] {
+      if (downcall_flush_handler_) {
+        downcall_flush_handler_(q);
+      }
+    });
   }
-  if (downcall_flush_handler_) {
-    shards_->set_downcall_flush_handler(downcall_flush_handler_);
-  }
+  shards_ = std::move(shards);
   dma_ = std::make_unique<DmaSpace>(&machine.dram(), &machine.iommu(), source_id());
   // Each bind is a new pool epoch: handles issued to the previous (dead)
   // driver instance fail validation everywhere in the fresh one.
@@ -323,7 +351,7 @@ void SudDeviceContext::OnDeviceInterrupt(uint16_t queue, uint16_t msi_source_id)
   UchanMsg msg;
   msg.opcode = kOpInterrupt;
   msg.args[0] = queue;
-  Status status = shards_->shard(queue).SendAsync(std::move(msg));
+  Status status = shards_[queue]->SendAsync(std::move(msg));
   if (!status.ok()) {
     // Ring full even after the channel's bounded retry: treat like an
     // unacknowledged interrupt — mask. The upcall was never delivered, so
@@ -403,7 +431,7 @@ Status SudDeviceContext::InterruptAck(uint16_t queue) {
     UchanMsg msg;
     msg.opcode = kOpInterrupt;
     msg.args[0] = q;
-    if (!shards_->shard(q).SendAsync(std::move(msg)).ok()) {
+    if (!shards_[q]->SendAsync(std::move(msg)).ok()) {
       // Shard ring full: keep the pend; the next ack on any queue retries.
       irq_in_flight_[q] = false;
       irq_pended_[q] = true;
@@ -418,8 +446,8 @@ void SudDeviceContext::Teardown() {
     return;
   }
   hw::Machine& machine = kernel_->machine();
-  if (shards_ != nullptr) {
-    shards_->ShutdownAll();
+  for (auto& shard : shards_) {
+    shard->Shutdown();
   }
   if (process_ != nullptr) {
     process_->RevokeIoPorts(granted_io_base_, granted_io_count_);

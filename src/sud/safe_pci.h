@@ -32,9 +32,17 @@
 // additionally carries control traffic. Each shard has its own lock, so
 // per-queue driver threads and the kernel's per-queue transmit paths never
 // contend on a shared channel — the scaling the ROADMAP's multi-queue item
-// asks for. Kernel-side dispatch receives the *shard index* a downcall
-// arrived on out-of-band, so a malicious driver cannot cross-talk queues by
-// lying in a marshalled field.
+// asks for. There is deliberately no cross-shard ordering, as on real
+// multi-queue NICs, where ordering is only ever per flow.
+//
+// The context owns the shards and is the one downcall boundary: Bind
+// installs its own handler on every shard, which learns the shard index a
+// downcall arrived on from the channel itself, so a malicious driver cannot
+// cross-talk queues by lying in a marshalled field. Every downcall is
+// schema-checked once there (wire::ValidateStructure, rejections counted in
+// wire_rejects()); the context serves the generic interrupt_ack and
+// request_region itself and forwards device-class messages, with the verdict,
+// to the proxy's handler.
 //
 // Teardown() reclaims everything (uchans, IOMMU context, DMA pages, IOPB
 // grants, the MSI vectors), which is what makes `kill -9` + restart safe
@@ -57,25 +65,12 @@
 #include "src/hw/machine.h"
 #include "src/kern/kernel.h"
 #include "src/sud/dma_space.h"
+#include "src/sud/proto.h"
 #include "src/sud/shared_pool.h"
 #include "src/sud/uchan.h"
+#include "src/sud/wire_schema.h"
 
 namespace sud {
-
-// Generic upcall opcodes issued by the SUD core itself (proxy drivers define
-// their own ranges above kOpDeviceClassBase).
-inline constexpr uint32_t kOpInterrupt = 1;  // Figure 7: "interrupt"; args[0]: queue
-inline constexpr uint32_t kOpDeviceClassBase = 0x100;
-
-// Generic downcall opcodes (Figure 7 samples).
-inline constexpr uint32_t kOpInterruptAck = 1;      // "interrupt_ack"; args[0]: queue
-inline constexpr uint32_t kOpRequestRegion = 2;     // "request_region"
-inline constexpr uint32_t kOpPciFindCapability = 3; // "pci_find_capability"
-inline constexpr uint32_t kOpDownDeviceClassBase = 0x100;
-
-// Upper bound on uchan shards / MSI messages per exported device (the PCI
-// multiple-message ceiling is 32; 8 matches the device models).
-inline constexpr uint32_t kSudMaxQueues = 8;
 
 class SafePciModule;
 
@@ -111,21 +106,28 @@ class SudDeviceContext {
   bool bound() const { return bound_; }
   kern::Process* bound_process() { return process_; }
 
-  // Installs the kernel-side downcall handler (the proxy driver's dispatch
-  // function); it receives the shard the downcall arrived on. Survives
-  // rebinds: each fresh uchan set created by Bind gets it.
-  using QueuedDowncallHandler = std::function<void(UchanMsg&, uint16_t queue)>;
-  void set_downcall_handler(QueuedDowncallHandler handler);
+  // The proxy driver's dispatch for device-class downcalls: the message, the
+  // shard it arrived on and the structural verdict (a rejected message
+  // already carries kInvalidArgument; a proxy may salvage from it). Set it
+  // before the driver binds; it survives rebinds.
+  using DowncallHandler =
+      std::function<void(UchanMsg&, uint16_t shard, wire::Malform verdict)>;
+  void set_downcall_handler(DowncallHandler handler) { downcall_handler_ = std::move(handler); }
 
   // End-of-kernel-entry hook per shard (the proxy's NAPI rx-bundle delivery
-  // point). Survives rebinds like the downcall handler.
-  using QueuedFlushHandler = std::function<void(uint16_t queue)>;
-  void set_downcall_flush_handler(QueuedFlushHandler handler);
+  // point). Set and kept like the downcall handler.
+  using FlushHandler = std::function<void(uint16_t shard)>;
+  void set_downcall_flush_handler(FlushHandler handler) {
+    downcall_flush_handler_ = std::move(handler);
+  }
+
+  // Structural (wire-schema) rejections at this boundary, per message.
+  const wire::RejectStats& wire_rejects() const { return wire_rejects_; }
 
   // --- the four device files -------------------------------------------------
   // ctl: shard 0 (control + queue 0); ctl(q): queue q's ring pair.
-  Uchan& ctl() { return shards_->shard(0); }
-  Uchan& ctl(uint16_t queue) { return shards_->shard(queue); }
+  Uchan& ctl() { return *shards_[0]; }
+  Uchan& ctl(uint16_t queue) { return *shards_[queue]; }
   // Sums every shard's counters (the single-lane view of the channel).
   Uchan::Stats AggregateCtlStats() const;
   DmaSpace& dma() { return *dma_; }
@@ -148,7 +150,6 @@ class SudDeviceContext {
   // --- interrupt path ---------------------------------------------------------
   // interrupt_ack downcall target: driver finished handling queue `queue`'s
   // interrupt; unmask and deliver anything that pended.
-  Status InterruptAck() { return InterruptAck(0); }
   Status InterruptAck(uint16_t queue);
 
   struct InterruptStats {
@@ -180,6 +181,9 @@ class SudDeviceContext {
   void Teardown();
 
  private:
+  // The handler Bind installs on every shard: the one structural check,
+  // then the generic opcodes here and device-class ones to the proxy.
+  void Downcall(UchanMsg& msg, uint16_t shard);
   void OnDeviceInterrupt(uint16_t queue, uint16_t source_id);
   void EscalateStorm();
   bool ConfigWriteAllowed(uint16_t offset, int width, uint32_t value, std::string* why) const;
@@ -198,11 +202,12 @@ class SudDeviceContext {
   std::atomic<uint32_t> bind_generation_{0};
   std::atomic<uint64_t> quarantined_buffers_{0};
 
-  std::unique_ptr<UchanShardSet> shards_;  // one uchan ring pair per queue
+  std::vector<std::unique_ptr<Uchan>> shards_;  // one uchan ring pair per queue
   std::unique_ptr<DmaSpace> dma_;
   std::unique_ptr<SharedBufferPool> pool_;
-  QueuedDowncallHandler downcall_handler_;
-  QueuedFlushHandler downcall_flush_handler_;
+  DowncallHandler downcall_handler_;
+  FlushHandler downcall_flush_handler_;
+  wire::RejectStats wire_rejects_;
 
   uint8_t vector_base_ = 0;
   // Serializes interrupt bookkeeping (in-flight flags, MSI mask flips, storm

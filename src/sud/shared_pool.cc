@@ -19,41 +19,42 @@ Status SharedBufferPool::Init() {
   if (initialized_) {
     return Status(ErrorCode::kAlreadyExists, "pool already initialized");
   }
-  Result<DmaRegion> region =
-      dma_->Alloc(static_cast<uint64_t>(count_) * buffer_bytes_, /*coherent=*/false);
+  uint64_t bytes = static_cast<uint64_t>(count_) * buffer_bytes_;
+  Result<DmaRegion> region = dma_->Alloc(bytes, /*coherent=*/false);
   if (!region.ok()) {
     return region.status();
   }
-  region_ = region.value();
-  Result<ByteSpan> window =
-      dma_->HostView(region_.iova, static_cast<uint64_t>(count_) * buffer_bytes_);
+  Result<ByteSpan> window = dma_->HostView(region.value().iova, bytes);
   if (!window.ok()) {
     return window.status();
   }
   host_base_ = window.value().data();
-  allocated_.assign(count_, false);
-  gen_.assign(count_, 1);
-  free_list_.reserve(count_);
-  for (int32_t index = static_cast<int32_t>(count_) - 1; index >= 0; --index) {
-    free_list_.push_back(index);
+  slots_.resize(kMaxBuffers);
+  for (uint32_t index = 0; index < count_; ++index) {
+    slots_[index].iova = region.value().iova + static_cast<uint64_t>(index) * buffer_bytes_;
   }
-  // Grant slots live in the index space above the staged buffers.
-  uint32_t grant_count = kMaxBuffers - count_;
-  grant_slots_.assign(grant_count, GrantSlot{});
-  grant_gen_.assign(grant_count, 1);
-  grant_free_.reserve(grant_count);
-  for (uint32_t slot = grant_count; slot > 0; --slot) {
-    grant_free_.push_back(slot - 1);
+  // Both free lists hand out their lowest slot first.
+  for (uint32_t index = count_; index > 0; --index) {
+    free_list_.push_back(index - 1);
+  }
+  for (uint32_t index = kMaxBuffers; index > count_; --index) {
+    grant_free_.push_back(index - 1);
   }
   initialized_ = true;
   return Status::Ok();
+}
+
+int32_t SharedBufferPool::IssueLocked(uint32_t index) {
+  slots_[index].in_use = true;
+  return static_cast<int32_t>(index | (slots_[index].gen << kIndexBits) |
+                              (epoch_ << (kIndexBits + kGenBits)));
 }
 
 int32_t SharedBufferPool::ValidateLocked(int32_t id, bool* stale_epoch) const {
   if (stale_epoch != nullptr) {
     *stale_epoch = false;
   }
-  if (id < 0) {
+  if (id < 0 || !initialized_) {
     return -1;
   }
   uint32_t bits = static_cast<uint32_t>(id);
@@ -66,15 +67,7 @@ int32_t SharedBufferPool::ValidateLocked(int32_t id, bool* stale_epoch) const {
     }
     return -1;
   }
-  if (index >= count_) {
-    // Grant slot: active and its persistent generation current.
-    uint32_t slot = index - count_;
-    if (slot >= grant_slots_.size() || !grant_slots_[slot].active || gen != grant_gen_[slot]) {
-      return -1;
-    }
-    return static_cast<int32_t>(index);
-  }
-  if (gen != gen_[index]) {
+  if (!slots_[index].in_use || gen != slots_[index].gen) {
     return -1;
   }
   return static_cast<int32_t>(index);
@@ -94,15 +87,12 @@ Result<int32_t> SharedBufferPool::GrantExternal(uint64_t iova, uint32_t len,
   if (grant_free_.empty()) {
     return Status(ErrorCode::kExhausted, "grant slots exhausted");
   }
-  uint32_t slot = grant_free_.back();
+  uint32_t index = grant_free_.back();
   grant_free_.pop_back();
-  GrantSlot& grant = grant_slots_[slot];
-  grant.iova = iova;
-  grant.len = len;
-  grant.active = true;
-  grant.release = std::move(release);
+  slots_[index].iova = iova;
+  slots_[index].release = std::move(release);
   ++active_grants_;
-  return EncodeGrantLocked(count_ + slot);
+  return IssueLocked(index);
 }
 
 Result<int32_t> SharedBufferPool::Alloc() {
@@ -120,11 +110,10 @@ Result<int32_t> SharedBufferPool::Alloc() {
   if (free_list_.empty()) {
     return Status(ErrorCode::kExhausted, "shared buffer pool exhausted");
   }
-  int32_t index = free_list_.back();
+  uint32_t index = free_list_.back();
   free_list_.pop_back();
-  allocated_[index] = true;
   ++allocated_count_;
-  return EncodeLocked(static_cast<uint32_t>(index));
+  return IssueLocked(index);
 }
 
 void SharedBufferPool::Free(int32_t id) {
@@ -133,38 +122,31 @@ void SharedBufferPool::Free(int32_t id) {
     std::lock_guard<std::mutex> lock(mu_);
     bool stale_epoch = false;
     int32_t index = ValidateLocked(id, &stale_epoch);
-    if (index < 0 || (index < static_cast<int32_t>(count_) && !allocated_[index])) {
+    if (index < 0) {
       ++double_frees_;
       if (stale_epoch) {
         ++stale_frees_;
       }
       return;
     }
-    if (index >= static_cast<int32_t>(count_)) {
-      // Grant retired: bump the slot's persistent generation (replay of this
-      // id is a counted rejection forever) and fire the release hook outside
-      // the lock — it re-enters the proxy (unseal, unmap, skb destruction).
-      uint32_t slot = static_cast<uint32_t>(index) - count_;
-      GrantSlot& grant = grant_slots_[slot];
-      release = std::move(grant.release);
-      grant = GrantSlot{};
-      grant_gen_[slot] = (grant_gen_[slot] + 1) & kGenMask;
-      if (grant_gen_[slot] == 0) {
-        grant_gen_[slot] = 1;
-      }
-      grant_free_.push_back(slot);
-      --active_grants_;
-    } else {
-      allocated_[index] = false;
+    // Retire the handle: the generation moves on, so replaying this id —
+    // even after the slot is reissued — is a counted rejection, not a free.
+    Slot& slot = slots_[index];
+    slot.in_use = false;
+    slot.gen = (slot.gen + 1) & kGenMask;
+    if (slot.gen == 0) {
+      slot.gen = 1;
+    }
+    if (static_cast<uint32_t>(index) < count_) {
+      free_list_.push_back(static_cast<uint32_t>(index));
       --allocated_count_;
-      // Retire the handle: the generation moves on, so replaying this id —
-      // even after the buffer is reallocated — is a counted rejection, not a
-      // free.
-      gen_[index] = (gen_[index] + 1) & kGenMask;
-      if (gen_[index] == 0) {
-        gen_[index] = 1;
-      }
-      free_list_.push_back(index);
+    } else {
+      // A grant's release hook fires outside the lock: it re-enters the
+      // proxy (unmap, skb destruction).
+      release = std::move(slot.release);
+      slot.release = nullptr;
+      grant_free_.push_back(static_cast<uint32_t>(index));
+      --active_grants_;
     }
   }
   if (release) {
@@ -173,12 +155,9 @@ void SharedBufferPool::Free(int32_t id) {
 }
 
 Result<ByteSpan> SharedBufferPool::Buffer(int32_t id) {
-  if (!initialized_) {
-    return Status(ErrorCode::kInvalidArgument, "bad buffer id");
-  }
   std::lock_guard<std::mutex> lock(mu_);
   int32_t index = ValidateLocked(id);
-  if (index < 0 || index >= static_cast<int32_t>(count_)) {
+  if (index < 0 || static_cast<uint32_t>(index) >= count_) {
     // Grants have no pool-side storage to expose.
     return Status(ErrorCode::kInvalidArgument, "bad buffer id");
   }
@@ -186,30 +165,12 @@ Result<ByteSpan> SharedBufferPool::Buffer(int32_t id) {
 }
 
 Result<uint64_t> SharedBufferPool::BufferIova(int32_t id) const {
-  if (!initialized_) {
-    return Status(ErrorCode::kInvalidArgument, "bad buffer id");
-  }
   std::lock_guard<std::mutex> lock(mu_);
   int32_t index = ValidateLocked(id);
   if (index < 0) {
     return Status(ErrorCode::kInvalidArgument, "bad buffer id");
   }
-  if (index >= static_cast<int32_t>(count_)) {
-    return grant_slots_[static_cast<uint32_t>(index) - count_].iova;
-  }
-  return region_.iova + static_cast<uint64_t>(index) * buffer_bytes_;
-}
-
-Result<uint64_t> SharedBufferPool::BufferPaddr(int32_t id) const {
-  if (!initialized_) {
-    return Status(ErrorCode::kInvalidArgument, "bad buffer id");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  int32_t index = ValidateLocked(id);
-  if (index < 0 || index >= static_cast<int32_t>(count_)) {
-    return Status(ErrorCode::kInvalidArgument, "bad buffer id");
-  }
-  return region_.paddr + static_cast<uint64_t>(index) * buffer_bytes_;
+  return slots_[index].iova;
 }
 
 }  // namespace sud

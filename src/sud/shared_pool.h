@@ -16,6 +16,11 @@
 // including ids it squirreled away to replay after the crash — fails
 // validation. Rejected frees are tolerated and counted; the stale-epoch
 // subset is counted separately so restart-time replay attacks are visible.
+//
+// Staged buffers and TX grants share one slot table over the whole index
+// space: staged slots first, grant slots above them. One encoder, one
+// validator (epoch ours, slot in use, generation current) and one retire
+// path serve both kinds.
 
 #ifndef SUD_SRC_SUD_SHARED_POOL_H_
 #define SUD_SRC_SUD_SHARED_POOL_H_
@@ -77,11 +82,6 @@ class SharedBufferPool {
     return active_grants_;
   }
 
-  // Full handle validation: index in range, generation current, epoch ours.
-  bool IsValidId(int32_t id) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return ValidateLocked(id) >= 0;
-  }
   uint32_t buffer_bytes() const { return buffer_bytes_; }
   uint32_t count() const { return count_; }
   uint32_t epoch() const { return epoch_; }
@@ -113,57 +113,45 @@ class SharedBufferPool {
     return injected_exhausted_;
   }
 
-  // Shared view of buffer `id` (both sides use this; the device reaches the
-  // same bytes via BufferIova through the IOMMU). Validation checks the full
-  // handle, so a stale id from a dead epoch or a freed buffer is refused
-  // everywhere an id can be presented.
+  // Shared view of staged buffer `id` (both sides use this; the device
+  // reaches the same bytes via BufferIova through the IOMMU). Validation
+  // checks the full handle, so a stale id from a dead epoch, a freed buffer
+  // or a never-allocated slot is refused everywhere an id can be presented.
   Result<ByteSpan> Buffer(int32_t id);
-  // The device-visible address of buffer `id`.
+  // The device-visible address of buffer or grant `id`.
   Result<uint64_t> BufferIova(int32_t id) const;
-  // The cached physical address backing buffer `id` (what the IOMMU would
-  // translate BufferIova to).
-  Result<uint64_t> BufferPaddr(int32_t id) const;
 
  private:
   static constexpr uint32_t kGenMask = (1u << kGenBits) - 1;
   static constexpr uint32_t kEpochMask = (1u << kEpochBits) - 1;
 
-  int32_t EncodeLocked(uint32_t index) const {
-    return static_cast<int32_t>(index | (gen_[index] << kIndexBits) |
-                                (epoch_ << (kIndexBits + kGenBits)));
-  }
-  int32_t EncodeGrantLocked(uint32_t index) const {
-    return static_cast<int32_t>(index | (grant_gen_[index - count_] << kIndexBits) |
-                                (epoch_ << (kIndexBits + kGenBits)));
-  }
-  // Returns the buffer index (grant indices included, >= count_), or -1 if
-  // the handle is garbage/stale. Sets `*stale_epoch` when the failure is
+  // One handle slot: index i < count_ is staged buffer i, any higher index a
+  // grant slot. `gen` persists across reuse, so a retired handle stays dead.
+  struct Slot {
+    uint32_t gen = 1;  // 1..kGenMask
+    bool in_use = false;
+    uint64_t iova = 0;
+    std::function<void()> release;  // grants only
+  };
+
+  // Marks slot `index` in use and returns its handle.
+  int32_t IssueLocked(uint32_t index);
+  // Returns the slot index of a live handle, or -1 if the handle is garbage,
+  // stale or not in use. Sets `*stale_epoch` when the failure is
   // specifically a dead pool epoch.
   int32_t ValidateLocked(int32_t id, bool* stale_epoch = nullptr) const;
-
-  // One grant slot; slot s backs pool index count_ + s.
-  struct GrantSlot {
-    uint64_t iova = 0;
-    uint32_t len = 0;
-    bool active = false;
-    std::function<void()> release;
-  };
 
   DmaSpace* dma_;
   uint32_t count_;
   uint32_t buffer_bytes_;
   uint32_t epoch_;
-  DmaRegion region_{};
   uint8_t* host_base_ = nullptr;  // host view of the whole pool region
   bool initialized_ = false;
-  // Guards the free list, allocation bitmap and per-buffer generations.
+  // Guards the slot table, both free lists and the counters.
   mutable std::mutex mu_;
-  std::vector<int32_t> free_list_;
-  std::vector<bool> allocated_;
-  std::vector<uint32_t> gen_;  // per-buffer generation, 1..kGenMask
-  std::vector<GrantSlot> grant_slots_;   // indices [count_, kMaxBuffers)
-  std::vector<uint32_t> grant_gen_;      // persistent per-slot generation
-  std::vector<uint32_t> grant_free_;     // free slot offsets
+  std::vector<Slot> slots_;          // [0, kMaxBuffers)
+  std::vector<uint32_t> free_list_;  // free staged slots
+  std::vector<uint32_t> grant_free_;  // free grant slots
   uint32_t active_grants_ = 0;
   uint32_t allocated_count_ = 0;
   uint64_t double_frees_ = 0;

@@ -10,7 +10,6 @@
 namespace sud {
 
 namespace {
-constexpr size_t kInitialReplySlots = 64;  // power of two
 // Bounded retry/backoff on a full kernel-to-user ring: a burst-filled ring
 // is congestion, not a verdict on the driver, so the kernel gives it a short
 // chance to drain before the drop becomes final. A genuinely hung driver
@@ -48,7 +47,6 @@ Uchan::Uchan(Config config, CpuModel* cpu) : config_(config), cpu_(cpu) {
     config_.ring_entries = 1;
   }
   ring_.resize(config_.ring_entries);
-  replies_.resize(kInitialReplySlots);
 }
 
 void Uchan::ChargeKernelLocked(SimTime nanos) {
@@ -80,85 +78,19 @@ void Uchan::set_user_pump(std::function<void()> pump) {
   user_pump_ = std::move(pump);
 }
 
-// ---- reply slot table -------------------------------------------------------
+// ---- sync-reply rendezvous ---------------------------------------------------
 
-size_t Uchan::ReplyIndex(uint64_t seq) const {
-  // Fibonacci hashing; table size is a power of two.
-  return static_cast<size_t>(seq * 0x9E3779B97F4A7C15ull) & (replies_.size() - 1);
-}
-
-Uchan::ReplySlot* Uchan::FindReplyLocked(uint64_t seq) {
-  size_t index = ReplyIndex(seq);
-  for (size_t probes = 0; probes < replies_.size(); ++probes) {
-    ReplySlot& slot = replies_[index];
-    if (slot.state == SlotState::kFree) {
-      return nullptr;
+Uchan::PendingReply* Uchan::FindReplyLocked(uint64_t seq) {
+  for (PendingReply& pending : replies_) {
+    if (pending.seq == seq) {
+      return &pending;
     }
-    if (slot.seq == seq) {
-      return &slot;
-    }
-    index = (index + 1) & (replies_.size() - 1);
   }
   return nullptr;
 }
 
-void Uchan::InsertPendingLocked(uint64_t seq) {
-  if ((replies_used_ + 1) * 2 > replies_.size()) {
-    GrowRepliesLocked();
-  }
-  size_t index = ReplyIndex(seq);
-  while (replies_[index].state != SlotState::kFree) {
-    index = (index + 1) & (replies_.size() - 1);
-  }
-  replies_[index].seq = seq;
-  replies_[index].state = SlotState::kPending;
-  ++replies_used_;
-}
-
 void Uchan::EraseReplyLocked(uint64_t seq) {
-  ReplySlot* slot = FindReplyLocked(seq);
-  if (slot == nullptr) {
-    return;
-  }
-  size_t i = static_cast<size_t>(slot - replies_.data());
-  size_t mask = replies_.size() - 1;
-  replies_[i].state = SlotState::kFree;
-  replies_[i].msg = UchanMsg{};
-  --replies_used_;
-  // Backward-shift deletion keeps probe chains intact without tombstones.
-  size_t j = i;
-  while (true) {
-    j = (j + 1) & mask;
-    if (replies_[j].state == SlotState::kFree) {
-      break;
-    }
-    size_t home = ReplyIndex(replies_[j].seq);
-    bool home_in_gap = (j > i) ? (home > i && home <= j) : (home > i || home <= j);
-    if (!home_in_gap) {
-      replies_[i] = std::move(replies_[j]);
-      replies_[j].state = SlotState::kFree;
-      replies_[j].msg = UchanMsg{};
-      i = j;
-    }
-  }
-}
-
-void Uchan::GrowRepliesLocked() {
-  std::vector<ReplySlot> old;
-  old.swap(replies_);
-  replies_.resize(old.size() * 2);
-  replies_used_ = 0;
-  for (ReplySlot& slot : old) {
-    if (slot.state == SlotState::kFree) {
-      continue;
-    }
-    size_t index = ReplyIndex(slot.seq);
-    while (replies_[index].state != SlotState::kFree) {
-      index = (index + 1) & (replies_.size() - 1);
-    }
-    replies_[index] = std::move(slot);
-    ++replies_used_;
-  }
+  std::erase_if(replies_, [seq](const PendingReply& pending) { return pending.seq == seq; });
 }
 
 // ---- upcall ring ------------------------------------------------------------
@@ -224,24 +156,23 @@ Result<UchanMsg> Uchan::SendSync(UchanMsg msg) {
     }
     return enq;
   }
-  InsertPendingLocked(seq);
+  replies_.push_back(PendingReply{seq, false, {}});
   upcall_cv_.notify_all();
 
+  auto ready = [this, seq] {
+    PendingReply* pending = FindReplyLocked(seq);
+    return pending != nullptr && pending->ready;
+  };
   auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(config_.sync_timeout_ms);
-  while (!shutdown_) {
-    ReplySlot* slot = FindReplyLocked(seq);
-    if (slot != nullptr && slot->state == SlotState::kReady) {
-      break;
-    }
+  while (!shutdown_ && !ready()) {
     if (user_pump_) {
       // Single-threaded harness: run the driver inline instead of blocking.
       auto pump = user_pump_;
       lock.unlock();
       pump();
       lock.lock();
-      slot = FindReplyLocked(seq);
-      if ((slot != nullptr && slot->state == SlotState::kReady) || shutdown_) {
+      if (ready() || shutdown_) {
         break;
       }
       // Driver ran but did not reply: a hung or malicious driver. The upcall
@@ -250,23 +181,19 @@ Result<UchanMsg> Uchan::SendSync(UchanMsg msg) {
       EraseReplyLocked(seq);
       return Status(ErrorCode::kTimedOut, "synchronous upcall interrupted (driver unresponsive)");
     }
-    if (reply_cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      slot = FindReplyLocked(seq);
-      if (slot != nullptr && slot->state == SlotState::kReady) {
-        break;
-      }
+    if (reply_cv_.wait_until(lock, deadline) == std::cv_status::timeout && !ready()) {
       stats_.upcalls_timed_out++;
-      // Erase the pending slot so a late Reply is dropped instead of parking
-      // an orphaned entry in the table forever.
+      // Withdraw the rendezvous so a late Reply is dropped instead of parking
+      // an orphaned entry forever.
       EraseReplyLocked(seq);
       return Status(ErrorCode::kTimedOut, "synchronous upcall timed out");
     }
   }
-  ReplySlot* slot = FindReplyLocked(seq);
-  if (slot == nullptr || slot->state != SlotState::kReady) {
+  if (!ready()) {
+    EraseReplyLocked(seq);
     return Status(ErrorCode::kUnavailable, "uchan shut down");
   }
-  UchanMsg reply = std::move(slot->msg);
+  UchanMsg reply = std::move(FindReplyLocked(seq)->msg);
   EraseReplyLocked(seq);
   ChargeKernelLocked(costs().uchan_msg);
   return reply;
@@ -398,16 +325,16 @@ void Uchan::Reply(const UchanMsg& request, UchanMsg reply) {
   if (!request.needs_reply || shutdown_) {
     return;
   }
-  ReplySlot* slot = FindReplyLocked(request.seq);
-  if (slot == nullptr || slot->state != SlotState::kPending) {
+  PendingReply* pending = FindReplyLocked(request.seq);
+  if (pending == nullptr || pending->ready) {
     // The sender timed out and withdrew: drop the late reply.
     return;
   }
   reply.seq = request.seq;
   reply.needs_reply = false;
   ChargeDriverLocked(costs().uchan_msg);
-  slot->msg = std::move(reply);
-  slot->state = SlotState::kReady;
+  pending->msg = std::move(reply);
+  pending->ready = true;
   reply_cv_.notify_all();
 }
 
@@ -430,28 +357,16 @@ Status Uchan::DowncallSync(UchanMsg& msg) {
   stats_.downcalls_sync++;
   msg.seq = next_seq_++;
   // A synchronous downcall always enters the kernel, flushing any batch
-  // first (batched messages must stay ordered ahead of this one). The flush
-  // runs the same injected delivery loop as FlushDowncalls: a netif_rx batch
-  // piggybacking on an interrupt-ack's kernel entry — the common pumped-mode
-  // path — faces the same drop/dup/delay faults as one on its own entry. An
-  // injected delay may park part of the batch for the next entry; the sync
-  // message itself still runs now (it is never droppable, and a control call
-  // overtaking stalled data traffic is exactly the fault being modeled).
-  std::vector<UchanMsg> batch;
-  batch.swap(downcall_batch_);
-  ChargeDriverLocked(costs().syscall);
-  stats_.downcall_batches++;
-  DeliverBatchLocked(batch, lock);
-  ChargeKernelLocked(costs().uchan_msg);
-  RunDowncallLocked(msg, lock);
-  Status status = msg.error == 0 ? Status::Ok()
-                                 : Status(static_cast<ErrorCode>(msg.error), "downcall failed");
-  auto flush_handler = downcall_flush_handler_;
-  lock.unlock();
-  if (flush_handler) {
-    flush_handler();  // end of this kernel entry: deliver any queued rx bundle
-  }
-  return status;
+  // first (batched messages must stay ordered ahead of this one). The batch
+  // faces the same drop/dup/delay faults as one on its own entry: a netif_rx
+  // batch piggybacking on an interrupt-ack's kernel entry is the common
+  // pumped-mode path. An injected delay may park part of the batch for the
+  // next entry; the sync message itself still runs now (it is never
+  // droppable, and a control call overtaking stalled data traffic is exactly
+  // the fault being modeled).
+  EnterKernelLocked(&msg, lock);
+  return msg.error == 0 ? Status::Ok()
+                        : Status(static_cast<ErrorCode>(msg.error), "downcall failed");
 }
 
 Status Uchan::DowncallAsync(UchanMsg msg) {
@@ -502,13 +417,16 @@ Status Uchan::DowncallAsyncBatch(std::vector<UchanMsg> msgs) {
   return Status::Ok();
 }
 
-// The one delivery loop every flushed batch goes through — whether the batch
-// rides its own kernel entry (FlushDowncalls) or piggybacks on a synchronous
-// downcall's entry (DowncallSync). Keeping injection here, in the shared
-// path, is what makes drop/dup/delay coverage independent of WHICH kernel
-// entry happened to carry a message.
-void Uchan::DeliverBatchLocked(std::vector<UchanMsg>& batch,
-                               std::unique_lock<std::mutex>& lock) {
+// The one kernel entry every downcall rides, whether the batch flushes on
+// its own (FlushDowncalls) or ahead of a synchronous downcall (DowncallSync).
+// Keeping injection here is what makes drop/dup/delay coverage independent
+// of WHICH kernel entry happened to carry a message.
+void Uchan::EnterKernelLocked(UchanMsg* sync, std::unique_lock<std::mutex>& lock) {
+  std::vector<UchanMsg> batch;
+  batch.swap(downcall_batch_);
+  // One kernel entry for the whole batch: the batching win of Section 3.1.2.
+  ChargeDriverLocked(costs().syscall);
+  stats_.downcall_batches++;
   const bool inject = FaultInjector::armed();
   for (size_t i = 0; i < batch.size(); ++i) {
     UchanMsg& msg = batch[i];
@@ -540,6 +458,15 @@ void Uchan::DeliverBatchLocked(std::vector<UchanMsg>& batch,
     ChargeKernelLocked(costs().uchan_msg);
     RunDowncallLocked(msg, lock);
   }
+  if (sync != nullptr) {
+    ChargeKernelLocked(costs().uchan_msg);
+    RunDowncallLocked(*sync, lock);
+  }
+  auto flush_handler = downcall_flush_handler_;
+  lock.unlock();
+  if (flush_handler) {
+    flush_handler();  // end of this kernel entry: deliver any queued rx bundle
+  }
 }
 
 void Uchan::FlushDowncalls() {
@@ -547,17 +474,7 @@ void Uchan::FlushDowncalls() {
   if (downcall_batch_.empty() || shutdown_) {
     return;
   }
-  std::vector<UchanMsg> batch;
-  batch.swap(downcall_batch_);
-  // One kernel entry for the whole batch: the batching win of Section 3.1.2.
-  ChargeDriverLocked(costs().syscall);
-  stats_.downcall_batches++;
-  DeliverBatchLocked(batch, lock);
-  auto flush_handler = downcall_flush_handler_;
-  lock.unlock();
-  if (flush_handler) {
-    flush_handler();  // end of this kernel entry: deliver any queued rx bundle
-  }
+  EnterKernelLocked(nullptr, lock);
 }
 
 void Uchan::Shutdown() {
@@ -584,50 +501,6 @@ bool Uchan::is_shutdown() const {
 Uchan::Stats Uchan::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-// ---- UchanShardSet ----------------------------------------------------------
-
-UchanShardSet::UchanShardSet(uint32_t count, Uchan::Config config, CpuModel* cpu) {
-  shards_.reserve(count == 0 ? 1 : count);
-  for (uint32_t q = 0; q < (count == 0 ? 1 : count); ++q) {
-    shards_.push_back(std::make_unique<Uchan>(config, cpu));
-  }
-}
-
-void UchanShardSet::set_downcall_handler(QueuedDowncallHandler handler) {
-  for (uint32_t q = 0; q < count(); ++q) {
-    // Each shard's wrapper pins the queue index: the kernel side learns which
-    // queue a downcall belongs to from the channel it arrived on.
-    shards_[q]->set_downcall_handler(
-        [handler, q](UchanMsg& msg) { handler(msg, static_cast<uint16_t>(q)); });
-  }
-}
-
-void UchanShardSet::set_downcall_flush_handler(QueuedFlushHandler handler) {
-  for (uint32_t q = 0; q < count(); ++q) {
-    shards_[q]->set_downcall_flush_handler([handler, q]() { handler(static_cast<uint16_t>(q)); });
-  }
-}
-
-void UchanShardSet::set_user_pump(std::function<void()> pump) {
-  for (auto& shard : shards_) {
-    shard->set_user_pump(pump);
-  }
-}
-
-void UchanShardSet::ShutdownAll() {
-  for (auto& shard : shards_) {
-    shard->Shutdown();
-  }
-}
-
-Uchan::Stats UchanShardSet::AggregateStats() const {
-  Uchan::Stats total;
-  for (const auto& shard : shards_) {
-    total += shard->stats();
-  }
-  return total;
 }
 
 size_t Uchan::pending_upcalls() const {

@@ -39,13 +39,16 @@
 // optimization the abl_uchan_batching bench sweeps.
 //
 // Fast-path data structures: the kernel-to-user ring is a pre-sized ring
-// buffer (no per-message heap allocation for queue nodes), and sync replies
-// live in a small open-addressed seq->slot hash table instead of a std::map.
+// buffer (no per-message heap allocation for queue nodes). Sync replies are
+// control-plane only (open, stop, ioctl, scan), so at most a few senders
+// wait at once: their rendezvous entries sit in a small vector searched
+// linearly.
 //
 // Threading: kernel-side and driver-side calls may run on different threads
 // (DriverHost's per-queue pump threads) or on one thread with a "pump" that
 // runs the driver's dispatch loop inline when the kernel would otherwise
-// block.
+// block. A multi-queue device has one Uchan per queue; SudDeviceContext owns
+// them and tells its handler which one a downcall arrived on.
 
 #ifndef SUD_SRC_SUD_UCHAN_H_
 #define SUD_SRC_SUD_UCHAN_H_
@@ -55,7 +58,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -208,23 +210,22 @@ class Uchan {
   void ChargeKernelLocked(SimTime nanos);
   void ChargeDriverLocked(SimTime nanos);
 
-  // Sync-reply rendezvous slots: open-addressed linear probing keyed by seq.
-  // kPending is inserted by SendSync before it blocks; Reply flips it to
-  // kReady; a timed-out sender erases its slot so a late Reply finds nothing
-  // and is dropped instead of parking forever.
-  enum class SlotState : uint8_t { kFree, kPending, kReady };
-  struct ReplySlot {
+  // One sync sender's rendezvous: SendSync adds it before it blocks, Reply
+  // fills it in and marks it ready, and the sender removes it on every exit,
+  // so a late Reply after a timeout finds nothing and is dropped.
+  struct PendingReply {
     uint64_t seq = 0;
-    SlotState state = SlotState::kFree;
+    bool ready = false;
     UchanMsg msg;
   };
 
   Status EnqueueUpcallLocked(UchanMsg&& msg);
-  // Delivers a flushed downcall batch through the fault-injected loop (drop/
-  // dup/delay for droppable messages); shared by FlushDowncalls and the
-  // batch-first flush inside DowncallSync. A delayed tail is re-parked at the
-  // front of downcall_batch_.
-  void DeliverBatchLocked(std::vector<UchanMsg>& batch, std::unique_lock<std::mutex>& lock);
+  // One kernel entry, shared by FlushDowncalls and DowncallSync: charges the
+  // driver's syscall, delivers the batched async downcalls through the
+  // fault-injected loop (drop/dup/delay for droppable messages; a delayed
+  // tail is re-parked at the front of downcall_batch_), then runs `sync` if
+  // given, and finally the end-of-entry flush handler with mu_ released.
+  void EnterKernelLocked(UchanMsg* sync, std::unique_lock<std::mutex>& lock);
   // Bounded ring-full retry/backoff for the async send paths; `msg` is
   // intact on failure (EnqueueUpcallLocked moves only on success).
   Status RetryEnqueueLocked(UchanMsg& msg, Status status, std::unique_lock<std::mutex>& lock);
@@ -236,11 +237,8 @@ class Uchan {
   Status WaitForUpcallLocked(uint64_t timeout_ms, std::unique_lock<std::mutex>& lock);
   UchanMsg PopUpcallLocked();
 
-  size_t ReplyIndex(uint64_t seq) const;
-  ReplySlot* FindReplyLocked(uint64_t seq);
-  void InsertPendingLocked(uint64_t seq);
+  PendingReply* FindReplyLocked(uint64_t seq);
   void EraseReplyLocked(uint64_t seq);
-  void GrowRepliesLocked();
 
   Config config_;
   CpuModel* cpu_;
@@ -255,8 +253,7 @@ class Uchan {
   size_t ring_head_ = 0;
   size_t ring_count_ = 0;
 
-  std::vector<ReplySlot> replies_;  // open-addressed, power-of-two size
-  size_t replies_used_ = 0;
+  std::vector<PendingReply> replies_;  // one per blocked SendSync
 
   std::vector<UchanMsg> downcall_batch_;  // user-side pending async downcalls
   DowncallHandler downcall_handler_;
@@ -271,39 +268,6 @@ class Uchan {
   // taking the lock.
   std::atomic<size_t> ring_count_mirror_{0};
   std::atomic<bool> shutdown_mirror_{false};
-};
-
-// UchanShardSet: the sharded uchan of the multi-queue design — one
-// independent ring pair (one Uchan, one lock, one wakeup path) per device
-// queue. Shard 0 doubles as the control lane; shard q carries queue q's
-// packet traffic. There is deliberately NO cross-shard ordering: that is the
-// property that lets a per-queue driver thread and the kernel's per-queue
-// transmit path run with zero shared locks, and it mirrors real multi-queue
-// NICs, where ordering is only ever per-flow (and flows are pinned to queues
-// by the RSS hash).
-class UchanShardSet {
- public:
-  // Handlers receive the shard index a message arrived on — derived from the
-  // channel itself, never from driver-marshalled bytes.
-  using QueuedDowncallHandler = std::function<void(UchanMsg&, uint16_t queue)>;
-  using QueuedFlushHandler = std::function<void(uint16_t queue)>;
-
-  UchanShardSet(uint32_t count, Uchan::Config config, CpuModel* cpu);
-
-  uint32_t count() const { return static_cast<uint32_t>(shards_.size()); }
-  Uchan& shard(uint32_t queue) { return *shards_[queue]; }
-  const Uchan& shard(uint32_t queue) const { return *shards_[queue]; }
-
-  void set_downcall_handler(QueuedDowncallHandler handler);
-  void set_downcall_flush_handler(QueuedFlushHandler handler);
-  void set_user_pump(std::function<void()> pump);  // installed on every shard
-
-  void ShutdownAll();
-  // Sum of every shard's counters: the single-lane view.
-  Uchan::Stats AggregateStats() const;
-
- private:
-  std::vector<std::unique_ptr<Uchan>> shards_;
 };
 
 }  // namespace sud

@@ -154,7 +154,7 @@ constexpr std::array<MessageSchema, kRegistryCapacity> BuildRegistry() {
     reg[i++] = s;
   }
 
-  // ---- downcalls (driver -> kernel), dispatched by the proxies ------------
+  // ---- downcalls (driver -> kernel), checked by the device context -------
   {
     MessageSchema s =
         Msg(Dir::kDown, kOpInterruptAck, "interrupt_ack", Rpc::kSync, Lane::kQueue);

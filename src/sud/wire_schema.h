@@ -38,7 +38,6 @@
 #include "src/kern/wireless.h"
 #include "src/sud/dma_space.h"
 #include "src/sud/proto.h"
-#include "src/sud/safe_pci.h"
 #include "src/sud/uchan.h"
 
 namespace sud::wire {
@@ -48,7 +47,7 @@ namespace sud::wire {
 // both kOpDeviceClassBase+0), so every registry lookup is keyed by BOTH.
 enum class Dir : uint8_t {
   kUp,    // kernel -> driver (upcall), dispatched by UmlRuntime
-  kDown,  // driver -> kernel (downcall), dispatched by a proxy
+  kDown,  // driver -> kernel (downcall), checked by SudDeviceContext
 };
 
 enum class Rpc : uint8_t { kSync, kAsync };
@@ -176,8 +175,9 @@ Malform ValidateReplyStructure(const MessageSchema& schema, const UchanMsg& repl
 // ---- rejection accounting ---------------------------------------------------
 
 // The uniform per-message rejection stat: one counter per registry entry plus
-// one for unknown opcodes. Each trust boundary (every proxy, the runtime)
-// owns one and bumps it for every structural rejection.
+// one for unknown opcodes. Each trust boundary (every device context for
+// downcalls, the runtime for upcalls) owns one and bumps it for every
+// structural rejection.
 class RejectStats {
  public:
   void Count(Dir dir, uint32_t opcode) {

@@ -276,5 +276,35 @@ TEST(UsbIntegration, EnumerationAndKeyEventsUnderSud) {
   EXPECT_EQ(kernel.input().PopEvent()->usage_code, 0x05);
 }
 
+// The USB proxy has no validator of its own: the context's schema check
+// refuses a key event whose usage code does not fit a byte, before the
+// proxy could truncate it into a different key (0x141 -> 'A', 0x41).
+TEST(UsbIntegration, OutOfRangeKeyEventIsRefusedAtTheContext) {
+  hw::Machine machine;
+  kern::Kernel kernel(&machine);
+  devices::UsbHostController hcd("ehci");
+  auto& sw = machine.AddSwitch("sw0");
+  ASSERT_TRUE(machine.AttachDevice(sw, &hcd).ok());
+  SafePciModule safe_pci(&kernel);
+  SudDeviceContext* ctx = safe_pci.ExportDevice(&hcd, kDriverUid).value();
+  UsbHostProxy proxy(&kernel, ctx);
+  uml::DriverHost host(&kernel, ctx, "ehci-driver", kDriverUid);
+  ASSERT_TRUE(host.Start(std::make_unique<drivers::UsbHcdDriver>()).ok());
+
+  // Played from the driver's side of the ctl file: one forged report, then
+  // an honest one.
+  for (uint64_t usage : {0x141u, 0x41u}) {
+    UchanMsg event;
+    event.opcode = kUsbDownKeyEvent;
+    event.args[0] = usage;
+    ASSERT_TRUE(ctx->ctl().DowncallAsync(std::move(event)).ok());
+  }
+  ctx->ctl().FlushDowncalls();
+  EXPECT_EQ(ctx->wire_rejects().rejected(wire::Dir::kDown, kUsbDownKeyEvent), 1u);
+  EXPECT_EQ(ctx->wire_rejects().total(), 1u);
+  ASSERT_EQ(kernel.input().pending(), 1u);
+  EXPECT_EQ(kernel.input().PopEvent()->usage_code, 0x41);
+}
+
 }  // namespace
 }  // namespace sud

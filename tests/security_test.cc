@@ -192,7 +192,7 @@ TEST(Security, InterruptAckUnmasksAndRedelivers) {
 
   // The (eventually cooperative) driver acks: unmask + pended MSI fires.
   uint64_t handled_before = bench.kernel.interrupts_handled();
-  ASSERT_TRUE(bench.ctx->InterruptAck().ok());
+  ASSERT_TRUE(bench.ctx->InterruptAck(0).ok());
   EXPECT_FALSE(bench.sut_nic.config().msi_masked());
   EXPECT_GE(bench.kernel.interrupts_handled(), handled_before);
 }
@@ -321,33 +321,8 @@ TEST(Security, AsyncUpcallsToFullRingReportHungDriver) {
 
 // ---- TOCTOU on shared packet buffers ---------------------------------------------
 
-TEST(Security, ToctouFirewallBypassWorksWithoutGuardCopy) {
-  NetBench::Options options;
-  options.proxy.guard_copy = false;  // the vulnerable check-then-copy order
-  NetBench bench(options);
-  ASSERT_TRUE(bench.StartSut().ok());
-  bench.kernel.net().firewall().DenyPort(22);
-
-  int delivered_to_22 = 0;
-  bench.kernel.net().Find("eth0")->set_rx_sink([&](const kern::Skb& skb) {
-    if (skb.view().dst_port() == 22) {
-      ++delivered_to_22;
-    }
-  });
-  // A perfectly timed attacker rewrites the dst port after the verdict.
-  bench.proxy->set_toctou_hook(
-      [](ByteSpan shared) { kern::RewriteDstPortFixup(shared, 22); });
-
-  std::vector<uint8_t> payload(32, 0x9);
-  ASSERT_TRUE(bench.PeerSend(1, 80, {payload.data(), payload.size()}).ok());
-  bench.host->Pump();
-  // The firewalled port received traffic: the attack works without the
-  // guard copy. (This test documents the vulnerability the design fixes.)
-  EXPECT_EQ(delivered_to_22, 1);
-}
-
 TEST(Security, ToctouFirewallBypassDefeatedByGuardCopy) {
-  NetBench bench;  // default: guard copy on
+  NetBench bench;
   ASSERT_TRUE(bench.StartSut().ok());
   bench.kernel.net().firewall().DenyPort(22);
 
@@ -359,13 +334,20 @@ TEST(Security, ToctouFirewallBypassDefeatedByGuardCopy) {
       ++delivered_to_22;
     }
   });
-  bench.proxy->set_toctou_hook(
-      [](ByteSpan shared) { kern::RewriteDstPortFixup(shared, 22); });
+  // A perfectly timed attacker rewrites the dst port in the shared buffer
+  // while the kernel handles the frame.
+  uint16_t shared_port = 0;
+  bench.proxy->set_toctou_hook([&](ByteSpan shared) {
+    kern::RewriteDstPortFixup(shared, 22);
+    shared_port = kern::PacketView{ConstByteSpan(shared.data(), shared.size())}.dst_port();
+  });
 
   std::vector<uint8_t> payload(32, 0x9);
   ASSERT_TRUE(bench.PeerSend(1, 80, {payload.data(), payload.size()}).ok());
   bench.host->Pump();
-  // The kernel checked and delivered its own copy: port 80, not 22.
+  // The rewrite landed (the negative control: the attack is real), yet the
+  // kernel checked and delivered its own copy: port 80, not 22.
+  EXPECT_EQ(shared_port, 22);
   EXPECT_EQ(delivered_to_22, 0);
   EXPECT_EQ(delivered_total, 1);
 }
@@ -731,6 +713,52 @@ TEST(Security, MidChainTxRewriteTransmitsArmedBytesOnly) {
   }
   EXPECT_EQ(bench.machine.iommu().faults().size(), 0u);
   EXPECT_EQ(bench.sut_nic.stats().tx_chain_frames, 1u);
+}
+
+// Sealed TX grants are device-only. A driver that resolves a granted
+// fragment's IOVA and opens it through its own DMA window — the way it
+// reaches every buffer it owns — must find nothing there: a writable view
+// would let it rewrite the kernel's page-cache page behind a sealed frame.
+TEST(Security, DriverCannotMapGrantedTxPages) {
+  NetBench::Options options;
+  options.mtu = static_cast<uint32_t>(kern::kJumboMtu);
+  options.peer_mtu = static_cast<uint32_t>(kern::kJumboMtu);
+  NetBench bench(options);
+  ASSERT_TRUE(bench.StartSut().ok());
+  std::vector<uint8_t> payload(8000, 0x3c);
+  // One DRAM-frag frame, not pumped: the test pulls its xmit upcall itself.
+  ASSERT_TRUE(bench.SutSendDramFragBurst(6000, 80, {payload.data(), payload.size()}, 1).ok());
+  Result<std::vector<UchanMsg>> upcalls = bench.ctx->ctl().WaitBatch(0, 16);
+  ASSERT_TRUE(upcalls.ok());
+
+  SharedBufferPool& pool = bench.ctx->pool();
+  hw::Iommu& iommu = bench.machine.iommu();
+  int granted = 0;
+  int mapped = 0;
+  for (const UchanMsg& msg : upcalls.value()) {
+    if (msg.opcode != kEthUpXmit) {
+      continue;
+    }
+    for (size_t f = 0; f < wire::XmitFragCount(msg); ++f) {
+      wire::XmitFrag frag = wire::XmitFragAt(msg, f);
+      Result<uint64_t> iova = pool.BufferIova(frag.pool_id);
+      ASSERT_TRUE(iova.ok());
+      uint32_t slot = static_cast<uint32_t>(frag.pool_id) & (SharedBufferPool::kMaxBuffers - 1);
+      if (slot >= pool.count()) {  // a grant, not a staged buffer
+        ++granted;
+        // The device reads the kernel page and can never write it.
+        EXPECT_TRUE(iommu.Translate(bench.ctx->source_id(), iova.value(), frag.len, false).ok());
+        EXPECT_FALSE(iommu.Translate(bench.ctx->source_id(), iova.value(), frag.len, true).ok());
+        if (bench.host->runtime()->DmaView(iova.value(), frag.len).ok()) {
+          ++mapped;
+        }
+      }
+      pool.Free(frag.pool_id);  // the driver's TX reap: pages and mapping go
+    }
+  }
+  EXPECT_EQ(granted, 4);
+  EXPECT_EQ(mapped, 0);
+  EXPECT_EQ(pool.outstanding(), 0u);
 }
 
 TEST(Security, WrongUidCannotBindDevice) {

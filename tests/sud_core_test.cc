@@ -1,12 +1,14 @@
 // Unit tests for the SUD core pieces below the proxies: DmaSpace, the
 // shared buffer pool, and the SudDeviceContext surface (binding, the config
-// filter as a parameterized sweep, MMIO confinement, IO ports, teardown).
+// filter as a parameterized sweep, MMIO confinement, IO ports, teardown, and
+// the per-queue uchan shards the context owns).
 
 #include <gtest/gtest.h>
 
 #include "src/base/log.h"
 #include "src/devices/sim_nic.h"
 #include "src/sud/safe_pci.h"
+#include "src/sud/wire_schema.h"
 #include "tests/harness.h"
 
 namespace sud {
@@ -129,6 +131,23 @@ TEST_F(PoolTest, BuffersAreDeviceVisible) {
   EXPECT_EQ(byte, 0x42);
 }
 
+// A guessed handle with the shape of a live one — current epoch, generation
+// 1 — for a slot nobody allocated: refused everywhere, and counted on free.
+TEST_F(PoolTest, ForgedHandleForNeverAllocatedSlotIsRefused) {
+  for (uint32_t index : {5u, 100u}) {  // a staged slot, then a grant slot
+    int32_t forged = static_cast<int32_t>(
+        index | (1u << SharedBufferPool::kIndexBits) |
+        (pool_.epoch() << (SharedBufferPool::kIndexBits + SharedBufferPool::kGenBits)));
+    EXPECT_FALSE(pool_.Buffer(forged).ok()) << index;
+    EXPECT_FALSE(pool_.BufferIova(forged).ok()) << index;
+    pool_.Free(forged);
+  }
+  EXPECT_EQ(pool_.double_frees(), 2u);
+  EXPECT_EQ(pool_.stale_frees(), 0u);
+  EXPECT_EQ(pool_.free_count(), 8u);
+  EXPECT_EQ(pool_.outstanding(), 0u);
+}
+
 TEST_F(PoolTest, BuffersDoNotOverlap) {
   int32_t a = pool_.Alloc().value();
   int32_t b = pool_.Alloc().value();
@@ -141,12 +160,13 @@ TEST_F(PoolTest, BuffersDoNotOverlap) {
 
 class ContextTest : public ::testing::Test {
  protected:
-  ContextTest() : bench_(MakeOptions()) {
+  explicit ContextTest(uint32_t queues = 1) : bench_(MakeOptions(queues)) {
     proc_ = &bench_.kernel.processes().Spawn("drv", kDriverUid);
   }
-  static testing::NetBench::Options MakeOptions() {
+  static testing::NetBench::Options MakeOptions(uint32_t queues) {
     testing::NetBench::Options options;
     options.start_peer = false;  // keep it minimal
+    options.nic_queues = queues;
     return options;
   }
   testing::NetBench bench_;
@@ -261,6 +281,103 @@ TEST_F(ContextTest, ExportEnablesAcsOnAllSwitches) {
   // The harness already exported one device; ACS must be on.
   EXPECT_TRUE(bench_.sw->acs().source_validation);
   EXPECT_TRUE(bench_.sw->acs().p2p_request_redirect);
+}
+
+// ---- the sharded ctl file: one uchan ring pair per device queue ----------------
+
+// A 4-queue context, bound to a driver process that no driver runs in: the
+// tests play the driver on the shards directly.
+class ShardTest : public ContextTest {
+ protected:
+  ShardTest() : ContextTest(4) { EXPECT_TRUE(bench_.ctx->Bind(proc_).ok()); }
+  Uchan& shard(uint16_t queue) { return bench_.ctx->ctl(queue); }
+  // The driver side's single-message dequeue: a WaitBatch of one.
+  Status PollOne(uint16_t queue) { return shard(queue).WaitBatch(0, 1).status(); }
+};
+
+TEST_F(ShardTest, MessagesNeverCrossShards) {
+  // Distinct traffic on every shard.
+  for (uint16_t q = 0; q < 4; ++q) {
+    for (uint32_t i = 0; i < 3; ++i) {
+      UchanMsg msg;
+      msg.opcode = 1000 * (q + 1) + i;
+      ASSERT_TRUE(shard(q).SendAsync(std::move(msg)).ok());
+    }
+  }
+  // Each shard surfaces exactly its own messages, in its own FIFO order.
+  for (uint16_t q = 0; q < 4; ++q) {
+    Result<std::vector<UchanMsg>> batch = shard(q).WaitBatch(0, 64);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(batch.value().size(), 3u);
+    for (uint32_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(batch.value()[i].opcode, 1000 * (q + 1) + i);
+    }
+    EXPECT_EQ(PollOne(q).code(), ErrorCode::kTimedOut);
+  }
+}
+
+TEST_F(ShardTest, DowncallHandlerLearnsQueueFromShardNotMessage) {
+  struct Seen {
+    uint32_t opcode;
+    uint16_t shard;
+    wire::Malform verdict;
+  };
+  std::vector<Seen> handled;
+  bench_.ctx->set_downcall_handler([&](UchanMsg& msg, uint16_t shard, wire::Malform verdict) {
+    handled.push_back({msg.opcode, shard, verdict});
+    msg.error = 0;
+  });
+  for (uint16_t q = 0; q < 4; ++q) {
+    // A schema-valid queue-lane message whose payload names some other
+    // queue's number: the handler must see the shard it actually travelled.
+    UchanMsg msg;
+    int32_t id = 99;
+    wire::EncodeFreeBuffers(&id, 1, &msg);
+    ASSERT_TRUE(shard(q).DowncallSync(msg).ok());
+  }
+  ASSERT_EQ(handled.size(), 4u);
+  for (uint16_t q = 0; q < 4; ++q) {
+    EXPECT_EQ(handled[q].opcode, kEthDownFreeBuffer);
+    EXPECT_EQ(handled[q].shard, q);
+    EXPECT_EQ(handled[q].verdict, wire::Malform::kNone);
+  }
+  EXPECT_EQ(bench_.ctx->wire_rejects().total(), 0u);
+}
+
+TEST_F(ShardTest, ShardsDoNotShareLocksOrWakeups) {
+  // Put shard 0's driver side to sleep; shard 1 traffic must not wake it.
+  (void)PollOne(0);
+  (void)PollOne(1);
+  ASSERT_TRUE(shard(1).SendAsync(UchanMsg{}).ok());
+  EXPECT_EQ(shard(0).stats().wakeups, 0u);
+  EXPECT_EQ(shard(1).stats().wakeups, 1u);
+}
+
+TEST_F(ShardTest, PerShardCpuAccountingAndAggregate) {
+  CpuModel& cpu = bench_.machine.cpu();
+  SimTime busy_before = cpu.busy(kAccountKernel) + cpu.busy(kAccountDriver);
+  ASSERT_TRUE(shard(1).SendAsync(UchanMsg{}).ok());
+  ASSERT_TRUE(PollOne(1).ok());
+  Uchan::Stats busy = shard(1).stats();
+  Uchan::Stats idle = shard(0).stats();
+  EXPECT_GT(busy.kernel_ns, 0u);
+  EXPECT_GT(busy.driver_ns, 0u);
+  EXPECT_EQ(idle.kernel_ns, 0u);
+  // The aggregate view sums the shards (= what a single lane would report).
+  Uchan::Stats total = bench_.ctx->AggregateCtlStats();
+  EXPECT_EQ(total.upcalls_async, 1u);
+  EXPECT_EQ(total.kernel_ns, busy.kernel_ns);
+  // And the shards' own accounts match what they charged the CpuModel.
+  EXPECT_EQ(total.kernel_ns + total.driver_ns,
+            static_cast<uint64_t>(cpu.busy(kAccountKernel) + cpu.busy(kAccountDriver) -
+                                  busy_before));
+}
+
+TEST_F(ShardTest, TeardownShutsEveryShard) {
+  bench_.ctx->Teardown();
+  for (uint16_t q = 0; q < 4; ++q) {
+    EXPECT_EQ(shard(q).SendAsync(UchanMsg{}).code(), ErrorCode::kUnavailable);
+  }
 }
 
 }  // namespace

@@ -98,6 +98,55 @@ TEST(Uchan, SyncUpcallRoundTripViaThread) {
   EXPECT_EQ(reply.value().args[0], 99u);
 }
 
+// Several kernel threads blocked in SendSync on one channel at once, and a
+// driver answering them in the reverse of the order they asked: every
+// sender gets its own reply.
+TEST(Uchan, ConcurrentSyncSendersGetTheirOwnReplies) {
+  Uchan::Config config;
+  config.sync_timeout_ms = 5000;
+  Uchan uchan(config);
+  constexpr size_t kSenders = 8;
+  std::vector<uint64_t> answers(kSenders, 0);
+  std::vector<int> failures(kSenders, 0);
+  std::vector<std::thread> senders;
+  for (size_t i = 0; i < kSenders; ++i) {
+    senders.emplace_back([&, i]() {
+      UchanMsg msg;
+      msg.args[0] = i;
+      Result<UchanMsg> reply = uchan.SendSync(std::move(msg));
+      if (reply.ok()) {
+        answers[i] = reply.value().args[0];
+      } else {
+        failures[i] = 1;
+      }
+    });
+  }
+  std::vector<UchanMsg> requests;
+  while (requests.size() < kSenders) {
+    Result<std::vector<UchanMsg>> batch = uchan.WaitBatch(1000, kSenders);
+    if (!batch.ok()) {
+      break;  // the senders time out and the expectations below report it
+    }
+    for (UchanMsg& msg : batch.value()) {
+      requests.push_back(std::move(msg));
+    }
+  }
+  for (auto it = requests.rbegin(); it != requests.rend(); ++it) {
+    UchanMsg reply;
+    reply.args[0] = 100 + it->args[0];
+    uchan.Reply(*it, std::move(reply));
+  }
+  for (std::thread& sender : senders) {
+    sender.join();
+  }
+  EXPECT_EQ(requests.size(), kSenders);
+  for (size_t i = 0; i < kSenders; ++i) {
+    EXPECT_EQ(failures[i], 0) << "sender " << i;
+    EXPECT_EQ(answers[i], 100 + i) << "sender " << i;
+  }
+  EXPECT_EQ(uchan.stats().upcalls_timed_out, 0u);
+}
+
 TEST(Uchan, PumpedDriverThatIgnoresRequestInterruptsSender) {
   Uchan uchan(FastConfig());
   uchan.set_user_pump([&]() {
@@ -411,87 +460,6 @@ TEST(Uchan, StatsReturnsConsistentSnapshot) {
   ASSERT_TRUE(uchan.SendAsync(UchanMsg{}).ok());
   EXPECT_EQ(snapshot.upcalls_async, 1u);
   EXPECT_EQ(uchan.stats().upcalls_async, 2u);
-}
-
-// ---- sharded uchan ----------------------------------------------------------
-
-TEST(UchanShards, MessagesNeverCrossShards) {
-  UchanShardSet shards(4, Uchan::Config{}, nullptr);
-  // Distinct traffic on every shard.
-  for (uint32_t q = 0; q < 4; ++q) {
-    for (uint32_t i = 0; i < 3; ++i) {
-      UchanMsg msg;
-      msg.opcode = 1000 * (q + 1) + i;
-      ASSERT_TRUE(shards.shard(q).SendAsync(std::move(msg)).ok());
-    }
-  }
-  // Each shard surfaces exactly its own messages, in its own FIFO order.
-  for (uint32_t q = 0; q < 4; ++q) {
-    Result<std::vector<UchanMsg>> batch = shards.shard(q).WaitBatch(0, 64);
-    ASSERT_TRUE(batch.ok());
-    ASSERT_EQ(batch.value().size(), 3u);
-    for (uint32_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(batch.value()[i].opcode, 1000 * (q + 1) + i);
-    }
-    EXPECT_EQ(WaitOne(shards.shard(q), 0).status().code(), ErrorCode::kTimedOut);
-  }
-}
-
-TEST(UchanShards, DowncallHandlerLearnsQueueFromShardNotMessage) {
-  UchanShardSet shards(4, Uchan::Config{}, nullptr);
-  std::vector<std::pair<uint32_t, uint16_t>> handled;  // (opcode, shard)
-  shards.set_downcall_handler(
-      [&](UchanMsg& msg, uint16_t queue) { handled.emplace_back(msg.opcode, queue); });
-  for (uint32_t q = 0; q < 4; ++q) {
-    UchanMsg msg;
-    msg.opcode = 500 + q;
-    // A malicious driver could claim any queue in args; the handler must see
-    // the shard the message actually travelled.
-    msg.args[2] = 99;
-    ASSERT_TRUE(shards.shard(q).DowncallSync(msg).ok());
-  }
-  ASSERT_EQ(handled.size(), 4u);
-  for (uint16_t q = 0; q < 4; ++q) {
-    EXPECT_EQ(handled[q].first, 500u + q);
-    EXPECT_EQ(handled[q].second, q);
-  }
-}
-
-TEST(UchanShards, ShardsDoNotShareLocksOrWakeups) {
-  CpuModel cpu;
-  UchanShardSet shards(2, Uchan::Config{}, &cpu);
-  // Put shard 0's driver side to sleep; shard 1 traffic must not wake it.
-  (void)WaitOne(shards.shard(0), 0);
-  (void)WaitOne(shards.shard(1), 0);
-  ASSERT_TRUE(shards.shard(1).SendAsync(UchanMsg{}).ok());
-  EXPECT_EQ(shards.shard(0).stats().wakeups, 0u);
-  EXPECT_EQ(shards.shard(1).stats().wakeups, 1u);
-}
-
-TEST(UchanShards, PerShardCpuAccountingAndAggregate) {
-  CpuModel cpu;
-  UchanShardSet shards(3, Uchan::Config{}, &cpu);
-  ASSERT_TRUE(shards.shard(1).SendAsync(UchanMsg{}).ok());
-  (void)WaitOne(shards.shard(1), 0);
-  Uchan::Stats busy = shards.shard(1).stats();
-  Uchan::Stats idle = shards.shard(0).stats();
-  EXPECT_GT(busy.kernel_ns, 0u);
-  EXPECT_GT(busy.driver_ns, 0u);
-  EXPECT_EQ(idle.kernel_ns, 0u);
-  // The aggregate view sums the shards (= what a single lane would report).
-  Uchan::Stats total = shards.AggregateStats();
-  EXPECT_EQ(total.upcalls_async, 1u);
-  EXPECT_EQ(total.kernel_ns, busy.kernel_ns);
-  // And the shard's own account matches what it charged the CpuModel.
-  EXPECT_EQ(total.kernel_ns + total.driver_ns,
-            static_cast<uint64_t>(cpu.busy(kAccountKernel) + cpu.busy(kAccountDriver)));
-}
-
-TEST(UchanShards, ShutdownAllKillsEveryShard) {
-  UchanShardSet shards(2, Uchan::Config{}, nullptr);
-  shards.ShutdownAll();
-  EXPECT_EQ(shards.shard(0).SendAsync(UchanMsg{}).code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(shards.shard(1).SendAsync(UchanMsg{}).code(), ErrorCode::kUnavailable);
 }
 
 // ---- fault injection --------------------------------------------------------
