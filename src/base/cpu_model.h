@@ -45,7 +45,6 @@ struct CpuCosts {
   double per_byte_copy = 0.35;       // memcpy cost (~3 GB/s effective)
   double per_byte_checksum = 0.35;   // software checksum pass over payload
   SimTime skb_alloc = 250;           // socket-buffer construction (§6 "Optimized drivers")
-  SimTime driver_work_per_pkt = 700; // descriptor handling, register writes
   SimTime stack_work_per_pkt = 900;  // protocol + netfilter work per packet
   SimTime iotlb_miss = 150;          // IOMMU page-table walk
   SimTime dma_map = 300;             // in-kernel dma_map_single of an skb

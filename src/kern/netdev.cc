@@ -89,9 +89,7 @@ Status NetSubsystem::Transmit(const std::string& name, SkbPtr skb) {
 }
 
 Status NetSubsystem::Transmit(NetDevice* device, SkbPtr skb) {
-  std::vector<SkbPtr> burst;
-  burst.push_back(std::move(skb));
-  Result<size_t> accepted = TransmitBatch(device, std::move(burst));
+  Result<size_t> accepted = XmitBurst(device, std::span<SkbPtr>(&skb, 1));
   if (!accepted.ok()) {
     return accepted.status();
   }
@@ -108,16 +106,28 @@ Result<size_t> NetSubsystem::TransmitBatch(const std::string& name, std::vector<
 }
 
 Result<size_t> NetSubsystem::TransmitBatch(NetDevice* device, std::vector<SkbPtr> skbs) {
+  return XmitBurst(device, skbs);
+}
+
+Result<size_t> NetSubsystem::XmitBurst(NetDevice* device, std::span<SkbPtr> skbs) {
   if (!device->up_) {
     device->stats().tx_dropped += skbs.size();
     return Status(ErrorCode::kUnavailable, device->name() + " is down");
   }
   size_t total = skbs.size();
   size_t accepted = 0;
-  if (device->num_queues() <= 1) {
-    // Single-queue: the whole burst in one driver call (the classic path).
-    accepted = device->ops()->StartXmitBatch(std::move(skbs), 0);
-    device->queue_stats(0).tx_packets += accepted;
+  uint16_t queues = device->num_queues();
+  auto queue_of = [queues](const SkbPtr& skb) {
+    return queues <= 1 ? uint16_t{0} : FlowQueue(skb->span(), queues);
+  };
+  uint16_t first = total == 0 ? 0 : queue_of(skbs[0]);
+  if (std::all_of(skbs.begin(), skbs.end(), [&](const SkbPtr& skb) {
+        return queue_of(skb) == first;
+      })) {
+    // One queue (always, on a single-queue device): the whole burst in one
+    // driver call.
+    accepted = device->ops()->StartXmitBatch(skbs, first);
+    device->queue_stats(first).tx_packets += accepted;
   } else {
     // RSS-style transmit steering: partition the burst by flow hash, one
     // StartXmitBatch per non-empty queue. Flows stay ordered (a flow always
@@ -125,14 +135,13 @@ Result<size_t> NetSubsystem::TransmitBatch(NetDevice* device, std::vector<SkbPtr
     // deliberately unordered, as on real multi-queue hardware.
     std::array<std::vector<SkbPtr>, kNetMaxQueues> per_queue;
     for (SkbPtr& skb : skbs) {
-      uint16_t queue = FlowQueue(skb->span(), device->num_queues());
-      per_queue[queue].push_back(std::move(skb));
+      per_queue[queue_of(skb)].push_back(std::move(skb));
     }
-    for (uint16_t q = 0; q < device->num_queues(); ++q) {
+    for (uint16_t q = 0; q < queues; ++q) {
       if (per_queue[q].empty()) {
         continue;
       }
-      size_t queue_accepted = device->ops()->StartXmitBatch(std::move(per_queue[q]), q);
+      size_t queue_accepted = device->ops()->StartXmitBatch(per_queue[q], q);
       device->queue_stats(q).tx_packets += queue_accepted;
       accepted += queue_accepted;
     }

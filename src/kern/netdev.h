@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,9 +45,9 @@ class NetDeviceOps {
   virtual Status Stop() = 0;                              // ndo_stop
   // ndo_start_xmit, burst-shaped: the frames of TX queue `queue`, already
   // steered there by the caller's flow hash, in one call (a single send is a
-  // burst of one). Returns how many frames the driver accepted; a full queue
-  // drops the tail.
-  virtual size_t StartXmitBatch(std::vector<SkbPtr> skbs, uint16_t queue) = 0;
+  // burst of one). The driver takes the skbs it keeps out of the span.
+  // Returns how many frames the driver accepted; a full queue drops the tail.
+  virtual size_t StartXmitBatch(std::span<SkbPtr> skbs, uint16_t queue) = 0;
   virtual Result<std::string> Ioctl(uint32_t cmd) = 0;    // ndo_do_ioctl (e.g. SIOCGMIIREG)
 };
 
@@ -227,6 +228,10 @@ class NetSubsystem {
   }
 
  private:
+  // The one transmit path behind both entries; needs no heap allocation
+  // when the burst is bound for one queue.
+  Result<size_t> XmitBurst(NetDevice* device, std::span<SkbPtr> skbs);
+
   std::map<std::string, std::unique_ptr<NetDevice>> devices_;
   std::map<std::string, int> name_counter_;
   Firewall firewall_;

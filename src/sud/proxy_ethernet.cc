@@ -242,21 +242,21 @@ Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t
   return Status::Ok();
 }
 
-size_t EthernetProxy::StartXmitBatch(std::vector<kern::SkbPtr> skbs, uint16_t queue) {
+size_t EthernetProxy::StartXmitBatch(std::span<kern::SkbPtr> skbs, uint16_t queue) {
   if (queue >= ctx_->num_queues()) {
     queue = 0;
   }
-  // Stage every frame first, so the whole array crosses in one enqueue.
-  std::vector<UchanMsg> msgs;
-  msgs.reserve(skbs.size());
+  // Stage every frame first, so the whole array crosses in one enqueue, into
+  // this thread's array (a nested transmit, in a ring-full pump, gets a new one).
+  thread_local std::vector<UchanMsg> t_staged;
+  std::vector<UchanMsg> msgs = std::move(t_staged);
   Status staging = Status::Ok();
   for (kern::SkbPtr& skb : skbs) {
-    UchanMsg msg;
-    staging = PrepareXmit(skb, &msg, queue);
+    staging = PrepareXmit(skb, &msgs.emplace_back(), queue);
     if (!staging.ok()) {
+      msgs.pop_back();
       break;  // pool exhausted: the tail of the burst is dropped
     }
-    msgs.push_back(std::move(msg));
   }
   if (staging.code() == ErrorCode::kQueueFull) {
     // Each frame behind the failing one would have hit the same empty pool:
@@ -294,6 +294,8 @@ size_t EthernetProxy::StartXmitBatch(std::vector<kern::SkbPtr> skbs, uint16_t qu
   } else if (sent.ok()) {
     NoteXmitFull();
   }
+  msgs.clear();
+  t_staged = std::move(msgs);
   return enqueued;
 }
 

@@ -98,12 +98,10 @@ class EthernetProxy : public kern::NetDeviceOps {
   Status Stop() override;
   // The transmit entry, for a burst or a single frame on TX queue `queue`:
   // stages every frame into shared-pool buffers (or grants), then enqueues
-  // the whole array of xmit upcalls in ONE crossing of shard `queue` (one
-  // lock acquisition, at most one driver wakeup — and no lock shared with
-  // any other queue). Frames the ring cannot take are dropped, counted in
-  // xmit_dropped, and their pool buffers freed straight from the messages
-  // the channel handed back.
-  size_t StartXmitBatch(std::vector<kern::SkbPtr> skbs, uint16_t queue) override;
+  // the xmit upcalls in ONE crossing of shard `queue` (one lock, at most one
+  // driver wakeup, nothing shared with other queues). Frames the ring cannot
+  // take are dropped, counted, and their buffers freed from the messages.
+  size_t StartXmitBatch(std::span<kern::SkbPtr> skbs, uint16_t queue) override;
   Result<std::string> Ioctl(uint32_t cmd) override;
 
   kern::NetDevice* netdev() { return netdev_; }

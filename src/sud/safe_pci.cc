@@ -1,11 +1,21 @@
 #include "src/sud/safe_pci.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "src/base/bytes.h"
 #include "src/base/log.h"
 
 namespace sud {
+
+void SudDeviceContext::SpinLock::lock() {
+  static const bool multi_cpu = std::thread::hardware_concurrency() > 1;
+  for (int spins = 0; flag.test_and_set(std::memory_order_acquire); ++spins) {
+    if (!multi_cpu || spins >= 64) {
+      std::this_thread::yield();  // the holder may need this CPU to finish
+    }
+  }
+}
 
 SudDeviceContext::SudDeviceContext(kern::Kernel* kernel, hw::PciDevice* device,
                                    kern::Uid owner_uid, Options options)
@@ -143,7 +153,7 @@ Status SudDeviceContext::Bind(kern::Process* proc) {
     // in-flight mark is either reset here or never made: unmasking first
     // let it re-mask for an upcall no driver would ever ack, wedging every
     // queue.
-    std::lock_guard<std::recursive_mutex> lock(irq_mu_);
+    std::lock_guard<SpinLock> lock(irq_mu_);
     irq_in_flight_.fill(false);
     irq_pended_.fill(false);
     interrupts_while_masked_ = 0;
@@ -281,7 +291,7 @@ void SudDeviceContext::OnDeviceInterrupt(uint16_t queue, uint16_t msi_source_id)
   if (queue >= num_queues_) {
     return;
   }
-  std::lock_guard<std::recursive_mutex> lock(irq_mu_);
+  std::lock_guard<SpinLock> lock(irq_mu_);
   if (!bound_) {
     return;
   }
@@ -348,22 +358,7 @@ void SudDeviceContext::OnDeviceInterrupt(uint16_t queue, uint16_t msi_source_id)
   irq_in_flight_[queue] = true;
   ++irq_stats_.forwarded;
   machine.cpu().Charge(kAccountKernel, machine.cpu().costs().interrupt_entry);
-  UchanMsg msg;
-  msg.opcode = kOpInterrupt;
-  msg.args[0] = queue;
-  Status status = shards_[queue]->SendAsync(std::move(msg));
-  if (!status.ok()) {
-    // Ring full even after the channel's bounded retry: treat like an
-    // unacknowledged interrupt — mask. The upcall was never delivered, so
-    // no ack for it can ever arrive: the in-flight flag must come back off
-    // and the queue must pend, or it wedges forever. The next ack on ANY
-    // queue (or the pended-MSI refire on unmask) redelivers.
-    irq_in_flight_[queue] = false;
-    irq_pended_[queue] = true;
-    machine.cpu().Charge(kAccountKernel, machine.cpu().costs().pci_config_access);
-    device_->config().set_msi_masked(true);
-    ++irq_stats_.mask_events;
-  }
+  (void)shards_[queue]->RaiseInterrupt(queue);
 }
 
 void SudDeviceContext::EscalateStorm() {
@@ -398,43 +393,35 @@ Status SudDeviceContext::InterruptAck(uint16_t queue) {
   if (queue >= num_queues_) {
     return Status(ErrorCode::kInvalidArgument, "interrupt_ack for a queue the device lacks");
   }
-  std::lock_guard<std::recursive_mutex> lock(irq_mu_);
-  irq_in_flight_[queue] = false;
-  interrupts_while_masked_ = 0;
-  Status fired = Status::Ok();
-  if (device_->config().msi_masked() && !irq_stats_.remap_blocked &&
-      !irq_stats_.msi_page_unmapped) {
-    kernel_->machine().cpu().Charge(kAccountKernel,
-                                    kernel_->machine().cpu().costs().pci_config_access);
-    device_->config().set_msi_masked(false);
-    // A masked interrupt pends and fires on unmask, per the PCI spec.
-    fired = device_->FirePendingMsi();
+  CpuModel& cpu = kernel_->machine().cpu();
+  bool unmasked = false;
+  {
+    std::lock_guard<SpinLock> lock(irq_mu_);
+    irq_in_flight_[queue] = false;
+    interrupts_while_masked_ = 0;
+    unmasked = device_->config().msi_masked() && !irq_stats_.remap_blocked &&
+               !irq_stats_.msi_page_unmapped;
+    if (unmasked) {
+      cpu.Charge(kAccountKernel, cpu.costs().pci_config_access);
+      device_->config().set_msi_masked(false);
+    }
   }
-  // Redeliver edges this layer swallowed mid-handling (coalesced while in
+  // A masked interrupt pends and fires on unmask, per the PCI spec; it
+  // re-enters OnDeviceInterrupt, so it fires with the lock released.
+  Status fired = unmasked ? device_->FirePendingMsi() : Status::Ok();
+  // Raise the edges this layer swallowed mid-handling (coalesced while in
   // flight, or raced a mask flip): the work they signalled is already in the
   // descriptor rings, and no further edge may ever come — a window-blocked
-  // generator stops transmitting at exactly one full window. One upcall per
-  // pended queue; a queue FirePendingMsi just re-raised is skipped (its new
-  // in-flight interrupt already covers the re-poll).
+  // generator stops transmitting at exactly one full window. A queue the
+  // re-fire raised, or one still in flight, is swept by its own ack.
+  std::lock_guard<SpinLock> lock(irq_mu_);
   for (uint32_t q = 0; q < num_queues_; ++q) {
-    if (!irq_pended_[q]) {
-      continue;
-    }
-    if (irq_in_flight_[q]) {
-      continue;  // still being handled; that queue's own ack sweeps it
-    }
-    irq_pended_[q] = false;
-    irq_in_flight_[q] = true;
-    ++irq_stats_.forwarded;
-    kernel_->machine().cpu().Charge(kAccountKernel,
-                                    kernel_->machine().cpu().costs().interrupt_entry);
-    UchanMsg msg;
-    msg.opcode = kOpInterrupt;
-    msg.args[0] = q;
-    if (!shards_[q]->SendAsync(std::move(msg)).ok()) {
-      // Shard ring full: keep the pend; the next ack on any queue retries.
-      irq_in_flight_[q] = false;
-      irq_pended_[q] = true;
+    if (irq_pended_[q] && !irq_in_flight_[q]) {
+      irq_pended_[q] = false;
+      irq_in_flight_[q] = true;
+      ++irq_stats_.forwarded;
+      cpu.Charge(kAccountKernel, cpu.costs().interrupt_entry);
+      (void)shards_[q]->RaiseInterrupt(static_cast<uint16_t>(q));
     }
   }
   return fired;
@@ -471,7 +458,7 @@ void SudDeviceContext::Teardown() {
   uint16_t command = device_->config().command();
   device_->config().set_command(command & static_cast<uint16_t>(~hw::kPciCommandBusMaster));
   {
-    std::lock_guard<std::recursive_mutex> lock(irq_mu_);
+    std::lock_guard<SpinLock> lock(irq_mu_);
     bound_ = false;
   }
   process_ = nullptr;

@@ -18,12 +18,13 @@
 //  * The device's DMA is confined by the IOMMU context created at Bind time,
 //    and peer-to-peer attacks by the ACS configuration forced on the
 //    device's switch.
-//  * Interrupts are forwarded as upcalls; a second interrupt before the
-//    driver's interrupt_ack downcall masks MSI (Section 3.2.2), and a storm
+//  * Interrupts are forwarded by raising the queue shard's level-triggered
+//    flag: it needs no ring slot, so a full ring never drops one and nothing
+//    redelivers it. A second interrupt before the driver's interrupt_ack
+//    masks MSI and pends the queue until that ack (Section 3.2.2); a storm
 //    that masking cannot stop (stray DMA to the MSI address) escalates to
 //    interrupt remapping (Intel + IR), unmapping the MSI page (AMD), or — on
-//    the paper's own Intel-without-IR testbed — is detected but unstoppable,
-//    reproducing the Section 5.2 negative result.
+//    the paper's Intel-without-IR testbed — is detected but unstoppable (§5.2).
 //
 // Multi-queue devices: Options::num_queues shards the ctl file into one
 // uchan ring pair per device queue, with one multi-message MSI vector per
@@ -149,7 +150,7 @@ class SudDeviceContext {
 
   // --- interrupt path ---------------------------------------------------------
   // interrupt_ack downcall target: driver finished handling queue `queue`'s
-  // interrupt; unmask and deliver anything that pended.
+  // interrupt; unmask, re-fire held-back MSIs, then raise pended queues.
   Status InterruptAck(uint16_t queue);
 
   struct InterruptStats {
@@ -209,17 +210,22 @@ class SudDeviceContext {
   FlushHandler downcall_flush_handler_;
   wire::RejectStats wire_rejects_;
 
+  struct SpinLock {  // spins briefly, then yields its CPU to the holder
+    void lock();
+    void unlock() { flag.clear(std::memory_order_release); }
+    std::atomic_flag flag = ATOMIC_FLAG_INIT;
+  };
+
   uint8_t vector_base_ = 0;
   // Serializes interrupt bookkeeping (in-flight flags, MSI mask flips, storm
   // counters) across the per-queue pump threads and the delivery thread.
-  // Recursive: InterruptAck's unmask re-delivers pended MSIs, which re-enter
-  // OnDeviceInterrupt on the same call stack.
-  std::recursive_mutex irq_mu_;
+  // Nothing under it waits on the driver, so it spins rather than sleeps.
+  SpinLock irq_mu_;
   std::array<bool, kSudMaxQueues> irq_in_flight_{};
   // Genuine device MSIs swallowed while their queue's interrupt was in
   // flight (or the function masked): the signalled work already sits in the
   // descriptor ring, and a window-blocked sender may never produce another
-  // edge — so InterruptAck redelivers exactly one upcall per pended queue.
+  // edge — so InterruptAck raises exactly one interrupt per pended queue.
   std::array<bool, kSudMaxQueues> irq_pended_{};
   uint32_t interrupts_while_masked_ = 0;
   InterruptStats irq_stats_;

@@ -6,6 +6,7 @@
 
 #include "src/base/fault_injector.h"
 #include "src/base/log.h"
+#include "src/sud/proto.h"
 
 namespace sud {
 
@@ -15,18 +16,12 @@ namespace {
 // chance to drain before the drop becomes final. A genuinely hung driver
 // still fails — just these few hundred microseconds later.
 constexpr int kRingFullRetries = 2;
-constexpr uint64_t kRingFullBackoffUs = 100;
-// How long a driver thread that found its ring empty polls before parking on
-// upcall_cv_. On a request/response loop the next upcall usually lands well
-// inside it, and a parked thread costs a real scheduler wakeup (several
-// microseconds) per handoff.
+constexpr std::chrono::microseconds kRingFullBackoff{100};
+// How long a driver thread that found its ring empty polls before parking:
+// on a request/response loop the next upcall usually lands well inside it,
+// while a parked thread costs a scheduler wakeup (several microseconds).
 constexpr std::chrono::microseconds kIdlePollWindow{50};
-
-// A poller on a single CPU only delays the producer it waits for.
-bool PollBeforePark() {
-  static const bool multi_cpu = std::thread::hardware_concurrency() > 1;
-  return multi_cpu;
-}
+constexpr uint32_t kPausesPerClockRead = 32;
 
 void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -49,27 +44,20 @@ Uchan::Uchan(Config config, CpuModel* cpu) : config_(config), cpu_(cpu) {
   ring_.resize(config_.ring_entries);
 }
 
-void Uchan::ChargeKernelLocked(SimTime nanos) {
-  stats_.kernel_ns += nanos;
+void Uchan::Charge(Stats& stats, CpuAccount account, SimTime nanos) {
+  (account == kAccountKernel ? stats.kernel_ns : stats.driver_ns) += nanos;
   if (cpu_ != nullptr) {
-    cpu_->Charge(kAccountKernel, nanos);
-  }
-}
-
-void Uchan::ChargeDriverLocked(SimTime nanos) {
-  stats_.driver_ns += nanos;
-  if (cpu_ != nullptr) {
-    cpu_->Charge(kAccountDriver, nanos);
+    cpu_->Charge(account, nanos);
   }
 }
 
 void Uchan::set_downcall_handler(DowncallHandler handler) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(driver_mu_);
   downcall_handler_ = std::move(handler);
 }
 
 void Uchan::set_downcall_flush_handler(std::function<void()> handler) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(driver_mu_);
   downcall_flush_handler_ = std::move(handler);
 }
 
@@ -93,13 +81,14 @@ void Uchan::EraseReplyLocked(uint64_t seq) {
   std::erase_if(replies_, [seq](const PendingReply& pending) { return pending.seq == seq; });
 }
 
-// ---- upcall ring ------------------------------------------------------------
-
-Status Uchan::EnqueueUpcallLocked(UchanMsg&& msg) {
-  if (shutdown_) {
+Status Uchan::EnqueueLocked(UchanMsg& msg) {
+  if (is_shutdown()) {
     return Status(ErrorCode::kUnavailable, "uchan shut down");
   }
-  if (ring_count_ >= config_.ring_entries) {
+  uint64_t tail = tail_.load(std::memory_order_relaxed);
+  // head is the driver's word: any value that would put more than the ring
+  // in flight (including one past tail) reads as a full ring.
+  if (tail - head_.load(std::memory_order_acquire) >= config_.ring_entries) {
     // Section 3.1.1: "if the device driver's queue is full, the kernel can
     // wait a short period of time to determine if the user-space driver is
     // making any progress at all" — the short wait is the bounded retry in
@@ -110,54 +99,48 @@ Status Uchan::EnqueueUpcallLocked(UchanMsg&& msg) {
   // existing backpressure machinery (counted drop, staged-buffer reclaim,
   // hung-driver grace policy) is exactly what must engage.
   if (msg.droppable && SUD_FAULT_POINT("uchan.up.ring_full")) {
-    stats_.injected_ring_full++;
+    kernel_stats_.injected_ring_full++;
     return Status(ErrorCode::kQueueFull, "kernel-to-user ring full (injected)");
   }
-  ChargeKernelLocked(costs().uchan_msg);
-  if (driver_idle_) {
-    // The driver is asleep in select: this enqueue costs one process wakeup
-    // (the 4 us of Section 5.1); it is now runnable, so further enqueues
-    // before its next sleep are free — which is also what makes the whole of
-    // a SendAsyncBatch cost a single wakeup.
-    ChargeKernelLocked(costs().process_wakeup);
-    stats_.wakeups++;
-    driver_idle_ = false;
-  }
-  ring_[(ring_head_ + ring_count_) % config_.ring_entries] = std::move(msg);
-  ++ring_count_;
-  ring_count_mirror_.store(ring_count_, std::memory_order_release);
+  Charge(kernel_stats_, kAccountKernel, costs().uchan_msg);
+  ring_[tail % config_.ring_entries] = std::move(msg);
+  tail_.store(tail + 1, std::memory_order_release);
   return Status::Ok();
 }
 
-UchanMsg Uchan::PopUpcallLocked() {
-  if (ring_count_ >= config_.ring_entries) {
-    // The ring just stopped being full: wake any sender in its bounded
-    // ring-full backoff.
-    space_cv_.notify_all();
+void Uchan::PublishLocked() {
+  std::atomic_thread_fence(std::memory_order_seq_cst);  // pairs with WaitForUpcalls
+  int state = driver_state_.load(std::memory_order_relaxed);
+  do {  // the driver may go from idle to parked under this compare-exchange
+    if (state == kDriverBusy) {
+      return;
+    }
+  } while (!driver_state_.compare_exchange_weak(state, kDriverBusy));
+  // The driver was asleep in select: it is now runnable, so publishes before
+  // its next sleep are free — and a whole SendAsyncBatch costs one wakeup.
+  Charge(kernel_stats_, kAccountKernel, costs().process_wakeup);
+  kernel_stats_.wakeups++;
+  if (state == kDriverParked) {
+    std::lock_guard<std::mutex> park(park_mu_);
+    park_cv_.notify_all();
   }
-  UchanMsg msg = std::move(ring_[ring_head_]);
-  ring_head_ = (ring_head_ + 1) % config_.ring_entries;
-  --ring_count_;
-  ring_count_mirror_.store(ring_count_, std::memory_order_release);
-  ChargeDriverLocked(costs().uchan_msg);
-  return msg;
 }
 
 Result<UchanMsg> Uchan::SendSync(UchanMsg msg) {
   std::unique_lock<std::mutex> lock(mu_);
-  msg.seq = next_seq_++;
+  msg.seq = next_upcall_seq_++;
   msg.needs_reply = true;
   uint64_t seq = msg.seq;
-  stats_.upcalls_sync++;
-  Status enq = EnqueueUpcallLocked(std::move(msg));
+  kernel_stats_.upcalls_sync++;
+  Status enq = EnqueueLocked(msg);
   if (!enq.ok()) {
     if (enq.code() == ErrorCode::kQueueFull) {
-      stats_.upcalls_dropped_full++;
+      kernel_stats_.upcalls_dropped_full++;
     }
     return enq;
   }
   replies_.push_back(PendingReply{seq, false, {}});
-  upcall_cv_.notify_all();
+  PublishLocked();
 
   auto ready = [this, seq] {
     PendingReply* pending = FindReplyLocked(seq);
@@ -165,24 +148,24 @@ Result<UchanMsg> Uchan::SendSync(UchanMsg msg) {
   };
   auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(config_.sync_timeout_ms);
-  while (!shutdown_ && !ready()) {
+  while (!is_shutdown() && !ready()) {
     if (user_pump_) {
       // Single-threaded harness: run the driver inline instead of blocking.
       auto pump = user_pump_;
       lock.unlock();
       pump();
       lock.lock();
-      if (ready() || shutdown_) {
+      if (ready() || is_shutdown()) {
         break;
       }
       // Driver ran but did not reply: a hung or malicious driver. The upcall
       // is interruptable — give up.
-      stats_.upcalls_timed_out++;
+      kernel_stats_.upcalls_timed_out++;
       EraseReplyLocked(seq);
       return Status(ErrorCode::kTimedOut, "synchronous upcall interrupted (driver unresponsive)");
     }
     if (reply_cv_.wait_until(lock, deadline) == std::cv_status::timeout && !ready()) {
-      stats_.upcalls_timed_out++;
+      kernel_stats_.upcalls_timed_out++;
       // Withdraw the rendezvous so a late Reply is dropped instead of parking
       // an orphaned entry forever.
       EraseReplyLocked(seq);
@@ -195,61 +178,63 @@ Result<UchanMsg> Uchan::SendSync(UchanMsg msg) {
   }
   UchanMsg reply = std::move(FindReplyLocked(seq)->msg);
   EraseReplyLocked(seq);
-  ChargeKernelLocked(costs().uchan_msg);
+  Charge(kernel_stats_, kAccountKernel, costs().uchan_msg);
   return reply;
 }
 
 // Gives a kQueueFull enqueue its bounded second chance: runs the pump (the
-// driver's inline dispatch, single-threaded harnesses) or waits briefly for
-// the driver threads to pop something. Returns the final enqueue status;
-// `msg` is untouched on failure (EnqueueUpcallLocked moves only on success).
+// driver's inline dispatch) or polls briefly, unlocked, for a drained slot.
 Status Uchan::RetryEnqueueLocked(UchanMsg& msg, Status status,
                                  std::unique_lock<std::mutex>& lock) {
   for (int attempt = 0;
        !status.ok() && status.code() == ErrorCode::kQueueFull && attempt < kRingFullRetries &&
-       !shutdown_;
+       !is_shutdown();
        ++attempt) {
-    stats_.ring_full_retries++;
-    if (user_pump_) {
-      auto pump = user_pump_;
-      lock.unlock();
+    kernel_stats_.ring_full_retries++;
+    auto pump = user_pump_;
+    lock.unlock();
+    if (pump) {
       pump();
-      lock.lock();
     } else {
-      space_cv_.wait_for(lock, std::chrono::microseconds(kRingFullBackoffUs));
+      auto until = std::chrono::steady_clock::now() + kRingFullBackoff;
+      while (tail_.load(std::memory_order_relaxed) - head_.load(std::memory_order_acquire) >=
+                 config_.ring_entries &&
+             !is_shutdown() && std::chrono::steady_clock::now() < until) {
+        std::this_thread::yield();
+      }
     }
-    status = EnqueueUpcallLocked(std::move(msg));
+    lock.lock();
+    status = EnqueueLocked(msg);
   }
   return status;
 }
 
 Status Uchan::SendAsync(UchanMsg msg) {
   Result<size_t> sent = SendAsyncBatch(std::span<UchanMsg>(&msg, 1));
-  if (!sent.ok()) {
-    return sent.status();
+  if (sent.ok() && sent.value() == 0) {
+    return Status(ErrorCode::kQueueFull, "kernel-to-user ring full");
   }
-  return sent.value() == 1 ? Status::Ok()
-                           : Status(ErrorCode::kQueueFull, "kernel-to-user ring full");
+  return sent.status();
 }
 
 Result<size_t> Uchan::SendAsyncBatch(std::span<UchanMsg> msgs) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (shutdown_) {
+  if (is_shutdown()) {
     return Status(ErrorCode::kUnavailable, "uchan shut down");
   }
-  stats_.upcall_batches++;
-  stats_.upcalls_async += msgs.size();
+  kernel_stats_.upcall_batches++;
+  kernel_stats_.upcalls_async += msgs.size();
   size_t enqueued = 0;
   Status status = Status::Ok();
   for (; enqueued < msgs.size(); ++enqueued) {
     UchanMsg& msg = msgs[enqueued];
-    msg.seq = next_seq_++;
+    msg.seq = next_upcall_seq_++;
     msg.needs_reply = false;
-    status = EnqueueUpcallLocked(std::move(msg));
+    status = EnqueueLocked(msg);
     if (status.code() == ErrorCode::kQueueFull) {
       if (enqueued > 0) {
         // Wake the driver on what is already queued before backing off.
-        upcall_cv_.notify_all();
+        PublishLocked();
       }
       status = RetryEnqueueLocked(msg, status, lock);
     }
@@ -260,69 +245,120 @@ Result<size_t> Uchan::SendAsyncBatch(std::span<UchanMsg> msgs) {
   if (status.code() == ErrorCode::kQueueFull) {
     // Ring stayed full through the bounded retry: this message and the rest
     // of the batch are dropped (counted; they stay intact for the caller).
-    stats_.upcalls_dropped_full += msgs.size() - enqueued;
+    kernel_stats_.upcalls_dropped_full += msgs.size() - enqueued;
   }
   if (enqueued > 0) {
-    upcall_cv_.notify_all();
+    PublishLocked();
   }
   return enqueued;
 }
 
-Status Uchan::WaitForUpcallLocked(uint64_t timeout_ms, std::unique_lock<std::mutex>& lock) {
-  if (shutdown_) {
+Status Uchan::RaiseInterrupt(uint16_t queue) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (is_shutdown()) {
     return Status(ErrorCode::kUnavailable, "uchan shut down");
   }
-  if (ring_count_ == 0) {
-    // Ring empty: the driver sleeps in select on the uchan fd. Entering and
-    // leaving the kernel for select costs a syscall.
-    driver_idle_ = true;
-    ChargeDriverLocked(costs().syscall);
-    if (timeout_ms == 0) {
-      return Status(ErrorCode::kTimedOut, "no pending upcalls");
-    }
-    auto now = std::chrono::steady_clock::now();
-    auto deadline = now + std::chrono::milliseconds(timeout_ms);
-    if (PollBeforePark()) {
-      // The driver is already idle for the model: an upcall published while
-      // this thread polls charges its process wakeup exactly as if it had
-      // parked. Only the host thread skips the scheduler round trip.
-      lock.unlock();
-      auto poll_until = now + kIdlePollWindow;
-      while (ring_count_mirror_.load(std::memory_order_acquire) == 0 &&
-             !shutdown_mirror_.load(std::memory_order_acquire) &&
-             std::chrono::steady_clock::now() < poll_until) {
-        CpuRelax();
-      }
-      lock.lock();
-    }
-    while (ring_count_ == 0 && !shutdown_) {
-      if (upcall_cv_.wait_until(lock, deadline) == std::cv_status::timeout && ring_count_ == 0) {
-        return Status(ErrorCode::kTimedOut, "no pending upcalls");
-      }
-    }
-    if (shutdown_) {
-      return Status(ErrorCode::kUnavailable, "uchan shut down");
-    }
+  kernel_stats_.upcall_batches++;
+  kernel_stats_.upcalls_async++;
+  Charge(kernel_stats_, kAccountKernel, costs().uchan_msg);
+  if (irq_stamp_.load(std::memory_order_acquire) == kNoInterrupt) {
+    irq_queue_ = queue;
+    irq_stamp_.store(tail_.load(std::memory_order_relaxed), std::memory_order_release);
   }
-  driver_idle_ = false;
+  PublishLocked();
   return Status::Ok();
 }
 
-Result<std::vector<UchanMsg>> Uchan::WaitBatch(uint64_t timeout_ms, size_t max_msgs) {
-  FlushDowncalls();
-  std::unique_lock<std::mutex> lock(mu_);
-  SUD_RETURN_IF_ERROR(WaitForUpcallLocked(timeout_ms, lock));
-  std::vector<UchanMsg> batch;
-  batch.reserve(std::min(max_msgs, ring_count_));
-  while (ring_count_ > 0 && batch.size() < max_msgs) {
-    batch.push_back(PopUpcallLocked());
+size_t Uchan::pending_upcalls() const {
+  uint64_t head = head_.load(std::memory_order_acquire);  // first: tail only grows
+  return tail_.load(std::memory_order_acquire) - head +
+         (irq_stamp_.load(std::memory_order_acquire) != kNoInterrupt ? 1 : 0);
+}
+
+Status Uchan::WaitForUpcalls(uint64_t timeout_ms) {
+  if (is_shutdown()) {
+    return Status(ErrorCode::kUnavailable, "uchan shut down");
   }
-  return batch;
+  // Ring empty: the driver sleeps in select. By the paired fences, an upcall
+  // no producer saw the driver idle for is seen here: no select, no wakeup.
+  driver_state_.store(kDriverIdle, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (pending_upcalls() != 0 && driver_state_.exchange(kDriverBusy) == kDriverIdle) {
+    return Status::Ok();
+  }
+  {
+    std::lock_guard<std::mutex> lock(driver_mu_);
+    Charge(driver_stats_, kAccountDriver, costs().syscall);
+  }
+  if (timeout_ms == 0) {
+    return Status(ErrorCode::kTimedOut, "no pending upcalls");
+  }
+  auto now = std::chrono::steady_clock::now();
+  auto deadline = now + std::chrono::milliseconds(timeout_ms);
+  auto woken = [this] {
+    return driver_state_.load(std::memory_order_acquire) == kDriverBusy || is_shutdown();
+  };
+  // Only the host thread polls (the model already has the driver idle), and
+  // only with another CPU to run the producer it waits for.
+  static const bool multi_cpu = std::thread::hardware_concurrency() > 1;
+  auto poll_until = now + kIdlePollWindow;
+  for (uint32_t pauses = 1; multi_cpu && !woken(); ++pauses) {
+    CpuRelax();
+    if (pauses % kPausesPerClockRead == 0 && std::chrono::steady_clock::now() >= poll_until) {
+      break;
+    }
+  }
+  std::unique_lock<std::mutex> park(park_mu_);
+  int idle = kDriverIdle;
+  int parked = kDriverParked;
+  if (driver_state_.compare_exchange_strong(idle, kDriverParked) &&
+      !park_cv_.wait_until(park, deadline, woken) &&
+      driver_state_.compare_exchange_strong(parked, kDriverIdle)) {
+    return Status(ErrorCode::kTimedOut, "no pending upcalls");
+  }
+  return is_shutdown() ? Status(ErrorCode::kUnavailable, "uchan shut down") : Status::Ok();
+}
+
+void Uchan::DrainLocked(size_t max_msgs, std::vector<UchanMsg>* out) {
+  // Tail first: a raise an upcall it shows must follow is then in the stamp.
+  uint64_t tail = tail_.load(std::memory_order_acquire);
+  uint64_t stamp = irq_stamp_.load(std::memory_order_acquire);
+  uint64_t head = head_.load(std::memory_order_relaxed);
+  while (out->size() < max_msgs) {
+    if (stamp != kNoInterrupt && head >= stamp) {  // where its message would sit
+      UchanMsg& irq = out->emplace_back();
+      irq.opcode = kOpInterrupt;
+      irq.args[0] = irq_queue_;
+      irq_stamp_.store(kNoInterrupt, std::memory_order_release);
+      stamp = kNoInterrupt;
+    } else if (head != tail) {
+      out->push_back(std::move(ring_[head++ % config_.ring_entries]));
+    } else {
+      break;
+    }
+    Charge(driver_stats_, kAccountDriver, costs().uchan_msg);
+  }
+  head_.store(head, std::memory_order_release);
+}
+
+Status Uchan::WaitBatch(uint64_t timeout_ms, size_t max_msgs, std::vector<UchanMsg>* out) {
+  out->clear();
+  FlushDowncalls();
+  // A publish can wake the driver after it drained that upcall without waiting
+  // (or another driver thread took it): like select, wait again on empty.
+  while (out->empty() && max_msgs > 0) {
+    if (pending_upcalls() == 0) {
+      SUD_RETURN_IF_ERROR(WaitForUpcalls(timeout_ms));
+    }
+    std::lock_guard<std::mutex> lock(driver_mu_);
+    DrainLocked(max_msgs, out);
+  }
+  return out->empty() ? Status(ErrorCode::kTimedOut, "no pending upcalls") : Status::Ok();
 }
 
 void Uchan::Reply(const UchanMsg& request, UchanMsg reply) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!request.needs_reply || shutdown_) {
+  if (!request.needs_reply || is_shutdown()) {
     return;
   }
   PendingReply* pending = FindReplyLocked(request.seq);
@@ -332,30 +368,19 @@ void Uchan::Reply(const UchanMsg& request, UchanMsg reply) {
   }
   reply.seq = request.seq;
   reply.needs_reply = false;
-  ChargeDriverLocked(costs().uchan_msg);
+  Charge(kernel_stats_, kAccountDriver, costs().uchan_msg);
   pending->msg = std::move(reply);
   pending->ready = true;
   reply_cv_.notify_all();
 }
 
-void Uchan::RunDowncallLocked(UchanMsg& msg, std::unique_lock<std::mutex>& lock) {
-  DowncallHandler handler = downcall_handler_;
-  lock.unlock();
-  if (handler) {
-    handler(msg);
-  } else {
-    msg.error = static_cast<int32_t>(ErrorCode::kUnavailable);
-  }
-  lock.lock();
-}
-
 Status Uchan::DowncallSync(UchanMsg& msg) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (shutdown_) {
+  std::unique_lock<std::mutex> lock(driver_mu_);
+  if (is_shutdown()) {
     return Status(ErrorCode::kUnavailable, "uchan shut down");
   }
-  stats_.downcalls_sync++;
-  msg.seq = next_seq_++;
+  driver_stats_.downcalls_sync++;
+  msg.seq = next_downcall_seq_++;
   // A synchronous downcall always enters the kernel, flushing any batch
   // first (batched messages must stay ordered ahead of this one). The batch
   // faces the same drop/dup/delay faults as one on its own entry: a netif_rx
@@ -369,65 +394,59 @@ Status Uchan::DowncallSync(UchanMsg& msg) {
                         : Status(static_cast<ErrorCode>(msg.error), "downcall failed");
 }
 
-Status Uchan::DowncallAsync(UchanMsg msg) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      return Status(ErrorCode::kUnavailable, "uchan shut down");
-    }
-    stats_.downcalls_async++;
-    // Seq at enqueue time, under the lock: per-shard monotonic across every
-    // downcall, which is what lets the proxy reject an injected duplicate
-    // (same seq twice) without a message-id table.
-    msg.seq = next_seq_++;
-    if (config_.batch_async_downcalls) {
-      downcall_batch_.push_back(std::move(msg));
-      return Status::Ok();
-    }
-    downcall_batch_.push_back(std::move(msg));
+Status Uchan::AppendDowncalls(std::span<UchanMsg> msgs, std::vector<UchanMsg>* owner) {
+  std::unique_lock<std::mutex> lock(driver_mu_);
+  if (is_shutdown()) {
+    return Status(ErrorCode::kUnavailable, "uchan shut down");
   }
-  // Unbatched configuration: every async downcall enters the kernel at once.
-  FlushDowncalls();
-  return Status::Ok();
-}
-
-Status Uchan::DowncallAsyncBatch(std::vector<UchanMsg> msgs) {
-  bool flush_now = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      return Status(ErrorCode::kUnavailable, "uchan shut down");
-    }
-    stats_.downcalls_async += msgs.size();
-    for (UchanMsg& msg : msgs) {
-      msg.seq = next_seq_++;
-    }
-    if (downcall_batch_.empty()) {
-      downcall_batch_ = std::move(msgs);
-    } else {
-      for (UchanMsg& msg : msgs) {
-        downcall_batch_.push_back(std::move(msg));
-      }
-    }
-    flush_now = !config_.batch_async_downcalls;
+  if (downcall_batch_.size() >= config_.ring_entries) {
+    // The batch is bounded: a full one enters the kernel before growing.
+    EnterKernelLocked(nullptr, lock);
+    lock.lock();
   }
-  if (flush_now) {
-    FlushDowncalls();
+  driver_stats_.downcalls_async += msgs.size();
+  for (UchanMsg& msg : msgs) {
+    msg.seq = next_downcall_seq_++;
+  }
+  if (owner != nullptr && downcall_batch_.empty()) {
+    downcall_batch_.swap(*owner);
+  } else {
+    downcall_batch_.insert(downcall_batch_.end(), std::make_move_iterator(msgs.begin()),
+                           std::make_move_iterator(msgs.end()));
+    if (owner != nullptr) {
+      owner->clear();
+    }
+  }
+  if (!config_.batch_async_downcalls) {
+    // Unbatched configuration: every async downcall enters the kernel at once.
+    EnterKernelLocked(nullptr, lock);
   }
   return Status::Ok();
 }
 
-// The one kernel entry every downcall rides, whether the batch flushes on
-// its own (FlushDowncalls) or ahead of a synchronous downcall (DowncallSync).
-// Keeping injection here is what makes drop/dup/delay coverage independent
-// of WHICH kernel entry happened to carry a message.
+// Keeping injection in the one kernel entry makes drop/dup/delay coverage
+// independent of WHICH entry happened to carry a message.
 void Uchan::EnterKernelLocked(UchanMsg* sync, std::unique_lock<std::mutex>& lock) {
   std::vector<UchanMsg> batch;
   batch.swap(downcall_batch_);
   // One kernel entry for the whole batch: the batching win of Section 3.1.2.
-  ChargeDriverLocked(costs().syscall);
-  stats_.downcall_batches++;
+  Charge(driver_stats_, kAccountDriver, costs().syscall);
+  driver_stats_.downcall_batches++;
+  DowncallHandler handler = downcall_handler_;
+  std::function<void()> flush_handler = downcall_flush_handler_;
+  lock.unlock();
+
+  Stats entry;  // folded in under the lock below
+  auto run = [&](UchanMsg& msg) {
+    Charge(entry, kAccountKernel, costs().uchan_msg);
+    if (handler) {
+      handler(msg);
+    } else {
+      msg.error = static_cast<int32_t>(ErrorCode::kUnavailable);
+    }
+  };
   const bool inject = FaultInjector::armed();
+  size_t delayed = batch.size();
   for (size_t i = 0; i < batch.size(); ++i) {
     UchanMsg& msg = batch[i];
     if (inject && msg.droppable) {
@@ -435,34 +454,37 @@ void Uchan::EnterKernelLocked(UchanMsg* sync, std::unique_lock<std::mutex>& lock
         // Bounded delay: the tail of this flush rides the NEXT flush instead,
         // spliced at the front so relative order is preserved. A stall the
         // receiver must tolerate, never a loss or a reorder.
-        stats_.injected_delays++;
-        downcall_batch_.insert(downcall_batch_.begin(),
-                               std::make_move_iterator(batch.begin() + static_cast<long>(i)),
-                               std::make_move_iterator(batch.end()));
+        entry.injected_delays++;
+        delayed = i;
         break;
       }
       if (SUD_FAULT_POINT("uchan.down.drop")) {
         // Swallowed in flight; counted so the conservation audit can close.
-        stats_.injected_drops++;
+        entry.injected_drops++;
         continue;
       }
       if (SUD_FAULT_POINT("uchan.down.dup")) {
         // Deliver a copy first, then the original: the receiver sees the same
         // seq twice and must reject the second by its monotonic-seq check.
-        stats_.injected_dups++;
+        entry.injected_dups++;
         UchanMsg copy = msg;
-        ChargeKernelLocked(costs().uchan_msg);
-        RunDowncallLocked(copy, lock);
+        run(copy);
       }
     }
-    ChargeKernelLocked(costs().uchan_msg);
-    RunDowncallLocked(msg, lock);
+    run(msg);
   }
   if (sync != nullptr) {
-    ChargeKernelLocked(costs().uchan_msg);
-    RunDowncallLocked(*sync, lock);
+    run(*sync);
   }
-  auto flush_handler = downcall_flush_handler_;
+
+  lock.lock();
+  driver_stats_ += entry;
+  // A delayed tail goes back ahead of what was appended meanwhile, and the
+  // next batch reuses this one's capacity.
+  batch.erase(batch.begin(), batch.begin() + static_cast<long>(delayed));
+  batch.insert(batch.end(), std::make_move_iterator(downcall_batch_.begin()),
+               std::make_move_iterator(downcall_batch_.end()));
+  downcall_batch_.swap(batch);
   lock.unlock();
   if (flush_handler) {
     flush_handler();  // end of this kernel entry: deliver any queued rx bundle
@@ -470,42 +492,30 @@ void Uchan::EnterKernelLocked(UchanMsg* sync, std::unique_lock<std::mutex>& lock
 }
 
 void Uchan::FlushDowncalls() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (downcall_batch_.empty() || shutdown_) {
+  std::unique_lock<std::mutex> lock(driver_mu_);
+  if (downcall_batch_.empty() || is_shutdown()) {
     return;
   }
   EnterKernelLocked(nullptr, lock);
 }
 
 void Uchan::Shutdown() {
-  std::lock_guard<std::mutex> lock(mu_);
-  shutdown_ = true;
-  shutdown_mirror_.store(true, std::memory_order_release);
-  ring_head_ = 0;
-  ring_count_ = 0;
-  ring_count_mirror_.store(0, std::memory_order_release);
-  for (UchanMsg& msg : ring_) {
-    msg = UchanMsg{};
+  {
+    std::scoped_lock lock(driver_mu_, mu_);
+    shutdown_.store(true, std::memory_order_release);
+    head_.store(tail_.load(std::memory_order_relaxed), std::memory_order_release);
+    irq_stamp_.store(kNoInterrupt, std::memory_order_release);
+    downcall_batch_.clear();
+    reply_cv_.notify_all();
   }
-  downcall_batch_.clear();
-  upcall_cv_.notify_all();
-  reply_cv_.notify_all();
-  space_cv_.notify_all();  // senders parked in the ring-full backoff
-}
-
-bool Uchan::is_shutdown() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shutdown_;
+  std::lock_guard<std::mutex> park(park_mu_);
+  park_cv_.notify_all();
 }
 
 Uchan::Stats Uchan::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-size_t Uchan::pending_upcalls() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_count_;
+  std::scoped_lock lock(driver_mu_, mu_);
+  Stats total = kernel_stats_;
+  return total += driver_stats_;
 }
 
 }  // namespace sud

@@ -1,8 +1,8 @@
 // Uchan: the shared-memory RPC channel between a proxy driver (kernel side)
 // and an untrusted user-space driver (Figure 3 of the paper).
 //
-// Two ring buffers — kernel-to-user for upcalls and user-to-kernel for
-// downcalls and replies — with the exact semantics Section 3.1 describes:
+// Two rings — kernel-to-user for upcalls and user-to-kernel for downcalls
+// and replies — with the semantics Section 3.1 describes:
 //
 //  * sud_send   -> SendSync:    synchronous upcall; the kernel-side caller
 //                               blocks until the driver replies. Always
@@ -15,34 +15,33 @@
 //                               3.1.2. A ring that stays full drops the tail
 //                               (hung-driver signal). SendAsync is the burst
 //                               of one, kQueueFull when it was dropped.
-//  * sud_wait   -> WaitBatch:   driver-side dequeue of up to a burst per
-//                               crossing; polls the ring first and only then
-//                               "selects" (sleeps). Also the flush point for
-//                               batched async downcalls.
-//                               With a timeout, the host thread that finds
-//                               the ring empty polls it without the lock for
-//                               a few tens of microseconds before it parks,
-//                               so a prompt upcall costs no real scheduler
-//                               wakeup. The poll is host-side only: the
-//                               modeled select syscall is charged when the
-//                               ring is found empty and the next enqueue
-//                               still charges one process wakeup, whether
-//                               the thread was polling or parked.
+//  * interrupt  -> RaiseInterrupt: a level-triggered flag, not a message: it
+//                               needs no slot and cannot be dropped.
+//  * sud_wait   -> WaitBatch:   driver-side dequeue of a burst per crossing
+//                               into the caller's vector; also the flush
+//                               point for batched downcalls.
 //  * sud_reply  -> Reply:       driver answers a synchronous upcall.
+//
+// The upcall ring has fixed slots. Producers serialize on the kernel lock
+// and publish `tail` with release; the driver drains through an acquire load
+// of `tail` and publishes `head` with release, never taking the kernel lock.
+// The kernel reads the driver-written `head` once per enqueue and refuses
+// the message when tail - head would exceed the ring. A raised interrupt is
+// stamped with `tail` and drained as one kOpInterrupt upcall at that FIFO
+// position. The driver's own lock guards head, the downcall batch and its
+// counters; counters both sides write are kept per side, summed by stats().
+//
+// A driver that finds the ring empty charges the modeled select syscall and
+// goes idle; the first publish after that charges one process wakeup (the
+// 4 us of Section 5.1). The host thread polls briefly before it parks, and
+// producers notify only a parked driver: the charges never depend on which.
 //
 // Downcalls reverse the roles; per Section 3.1, the kernel returns results
 // of synchronous downcalls by writing into the caller's message rather than
 // sending a separate message — DowncallSync therefore takes the message by
 // reference and the handler mutates it in place. Async downcalls are
 // *batched* in the uchan library and flushed on the next WaitBatch or
-// DowncallSync entry into the kernel (Section 3.1.2), which is the
-// optimization the abl_uchan_batching bench sweeps.
-//
-// Fast-path data structures: the kernel-to-user ring is a pre-sized ring
-// buffer (no per-message heap allocation for queue nodes). Sync replies are
-// control-plane only (open, stop, ioctl, scan), so at most a few senders
-// wait at once: their rendezvous entries sit in a small vector searched
-// linearly.
+// DowncallSync entry into the kernel (Section 3.1.2), or once it is full.
 //
 // Threading: kernel-side and driver-side calls may run on different threads
 // (DriverHost's per-queue pump threads) or on one thread with a "pump" that
@@ -96,7 +95,7 @@ class Uchan {
 
   struct Stats {
     uint64_t upcalls_sync = 0;
-    uint64_t upcalls_async = 0;
+    uint64_t upcalls_async = 0;     // ring messages and raised interrupts
     uint64_t upcalls_timed_out = 0;
     uint64_t upcalls_dropped_full = 0;
     uint64_t upcall_batches = 0;    // SendAsyncBatch crossings
@@ -162,6 +161,9 @@ class Uchan {
   Result<size_t> SendAsyncBatch(std::span<UchanMsg> msgs);
   // A burst of one: kQueueFull when the ring dropped it.
   Status SendAsync(UchanMsg msg);
+  // Raises device queue `queue`'s interrupt (the upcall's args[0]), charged
+  // as the message it replaces; it coalesces into one not yet drained.
+  Status RaiseInterrupt(uint16_t queue);
 
   // The kernel half of the downcall path: invoked once per downcall when the
   // driver enters the kernel (flush or sync downcall). Mutates the message
@@ -170,19 +172,17 @@ class Uchan {
   void set_downcall_handler(DowncallHandler handler);
 
   // ---- driver (user-space) side -------------------------------------------
-  // Dequeues up to `max_msgs` pending upcalls under one lock acquisition —
-  // one modeled select/read crossing for the whole burst. Flushes batched
-  // downcalls first. Returns kTimedOut if nothing arrives within
-  // `timeout_ms` (0 = poll only); never an empty vector on success.
-  Result<std::vector<UchanMsg>> WaitBatch(uint64_t timeout_ms, size_t max_msgs);
+  // Flushes batched downcalls, then replaces `*out` with up to `max_msgs`
+  // upcalls: one modeled crossing for the burst. kTimedOut if nothing
+  // arrives within `timeout_ms` (0 = poll only); never empty on success.
+  Status WaitBatch(uint64_t timeout_ms, size_t max_msgs, std::vector<UchanMsg>* out);
   void Reply(const UchanMsg& request, UchanMsg reply);
   Status DowncallSync(UchanMsg& msg);
-  Status DowncallAsync(UchanMsg msg);
+  Status DowncallAsync(UchanMsg msg) { return AppendDowncalls({&msg, 1}, nullptr); }
   // Appends a whole burst of async downcalls under one lock acquisition (the
-  // NAPI rx path hands over its accumulated netif_rx array this way). In the
-  // unbatched configuration the burst still enters the kernel immediately —
-  // but as one entry, since the caller already chose its batch boundary.
-  Status DowncallAsyncBatch(std::vector<UchanMsg> msgs);
+  // NAPI rx path hands over its netif_rx array this way), leaving `*msgs`
+  // empty when it succeeds. Unbatched, the burst enters the kernel at once.
+  Status DowncallAsyncBatch(std::vector<UchanMsg>* msgs) { return AppendDowncalls(*msgs, msgs); }
   void FlushDowncalls();
   // Invoked at the end of every downcall kernel entry (after the flush loop
   // and after a sync downcall). The Ethernet proxy uses it to hand the
@@ -196,19 +196,15 @@ class Uchan {
   // Channel teardown (driver killed / device revoked): every blocked or
   // future call fails with kUnavailable.
   void Shutdown();
-  bool is_shutdown() const;
+  bool is_shutdown() const { return shutdown_.load(std::memory_order_acquire); }
 
-  // Snapshot taken under the lock (the fields mutate concurrently).
   Stats stats() const;
+  // Upcalls enqueued or raised and not yet drained.
   size_t pending_upcalls() const;
 
  private:
-  // The CpuModel's cost table (defaults when no model is attached).
-  const CpuCosts& costs() const;
-  // Charge helpers: every nanosecond this channel charges to the CpuModel is
-  // also attributed to the channel itself (per-shard accounting).
-  void ChargeKernelLocked(SimTime nanos);
-  void ChargeDriverLocked(SimTime nanos);
+  enum DriverState : int { kDriverBusy, kDriverIdle, kDriverParked };
+  static constexpr uint64_t kNoInterrupt = UINT64_MAX;
 
   // One sync sender's rendezvous: SendSync adds it before it blocks, Reply
   // fills it in and marks it ready, and the sender removes it on every exit,
@@ -219,55 +215,56 @@ class Uchan {
     UchanMsg msg;
   };
 
-  Status EnqueueUpcallLocked(UchanMsg&& msg);
-  // One kernel entry, shared by FlushDowncalls and DowncallSync: charges the
-  // driver's syscall, delivers the batched async downcalls through the
-  // fault-injected loop (drop/dup/delay for droppable messages; a delayed
-  // tail is re-parked at the front of downcall_batch_), then runs `sync` if
-  // given, and finally the end-of-entry flush handler with mu_ released.
-  void EnterKernelLocked(UchanMsg* sync, std::unique_lock<std::mutex>& lock);
-  // Bounded ring-full retry/backoff for the async send paths; `msg` is
-  // intact on failure (EnqueueUpcallLocked moves only on success).
-  Status RetryEnqueueLocked(UchanMsg& msg, Status status, std::unique_lock<std::mutex>& lock);
-  void RunDowncallLocked(UchanMsg& msg, std::unique_lock<std::mutex>& lock);
-  // Blocks until the ring is non-empty (or timeout/shutdown); returns Ok when
-  // at least one message is dequeueable. Charges the select/read syscall when
-  // the driver goes idle, then (mu_ released) polls the mirrors below
-  // before parking.
-  Status WaitForUpcallLocked(uint64_t timeout_ms, std::unique_lock<std::mutex>& lock);
-  UchanMsg PopUpcallLocked();
+  // The CpuModel's cost table (defaults when no model is attached).
+  const CpuCosts& costs() const;
+  // Charges the CpuModel and `stats`, the side whose lock the caller holds.
+  void Charge(Stats& stats, CpuAccount account, SimTime nanos);
 
+  // Kernel side, mu_ held. EnqueueLocked moves `msg` only on success;
+  // PublishLocked charges an idle driver's wakeup and notifies a parked one.
+  Status EnqueueLocked(UchanMsg& msg);
+  void PublishLocked();
+  Status RetryEnqueueLocked(UchanMsg& msg, Status status, std::unique_lock<std::mutex>& lock);
   PendingReply* FindReplyLocked(uint64_t seq);
   void EraseReplyLocked(uint64_t seq);
+
+  // Driver side. EnterKernelLocked is the one kernel entry: the batch through
+  // the fault-injected loop (a delayed tail is re-parked at the front of the
+  // batch), then `sync`, then the flush handler, all with `lock` released.
+  Status WaitForUpcalls(uint64_t timeout_ms);
+  void DrainLocked(size_t max_msgs, std::vector<UchanMsg>* out);
+  void EnterKernelLocked(UchanMsg* sync, std::unique_lock<std::mutex>& lock);
+  // Appends `msgs`, or swaps them in from `owner` when the batch is empty.
+  Status AppendDowncalls(std::span<UchanMsg> msgs, std::vector<UchanMsg>* owner);
 
   Config config_;
   CpuModel* cpu_;
 
-  mutable std::mutex mu_;
-  std::condition_variable upcall_cv_;  // driver sleeping in "select"
+  // The shared ring and its flags.
+  std::vector<UchanMsg> ring_;       // slot i % ring_entries
+  std::atomic<uint64_t> tail_{0};    // kernel-written
+  std::atomic<uint64_t> head_{0};    // driver-written, untrusted
+  std::atomic<uint64_t> irq_stamp_{kNoInterrupt};  // tail_ at the raise
+  uint16_t irq_queue_ = 0;           // written before irq_stamp_ is published
+  std::atomic<int> driver_state_{kDriverIdle};
+  std::atomic<bool> shutdown_{false};
+  std::mutex park_mu_;               // only for parking and notifying
+  std::condition_variable park_cv_;  // driver parked in "select"
+
+  mutable std::mutex mu_;  // the kernel lock
   std::condition_variable reply_cv_;   // kernel waiting for a sync reply
-  std::condition_variable space_cv_;   // kernel backing off a full ring
-
-  // Kernel-to-user ring: pre-sized, head + count, no node allocation.
-  std::vector<UchanMsg> ring_;
-  size_t ring_head_ = 0;
-  size_t ring_count_ = 0;
-
   std::vector<PendingReply> replies_;  // one per blocked SendSync
+  std::function<void()> user_pump_;
+  uint64_t next_upcall_seq_ = 1;
+  Stats kernel_stats_;
 
-  std::vector<UchanMsg> downcall_batch_;  // user-side pending async downcalls
+  mutable std::mutex driver_mu_;  // taken by driver threads (and Shutdown)
+  std::vector<UchanMsg> downcall_batch_;  // pending async downcalls
   DowncallHandler downcall_handler_;
   std::function<void()> downcall_flush_handler_;
-  std::function<void()> user_pump_;
-  uint64_t next_seq_ = 1;
-  bool shutdown_ = false;
-  bool driver_idle_ = true;  // true while the driver would be asleep in select
-  Stats stats_;
-  // Copies of ring_count_ and shutdown_, stored with release under mu_
-  // wherever those change, so the driver's pre-park poll reads them without
-  // taking the lock.
-  std::atomic<size_t> ring_count_mirror_{0};
-  std::atomic<bool> shutdown_mirror_{false};
+  // Monotonic per shard: the proxy rejects a duplicate by its seq alone.
+  uint64_t next_downcall_seq_ = 1;
+  Stats driver_stats_;
 };
 
 }  // namespace sud

@@ -22,7 +22,7 @@ class DirectEnv::NetAdapter : public kern::NetDeviceOps {
     return env_->net_ops_.stop ? env_->net_ops_.stop()
                                : Status(ErrorCode::kUnavailable, "no stop op");
   }
-  size_t StartXmitBatch(std::vector<kern::SkbPtr> skbs, uint16_t queue) override {
+  size_t StartXmitBatch(std::span<kern::SkbPtr> skbs, uint16_t queue) override {
     size_t accepted = 0;
     for (kern::SkbPtr& skb : skbs) {
       if (!XmitOne(*skb, queue).ok()) {

@@ -13,9 +13,9 @@
 //    kernel would block on it — deterministic, used by tests and benches;
 //  * threaded-per-queue: one real std::thread per uchan shard (one for a
 //    single-queue device), each pumping its own queue's ring pair, so the
-//    packet path runs with no lock shared between queues. An idle pump
-//    polls its empty ring briefly before it parks in uchan WaitBatch (see
-//    Uchan); the modeled select and wakeup charges are the same either way;
+//    packet path runs with no lock shared between queues. A pump drains its
+//    ring without the kernel's lock, polls briefly when it is empty, then
+//    parks in uchan WaitBatch; the modeled charges are the same either way;
 //  * comatose: the process exists but never services its uchan.
 
 #ifndef SUD_SRC_UML_DRIVER_HOST_H_

@@ -178,12 +178,10 @@ Status UmlRuntime::AsyncDowncall(UchanMsg msg) {
 }
 
 void UmlRuntime::FlushRxPendingQueue(uint16_t queue, bool enter_kernel) {
-  if (!rx_pending_[queue].empty()) {
-    std::vector<UchanMsg> batch;
-    batch.swap(rx_pending_[queue]);
+  if (!rx_pending_[queue].empty() &&
+      ctx_->ctl(queue).DowncallAsyncBatch(&rx_pending_[queue]).ok()) {
     rx_pending_bytes_[queue] = 0;
     stats_.rx_batches_flushed.fetch_add(1, std::memory_order_relaxed);
-    (void)ctx_->ctl(queue).DowncallAsyncBatch(std::move(batch));
   }
   if (enter_kernel) {
     ctx_->ctl(queue).FlushDowncalls();
@@ -323,17 +321,18 @@ Status UmlRuntime::RunOnceQueue(uint16_t queue, uint64_t timeout_ms) {
   }
   FlushRxPendingQueue(queue, /*enter_kernel=*/false);
   constexpr size_t kDispatchBurst = 64;
-  Result<std::vector<UchanMsg>> batch = ctx_->ctl(queue).WaitBatch(timeout_ms, kDispatchBurst);
-  if (!batch.ok()) {
+  std::vector<UchanMsg> batch = std::move(upcall_batch_[queue]);  // a nested pass gets another
+  Status status = ctx_->ctl(queue).WaitBatch(timeout_ms, kDispatchBurst, &batch);
+  if (!status.ok()) {
     // Flush any downcalls the handlers batched before going idle.
     FlushRxPendingQueue(queue, /*enter_kernel=*/true);
-    return batch.status();
   }
-  for (UchanMsg& msg : batch.value()) {
+  for (UchanMsg& msg : batch) {
     Dispatch(msg, queue);
   }
-  queue_progress_[queue].fetch_add(batch.value().size(), std::memory_order_relaxed);
-  return Status::Ok();
+  queue_progress_[queue].fetch_add(batch.size(), std::memory_order_relaxed);
+  upcall_batch_[queue] = std::move(batch);
+  return status;
 }
 
 size_t UmlRuntime::ProcessPendingQueue(uint16_t queue) {

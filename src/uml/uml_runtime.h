@@ -165,10 +165,11 @@ class UmlRuntime : public DriverEnv {
   // data to queue `queue`'s pending array, flushing at the depth/byte budget.
   Status QueueRxDowncall(UchanMsg msg, uint16_t queue, uint64_t frame_bytes);
 
-  // Accumulated netif_rx downcalls, one array per queue: worker thread q
-  // touches only slot q. rx_pending_bytes_ tracks the packet payload the
-  // array references (the bundle byte budget).
+  // Accumulated netif_rx downcalls and the upcall burst of each pump pass,
+  // one array per queue: worker thread q touches only slot q.
+  // rx_pending_bytes_ tracks the packet payload the rx array references.
   std::array<std::vector<UchanMsg>, kSudMaxQueues> rx_pending_;
+  std::array<std::vector<UchanMsg>, kSudMaxQueues> upcall_batch_;
   std::array<uint64_t, kSudMaxQueues> rx_pending_bytes_{};
   NetDriverOps net_ops_;
   bool net_registered_ = false;

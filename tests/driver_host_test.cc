@@ -179,6 +179,32 @@ class ParkingIrqDriver : public uml::Driver {
   }
 };
 
+// An interrupt needs no ring slot (ROADMAP 1(e)): a kernel thread that keeps
+// the shard's upcall ring full of one-frame transmits while TX completions
+// raise interrupts cannot leave the last completions unreaped.
+TEST(DriverHost, FullUpcallRingNeverWedgesTxCompletions) {
+  NetBench bench;
+  ASSERT_TRUE(bench.StartSut(uml::DriverHost::Mode::kThreadedPerQueue).ok());
+  kern::NetDevice* netdev = bench.kernel.net().Find(bench.SutIfname());
+  std::vector<uint8_t> payload(64, 0x5a);
+  auto frame = kern::BuildPacket(testing::kMacB, testing::kMacA, 7000, 80,
+                                 {payload.data(), payload.size()});
+  std::thread sender([&] {
+    auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+    while (std::chrono::steady_clock::now() < until) {
+      (void)bench.kernel.net().Transmit(netdev, kern::MakeSkb({frame.data(), frame.size()}));
+    }
+  });
+  sender.join();
+  EXPECT_GT(bench.ctx->ctl().stats().ring_full_retries, 0u);  // the ring did fill
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (bench.ctx->pool().outstanding() != 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(bench.ctx->pool().outstanding(), 0u);
+  EXPECT_GT(bench.peer_nic.stats().rx_frames.load(), 0u);
+}
+
 // Polls `done` for up to 5 s.
 template <typename Pred>
 bool WaitFor(Pred done) {

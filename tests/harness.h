@@ -89,7 +89,7 @@ inline kern::SkbPtr MakeDramFragSkb(hw::PhysicalMemory& dram, ConstByteSpan fram
 inline bool ProxyXmit(EthernetProxy& proxy, ConstByteSpan frame, uint16_t queue = 0) {
   std::vector<kern::SkbPtr> burst;
   burst.push_back(kern::MakeSkb(frame));
-  return proxy.StartXmitBatch(std::move(burst), queue) == 1;
+  return proxy.StartXmitBatch(burst, queue) == 1;
 }
 
 // A machine with one switch, the SUT NIC and a trusted peer NIC linked by

@@ -199,7 +199,7 @@ class FakeOps : public NetDeviceOps {
     ++stops;
     return Status::Ok();
   }
-  size_t StartXmitBatch(std::vector<SkbPtr> skbs, uint16_t queue) override {
+  size_t StartXmitBatch(std::span<SkbPtr> skbs, uint16_t queue) override {
     xmit_queues.push_back(queue);
     return skbs.size();
   }

@@ -728,14 +728,14 @@ TEST(Security, DriverCannotMapGrantedTxPages) {
   std::vector<uint8_t> payload(8000, 0x3c);
   // One DRAM-frag frame, not pumped: the test pulls its xmit upcall itself.
   ASSERT_TRUE(bench.SutSendDramFragBurst(6000, 80, {payload.data(), payload.size()}, 1).ok());
-  Result<std::vector<UchanMsg>> upcalls = bench.ctx->ctl().WaitBatch(0, 16);
-  ASSERT_TRUE(upcalls.ok());
+  std::vector<UchanMsg> upcalls;
+  ASSERT_TRUE(bench.ctx->ctl().WaitBatch(0, 16, &upcalls).ok());
 
   SharedBufferPool& pool = bench.ctx->pool();
   hw::Iommu& iommu = bench.machine.iommu();
   int granted = 0;
   int mapped = 0;
-  for (const UchanMsg& msg : upcalls.value()) {
+  for (const UchanMsg& msg : upcalls) {
     if (msg.opcode != kEthUpXmit) {
       continue;
     }

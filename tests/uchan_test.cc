@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "src/base/fault_injector.h"
 #include "src/base/log.h"
 #include "src/base/rng.h"
+#include "src/sud/proto.h"
 #include "src/sud/uchan.h"
 
 namespace sud {
@@ -23,11 +27,15 @@ Uchan::Config FastConfig() {
 
 // The driver side's single-message dequeue: a WaitBatch of one.
 Result<UchanMsg> WaitOne(Uchan& uchan, uint64_t timeout_ms) {
-  Result<std::vector<UchanMsg>> batch = uchan.WaitBatch(timeout_ms, 1);
-  if (!batch.ok()) {
-    return batch.status();
-  }
-  return std::move(batch.value().front());
+  std::vector<UchanMsg> batch;
+  SUD_RETURN_IF_ERROR(uchan.WaitBatch(timeout_ms, 1, &batch));
+  return std::move(batch.front());
+}
+
+// A WaitBatch whose messages the caller does not look at.
+Status WaitStatus(Uchan& uchan, uint64_t timeout_ms, size_t max_msgs) {
+  std::vector<UchanMsg> batch;
+  return uchan.WaitBatch(timeout_ms, max_msgs, &batch);
 }
 
 TEST(Uchan, AsyncUpcallDeliveredInOrder) {
@@ -123,11 +131,11 @@ TEST(Uchan, ConcurrentSyncSendersGetTheirOwnReplies) {
   }
   std::vector<UchanMsg> requests;
   while (requests.size() < kSenders) {
-    Result<std::vector<UchanMsg>> batch = uchan.WaitBatch(1000, kSenders);
-    if (!batch.ok()) {
+    std::vector<UchanMsg> batch;
+    if (!uchan.WaitBatch(1000, kSenders, &batch).ok()) {
       break;  // the senders time out and the expectations below report it
     }
-    for (UchanMsg& msg : batch.value()) {
+    for (UchanMsg& msg : batch) {
       requests.push_back(std::move(msg));
     }
   }
@@ -271,10 +279,10 @@ TEST_P(UchanHandoffTest, UpcallWakesWaitingThreadWithPumpedCharges) {
   std::chrono::steady_clock::duration waited{};
   std::thread driver([&]() {
     auto start = std::chrono::steady_clock::now();
-    Result<std::vector<UchanMsg>> batch = uchan.WaitBatch(5000, 64);
+    std::vector<UchanMsg> batch;
+    status = uchan.WaitBatch(5000, 64, &batch);
     waited = std::chrono::steady_clock::now() - start;
-    status = batch.status();
-    received = batch.ok() ? batch.value().size() : 0;
+    received = batch.size();
   });
   AwaitDriverIdle(uchan, cpu);
   std::this_thread::sleep_for(std::chrono::milliseconds(GetParam()));
@@ -302,7 +310,7 @@ TEST(UchanHandoff, ShutdownDuringPollWindowUnblocksPromptly) {
   std::chrono::steady_clock::duration waited{};
   std::thread driver([&]() {
     auto start = std::chrono::steady_clock::now();
-    status = uchan.WaitBatch(5000, 64).status();
+    status = WaitStatus(uchan, 5000, 64);
     waited = std::chrono::steady_clock::now() - start;
   });
   AwaitDriverIdle(uchan, cpu);
@@ -311,6 +319,199 @@ TEST(UchanHandoff, ShutdownDuringPollWindowUnblocksPromptly) {
   EXPECT_EQ(status.code(), ErrorCode::kUnavailable);
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(waited).count(), 1000);
 }
+
+// ---- interrupt flag -------------------------------------------------------------
+
+// Interrupts need no ring slot: one raised on a full ring is still delivered,
+// at the position its message would have had, and a second raise before the
+// drain coalesces into the first.
+TEST(UchanInterrupt, RaisedOnFullRingDeliveredInFifoPosition) {
+  CpuModel cpu;
+  Uchan::Config config;
+  config.ring_entries = 2;
+  Uchan uchan(config, &cpu);
+  (void)WaitOne(uchan, 0);  // driver goes idle (select)
+  ASSERT_TRUE(uchan.SendAsync([] { UchanMsg m; m.opcode = 500; return m; }()).ok());
+  ASSERT_TRUE(uchan.SendAsync([] { UchanMsg m; m.opcode = 501; return m; }()).ok());
+  ASSERT_EQ(uchan.SendAsync(UchanMsg{}).code(), ErrorCode::kQueueFull);
+  ASSERT_TRUE(uchan.RaiseInterrupt(3).ok());
+  ASSERT_TRUE(uchan.RaiseInterrupt(3).ok());  // coalesces
+  EXPECT_EQ(uchan.pending_upcalls(), 3u);
+
+  std::vector<UchanMsg> batch;
+  ASSERT_TRUE(uchan.WaitBatch(0, 64, &batch).ok());
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_EQ(batch[0].opcode, 500u);
+  EXPECT_EQ(batch[1].opcode, 501u);
+  EXPECT_EQ(batch[2].opcode, kOpInterrupt);
+  EXPECT_EQ(batch[2].args[0], 3u);
+  EXPECT_EQ(uchan.pending_upcalls(), 0u);
+
+  // Charged as the messages they replace: one wakeup for the idle driver,
+  // an enqueue per raise, a dequeue for the one delivered.
+  Uchan::Stats stats = uchan.stats();
+  EXPECT_EQ(stats.wakeups, 1u);
+  EXPECT_EQ(stats.upcalls_async, 5u);
+  EXPECT_EQ(cpu.busy(kAccountKernel), cpu.costs().process_wakeup + 4 * cpu.costs().uchan_msg);
+  EXPECT_EQ(cpu.busy(kAccountDriver), cpu.costs().syscall + 3 * cpu.costs().uchan_msg);
+}
+
+// A drain cut short by max_msgs keeps the interrupt for the next one, still
+// behind the messages enqueued before it was raised.
+TEST(UchanInterrupt, CountsTowardTheBurstLimit) {
+  Uchan uchan;
+  ASSERT_TRUE(uchan.SendAsync(UchanMsg{}).ok());
+  ASSERT_TRUE(uchan.RaiseInterrupt(0).ok());
+  ASSERT_TRUE(uchan.SendAsync([] { UchanMsg m; m.opcode = 7; return m; }()).ok());
+  std::vector<UchanMsg> batch;
+  ASSERT_TRUE(uchan.WaitBatch(0, 1, &batch).ok());
+  EXPECT_EQ(batch[0].opcode, 0u);
+  ASSERT_TRUE(uchan.WaitBatch(0, 1, &batch).ok());
+  EXPECT_EQ(batch[0].opcode, kOpInterrupt);
+  ASSERT_TRUE(uchan.WaitBatch(0, 1, &batch).ok());
+  EXPECT_EQ(batch[0].opcode, 7u);
+  uchan.Shutdown();
+  EXPECT_EQ(uchan.RaiseInterrupt(0).code(), ErrorCode::kUnavailable);
+}
+
+// ---- concurrent stress (a ThreadSanitizer target) -----------------------------
+// Three kernel threads send numbered bursts and a fourth raises interrupts
+// while one driver thread drains, parking between bursts; Shutdown lands
+// after a seeded burst.
+
+class UchanStressTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(UchanStressTest, ProducersInterruptsAndShutdownAgree) {
+  constexpr int kProducers = 3;
+  constexpr int kBursts = 150;
+  constexpr size_t kBurstLen = 8;
+  Rng rng(GetParam());
+  Uchan::Config config;
+  config.ring_entries = 32;
+  Uchan uchan(config);
+  const int shutdown_at = 1 + static_cast<int>(rng.Below(kProducers * kBursts));
+  std::array<uint64_t, kProducers + 2> seeds;
+  for (uint64_t& seed : seeds) {
+    seed = rng.Next();
+  }
+  // Back to back, a yield, a sleep past the driver's poll window, or (now
+  // and then) one past the kernel's ring-full backoff.
+  auto pause = [](Rng& r) {
+    uint64_t draw = r.Below(16);
+    if (draw == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(300 + r.Below(200)));
+    } else if (draw < 6) {
+      std::this_thread::sleep_for(std::chrono::microseconds(60 + r.Below(100)));
+    } else if (draw < 11) {
+      std::this_thread::yield();
+    }
+  };
+
+  struct Sent {
+    std::vector<uint64_t> accepted;  // seq numbers the ring took, in order
+    uint64_t dropped_live = 0;       // tails dropped by calls that ended before Shutdown
+    uint64_t dropped_any = 0;
+  };
+  std::array<Sent, kProducers> sent;
+  std::array<std::vector<uint64_t>, kProducers> delivered;
+  std::atomic<int> bursts_sent{0};
+  std::atomic<bool> producers_done{false};
+  // Interrupts the driver has dispatched, and how many a message sent from
+  // now on must find dispatched: a raise is delivered ahead of later bursts.
+  std::atomic<uint64_t> irqs_dispatched{0};
+  std::atomic<uint64_t> covered{0};
+  std::chrono::steady_clock::duration longest_wait{};
+  Status driver_exit;
+
+  std::thread driver([&] {
+    Rng r(seeds[kProducers + 1]);
+    std::vector<UchanMsg> batch;
+    uint64_t irqs = 0;
+    for (;; pause(r)) {
+      auto start = std::chrono::steady_clock::now();
+      driver_exit = uchan.WaitBatch(5000, 64, &batch);
+      longest_wait = std::max(longest_wait, std::chrono::steady_clock::now() - start);
+      if (!driver_exit.ok()) {
+        return;
+      }
+      for (const UchanMsg& msg : batch) {
+        if (msg.opcode == kOpInterrupt) {
+          irqs_dispatched.store(++irqs, std::memory_order_release);
+          continue;
+        }
+        EXPECT_GE(irqs, msg.args[1]) << "an interrupt raised before this burst was not dispatched";
+        delivered[msg.opcode - 100].push_back(msg.args[0]);
+      }
+    }
+  });
+  std::vector<std::thread> kernel_threads;
+  for (int p = 0; p < kProducers; ++p) {
+    kernel_threads.emplace_back([&, p] {
+      Rng r(seeds[p]);
+      for (uint64_t b = 0; b < kBursts; ++b) {
+        std::vector<UchanMsg> burst(kBurstLen);
+        uint64_t must_find = covered.load(std::memory_order_acquire);
+        for (size_t i = 0; i < kBurstLen; ++i) {
+          burst[i].opcode = 100 + static_cast<uint32_t>(p);
+          burst[i].args[0] = b * kBurstLen + i;
+          burst[i].args[1] = must_find;
+        }
+        Result<size_t> accepted = uchan.SendAsyncBatch(burst);
+        bool live = !uchan.is_shutdown();  // the whole call ran before Shutdown
+        if (accepted.ok()) {
+          for (size_t i = 0; i < accepted.value(); ++i) {
+            sent[p].accepted.push_back(b * kBurstLen + i);
+          }
+          (live ? sent[p].dropped_live : sent[p].dropped_any) += kBurstLen - accepted.value();
+        }
+        if (bursts_sent.fetch_add(1) + 1 == shutdown_at) {
+          uchan.Shutdown();
+        }
+        pause(r);
+      }
+    });
+  }
+  std::thread raiser([&] {
+    Rng r(seeds[kProducers]);
+    while (!producers_done.load()) {
+      uint64_t before = irqs_dispatched.load(std::memory_order_acquire);
+      if (uchan.RaiseInterrupt(0).ok()) {
+        covered.store(before + 1, std::memory_order_release);
+      }
+      pause(r);
+    }
+  });
+  for (std::thread& thread : kernel_threads) {
+    thread.join();
+  }
+  producers_done = true;
+  raiser.join();
+  driver.join();
+
+  EXPECT_EQ(driver_exit.code(), ErrorCode::kUnavailable) << driver_exit.ToString();
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(longest_wait).count(), 1000)
+      << "a drain slept through a publish";
+  // In order, nothing duplicated, nothing lost but what Shutdown discarded:
+  // each producer's latest accepted messages, at most a ring's worth.
+  uint64_t discarded = 0;
+  uint64_t dropped_live = 0;
+  uint64_t dropped_any = 0;
+  for (int p = 0; p < kProducers; ++p) {
+    ASSERT_LE(delivered[p].size(), sent[p].accepted.size()) << "producer " << p;
+    EXPECT_TRUE(std::equal(delivered[p].begin(), delivered[p].end(), sent[p].accepted.begin()))
+        << "producer " << p;
+    discarded += sent[p].accepted.size() - delivered[p].size();
+    dropped_live += sent[p].dropped_live;
+    dropped_any += sent[p].dropped_live + sent[p].dropped_any;
+  }
+  EXPECT_LE(discarded, config.ring_entries);
+  // Every tail the ring refused while live is counted; one cut by Shutdown
+  // mid-backoff may not be.
+  EXPECT_GE(uchan.stats().upcalls_dropped_full, dropped_live);
+  EXPECT_LE(uchan.stats().upcalls_dropped_full, dropped_any);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, UchanStressTest, ::testing::Values(1, 2, 3, 4, 5, 6));
 
 // ---- batch fast path --------------------------------------------------------
 
@@ -330,18 +531,18 @@ TEST(UchanBatch, BatchEnqueueDequeuePreservesOrder) {
   EXPECT_EQ(uchan.stats().upcalls_async, 5u);
 
   // WaitBatch dequeues in FIFO order, bounded by max_msgs.
-  Result<std::vector<UchanMsg>> first = uchan.WaitBatch(0, 3);
-  ASSERT_TRUE(first.ok());
-  ASSERT_EQ(first.value().size(), 3u);
+  std::vector<UchanMsg> first;
+  ASSERT_TRUE(uchan.WaitBatch(0, 3, &first).ok());
+  ASSERT_EQ(first.size(), 3u);
   for (uint32_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(first.value()[i].opcode, 200 + i);
+    EXPECT_EQ(first[i].opcode, 200 + i);
   }
-  Result<std::vector<UchanMsg>> rest = uchan.WaitBatch(0, 64);
-  ASSERT_TRUE(rest.ok());
-  ASSERT_EQ(rest.value().size(), 2u);
-  EXPECT_EQ(rest.value()[0].opcode, 203u);
-  EXPECT_EQ(rest.value()[1].opcode, 204u);
-  EXPECT_EQ(uchan.WaitBatch(0, 64).status().code(), ErrorCode::kTimedOut);
+  std::vector<UchanMsg> rest;
+  ASSERT_TRUE(uchan.WaitBatch(0, 64, &rest).ok());
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest[0].opcode, 203u);
+  EXPECT_EQ(rest[1].opcode, 204u);
+  EXPECT_EQ(WaitStatus(uchan, 0, 64).code(), ErrorCode::kTimedOut);
 }
 
 TEST(UchanBatch, BatchAndSingleSendInterleaveInOrder) {
@@ -368,7 +569,7 @@ TEST(UchanBatch, OneWakeupPerBatchNotPerMessage) {
   EXPECT_EQ(cpu.busy(kAccountKernel),
             cpu.costs().process_wakeup + 8 * cpu.costs().uchan_msg);
   // Driver drains and goes idle again: the next batch pays one more wakeup.
-  (void)uchan.WaitBatch(0, 64);
+  (void)WaitStatus(uchan, 0, 64);
   (void)WaitOne(uchan, 0);
   std::vector<UchanMsg> more(4);
   ASSERT_EQ(uchan.SendAsyncBatch(more).value(), 4u);
@@ -398,11 +599,11 @@ TEST(UchanBatch, RingFullMidBatchDropsTailAndKeepsOrder) {
     EXPECT_EQ(msgs[i].inline_data, std::vector<uint8_t>(3, static_cast<uint8_t>(i)));
   }
   // The head of the batch survived, in order; the tail was dropped whole.
-  Result<std::vector<UchanMsg>> drained = uchan.WaitBatch(0, 64);
-  ASSERT_TRUE(drained.ok());
-  ASSERT_EQ(drained.value().size(), 4u);
+  std::vector<UchanMsg> drained;
+  ASSERT_TRUE(uchan.WaitBatch(0, 64, &drained).ok());
+  ASSERT_EQ(drained.size(), 4u);
   for (uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(drained.value()[i].opcode, 300 + i);
+    EXPECT_EQ(drained[i].opcode, 300 + i);
   }
   // A completely full ring accepts nothing but still reports ok.
   for (int i = 0; i < 4; ++i) {
@@ -417,7 +618,7 @@ TEST(UchanBatch, BatchFailsAfterShutdown) {
   uchan.Shutdown();
   std::vector<UchanMsg> msgs(3);
   EXPECT_EQ(uchan.SendAsyncBatch(msgs).status().code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(uchan.WaitBatch(0, 8).status().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(WaitStatus(uchan, 0, 8).code(), ErrorCode::kUnavailable);
 }
 
 // The timeout-leak regression: a reply arriving after the sender gave up
@@ -528,14 +729,14 @@ TEST_F(UchanFaultTest, InjectedDelayDefersFlushTailWithoutReorder) {
   }
   // The flush rides the WaitBatch kernel entry, which still times out cleanly
   // on the empty upcall ring while the injector is armed.
-  EXPECT_EQ(uchan.WaitBatch(0, 8).status().code(), ErrorCode::kTimedOut);
+  EXPECT_EQ(WaitStatus(uchan, 0, 8).code(), ErrorCode::kTimedOut);
   // The delay fired on message 3: the tail {3, 4} parked for the next flush.
   EXPECT_EQ(handled, (std::vector<uint32_t>{1, 2}));
   EXPECT_EQ(uchan.stats().injected_delays, 1u);
   // The parked tail rides the next flush AHEAD of newer traffic: a stall,
   // never a reorder.
   ASSERT_TRUE(uchan.DowncallAsync(Droppable(5)).ok());
-  EXPECT_EQ(uchan.WaitBatch(0, 8).status().code(), ErrorCode::kTimedOut);
+  EXPECT_EQ(WaitStatus(uchan, 0, 8).code(), ErrorCode::kTimedOut);
   EXPECT_EQ(handled, (std::vector<uint32_t>{1, 2, 3, 4, 5}));
   EXPECT_EQ(uchan.stats().injected_drops, 0u);  // and never a loss
 }
@@ -550,7 +751,7 @@ TEST_F(UchanFaultTest, InjectedDupDeliversTheSameSeqTwice) {
   for (uint32_t i = 1; i <= 4; ++i) {
     ASSERT_TRUE(uchan.DowncallAsync(Droppable(i)).ok());
   }
-  EXPECT_EQ(uchan.WaitBatch(0, 8).status().code(), ErrorCode::kTimedOut);
+  EXPECT_EQ(WaitStatus(uchan, 0, 8).code(), ErrorCode::kTimedOut);
   // Hits 2 and 4 duplicated: the copy is delivered first with the ORIGINAL
   // seq, which is what lets a receiver reject it by its monotonic-seq check.
   ASSERT_EQ(handled.size(), 6u);
