@@ -74,7 +74,7 @@ Status EthernetProxy::Stop() {
 
 void EthernetProxy::NoteXmitFull() {
   if (consecutive_full_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-      options_.hung_threshold) {
+      kHungThreshold) {
     stats_.hung_reports.fetch_add(1, std::memory_order_relaxed);
     SUD_LOG_RL(kWarning) << "ethernet driver not consuming buffers; reporting hung";
     consecutive_full_.store(0, std::memory_order_relaxed);
@@ -123,7 +123,6 @@ Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t
     stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
     return Status(ErrorCode::kInvalidArgument, "frame exceeds staging buffer");
   }
-  size_t total = skb.total_len();
   // Sealed TX: DRAM-backed frags (page-cache pages the kernel owns) cross as
   // read-only grants — one external mapping spanning the frame's frag pages,
   // per-chunk grant handles in the ordinary fragment records — instead of
@@ -223,10 +222,6 @@ Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t
     }
     stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
     return staging;
-  }
-  if (!options_.zero_copy) {
-    // Ablation: model an intermediate bounce buffer (one extra pass).
-    cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_copy, total);
   }
   // One staging pass over the copied bytes, wherever they landed. Granted
   // bytes pay nothing: that is the copy sealed TX deletes.
@@ -506,13 +501,8 @@ void EthernetProxy::HandleNetifRx(UchanMsg& msg, uint16_t shard) {
   }
   CpuModel& cpu = kernel_->machine().cpu();
   auto charge_guard_copy = [&](uint64_t bytes) {
-    // The copy is fused with the checksum pass in the model (one charged
-    // pass, Section 3.1.2) unless the ablation unfuses it.
-    double per_byte = cpu.costs().per_byte_checksum;
-    if (!options_.fuse_guard_with_checksum) {
-      per_byte += cpu.costs().per_byte_copy;
-    }
-    cpu.ChargeBytes(kAccountKernel, per_byte, bytes);
+    // The copy is fused with the checksum pass: one charged pass (§3.1.2).
+    cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_checksum, bytes);
     stats_.guard_copies.fetch_add(1, std::memory_order_relaxed);
   };
   if (count > 1) {
@@ -543,10 +533,6 @@ void EthernetProxy::HandleNetifRx(UchanMsg& msg, uint16_t shard) {
     }
     bool checksum_ok = skb->VerifyChecksumPrivate();
     charge_guard_copy(total);
-    if (toctou_hook_) {
-      // Attacker rewrites the shared fragments now — too late, we own a copy.
-      toctou_hook_(views[0]);
-    }
     FinishRxSkb(std::move(skb), checksum_ok, static_cast<size_t>(total), shard);
     msg.error = 0;  // a dropped packet is not a downcall failure
     return;
@@ -569,10 +555,6 @@ void EthernetProxy::HandleNetifRx(UchanMsg& msg, uint16_t shard) {
   auto skb = std::make_unique<kern::Skb>();
   bool checksum_ok = skb->AssignAndVerifyChecksum(ConstByteSpan(shared.data(), shared.size()));
   charge_guard_copy(shared.size());
-  if (toctou_hook_) {
-    // Attacker rewrites the shared buffer now — too late, we own a copy.
-    toctou_hook_(shared);
-  }
   FinishRxSkb(std::move(skb), checksum_ok, shared.size(), shard);
 }
 

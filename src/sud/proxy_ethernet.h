@@ -45,12 +45,13 @@
 // each one, serves interrupt_ack and request_region, and hands the rest over
 // with its verdict.
 //
-// The Options knobs exist for the ablation benches and the sealed rows of
-// fig8: zero_copy off models a copying transmit path; fused guard off
-// charges a separate copy pass instead of piggybacking on the checksum;
-// sealed_delivery swaps the guard copy for an IOMMU write seal. The guard
-// copy itself is not optional: the check-then-copy ordering the TOCTOU
-// attack exploits is not modeled.
+// One option remains, for the sealed rows of fig8 and the sealed attack
+// cells: sealed_delivery swaps the guard copy for an IOMMU write seal.
+// Transmit is always a zero-copy hand-off and the guard copy always rides
+// the checksum pass; a bounce copy or a separate guard pass would each cost
+// CpuCosts::per_byte_copy per frame byte (bench/README.md). The guard copy
+// itself is not optional: the check-then-copy ordering the TOCTOU attack
+// exploits is not modeled.
 
 #ifndef SUD_SRC_SUD_PROXY_ETHERNET_H_
 #define SUD_SRC_SUD_PROXY_ETHERNET_H_
@@ -74,8 +75,6 @@ namespace sud {
 class EthernetProxy : public kern::NetDeviceOps {
  public:
   struct Options {
-    bool zero_copy = true;
-    bool fuse_guard_with_checksum = true;
     // Sealed zero-copy verified delivery (the revocation alternative the
     // paper priced out of reach, Section 3.1.2): on netif_rx the proxy
     // write-seals the buffer's pages in the IOMMU, verifies the transport
@@ -85,9 +84,10 @@ class EthernetProxy : public kern::NetDeviceOps {
     // e.g. the single-queue 16 KB layout) qualify; everything else — and any
     // seal failure — degrades to the counted guard-copy fallback.
     bool sealed_delivery = false;
-    // Consecutive full-ring transmissions before the driver is reported hung.
-    uint32_t hung_threshold = 8;
   };
+  // Consecutive transmits that find the ring full or the pool empty before
+  // the driver is reported hung; an accepted transmit restarts the count.
+  static constexpr uint32_t kHungThreshold = 8;
 
   EthernetProxy(kern::Kernel* kernel, SudDeviceContext* ctx)
       : EthernetProxy(kernel, ctx, Options{}) {}
@@ -153,9 +153,10 @@ class EthernetProxy : public kern::NetDeviceOps {
   const Stats& stats() const { return stats_; }
 
   // Test seam modelling a perfectly-timed concurrent attacker: invoked (when
-  // set) after the guard copy, where its rewrite of the shared buffer is
-  // harmless, and inside the sealed-delivery verdict window, where it hits
-  // the seal.
+  // set) inside the sealed-delivery verdict window, between the seal and the
+  // in-place checksum, where its rewrite hits the seal. Only the attack
+  // matrix's verdict-window cell sets it: the guard copy needs no seam, since
+  // a driver's rewrite after the verdict lands in its own buffer.
   using ToctouHook = std::function<void(ByteSpan shared_buffer)>;
   void set_toctou_hook(ToctouHook hook) { toctou_hook_ = std::move(hook); }
 

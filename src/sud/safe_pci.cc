@@ -5,8 +5,15 @@
 
 #include "src/base/bytes.h"
 #include "src/base/log.h"
+#include "src/kern/net_limits.h"
 
 namespace sud {
+
+namespace {
+// Interrupts arriving while MSI is masked (so necessarily stray-DMA
+// generated) before the storm escalation kicks in.
+constexpr uint32_t kStormThreshold = 8;
+}  // namespace
 
 void SudDeviceContext::SpinLock::lock() {
   static const bool multi_cpu = std::thread::hardware_concurrency() > 1;
@@ -79,9 +86,34 @@ Status SudDeviceContext::Bind(kern::Process* proc) {
     return Status(ErrorCode::kPermissionDenied, "device files not owned by this uid");
   }
 
-  hw::Machine& machine = kernel_->machine();
-  SUD_RETURN_IF_ERROR(machine.iommu().CreateContext(source_id()));
+  SUD_RETURN_IF_ERROR(kernel_->machine().iommu().CreateContext(source_id()));
+  if (Status acquired = Acquire(proc); !acquired.ok()) {
+    Release();
+    return acquired;
+  }
+  process_ = proc;
+  {
+    // A device interrupt that entered OnDeviceInterrupt for the previous
+    // instance can still hold irq_mu_. Publishing the fresh interrupt state
+    // together with bound_ under the lock means that handler's mask or
+    // in-flight mark is either reset here or never made: unmasking first
+    // let it re-mask for an upcall no driver would ever ack, wedging every
+    // queue.
+    std::lock_guard<SpinLock> lock(irq_mu_);
+    irq_in_flight_.fill(false);
+    irq_pended_.fill(false);
+    interrupts_while_masked_ = 0;
+    device_->config().set_msi_masked(false);
+    bound_ = true;
+  }
+  SUD_LOG(kInfo) << device_->name() << ": bound to pid " << proc->pid() << " (uid " << proc->uid()
+                 << "), irq vectors " << int{vector_base_} << ".."
+                 << int{vector_base_} + static_cast<int>(num_queues_) - 1;
+  return Status::Ok();
+}
 
+Status SudDeviceContext::Acquire(kern::Process* proc) {
+  hw::Machine& machine = kernel_->machine();
   // AMD-Vi: the OS must explicitly map the MSI doorbell page for the device;
   // storm escalation later removes it (Section 5.2).
   if (machine.iommu().mode() == hw::IommuMode::kAmdVi) {
@@ -99,7 +131,8 @@ Status SudDeviceContext::Bind(kern::Process* proc) {
     return base.status();
   }
   vector_base_ = base.value();
-  for (uint32_t q = 0; q < num_queues_; ++q) {
+  for (; irq_vectors_ < num_queues_; ++irq_vectors_) {
+    uint32_t q = irq_vectors_;
     SUD_RETURN_IF_ERROR(kernel_->RequestIrq(
         static_cast<uint8_t>(vector_base_ + q), [this, q](uint16_t source_id) {
           OnDeviceInterrupt(static_cast<uint16_t>(q), source_id);
@@ -134,35 +167,15 @@ Status SudDeviceContext::Bind(kern::Process* proc) {
   // Each bind is a new pool epoch: handles issued to the previous (dead)
   // driver instance fail validation everywhere in the fresh one.
   ++bind_generation_;
-  pool_ = std::make_unique<SharedBufferPool>(dma_.get(), options_.pool_buffers,
-                                             options_.pool_buffer_bytes, bind_generation_);
+  pool_ = std::make_unique<SharedBufferPool>(
+      dma_.get(), options_.pool_buffers, kern::kRxDefaultBufferBytes, bind_generation_);
   // A zero-buffer pool is legal (non-networking device classes may never
   // exchange bulk data); the pool then reports kUnavailable on Alloc.
   if (options_.pool_buffers > 0) {
     SUD_RETURN_IF_ERROR(pool_->Init());
     SUD_RETURN_IF_ERROR(proc->ChargeMemory(static_cast<uint64_t>(options_.pool_buffers) *
-                                           options_.pool_buffer_bytes));
+                                           kern::kRxDefaultBufferBytes));
   }
-
-  process_ = proc;
-  torn_down_ = false;
-  {
-    // A device interrupt that entered OnDeviceInterrupt for the previous
-    // instance can still hold irq_mu_. Publishing the fresh interrupt state
-    // together with bound_ under the lock means that handler's mask or
-    // in-flight mark is either reset here or never made: unmasking first
-    // let it re-mask for an upcall no driver would ever ack, wedging every
-    // queue.
-    std::lock_guard<SpinLock> lock(irq_mu_);
-    irq_in_flight_.fill(false);
-    irq_pended_.fill(false);
-    interrupts_while_masked_ = 0;
-    device_->config().set_msi_masked(false);
-    bound_ = true;
-  }
-  SUD_LOG(kInfo) << device_->name() << ": bound to pid " << proc->pid() << " (uid " << proc->uid()
-                 << "), irq vectors " << int{vector_base_} << ".."
-                 << int{vector_base_} + static_cast<int>(num_queues_) - 1;
   return Status::Ok();
 }
 
@@ -324,14 +337,14 @@ void SudDeviceContext::OnDeviceInterrupt(uint16_t queue, uint16_t msi_source_id)
       ++irq_stats_.unstoppable;
       return;
     }
-    if (interrupts_while_masked_ >= options_.storm_threshold) {
+    if (interrupts_while_masked_ >= kStormThreshold) {
       EscalateStorm();
     } else if (interrupts_while_masked_ == 1) {
       SUD_LOG(kAttack) << device_->name()
                        << ": interrupt delivered while MSI masked (stray DMA to MSI address)";
     }
     if (!irq_stats_.remap_blocked && !irq_stats_.msi_page_unmapped &&
-        interrupts_while_masked_ >= options_.storm_threshold) {
+        interrupts_while_masked_ >= kStormThreshold) {
       // Intel without interrupt remapping: nothing more SUD can do; the
       // paper's testbed is vulnerable to exactly this livelock (§5.2).
       ++irq_stats_.unstoppable;
@@ -428,52 +441,37 @@ Status SudDeviceContext::InterruptAck(uint16_t queue) {
 }
 
 void SudDeviceContext::Teardown() {
-  if (torn_down_ || !bound_) {
-    torn_down_ = true;
+  if (!bound_) {
     return;
   }
-  hw::Machine& machine = kernel_->machine();
+  process_->RevokeIoPorts(granted_io_base_, granted_io_count_);
+  process_->UncchargeMemory(static_cast<uint64_t>(options_.pool_buffers) *
+                            kern::kRxDefaultBufferBytes);
+  // TX staging the dead driver never completed: those buffers leave with the
+  // dying epoch (counted loss), never back into a live free list.
+  quarantined_buffers_ += pool_->outstanding();
+  Release();
+  process_ = nullptr;
+  SUD_LOG(kInfo) << device_->name() << ": context torn down, all resources reclaimed";
+}
+
+void SudDeviceContext::Release() {
   for (auto& shard : shards_) {
     shard->Shutdown();
-  }
-  if (process_ != nullptr) {
-    process_->RevokeIoPorts(granted_io_base_, granted_io_count_);
-    process_->UncchargeMemory(static_cast<uint64_t>(options_.pool_buffers) *
-                              options_.pool_buffer_bytes);
-  }
-  if (pool_ != nullptr) {
-    // TX staging the dead driver never completed: those buffers leave with
-    // the dying epoch (counted loss), never back into a live free list.
-    quarantined_buffers_ += pool_->outstanding();
   }
   if (dma_ != nullptr) {
     dma_->ReleaseAll();
   }
-  (void)machine.iommu().DestroyContext(source_id());
-  for (uint32_t q = 0; q < num_queues_; ++q) {
-    (void)kernel_->FreeIrq(static_cast<uint8_t>(vector_base_ + q));
+  (void)kernel_->machine().iommu().DestroyContext(source_id());
+  for (; irq_vectors_ > 0; --irq_vectors_) {
+    (void)kernel_->FreeIrq(static_cast<uint8_t>(vector_base_ + irq_vectors_ - 1));
   }
   // Quiesce the device: no more DMA, no more interrupts.
   device_->config().set_msi_enabled(false);
   uint16_t command = device_->config().command();
   device_->config().set_command(command & static_cast<uint16_t>(~hw::kPciCommandBusMaster));
-  {
-    std::lock_guard<SpinLock> lock(irq_mu_);
-    bound_ = false;
-  }
-  process_ = nullptr;
-  torn_down_ = true;
-  SUD_LOG(kInfo) << device_->name() << ": context torn down, all resources reclaimed";
-}
-
-SafePciModule::SafePciModule(kern::Kernel* kernel, Policy policy)
-    : kernel_(kernel), policy_(policy) {
-  if (policy_.enable_acs) {
-    for (const auto& sw : kernel_->machine().switches()) {
-      sw->set_acs(hw::PcieSwitch::AcsConfig{/*source_validation=*/true,
-                                            /*p2p_request_redirect=*/true});
-    }
-  }
+  std::lock_guard<SpinLock> lock(irq_mu_);
+  bound_ = false;
 }
 
 Result<SudDeviceContext*> SafePciModule::ExportDevice(hw::PciDevice* device, kern::Uid owner_uid,
@@ -483,7 +481,8 @@ Result<SudDeviceContext*> SafePciModule::ExportDevice(hw::PciDevice* device, ker
   }
   if (policy_.enable_acs) {
     for (const auto& sw : kernel_->machine().switches()) {
-      sw->set_acs(hw::PcieSwitch::AcsConfig{true, true});
+      sw->set_acs(hw::PcieSwitch::AcsConfig{/*source_validation=*/true,
+                                            /*p2p_request_redirect=*/true});
     }
   }
   auto context = std::make_unique<SudDeviceContext>(kernel_, device, owner_uid, options);

@@ -78,15 +78,12 @@ class SafePciModule;
 class SudDeviceContext {
  public:
   struct Options {
+    // Shared buffers of kern::kRxDefaultBufferBytes each.
     uint32_t pool_buffers = 512;
-    uint32_t pool_buffer_bytes = 2048;
     Uchan::Config uchan;
     // Uchan shards / MSI messages: one per device queue (clamped to
     // [1, kSudMaxQueues]). 1 reproduces the single-lane channel exactly.
     uint32_t num_queues = 1;
-    // Interrupts arriving while MSI is masked (i.e. necessarily stray-DMA
-    // generated) before the storm escalation kicks in.
-    uint32_t storm_threshold = 8;
   };
 
   SudDeviceContext(kern::Kernel* kernel, hw::PciDevice* device, kern::Uid owner_uid,
@@ -103,6 +100,8 @@ class SudDeviceContext {
 
   // Binds the device to driver process `proc` (the driver opening the sud
   // files): UID check, IOMMU context creation, MSI setup, IRQ registration.
+  // A bind that fails part-way undoes what it set up and leaves the device
+  // ready for the next one.
   Status Bind(kern::Process* proc);
   bool bound() const { return bound_; }
   kern::Process* bound_process() { return process_; }
@@ -185,6 +184,10 @@ class SudDeviceContext {
   // The handler Bind installs on every shard: the one structural check,
   // then the generic opcodes here and device-class ones to the proxy.
   void Downcall(UchanMsg& msg, uint16_t shard);
+  // Bind's steps after the IOMMU context: on failure Bind runs Release.
+  Status Acquire(kern::Process* proc);
+  // Undoes Acquire and the context, for Teardown and a failed Bind alike.
+  void Release();
   void OnDeviceInterrupt(uint16_t queue, uint16_t source_id);
   void EscalateStorm();
   bool ConfigWriteAllowed(uint16_t offset, int width, uint32_t value, std::string* why) const;
@@ -199,7 +202,6 @@ class SudDeviceContext {
   kern::Process* process_ = nullptr;
   uint32_t num_queues_ = 1;
   bool bound_ = false;
-  bool torn_down_ = false;
   std::atomic<uint32_t> bind_generation_{0};
   std::atomic<uint64_t> quarantined_buffers_{0};
 
@@ -217,6 +219,9 @@ class SudDeviceContext {
   };
 
   uint8_t vector_base_ = 0;
+  // Vectors from vector_base_ this bind registered: a failed bind frees only
+  // these, never an earlier bind's, which may belong to another device now.
+  uint32_t irq_vectors_ = 0;
   // Serializes interrupt bookkeeping (in-flight flags, MSI mask flips, storm
   // counters) across the per-queue pump threads and the delivery thread.
   // Nothing under it waits on the driver, so it spins rather than sleeps.
@@ -236,8 +241,8 @@ class SudDeviceContext {
 };
 
 // The module: tracks exported devices and owns their contexts. Also applies
-// the fabric-wide policy (ACS on every switch) the first time a device is
-// exported.
+// the fabric-wide policy (ACS on every switch) each time a device is
+// exported, the only way a device becomes reachable by an untrusted driver.
 class SafePciModule {
  public:
   struct Policy {
@@ -245,7 +250,7 @@ class SafePciModule {
   };
 
   explicit SafePciModule(kern::Kernel* kernel) : SafePciModule(kernel, Policy{}) {}
-  SafePciModule(kern::Kernel* kernel, Policy policy);
+  SafePciModule(kern::Kernel* kernel, Policy policy) : kernel_(kernel), policy_(policy) {}
 
   // Exports `device` for use by an untrusted driver owned by `owner_uid`
   // (the chown step of Section 4.1).

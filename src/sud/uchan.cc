@@ -417,10 +417,6 @@ Status Uchan::AppendDowncalls(std::span<UchanMsg> msgs, std::vector<UchanMsg>* o
       owner->clear();
     }
   }
-  if (!config_.batch_async_downcalls) {
-    // Unbatched configuration: every async downcall enters the kernel at once.
-    EnterKernelLocked(nullptr, lock);
-  }
   return Status::Ok();
 }
 

@@ -90,7 +90,6 @@ class Uchan {
     // Wall-clock bound on synchronous upcalls: the "interruptable upcall"
     // of Section 3.1.1. Generous by default; liveness tests shrink it.
     uint64_t sync_timeout_ms = 250;
-    bool batch_async_downcalls = true;
   };
 
   struct Stats {
@@ -147,8 +146,6 @@ class Uchan {
   Uchan() : Uchan(Config{}, nullptr) {}
   explicit Uchan(Config config, CpuModel* cpu = nullptr);
 
-  const Config& config() const { return config_; }
-
   // ---- kernel (proxy driver) side -----------------------------------------
   Result<UchanMsg> SendSync(UchanMsg msg);
   // Enqueues `msgs` in order under ONE lock acquisition, charging at most one
@@ -181,7 +178,7 @@ class Uchan {
   Status DowncallAsync(UchanMsg msg) { return AppendDowncalls({&msg, 1}, nullptr); }
   // Appends a whole burst of async downcalls under one lock acquisition (the
   // NAPI rx path hands over its netif_rx array this way), leaving `*msgs`
-  // empty when it succeeds. Unbatched, the burst enters the kernel at once.
+  // empty when it succeeds.
   Status DowncallAsyncBatch(std::vector<UchanMsg>* msgs) { return AppendDowncalls(*msgs, msgs); }
   void FlushDowncalls();
   // Invoked at the end of every downcall kernel entry (after the flush loop

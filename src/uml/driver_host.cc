@@ -32,7 +32,10 @@ Status DriverHost::StartLocked(std::unique_ptr<Driver> driver, Mode mode) {
     return Status(ErrorCode::kAlreadyExists, name_ + " already running");
   }
   process_ = &kernel_->processes().Spawn(name_, uid_);
-  SUD_RETURN_IF_ERROR(ctx_->Bind(process_));
+  if (Status bound = ctx_->Bind(process_); !bound.ok()) {
+    (void)kernel_->processes().Kill(process_->pid());  // Bind undid its own setup
+    return bound;
+  }
   runtime_ = std::make_unique<UmlRuntime>(kernel_, ctx_, process_);
   driver_ = std::move(driver);
   mode_ = mode;

@@ -8,6 +8,10 @@
 namespace sud::uml {
 
 namespace {
+constexpr auto kWatchdogPeriod = std::chrono::milliseconds(5);
+// Bound on Upgrade's per-queue drain before it cuts over anyway.
+constexpr auto kDrainTimeout = std::chrono::milliseconds(1000);
+
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                    std::chrono::steady_clock::now() - since)
@@ -46,11 +50,9 @@ bool DriverSupervisor::CheckAndRecover() {
 bool DriverSupervisor::CheckAndRecoverLocked() {
   bool dead = !host_->running() ||
               (host_->process() != nullptr && !host_->process()->alive());
-  bool hung = false;
-  if (options_.hung_report_threshold > 0 && proxy_ != nullptr) {
-    uint64_t reports = proxy_->stats().hung_reports.load(std::memory_order_relaxed);
-    hung = reports - proxy_hung_baseline_ >= options_.hung_report_threshold;
-  }
+  // One new hung report since the last restart is enough.
+  bool hung = proxy_ != nullptr &&
+              proxy_->stats().hung_reports.load(std::memory_order_relaxed) > proxy_hung_baseline_;
   bool wedged = false;
   if (!dead && !hung) {
     // Only consult the watchdog when nothing cheaper fired: its strike
@@ -193,8 +195,7 @@ Status DriverSupervisor::Upgrade(DriverFactory new_factory) {
     return Status(ErrorCode::kUnavailable, "driver not running; use CheckAndRecover");
   }
   auto t0 = std::chrono::steady_clock::now();
-  auto deadline =
-      t0 + std::chrono::milliseconds(options_.drain_timeout_ms);
+  auto deadline = t0 + kDrainTimeout;
   uint32_t queues = host_->ctx()->num_queues();
   auto drained = [&]() {
     for (uint16_t q = 0; q < queues; ++q) {
@@ -263,7 +264,7 @@ void DriverSupervisor::StartWatchdog() {
   watchdog_ = std::thread([this]() {
     while (!watchdog_stop_.load(std::memory_order_relaxed)) {
       (void)CheckAndRecover();
-      std::this_thread::sleep_for(std::chrono::milliseconds(options_.watchdog_period_ms));
+      std::this_thread::sleep_for(kWatchdogPeriod);
     }
   });
   watchdog_running_ = true;

@@ -5,8 +5,9 @@
 // The supervisor watches one DriverHost and performs the §4.1 administrator
 // dance automatically. Detection is three-pronged:
 //   * dead: the host stopped running or its process died (kill -9, crash);
-//   * hung: the attached EthernetProxy's hung_reports counter advanced past
-//     the threshold (the transmit ring stopped draining);
+//   * hung: the attached EthernetProxy's hung_reports counter advanced (one
+//     new report: EthernetProxy::kHungThreshold transmits in a row found the
+//     ring full or the pool empty);
 //   * wedged: the per-queue watchdog saw a shard with pending upcalls whose
 //     UmlRuntime progress counter did not advance for `watchdog_strikes`
 //     consecutive checks — a driver that is alive but silently stuck on one
@@ -56,16 +57,10 @@ class DriverSupervisor {
   using ConfigReplayHook = std::function<void(DriverHost*)>;
 
   struct Options {
-    // Hung-driver reports from the proxy before the supervisor restarts.
-    uint64_t hung_report_threshold = 1;
     uint32_t max_restarts = 8;
     // Consecutive no-progress checks on a queue with pending upcalls before
     // the watchdog declares the driver wedged.
     uint32_t watchdog_strikes = 3;
-    // Watchdog thread period (StartWatchdog).
-    uint64_t watchdog_period_ms = 5;
-    // Bound on Upgrade's per-queue drain before it cuts over anyway.
-    uint64_t drain_timeout_ms = 1000;
     // Mode replacement drivers start in (the bench restarts into
     // threaded-per-queue; tests default to pumped).
     DriverHost::Mode restart_mode = DriverHost::Mode::kPumped;
@@ -106,13 +101,13 @@ class DriverSupervisor {
   // Returns true if a recovery was performed.
   bool CheckAndRecover();
 
-  // Live driver hot-upgrade: drain every queue (bounded), gracefully stop
-  // the interface, kill + reap the old instance, start `new_factory`'s
+  // Live driver hot-upgrade: drain every queue (for up to 1 s), gracefully
+  // stop the interface, kill + reap the old instance, start `new_factory`'s
   // driver, replay config. Future recoveries also use `new_factory`.
   Status Upgrade(DriverFactory new_factory);
 
-  // Background watchdog: CheckAndRecover every watchdog_period_ms from a
-  // dedicated thread until StopWatchdog (or destruction).
+  // Background watchdog: CheckAndRecover every 5 ms from a dedicated thread
+  // until StopWatchdog (or destruction).
   void StartWatchdog();
   void StopWatchdog();
 

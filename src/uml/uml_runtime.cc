@@ -19,6 +19,9 @@ namespace {
 // cross-shard ordering is deliberately undefined anyway.
 thread_local uint16_t t_current_pump_queue = 0;
 
+// netif_rx downcalls a queue accumulates before its array enters the kernel.
+constexpr uint32_t kRxBatchDepth = 64;
+
 // Per-queue pump-stall site names, built once: the hot path hands the fault
 // engine a stable string_view, never a fresh allocation.
 std::string_view PumpStallSite(uint16_t queue) {
@@ -205,15 +208,14 @@ Status UmlRuntime::QueueRxDowncall(UchanMsg msg, uint16_t queue, uint64_t frame_
     return Status(ErrorCode::kUnavailable, "uchan shut down");
   }
   // NAPI accumulation: the message joins the queue's local rx array; the
-  // whole array crosses into the kernel on the queue's shard once `depth`
-  // packets — or a standard-frame-equivalent byte budget, for jumbo chains —
-  // are pending (or at the next flush point — WaitBatch, a sync downcall —
-  // whichever comes first).
+  // whole array crosses into the kernel on the queue's shard once
+  // kRxBatchDepth packets — or a standard-frame-equivalent byte budget, for
+  // jumbo chains — are pending (or at the next flush point — WaitBatch, a
+  // sync downcall — whichever comes first).
   rx_pending_[queue].push_back(std::move(msg));
   rx_pending_bytes_[queue] += frame_bytes;
-  uint32_t depth = ctx_->ctl(queue).config().batch_async_downcalls ? rx_batch_depth_ : 1;
-  uint64_t byte_budget = static_cast<uint64_t>(depth) * kern::kStdMaxFrameBytes;
-  if (rx_pending_[queue].size() >= depth || rx_pending_bytes_[queue] >= byte_budget) {
+  if (rx_pending_[queue].size() >= kRxBatchDepth ||
+      rx_pending_bytes_[queue] >= kRxBatchDepth * kern::kStdMaxFrameBytes) {
     FlushRxPendingQueue(queue, /*enter_kernel=*/true);
   }
   return Status::Ok();

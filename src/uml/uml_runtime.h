@@ -86,18 +86,6 @@ class UmlRuntime : public DriverEnv {
   // returns how many bursts it dispatched.
   size_t ProcessPendingQueue(uint16_t queue);
 
-  // NAPI rx batching: netif_rx downcalls accumulate per queue until `depth`
-  // packets are pending, then that queue's array is flushed into its shard
-  // in one entry. Depth 1 reproduces the per-packet crossing of the
-  // unbatched design (and is forced when the uchan is configured with
-  // batch_async_downcalls off). Bundles are additionally sized by BYTES —
-  // depth * 1514 — so a batch of EOP-chained jumbo frames flushes after
-  // proportionally fewer messages instead of holding ~9x the data hostage in
-  // user space; standard-MTU traffic never trips the byte budget before the
-  // message count, keeping the historical crossing counts bit-identical.
-  void set_rx_batch_depth(uint32_t depth) { rx_batch_depth_ = depth == 0 ? 1 : depth; }
-  uint32_t rx_batch_depth() const { return rx_batch_depth_; }
-
   struct Stats {
     std::atomic<uint64_t> upcalls_dispatched{0};
     std::atomic<uint64_t> irq_upcalls{0};
@@ -160,9 +148,9 @@ class UmlRuntime : public DriverEnv {
 
   std::mutex irq_mu_;  // FreeIrq may run on another queue's pump thread
   std::shared_ptr<const std::function<void(uint16_t)>> irq_handler_;
-  uint32_t rx_batch_depth_ = 64;
-  // Joins a built netif_rx message carrying `frame_bytes` of packet
-  // data to queue `queue`'s pending array, flushing at the depth/byte budget.
+  // NAPI rx batching: joins a netif_rx message carrying `frame_bytes` to
+  // queue `queue`'s array, which enters the kernel in one crossing at 64
+  // messages or 64 standard frames' bytes (jumbo chains flush sooner).
   Status QueueRxDowncall(UchanMsg msg, uint16_t queue, uint64_t frame_bytes);
 
   // Accumulated netif_rx downcalls and the upcall burst of each pump pass,

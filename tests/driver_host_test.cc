@@ -35,6 +35,42 @@ TEST(DriverHost, StartProbeFailureTearsDownCleanly) {
   EXPECT_TRUE(bench.host->Start(std::make_unique<drivers::E1000eDriver>()).ok());
 }
 
+// A bind that fails part-way (no contiguous DRAM left for the shared pool)
+// undoes what it set up, and the host kills the process it spawned. A
+// leftover IOMMU context would refuse every later bind, so a restart under
+// memory pressure would leave the device unusable for good.
+TEST(DriverHost, FailedBindLeavesTheDeviceReusable) {
+  NetBench bench;
+  hw::PhysicalMemory& dram = bench.machine.dram();
+  std::vector<std::pair<uint64_t, uint64_t>> hog;  // (paddr, pages)
+  for (uint64_t pages = 4096; pages > 0; pages /= 2) {
+    for (Result<uint64_t> paddr = dram.AllocPages(pages); paddr.ok();
+         paddr = dram.AllocPages(pages)) {
+      hog.emplace_back(paddr.value(), pages);
+    }
+  }
+  Status failed = bench.host->Start(std::make_unique<drivers::E1000eDriver>());
+  EXPECT_EQ(failed.code(), ErrorCode::kExhausted) << failed.ToString();
+  EXPECT_FALSE(bench.host->running());
+  EXPECT_FALSE(bench.machine.iommu().HasContext(bench.sut_nic.address().source_id()));
+  // No handler is left on the failed bind's vector.
+  EXPECT_EQ(bench.kernel.FreeIrq(bench.ctx->irq_vector()).code(), ErrorCode::kNotFound);
+  ASSERT_NE(bench.host->process(), nullptr);
+  EXPECT_FALSE(bench.host->process()->alive());
+  EXPECT_EQ(bench.host->process()->memory_used(), 0u);
+
+  for (const auto& [paddr, pages] : hog) {
+    dram.FreePages(paddr, pages);
+  }
+  ASSERT_TRUE(bench.StartSut().ok());
+  int received = 0;
+  bench.kernel.net().Find("eth0")->set_rx_sink([&](const kern::Skb&) { ++received; });
+  std::vector<uint8_t> payload(64, 0x1);
+  ASSERT_TRUE(bench.PeerSend(1, 80, {payload.data(), payload.size()}).ok());
+  bench.host->Pump();
+  EXPECT_EQ(received, 1);
+}
+
 TEST(DriverHost, DoubleStartRefused) {
   NetBench bench;
   ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::E1000eDriver>()).ok());

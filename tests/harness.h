@@ -129,20 +129,11 @@ class NetBench {
         mtu_(options.mtu),
         peer_mtu_(options.peer_mtu) {
     options.sud.num_queues = nic_queues_;
-    // Standard-sized staging buffers at every MTU: the SG transmit path
-    // chains a jumbo frame across several of them instead of requiring one
-    // oversized buffer per frame.
-    options.sud.pool_buffer_bytes = static_cast<uint32_t>(kern::kRxDefaultBufferBytes);
     sw = &machine.AddSwitch("pcie-switch-0");
     (void)machine.AttachDevice(*sw, &sut_nic);
     (void)machine.AttachDevice(*sw, &peer_nic);
     sut_nic.ConnectLink(&link, 0);
     peer_nic.ConnectLink(&link, 1);
-    if (options.policy.enable_acs) {
-      // SafePciModule enabled ACS at construction time, before the switch
-      // existed; re-apply now that the topology is built.
-      sw->set_acs(hw::PcieSwitch::AcsConfig{true, true});
-    }
 
     if (options.start_sut) {
       Result<SudDeviceContext*> exported =

@@ -28,7 +28,6 @@ using testing::NetBench;
 TEST(EthernetProxyTest, XmitExhaustsPoolThenRecovers) {
   NetBench::Options options;
   options.sud.pool_buffers = 4;
-  options.proxy.hung_threshold = 100;  // don't trip the hung report here
   NetBench bench(options);
   ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::E1000eDriver>()).ok());
   ASSERT_TRUE(bench.kernel.net().BringUp("eth0").ok());
@@ -55,7 +54,6 @@ TEST(EthernetProxyTest, RingFullTailOfABurstIsCountedAndFreed) {
   NetBench::Options options;
   options.sud.uchan.ring_entries = 4;
   options.mtu = static_cast<uint32_t>(kern::kJumboMtu);
-  options.proxy.hung_threshold = 100;  // the tail, not the hung report, is under test
   NetBench bench(options);
   ASSERT_TRUE(bench.StartSut().ok());
   kern::NetDevice* netdev = bench.kernel.net().Find("eth0");
@@ -91,6 +89,48 @@ TEST(EthernetProxyTest, RingFullTailOfABurstIsCountedAndFreed) {
   EXPECT_EQ(netdev->stats().tx_packets.load(), 4u);
   EXPECT_GT(ring_buffers, 4u);  // the jumbo frames staged several buffers each
   EXPECT_EQ(bench.ctx->pool().outstanding(), ring_buffers);
+}
+
+// The hung-driver rule a supervisor restarts on: EthernetProxy::kHungThreshold
+// transmits in a row that find the ring full report the driver hung once,
+// and an accepted transmit between drops restarts the count.
+TEST(EthernetProxyTest, HungReportNeedsThresholdConsecutiveFullRings) {
+  NetBench::Options options;
+  options.sud.uchan.ring_entries = 4;
+  NetBench bench(options);
+  ASSERT_TRUE(bench.StartSut().ok());
+  ASSERT_EQ(bench.ctx->ctl().pending_upcalls(), 0u);
+  // The driver services its ring only when this test pumps it.
+  bench.ctx->ctl().set_user_pump(nullptr);
+  auto frame = kern::BuildPacket(kMacB, kMacA, 1, 2, {});
+  auto xmit = [&] { return testing::ProxyXmit(*bench.proxy, {frame.data(), frame.size()}); };
+  auto reports = [&] { return bench.proxy->stats().hung_reports.load(); };
+  auto fill_then_drop = [&](uint32_t drops) {
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(xmit());
+    }
+    for (uint32_t i = 0; i < drops; ++i) {
+      ASSERT_FALSE(xmit());
+    }
+  };
+
+  fill_then_drop(EthernetProxy::kHungThreshold - 1);
+  EXPECT_EQ(reports(), 0u);
+  ASSERT_FALSE(xmit());
+  EXPECT_EQ(reports(), 1u);
+
+  // One drop short of a report, then the driver drains the ring: the
+  // accepted transmits restart the count, so as many drops again report
+  // nothing, and one more reports.
+  for (uint32_t i = 1; i < EthernetProxy::kHungThreshold; ++i) {
+    ASSERT_FALSE(xmit());
+  }
+  bench.host->Pump();
+  ASSERT_EQ(bench.ctx->ctl().pending_upcalls(), 0u);
+  fill_then_drop(EthernetProxy::kHungThreshold - 1);
+  EXPECT_EQ(reports(), 1u);
+  ASSERT_FALSE(xmit());
+  EXPECT_EQ(reports(), 2u);
 }
 
 TEST(EthernetProxyTest, CarrierMirrorFollowsDriverDowncalls) {
@@ -340,7 +380,6 @@ TEST_F(ProxyFaultTest, DuplicatedNetifRxDowncallsRejectedBySeqCheck) {
 
 TEST_F(ProxyFaultTest, InjectedPoolExhaustionCountsTxBackpressureAndRecovers) {
   NetBench::Options options;
-  options.proxy.hung_threshold = 100;  // backpressure, not hung-driver, is under test
   NetBench bench(options);
   ASSERT_TRUE(bench.StartSut().ok());
   kern::NetDevice* netdev = bench.kernel.net().Find("eth0");

@@ -295,7 +295,6 @@ TEST(Security, SyncUpcallToUnresponsiveDriverIsInterruptable) {
 TEST(Security, AsyncUpcallsToFullRingReportHungDriver) {
   NetBench::Options options;
   options.sud.uchan.ring_entries = 4;
-  options.proxy.hung_threshold = 4;
   NetBench bench(options);
   // A driver that registers but never processes its queue. Use the
   // unresponsive driver and force the netdev up administratively.
@@ -323,27 +322,34 @@ TEST(Security, AsyncUpcallsToFullRingReportHungDriver) {
 
 TEST(Security, ToctouFirewallBypassDefeatedByGuardCopy) {
   NetBench bench;
-  ASSERT_TRUE(bench.StartSut().ok());
+  auto attack = std::make_unique<drivers::DupDeliveryDriver>();
+  drivers::DupDeliveryDriver* driver = attack.get();
+  ASSERT_TRUE(bench.host->Start(std::move(attack)).ok());
   bench.kernel.net().firewall().DenyPort(22);
 
+  std::vector<uint8_t> payload(32, 0x9);
+  auto frame = kern::BuildPacket(testing::kMacA, testing::kMacB, 1, 80,
+                                 {payload.data(), payload.size()});
   int delivered_to_22 = 0;
   int delivered_total = 0;
+  uint16_t shared_port = 0;
+  // The sink runs after the firewall verdict: a driver racing the kernel
+  // rewrites the dst port in its own buffer, the one the downcall named, and
+  // only then does the stack read the delivered skb.
   bench.kernel.net().Find("eth0")->set_rx_sink([&](const kern::Skb& skb) {
+    Result<ByteSpan> shared = bench.ctx->dma().HostView(driver->buffer_iova(), frame.size());
+    ASSERT_TRUE(shared.ok());
+    kern::RewriteDstPortFixup(shared.value(), 22);
+    shared_port = kern::PacketView{ConstByteSpan(shared.value().data(), frame.size())}.dst_port();
     ++delivered_total;
     if (skb.view().dst_port() == 22) {
       ++delivered_to_22;
     }
   });
-  // A perfectly timed attacker rewrites the dst port in the shared buffer
-  // while the kernel handles the frame.
-  uint16_t shared_port = 0;
-  bench.proxy->set_toctou_hook([&](ByteSpan shared) {
-    kern::RewriteDstPortFixup(shared, 22);
-    shared_port = kern::PacketView{ConstByteSpan(shared.data(), shared.size())}.dst_port();
-  });
 
-  std::vector<uint8_t> payload(32, 0x9);
-  ASSERT_TRUE(bench.PeerSend(1, 80, {payload.data(), payload.size()}).ok());
+  Result<int> accepted = driver->DeliverSameBuffer({frame.data(), frame.size()}, 1);
+  ASSERT_TRUE(accepted.ok());
+  ASSERT_EQ(accepted.value(), 1);
   bench.host->Pump();
   // The rewrite landed (the negative control: the attack is real), yet the
   // kernel checked and delivered its own copy: port 80, not 22.

@@ -52,7 +52,6 @@ TEST(Supervisor, RecoversFromKilledDriver) {
 TEST(Supervisor, RecoversFromHungDriver) {
   NetBench::Options options;
   options.sud.uchan.ring_entries = 4;
-  options.proxy.hung_threshold = 4;
   options.sud.uchan.sync_timeout_ms = 25;
   NetBench bench(options);
   // A comatose driver: probe succeeds, then it services nothing.
@@ -321,7 +320,6 @@ TEST_F(SupervisorFaultTest, BackgroundWatchdogRecoversStalledThreadedQueue) {
   ASSERT_TRUE(bench.StartSut(uml::DriverHost::Mode::kThreadedPerQueue).ok());
   bench.MaskPeerIrq();
   uml::DriverSupervisor::Options sup_options;
-  sup_options.watchdog_period_ms = 1;
   sup_options.max_restarts = 8;
   sup_options.restart_mode = uml::DriverHost::Mode::kThreadedPerQueue;
   uml::DriverSupervisor supervisor(&bench.kernel, bench.host.get(), MakeTwoQueueE1000e,

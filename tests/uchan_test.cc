@@ -200,19 +200,6 @@ TEST(Uchan, SyncDowncallFlushesBatchFirstAndReturnsResultInPlace) {
   EXPECT_EQ(handled, (std::vector<uint32_t>{50, 60}));  // order preserved
 }
 
-TEST(Uchan, UnbatchedConfigEntersKernelPerDowncall) {
-  Uchan::Config config;
-  config.batch_async_downcalls = false;
-  Uchan uchan(config);
-  int entries = 0;
-  uchan.set_downcall_handler([&](UchanMsg&) { ++entries; });
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(uchan.DowncallAsync(UchanMsg{}).ok());
-  }
-  EXPECT_EQ(entries, 4);
-  EXPECT_EQ(uchan.stats().downcall_batches, 4u);
-}
-
 TEST(Uchan, DowncallErrorPropagates) {
   Uchan uchan;
   uchan.set_downcall_handler(
