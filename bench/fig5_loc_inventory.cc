@@ -64,26 +64,26 @@ int main(int argc, char** argv) {
        2800, 2337, true},
       // Budget: heading for 800 lines (the paper's proxy is 300).
       {"Ethernet proxy driver",
-       {root + "sud/proxy_ethernet.h", root + "sud/proxy_ethernet.cc"}, 300, 965, true},
+       {root + "sud/proxy_ethernet.h", root + "sud/proxy_ethernet.cc"}, 300, 930, true},
       {"Wireless proxy driver",
-       {root + "sud/proxy_wireless.h", root + "sud/proxy_wireless.cc"}, 600, 0, true},
+       {root + "sud/proxy_wireless.h", root + "sud/proxy_wireless.cc"}, 600, 166, true},
       {"Audio card proxy driver",
-       {root + "sud/proxy_audio.h", root + "sud/proxy_audio.cc"}, 550, 0, true},
+       {root + "sud/proxy_audio.h", root + "sud/proxy_audio.cc"}, 550, 160, true},
       {"USB host proxy driver", {root + "sud/proxy_usb.h"}, 0, 0, true},
       // The registry and validator every downcall runs through, plus the
       // decoders the proxies use (and, for now, driver-side encoders).
-      {"Wire schema", {root + "sud/wire_schema.h", root + "sud/wire_schema.cc"}, -1, 835, true},
+      {"Wire schema", {root + "sud/wire_schema.h", root + "sud/wire_schema.cc"}, -1, 814, true},
       {"SUD-UML runtime",
        {root + "uml/uml_runtime.h", root + "uml/uml_runtime.cc", root + "uml/driver_env.h",
         root + "uml/driver_host.h", root + "uml/driver_host.cc"},
-       5000, 1192, false},
+       5000, 1152, false},
       // Kernel-side recovery policy: outside the total, since the paper has
       // no counterpart to compare it with.
       {"Driver supervisor", {root + "uml/supervisor.h", root + "uml/supervisor.cc"}, -1, 452,
        false},
   };
   constexpr int kTrustedPaperLoc = 4250;
-  constexpr int kTrustedBudget = 4540;
+  constexpr int kTrustedBudget = 4450;
 
   auto print_row = [](const char* name, int loc, int paper_loc) {
     std::string paper = paper_loc < 0 ? "-" : std::to_string(paper_loc);

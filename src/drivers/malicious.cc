@@ -134,12 +134,11 @@ Status NeverAckDriver::TriggerInterrupt() {
 }
 
 Status UnresponsiveDriver::Probe(uml::DriverEnv& env) {
-  // Registers a netdev whose every op "hangs" (returns nothing useful and
-  // would never reply in a real process; under the pumped model the upcall
-  // simply gets no Reply, which is exactly what the kernel sees).
+  // Registers a netdev with no ops. A serviced runtime answers each sync
+  // upcall kUnavailable (an op the driver never registered); only a comatose
+  // host leaves it unanswered, which is the hang the kernel must survive.
   uint8_t mac[6] = {0xde, 0xad, 0xbe, 0xef, 0x00, 0x01};
-  uml::NetDriverOps ops;  // all callbacks empty: dispatch produces no reply
-  return env.RegisterNetdev(mac, std::move(ops));
+  return env.RegisterNetdev(mac, uml::NetDriverOps{});
 }
 
 Status ConfigAttackDriver::Probe(uml::DriverEnv& env) {

@@ -18,8 +18,9 @@
 //                          (the livelock of §5.2)
 //   NeverAckDriver         handles no interrupts, never acks: tests MSI
 //                          masking of device-originated storms
-//   UnresponsiveDriver     accepts probe then ignores every upcall: tests
-//                          interruptable synchronous upcalls (ifconfig ^C)
+//   UnresponsiveDriver     probes, registering no ops; on a comatose host
+//                          no upcall is ever answered: tests interruptable
+//                          synchronous upcalls (ifconfig ^C)
 //   ConfigAttackDriver     tries to rewrite BARs / the MSI capability / evil
 //                          command-register bits through the config syscall
 //   IoPortAttackDriver     pokes IO ports outside its IOPB grant
@@ -126,8 +127,9 @@ class NeverAckDriver : public uml::Driver {
   DmaRegion ring_{};
 };
 
-// Probes fine, then ignores every upcall forever (the infinite-loop driver
-// of Section 3). Liveness tests point synchronous upcalls at it.
+// Probes fine and registers no ops. Run on a comatose host (the
+// infinite-loop driver of Section 3), it leaves every upcall unanswered;
+// liveness tests point synchronous upcalls at it.
 class UnresponsiveDriver : public uml::Driver {
  public:
   const char* name() const override { return "unresponsive"; }

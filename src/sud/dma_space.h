@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <vector>
 
 #include "src/base/status.h"
 #include "src/hw/iommu.h"
@@ -104,7 +103,6 @@ class DmaSpace {
   void ReleaseAll();
 
   const std::map<uint64_t, DmaRegion>& regions() const { return regions_; }
-  uint16_t source_id() const { return source_id_; }
   // The device's IOMMU: the proxy seals/unseals delivered RX pages through it.
   hw::Iommu* iommu() const { return iommu_; }
   uint64_t total_bytes() const;

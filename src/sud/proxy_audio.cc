@@ -21,21 +21,13 @@ Status AudioProxy::OpenStream(const kern::PcmConfig& config) {
   msg.args[2] = config.sample_bytes;
   msg.args[3] = config.period_bytes;
   msg.args[4] = config.buffer_bytes;
-  Result<UchanMsg> reply = ctx_->ctl().SendSync(std::move(msg));
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  if (reply.value().error != 0) {
-    return Status(static_cast<ErrorCode>(reply.value().error), "driver failed to open stream");
-  }
-  return Status::Ok();
+  return ctx_->ctl().SendSync(std::move(msg)).status();
 }
 
 Status AudioProxy::CloseStream() {
   UchanMsg msg;
   msg.opcode = kAudioUpCloseStream;
-  Result<UchanMsg> reply = ctx_->ctl().SendSync(std::move(msg));
-  return reply.ok() ? Status::Ok() : reply.status();
+  return ctx_->ctl().SendSync(std::move(msg)).status();
 }
 
 Status AudioProxy::WriteSamples(ConstByteSpan samples) {
@@ -72,18 +64,18 @@ Status AudioProxy::WriteSamples(ConstByteSpan samples) {
 }
 
 void AudioProxy::HandleDowncall(UchanMsg& msg, wire::Malform verdict) {
-  if (verdict != wire::Malform::kNone) {
-    // Refused and counted by the context. Malformed free-buffer batches are
-    // still tolerated: the ids the payload actually carries are real
+  if (msg.opcode == kEthDownFreeBuffer) {
+    // Shared-pool buffer return (generic). A batch the context refused on
+    // its shape is still tolerated: the ids its payload carries are real
     // completions, salvaged exactly like the ethernet proxy.
-    if (msg.opcode == kEthDownFreeBuffer) {
-      size_t salvage = wire::FreeBufferPayloadCount(msg);
-      for (size_t i = 0; i < salvage; ++i) {
-        ctx_->pool().Free(wire::DecodeFreeBufferId(msg, i));
-      }
-      msg.error = 0;
+    for (size_t i = 0; i < wire::FreeBufferPayloadCount(msg); ++i) {
+      ctx_->pool().Free(wire::DecodeFreeBufferId(msg, i));
     }
+    msg.error = 0;
     return;
+  }
+  if (verdict != wire::Malform::kNone) {
+    return;  // refused and counted by the context
   }
   switch (msg.opcode) {
     case kAudioDownRegister: {
@@ -108,14 +100,6 @@ void AudioProxy::HandleDowncall(UchanMsg& msg, wire::Malform verdict) {
       }
       msg.error = 0;
       return;
-    case kEthDownFreeBuffer: {  // shared-pool buffer return (generic)
-      size_t count = wire::FreeBufferCount(msg);
-      for (size_t i = 0; i < count; ++i) {
-        ctx_->pool().Free(wire::DecodeFreeBufferId(msg, i));
-      }
-      msg.error = 0;
-      return;
-    }
     default:
       SUD_LOG(kWarning) << "audio proxy: unknown downcall opcode " << msg.opcode;
       msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);

@@ -21,7 +21,8 @@ class AudioProxy : public kern::PcmOps {
  public:
   AudioProxy(kern::Kernel* kernel, SudDeviceContext* ctx);
 
-  // kern::PcmOps
+  // kern::PcmOps. Stream open and close are synchronous upcalls: each
+  // returns the driver's answer as Uchan::SendSync delivers it.
   Status OpenStream(const kern::PcmConfig& config) override;
   Status CloseStream() override;
   Status WriteSamples(ConstByteSpan samples) override;

@@ -52,24 +52,13 @@ EthernetProxy::EthernetProxy(kern::Kernel* kernel, SudDeviceContext* ctx, Option
 Status EthernetProxy::Open() {
   UchanMsg msg;
   msg.opcode = kEthUpOpen;
-  Result<UchanMsg> reply = ctx_->ctl().SendSync(std::move(msg));
-  if (!reply.ok()) {
-    return reply.status();  // interrupted/timed out: ifconfig reports an error
-  }
-  if (reply.value().error != 0) {
-    return Status(static_cast<ErrorCode>(reply.value().error), "driver open failed");
-  }
-  return Status::Ok();
+  return ctx_->ctl().SendSync(std::move(msg)).status();
 }
 
 Status EthernetProxy::Stop() {
   UchanMsg msg;
   msg.opcode = kEthUpStop;
-  Result<UchanMsg> reply = ctx_->ctl().SendSync(std::move(msg));
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  return Status::Ok();
+  return ctx_->ctl().SendSync(std::move(msg)).status();
 }
 
 void EthernetProxy::NoteXmitFull() {
@@ -302,9 +291,6 @@ Result<std::string> EthernetProxy::Ioctl(uint32_t cmd) {
   if (!reply.ok()) {
     return reply.status();
   }
-  if (reply.value().error != 0) {
-    return Status(static_cast<ErrorCode>(reply.value().error), "ioctl failed in driver");
-  }
   return std::string(reply.value().inline_data.begin(), reply.value().inline_data.end());
 }
 
@@ -327,8 +313,17 @@ void EthernetProxy::HandleDowncall(UchanMsg& msg, uint16_t shard, wire::Malform 
   // The context certified the shape (or refused it, counted). Semantic
   // checks — DMA-space lookups, the interface's declared MTU, queue-count
   // clamps — stay in the handlers below, with their historical counters.
+  if (msg.opcode == kEthDownFreeBuffer) {
+    HandleFreeBuffer(msg, verdict);  // valid or salvaged
+    return;
+  }
   if (verdict != wire::Malform::kNone) {
-    RejectDowncall(msg, shard, verdict);
+    // A refused shape stays refused. A netif_rx reject leaves the same books
+    // behind as a semantic one: the dedup watermark advances, the downcall
+    // counter bumps, and the attack lands in rx_malformed.
+    if (msg.opcode == kEthDownNetifRx && RxDowncallProlog(msg, shard)) {
+      RejectNetifRx(msg, wire::MalformName(verdict));
+    }
     return;
   }
   switch (msg.opcode) {
@@ -391,9 +386,6 @@ void EthernetProxy::HandleDowncall(UchanMsg& msg, uint16_t shard, wire::Malform 
       }
       msg.error = 0;
       return;
-    case kEthDownFreeBuffer:
-      HandleFreeBuffer(msg);
-      return;
     default:
       SUD_LOG(kWarning) << "ethernet proxy: unknown downcall opcode " << msg.opcode;
       msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
@@ -401,11 +393,20 @@ void EthernetProxy::HandleDowncall(UchanMsg& msg, uint16_t shard, wire::Malform 
   }
 }
 
-void EthernetProxy::HandleFreeBuffer(UchanMsg& msg) {
-  // Unified layout, schema-certified: args[0] ids in the payload (one
-  // message per TX reap pass; a single completion is a batch of one).
-  size_t count = wire::FreeBufferCount(msg);
-  if (count > 1) {
+void EthernetProxy::HandleFreeBuffer(UchanMsg& msg, wire::Malform verdict) {
+  // One message per TX reap pass; a single completion is a batch of one.
+  size_t count = wire::FreeBufferPayloadCount(msg);
+  if (verdict != wire::Malform::kNone) {
+    // Tolerate-and-salvage: a malformed (malicious) batch still carries real
+    // completions in its payload — free them or the pool leaks on the
+    // driver's word alone.
+    if (netdev_ != nullptr) {
+      netdev_->stats().driver_errors++;
+    }
+    SUD_LOG(kAttack) << "free-buffer batch count " << msg.args[0]
+                     << " disagrees with payload (" << count << " ids)";
+  }
+  if (count > 1 || verdict != wire::Malform::kNone) {
     stats_.free_batches.fetch_add(1, std::memory_order_relaxed);
   }
   for (size_t i = 0; i < count; ++i) {
@@ -437,40 +438,6 @@ void EthernetProxy::RejectNetifRx(UchanMsg& msg, const char* why) {
   netdev_->stats().driver_errors++;
   SUD_LOG(kAttack) << "netif_rx downcall rejected: " << why;
   msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
-}
-
-void EthernetProxy::RejectDowncall(UchanMsg& msg, uint16_t shard, wire::Malform verdict) {
-  switch (msg.opcode) {
-    case kEthDownNetifRx:
-      // A structurally malformed delivery leaves the same books behind as a
-      // semantically rejected one: the dedup watermark advances, the
-      // downcall counter bumps, and the attack lands in rx_malformed.
-      if (RxDowncallProlog(msg, shard)) {
-        RejectNetifRx(msg, wire::MalformName(verdict));
-      }
-      return;
-    case kEthDownFreeBuffer: {
-      // Tolerate-and-salvage: a count that disagrees with the payload is a
-      // malformed (malicious) message, but the ids the payload actually
-      // carries are real completions — free them or the pool leaks on the
-      // driver's word alone.
-      if (netdev_ != nullptr) {
-        netdev_->stats().driver_errors++;
-      }
-      SUD_LOG(kAttack) << "free-buffer batch count " << msg.args[0]
-                       << " disagrees with payload (" << wire::FreeBufferPayloadCount(msg)
-                       << " ids)";
-      stats_.free_batches.fetch_add(1, std::memory_order_relaxed);
-      size_t salvage = wire::FreeBufferPayloadCount(msg);
-      for (size_t i = 0; i < salvage; ++i) {
-        ctx_->pool().Free(wire::DecodeFreeBufferId(msg, i));
-      }
-      msg.error = 0;
-      return;
-    }
-    default:
-      return;  // refused by the context
-  }
 }
 
 void EthernetProxy::HandleNetifRx(UchanMsg& msg, uint16_t shard) {

@@ -93,7 +93,8 @@ class EthernetProxy : public kern::NetDeviceOps {
       : EthernetProxy(kernel, ctx, Options{}) {}
   EthernetProxy(kern::Kernel* kernel, SudDeviceContext* ctx, Options options);
 
-  // kern::NetDeviceOps
+  // kern::NetDeviceOps. Open, Stop and Ioctl are synchronous upcalls: each
+  // returns the driver's answer as Uchan::SendSync delivers it.
   Status Open() override;
   Status Stop() override;
   // The transmit entry, for a burst or a single frame on TX queue `queue`:
@@ -175,11 +176,6 @@ class EthernetProxy : public kern::NetDeviceOps {
 
  private:
   void HandleDowncall(UchanMsg& msg, uint16_t shard, wire::Malform verdict);
-  // A message the context refused on its shape (counted there): netif_rx
-  // rejects keep the dedup/prologue books of a semantic reject; malformed
-  // free batches are tolerated and their payload ids salvaged; everything
-  // else stays refused.
-  void RejectDowncall(UchanMsg& msg, uint16_t shard, wire::Malform verdict);
   // Head of every netif_rx delivery — dedup against the shard's seq
   // watermark, the downcall counter, the netdev-liveness check — run for
   // accepted AND structurally rejected deliveries alike. Returns false when
@@ -206,7 +202,9 @@ class EthernetProxy : public kern::NetDeviceOps {
   // Tail of every rx delivery: charges the stack costs, applies the
   // bad-checksum drop accounting, and joins the shard's NAPI bundle.
   void FinishRxSkb(kern::SkbPtr skb, bool checksum_ok, size_t frame_bytes, uint16_t shard);
-  void HandleFreeBuffer(UchanMsg& msg);
+  // Frees the ids a free-buffer batch's payload carries. A batch the context
+  // refused on its shape is tolerated and counted, its ids salvaged.
+  void HandleFreeBuffer(UchanMsg& msg, wire::Malform verdict);
   // Stages one skb for transmit and fills `msg` with its kEthUpXmit upcall:
   // head and frags chunked by the pool buffer size into a fragment list
   // bounded by kern::kMaxChainFrags (one fragment for a linear frame that

@@ -1,7 +1,5 @@
 #include "src/sud/proxy_wireless.h"
 
-#include <cstring>
-
 #include "src/base/log.h"
 
 namespace sud {
@@ -19,9 +17,6 @@ uint32_t WirelessProxy::EnableFeatures(uint32_t requested) {
   // Called with the kernel in a non-preemptable context. A synchronous
   // upcall here would be a design violation (it could sleep); the proxy
   // answers from the mirror and queues an async upcall instead.
-  if (!kernel_->InAtomicContext()) {
-    // The stack normally calls us atomically; tolerate non-atomic callers.
-  }
   uint32_t enabled = requested & mirrored_supported_features_;
   UchanMsg msg;
   msg.opcode = kWifiUpEnableFeatures;
@@ -45,16 +40,12 @@ Result<std::vector<kern::ScanResult>> WirelessProxy::Scan() {
   if (!reply.ok()) {
     return reply.status();
   }
-  if (reply.value().error != 0) {
-    return Status(static_cast<ErrorCode>(reply.value().error), "scan failed in driver");
-  }
   // The reply payload is driver-marshalled: certify its record shape against
   // the schema before decoding — a ragged or oversize result list is an
   // attack on the scan parser, not a tolerable fuzz.
   const wire::MessageSchema* schema = wire::FindSchema(wire::Dir::kUp, kWifiUpScan);
   wire::Malform verdict = wire::ValidateReplyStructure(*schema, reply.value());
   if (verdict != wire::Malform::kNone) {
-    wire_rejects_.Count(wire::Dir::kUp, kWifiUpScan);
     SUD_LOG(kAttack) << "wireless proxy: malformed scan reply rejected ("
                      << wire::MalformName(verdict) << ")";
     return Status(ErrorCode::kInvalidArgument, "malformed scan reply");
@@ -70,14 +61,7 @@ Status WirelessProxy::Associate(const std::string& ssid) {
   UchanMsg msg;
   msg.opcode = kWifiUpAssociate;
   msg.inline_data.assign(ssid.begin(), ssid.end());
-  Result<UchanMsg> reply = ctx_->ctl().SendSync(std::move(msg));
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  if (reply.value().error != 0) {
-    return Status(static_cast<ErrorCode>(reply.value().error), "associate failed in driver");
-  }
-  return Status::Ok();
+  return ctx_->ctl().SendSync(std::move(msg)).status();
 }
 
 void WirelessProxy::HandleDowncall(UchanMsg& msg) {

@@ -26,7 +26,9 @@ class WirelessProxy : public kern::WirelessOps {
  public:
   WirelessProxy(kern::Kernel* kernel, SudDeviceContext* ctx);
 
-  // kern::WirelessOps
+  // kern::WirelessOps. Scan and Associate are synchronous upcalls: each
+  // returns the driver's answer as Uchan::SendSync delivers it, and Scan
+  // refuses a reply whose records the schema does not certify.
   uint32_t EnableFeatures(uint32_t requested) override;
   Result<std::vector<kern::ScanResult>> Scan() override;
   Status Associate(const std::string& ssid) override;
@@ -40,10 +42,6 @@ class WirelessProxy : public kern::WirelessOps {
   };
   const Stats& stats() const { return stats_; }
 
-  // Malformed scan-reply payloads, counted per message (downcall shapes are
-  // counted by the device context, ctx->wire_rejects()).
-  const wire::RejectStats& wire_rejects() const { return wire_rejects_; }
-
  private:
   void HandleDowncall(UchanMsg& msg);
 
@@ -52,7 +50,6 @@ class WirelessProxy : public kern::WirelessOps {
   kern::WirelessDevice* wdev_ = nullptr;
   uint32_t mirrored_supported_features_ = 0;  // the static mirror (§3.1.1)
   Stats stats_;
-  wire::RejectStats wire_rejects_;
 };
 
 }  // namespace sud

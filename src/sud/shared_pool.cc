@@ -104,7 +104,6 @@ Result<int32_t> SharedBufferPool::Alloc() {
   // free. Callers must treat it exactly like a genuinely empty free list —
   // counted TX backpressure, never silent loss or partial staging.
   if (SUD_FAULT_POINT("sud.pool.alloc")) {
-    ++injected_exhausted_;
     return Status(ErrorCode::kExhausted, "shared buffer pool exhausted (injected)");
   }
   if (free_list_.empty()) {

@@ -106,12 +106,6 @@ class SharedBufferPool {
     std::lock_guard<std::mutex> lock(mu_);
     return stale_frees_;
   }
-  // Allocations refused by the "sud.pool.alloc" fault site (injected memory
-  // pressure, distinct from genuine exhaustion).
-  uint64_t injected_exhausted() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return injected_exhausted_;
-  }
 
   // Shared view of staged buffer `id` (both sides use this; the device
   // reaches the same bytes via BufferIova through the IOMMU). Validation
@@ -156,7 +150,6 @@ class SharedBufferPool {
   uint32_t allocated_count_ = 0;
   uint64_t double_frees_ = 0;
   uint64_t stale_frees_ = 0;
-  uint64_t injected_exhausted_ = 0;
 };
 
 }  // namespace sud

@@ -23,6 +23,14 @@ constexpr std::chrono::microseconds kRingFullBackoff{100};
 constexpr std::chrono::microseconds kIdlePollWindow{50};
 constexpr uint32_t kPausesPerClockRead = 32;
 
+// The other side's error code, untrusted: one naming no ErrorCode is invalid.
+Status ReplyStatus(int32_t error) {
+  if (error < 0 || error > static_cast<int32_t>(ErrorCode::kInternal)) {
+    return Status(ErrorCode::kInvalidArgument, "reply with no known error code");
+  }
+  return error == 0 ? Status::Ok() : Status(static_cast<ErrorCode>(error), "error reply");
+}
+
 void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -179,6 +187,7 @@ Result<UchanMsg> Uchan::SendSync(UchanMsg msg) {
   UchanMsg reply = std::move(FindReplyLocked(seq)->msg);
   EraseReplyLocked(seq);
   Charge(kernel_stats_, kAccountKernel, costs().uchan_msg);
+  SUD_RETURN_IF_ERROR(ReplyStatus(reply.error));
   return reply;
 }
 
@@ -390,8 +399,7 @@ Status Uchan::DowncallSync(UchanMsg& msg) {
   // droppable, and a control call overtaking stalled data traffic is exactly
   // the fault being modeled).
   EnterKernelLocked(&msg, lock);
-  return msg.error == 0 ? Status::Ok()
-                        : Status(static_cast<ErrorCode>(msg.error), "downcall failed");
+  return ReplyStatus(msg.error);
 }
 
 Status Uchan::AppendDowncalls(std::span<UchanMsg> msgs, std::vector<UchanMsg>* owner) {

@@ -147,6 +147,8 @@ class Uchan {
   explicit Uchan(Config config, CpuModel* cpu = nullptr);
 
   // ---- kernel (proxy driver) side -----------------------------------------
+  // The driver's answer: its reply, or the reply's nonzero error code as the
+  // Status (kInvalidArgument for a code that names no ErrorCode).
   Result<UchanMsg> SendSync(UchanMsg msg);
   // Enqueues `msgs` in order under ONE lock acquisition, charging at most one
   // process wakeup for the whole burst. Returns how many were enqueued: the

@@ -11,12 +11,11 @@ namespace {
 
 constexpr uint64_t kMaxQueueIndex = kSudMaxQueues - 1;
 
-constexpr MessageSchema Msg(Dir dir, uint32_t opcode, const char* name, Rpc rpc, Lane lane) {
+constexpr MessageSchema Msg(Dir dir, uint32_t opcode, const char* name, Lane lane) {
   MessageSchema s{};
   s.dir = dir;
   s.opcode = opcode;
   s.name = name;
-  s.rpc = rpc;
   s.lane = lane;
   return s;
 }
@@ -90,14 +89,14 @@ constexpr std::array<MessageSchema, kRegistryCapacity> BuildRegistry() {
 
   // ---- upcalls (kernel -> driver), dispatched by UmlRuntime ---------------
   {
-    MessageSchema s = Msg(Dir::kUp, kOpInterrupt, "interrupt", Rpc::kAsync, Lane::kQueue);
+    MessageSchema s = Msg(Dir::kUp, kOpInterrupt, "interrupt", Lane::kQueue);
     s.args[0] = ArgSpec{"queue", kMaxQueueIndex};
     reg[i++] = s;
   }
-  reg[i++] = Msg(Dir::kUp, kEthUpOpen, "eth_open", Rpc::kSync, Lane::kControl);
-  reg[i++] = Msg(Dir::kUp, kEthUpStop, "eth_stop", Rpc::kSync, Lane::kControl);
+  reg[i++] = Msg(Dir::kUp, kEthUpOpen, "eth_open", Lane::kControl);
+  reg[i++] = Msg(Dir::kUp, kEthUpStop, "eth_stop", Lane::kControl);
   {
-    MessageSchema s = Msg(Dir::kUp, kEthUpXmit, "eth_xmit", Rpc::kAsync, Lane::kQueue);
+    MessageSchema s = Msg(Dir::kUp, kEthUpXmit, "eth_xmit", Lane::kQueue);
     s.droppable = true;
     s.carries_buffer = true;
     s.max_buffer_len = kern::kJumboMaxFrameBytes;
@@ -111,34 +110,31 @@ constexpr std::array<MessageSchema, kRegistryCapacity> BuildRegistry() {
     reg[i++] = s;
   }
   {
-    MessageSchema s = Msg(Dir::kUp, kEthUpIoctl, "eth_ioctl", Rpc::kSync, Lane::kControl);
+    MessageSchema s = Msg(Dir::kUp, kEthUpIoctl, "eth_ioctl", Lane::kControl);
     s.args[0] = ArgSpec{"cmd", UINT32_MAX};
     reg[i++] = s;
   }
   {
-    MessageSchema s = Msg(Dir::kUp, kWifiUpScan, "wifi_scan", Rpc::kSync, Lane::kControl);
+    MessageSchema s = Msg(Dir::kUp, kWifiUpScan, "wifi_scan", Lane::kControl);
     s.reply_payload = PayloadKind::kRecords;
     s.reply_record = ScanRecord();
     s.reply_max_records = kMaxScanRecords;
     reg[i++] = s;
   }
   {
-    MessageSchema s =
-        Msg(Dir::kUp, kWifiUpAssociate, "wifi_associate", Rpc::kSync, Lane::kControl);
+    MessageSchema s = Msg(Dir::kUp, kWifiUpAssociate, "wifi_associate", Lane::kControl);
     s.payload = PayloadKind::kRawBounded;
     s.min_bytes = 1;
     s.max_bytes = kMaxSsidBytes;
     reg[i++] = s;
   }
   {
-    MessageSchema s = Msg(Dir::kUp, kWifiUpEnableFeatures, "wifi_enable_features",
-                          Rpc::kAsync, Lane::kControl);
+    MessageSchema s = Msg(Dir::kUp, kWifiUpEnableFeatures, "wifi_enable_features", Lane::kControl);
     s.args[0] = ArgSpec{"features", UINT32_MAX};
     reg[i++] = s;
   }
   {
-    MessageSchema s = Msg(Dir::kUp, kAudioUpOpenStream, "audio_open_stream", Rpc::kSync,
-                          Lane::kControl);
+    MessageSchema s = Msg(Dir::kUp, kAudioUpOpenStream, "audio_open_stream", Lane::kControl);
     s.args[0] = ArgSpec{"rate_hz", UINT32_MAX};
     s.args[1] = ArgSpec{"channels", UINT32_MAX};
     s.args[2] = ArgSpec{"sample_bytes", UINT32_MAX};
@@ -146,31 +142,28 @@ constexpr std::array<MessageSchema, kRegistryCapacity> BuildRegistry() {
     s.args[4] = ArgSpec{"buffer_bytes", UINT32_MAX};
     reg[i++] = s;
   }
-  reg[i++] = Msg(Dir::kUp, kAudioUpCloseStream, "audio_close_stream", Rpc::kSync,
-                 Lane::kControl);
+  reg[i++] = Msg(Dir::kUp, kAudioUpCloseStream, "audio_close_stream", Lane::kControl);
   {
-    MessageSchema s = Msg(Dir::kUp, kAudioUpWrite, "audio_write", Rpc::kAsync, Lane::kControl);
+    MessageSchema s = Msg(Dir::kUp, kAudioUpWrite, "audio_write", Lane::kControl);
     s.carries_buffer = true;
     reg[i++] = s;
   }
 
   // ---- downcalls (driver -> kernel), checked by the device context -------
   {
-    MessageSchema s =
-        Msg(Dir::kDown, kOpInterruptAck, "interrupt_ack", Rpc::kSync, Lane::kQueue);
+    MessageSchema s = Msg(Dir::kDown, kOpInterruptAck, "interrupt_ack", Lane::kQueue);
     s.args[0] = ArgSpec{"queue", kMaxQueueIndex};
     reg[i++] = s;
   }
-  reg[i++] = Msg(Dir::kDown, kOpRequestRegion, "request_region", Rpc::kSync, Lane::kControl);
+  reg[i++] = Msg(Dir::kDown, kOpRequestRegion, "request_region", Lane::kControl);
   {
-    MessageSchema s = Msg(Dir::kDown, kOpPciFindCapability, "pci_find_capability", Rpc::kSync,
-                          Lane::kControl);
+    MessageSchema s = Msg(Dir::kDown, kOpPciFindCapability, "pci_find_capability", Lane::kControl);
     s.args[0] = ArgSpec{"cap_id", 0xff};
     reg[i++] = s;
   }
   {
     MessageSchema s = Msg(Dir::kDown, kEthDownRegisterNetdev, "eth_register_netdev",
-                          Rpc::kSync, Lane::kControl);
+                          Lane::kControl);
     // Queue count, MTU, and feature bits are all kernel-CLAMPED, not
     // rejected (a lying driver cannot grow the attack surface, Section 3.1):
     // no static bound here.
@@ -182,8 +175,7 @@ constexpr std::array<MessageSchema, kRegistryCapacity> BuildRegistry() {
     reg[i++] = s;
   }
   {
-    MessageSchema s =
-        Msg(Dir::kDown, kEthDownNetifRx, "eth_netif_rx", Rpc::kAsync, Lane::kQueue);
+    MessageSchema s = Msg(Dir::kDown, kEthDownNetifRx, "eth_netif_rx", Lane::kQueue);
     s.droppable = true;
     s.args[0] = ArgSpec{"iova", UINT64_MAX};
     s.args[1] = ArgSpec{"len", kern::kJumboMaxFrameBytes};
@@ -196,14 +188,12 @@ constexpr std::array<MessageSchema, kRegistryCapacity> BuildRegistry() {
     reg[i++] = s;
   }
   {
-    MessageSchema s =
-        Msg(Dir::kDown, kEthDownSetCarrier, "eth_set_carrier", Rpc::kAsync, Lane::kControl);
+    MessageSchema s = Msg(Dir::kDown, kEthDownSetCarrier, "eth_set_carrier", Lane::kControl);
     s.args[0] = ArgSpec{"carrier", 1};
     reg[i++] = s;
   }
   {
-    MessageSchema s =
-        Msg(Dir::kDown, kEthDownFreeBuffer, "eth_free_buffer", Rpc::kAsync, Lane::kQueue);
+    MessageSchema s = Msg(Dir::kDown, kEthDownFreeBuffer, "eth_free_buffer", Lane::kQueue);
     s.args[0] = ArgSpec{"count", kMaxFreeBufferIds};
     s.payload = PayloadKind::kRecords;
     s.count_arg = 0;
@@ -213,20 +203,17 @@ constexpr std::array<MessageSchema, kRegistryCapacity> BuildRegistry() {
     reg[i++] = s;
   }
   {
-    MessageSchema s =
-        Msg(Dir::kDown, kWifiDownRegister, "wifi_register", Rpc::kSync, Lane::kControl);
+    MessageSchema s = Msg(Dir::kDown, kWifiDownRegister, "wifi_register", Lane::kControl);
     s.args[0] = ArgSpec{"supported_features", UINT32_MAX};
     reg[i++] = s;
   }
   {
-    MessageSchema s =
-        Msg(Dir::kDown, kWifiDownBssChange, "wifi_bss_change", Rpc::kAsync, Lane::kControl);
+    MessageSchema s = Msg(Dir::kDown, kWifiDownBssChange, "wifi_bss_change", Lane::kControl);
     s.args[0] = ArgSpec{"associated", 1};
     reg[i++] = s;
   }
   {
-    MessageSchema s = Msg(Dir::kDown, kWifiDownSetBitrates, "wifi_set_bitrates", Rpc::kAsync,
-                          Lane::kControl);
+    MessageSchema s = Msg(Dir::kDown, kWifiDownSetBitrates, "wifi_set_bitrates", Lane::kControl);
     s.payload = PayloadKind::kRecords;
     s.count_arg = -1;  // implicit: the payload size IS the count
     s.min_records = 0;
@@ -234,12 +221,10 @@ constexpr std::array<MessageSchema, kRegistryCapacity> BuildRegistry() {
     s.record = BitrateRecord();
     reg[i++] = s;
   }
-  reg[i++] = Msg(Dir::kDown, kAudioDownRegister, "audio_register", Rpc::kSync, Lane::kControl);
-  reg[i++] = Msg(Dir::kDown, kAudioDownPeriodElapsed, "audio_period_elapsed", Rpc::kAsync,
-                 Lane::kControl);
+  reg[i++] = Msg(Dir::kDown, kAudioDownRegister, "audio_register", Lane::kControl);
+  reg[i++] = Msg(Dir::kDown, kAudioDownPeriodElapsed, "audio_period_elapsed", Lane::kControl);
   {
-    MessageSchema s =
-        Msg(Dir::kDown, kUsbDownKeyEvent, "usb_key_event", Rpc::kAsync, Lane::kControl);
+    MessageSchema s = Msg(Dir::kDown, kUsbDownKeyEvent, "usb_key_event", Lane::kControl);
     s.args[0] = ArgSpec{"usage_code", 0xff};
     reg[i++] = s;
   }
@@ -479,8 +464,6 @@ void EncodeFreeBuffers(const int32_t* ids, size_t count, UchanMsg* msg) {
     StoreLe32(msg->inline_data.data() + i * kFreeBufferIdBytes, static_cast<uint32_t>(ids[i]));
   }
 }
-
-size_t FreeBufferCount(const UchanMsg& msg) { return static_cast<size_t>(msg.args[0]); }
 
 int32_t DecodeFreeBufferId(const UchanMsg& msg, size_t index) {
   return static_cast<int32_t>(LoadLe32(msg.inline_data.data() + index * kFreeBufferIdBytes));

@@ -1,6 +1,6 @@
 // Declarative wire schema for the uchan protocol: ONE definition per message
-// (direction, sync/async, queue discipline, per-arg bounds, inline-payload
-// record layout), from which everything else derives —
+// (direction, queue discipline, per-arg bounds, inline-payload record layout;
+// proto.h says which are sync), from which everything else derives —
 //
 //   * the typed encode/decode codec both sides marshal through (no hand-rolled
 //     StoreLe32/LoadLe32 at the call sites),
@@ -49,8 +49,6 @@ enum class Dir : uint8_t {
   kUp,    // kernel -> driver (upcall), dispatched by UmlRuntime
   kDown,  // driver -> kernel (downcall), checked by SudDeviceContext
 };
-
-enum class Rpc : uint8_t { kSync, kAsync };
 
 // Queue discipline: control messages ride shard 0 only; packet-path messages
 // ride the shard of the queue they belong to (any shard is legal — the
@@ -111,7 +109,6 @@ struct MessageSchema {
   uint32_t opcode = 0;
   const char* name = nullptr;  // the rejection-stat name
   Dir dir = Dir::kDown;
-  Rpc rpc = Rpc::kSync;
   Lane lane = Lane::kControl;
   bool droppable = false;       // loss-tolerant data plane (fault-injectable)
   bool carries_buffer = false;  // buffer_id/buffer_len legal on this message
@@ -274,11 +271,10 @@ inline DmaFrag NetifRxFragAt(const UchanMsg& msg, size_t index) {
 // kEthDownFreeBuffer, unified layout: args[0] = id count, one 4-byte le32
 // buffer id per record — a single completion is simply a batch of one (the
 // legacy empty-payload single-id layout is gone from the protocol).
+// Receivers read the ids the PAYLOAD carries, whatever the count arg claims:
+// one path for a valid batch and a salvaged malformed one.
 void EncodeFreeBuffers(const int32_t* ids, size_t count, UchanMsg* msg);
-size_t FreeBufferCount(const UchanMsg& msg);
 int32_t DecodeFreeBufferId(const UchanMsg& msg, size_t index);
-// Salvage view for the tolerate-and-free disposition on malformed batches:
-// the ids the PAYLOAD actually carries, whatever the count arg claims.
 size_t FreeBufferPayloadCount(const UchanMsg& msg);
 
 // kWifiDownSetBitrates: implicit-count le32 rate records (mirror update).

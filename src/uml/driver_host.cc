@@ -16,14 +16,14 @@ DriverHost::DriverHost(kern::Kernel* kernel, SudDeviceContext* ctx, std::string 
     : kernel_(kernel), ctx_(ctx), name_(std::move(name)), uid_(uid) {}
 
 DriverHost::~DriverHost() {
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  std::lock_guard<std::recursive_mutex> lock(lifecycle_mu_);
   if (running_) {
     (void)KillLocked();
   }
 }
 
 Status DriverHost::Start(std::unique_ptr<Driver> driver, Mode mode) {
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  std::lock_guard<std::recursive_mutex> lock(lifecycle_mu_);
   return StartLocked(std::move(driver), mode);
 }
 
@@ -42,11 +42,9 @@ Status DriverHost::StartLocked(std::unique_ptr<Driver> driver, Mode mode) {
   running_ = true;
 
   if (mode == Mode::kPumped) {
-    ctx_->ctl().set_user_pump([this]() {
-      if (runtime_ != nullptr) {
-        runtime_->ProcessPending();
-      }
-    });
+    // Under the lifecycle lock, like any Pump: a sync upcall's inline pass
+    // never runs the driver while another thread kills the host.
+    ctx_->ctl().set_user_pump([this]() { Pump(); });
   }
 
   Status probed = driver_->Probe(*runtime_);
@@ -77,7 +75,7 @@ void DriverHost::QueueThreadLoop(uint16_t queue) {
 }
 
 Status DriverHost::Kill() {
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  std::lock_guard<std::recursive_mutex> lock(lifecycle_mu_);
   return KillLocked();
 }
 
@@ -105,7 +103,7 @@ Status DriverHost::KillLocked() {
 }
 
 Status DriverHost::Restart(std::unique_ptr<Driver> driver, Mode mode) {
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  std::lock_guard<std::recursive_mutex> lock(lifecycle_mu_);
   if (running_) {
     SUD_RETURN_IF_ERROR(KillLocked());
   }
@@ -113,7 +111,7 @@ Status DriverHost::Restart(std::unique_ptr<Driver> driver, Mode mode) {
 }
 
 uint64_t DriverHost::queue_progress(uint16_t queue) const {
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  std::lock_guard<std::recursive_mutex> lock(lifecycle_mu_);
   if (!running_ || runtime_ == nullptr) {
     return 0;
   }
@@ -121,7 +119,7 @@ uint64_t DriverHost::queue_progress(uint16_t queue) const {
 }
 
 uint64_t DriverHost::pending_upcalls(uint16_t queue) const {
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  std::lock_guard<std::recursive_mutex> lock(lifecycle_mu_);
   if (!running_ || queue >= ctx_->num_queues()) {
     return 0;
   }
@@ -129,7 +127,7 @@ uint64_t DriverHost::pending_upcalls(uint16_t queue) const {
 }
 
 uint32_t DriverHost::pool_outstanding() const {
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  std::lock_guard<std::recursive_mutex> lock(lifecycle_mu_);
   if (!running_) {
     return 0;
   }
@@ -140,8 +138,9 @@ void DriverHost::Pump() {
   // Comatose drivers never service their uchan (that is the point), and in
   // per-queue mode the pump threads own the dispatch loop — draining from
   // this thread too would race their per-queue rx arrays. The lifecycle lock
-  // keeps runtime_ alive against a concurrent supervisor Kill.
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  // keeps runtime_ alive against a concurrent Kill; a pass that re-enters
+  // through a ring-full retry pump takes it again on the same thread.
+  std::lock_guard<std::recursive_mutex> lock(lifecycle_mu_);
   if (running_ && runtime_ != nullptr && mode_ == Mode::kPumped) {
     runtime_->ProcessPending();
   }

@@ -59,7 +59,8 @@ class DriverHost {
   // Restart with a fresh driver instance (usually the same type).
   Status Restart(std::unique_ptr<Driver> driver, Mode mode = Mode::kPumped);
 
-  // Pumped mode: process pending upcalls now. In the other modes this is
+  // Pumped mode: process pending upcalls now, under the lifecycle lock (a
+  // sync upcall's inline pump runs this too). In the other modes this is
   // a no-op — the pump threads own the dispatch loop, and draining shards
   // from the caller's thread as well would race the per-queue rx arrays that
   // each pump thread touches without a lock.
@@ -101,8 +102,8 @@ class DriverHost {
   std::atomic<bool> running_{false};
   Mode mode_ = Mode::kPumped;
   // Serializes Start/Kill/Restart (supervisor recovery vs concurrent admin
-  // kill); never held while pump threads dispatch.
-  mutable std::mutex lifecycle_mu_;
+  // kill) with pumped passes; never held while pump threads dispatch.
+  mutable std::recursive_mutex lifecycle_mu_;
 };
 
 }  // namespace sud::uml

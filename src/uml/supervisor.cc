@@ -48,8 +48,8 @@ bool DriverSupervisor::CheckAndRecover() {
 }
 
 bool DriverSupervisor::CheckAndRecoverLocked() {
-  bool dead = !host_->running() ||
-              (host_->process() != nullptr && !host_->process()->alive());
+  // Kill marks the process dead and clears running() under one lock.
+  bool dead = !host_->running();
   // One new hung report since the last restart is enough.
   bool hung = proxy_ != nullptr &&
               proxy_->stats().hung_reports.load(std::memory_order_relaxed) > proxy_hung_baseline_;

@@ -22,6 +22,9 @@ thread_local uint16_t t_current_pump_queue = 0;
 // netif_rx downcalls a queue accumulates before its array enters the kernel.
 constexpr uint32_t kRxBatchDepth = 64;
 
+// What the runtime answers for an op the driver never registered.
+Status NoOp() { return Status(ErrorCode::kUnavailable, "driver registered no such op"); }
+
 // Per-queue pump-stall site names, built once: the hot path hands the fault
 // engine a stable string_view, never a fresh allocation.
 std::string_view PumpStallSite(uint16_t queue) {
@@ -199,7 +202,6 @@ Status UmlRuntime::RegisterNetdev(const uint8_t mac[6], NetDriverOps ops) {
   msg.args[2] = ops.sg ? kEthFeatureSg : 0;
   SUD_RETURN_IF_ERROR(SyncDowncall(kEthDownRegisterNetdev, &msg));
   net_ops_ = std::move(ops);
-  net_registered_ = true;
   return Status::Ok();
 }
 
@@ -272,7 +274,6 @@ Status UmlRuntime::RegisterWifi(uint32_t supported_features, WifiDriverOps ops) 
   msg.args[0] = supported_features;
   SUD_RETURN_IF_ERROR(SyncDowncall(kWifiDownRegister, &msg));
   wifi_ops_ = std::move(ops);
-  wifi_registered_ = true;
   return Status::Ok();
 }
 
@@ -293,7 +294,6 @@ Status UmlRuntime::RegisterAudio(AudioDriverOps ops) {
   UchanMsg msg;
   SUD_RETURN_IF_ERROR(SyncDowncall(kAudioDownRegister, &msg));
   audio_ops_ = std::move(ops);
-  audio_registered_ = true;
   return Status::Ok();
 }
 
@@ -380,11 +380,15 @@ void UmlRuntime::RejectUpcall(UchanMsg& msg, wire::Malform verdict) {
     SUD_LOG_RL(kWarning) << "sud-uml: malformed upcall " << msg.opcode << " rejected ("
                          << wire::MalformName(verdict) << ")";
   }
-  if (msg.needs_reply) {
-    UchanMsg reply;
-    reply.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
-    ctx_->ctl().Reply(msg, std::move(reply));
-  }
+  Answer(msg, Status(ErrorCode::kInvalidArgument));
+}
+
+void UmlRuntime::Answer(const UchanMsg& request, const Status& status,
+                        std::vector<uint8_t> payload) {
+  UchanMsg reply;
+  reply.error = static_cast<int32_t>(status.code());
+  reply.inline_data = std::move(payload);
+  ctx_->ctl().Reply(request, std::move(reply));  // dropped when nobody waits
 }
 
 void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
@@ -428,24 +432,14 @@ void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
       RunIrqHandler(queue);
       return;
     }
-    case kEthUpOpen: {
+    case kEthUpOpen:
       stats_.inline_dispatches.fetch_add(1, std::memory_order_relaxed);
-      UchanMsg reply;
-      reply.error = net_registered_ && net_ops_.open
-                        ? static_cast<int32_t>(net_ops_.open().code())
-                        : static_cast<int32_t>(ErrorCode::kUnavailable);
-      ctx_->ctl().Reply(msg, std::move(reply));
+      Answer(msg, net_ops_.open ? net_ops_.open() : NoOp());
       return;
-    }
-    case kEthUpStop: {
+    case kEthUpStop:
       stats_.inline_dispatches.fetch_add(1, std::memory_order_relaxed);
-      UchanMsg reply;
-      reply.error = net_registered_ && net_ops_.stop
-                        ? static_cast<int32_t>(net_ops_.stop().code())
-                        : static_cast<int32_t>(ErrorCode::kUnavailable);
-      ctx_->ctl().Reply(msg, std::move(reply));
+      Answer(msg, net_ops_.stop ? net_ops_.stop() : NoOp());
       return;
-    }
     case kEthUpXmit: {
       stats_.inline_dispatches.fetch_add(1, std::memory_order_relaxed);
       // The schema already certified the shape (tail count vs payload vs the
@@ -469,7 +463,7 @@ void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
       uint16_t queue = static_cast<uint16_t>(msg.args[0]);
       Status xmit = Status(ErrorCode::kUnavailable, "no xmit op");
       // A driver without NETIF_F_SG never sees more than one fragment.
-      if (net_registered_ && net_ops_.xmit && (count == 1 || net_ops_.sg)) {
+      if (net_ops_.xmit && (count == 1 || net_ops_.sg)) {
         xmit = net_ops_.xmit(std::span<const TxFrag>(frags.data(), count), queue);
       }
       if (!xmit.ok()) {
@@ -488,86 +482,55 @@ void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
     case kEthUpIoctl: {
       // Ioctls may block (MII reads sleep on real hardware): worker rule.
       stats_.worker_dispatches.fetch_add(1, std::memory_order_relaxed);
-      UchanMsg reply;
-      if (net_registered_ && net_ops_.ioctl) {
-        Result<std::string> result = net_ops_.ioctl(static_cast<uint32_t>(msg.args[0]));
-        if (result.ok()) {
-          reply.inline_data.assign(result.value().begin(), result.value().end());
-          reply.error = 0;
-        } else {
-          reply.error = static_cast<int32_t>(result.status().code());
-        }
-      } else {
-        reply.error = static_cast<int32_t>(ErrorCode::kUnavailable);
+      Result<std::string> text =
+          net_ops_.ioctl ? net_ops_.ioctl(static_cast<uint32_t>(msg.args[0])) : NoOp();
+      std::vector<uint8_t> payload;
+      if (text.ok()) {
+        payload.assign(text.value().begin(), text.value().end());
       }
-      ctx_->ctl().Reply(msg, std::move(reply));
+      Answer(msg, text.status(), std::move(payload));
       return;
     }
     case kWifiUpScan: {
       stats_.worker_dispatches.fetch_add(1, std::memory_order_relaxed);
-      UchanMsg reply;
-      if (wifi_registered_ && wifi_ops_.scan) {
-        Result<std::vector<kern::ScanResult>> results = wifi_ops_.scan();
-        if (results.ok()) {
-          wire::EncodeScanResults(results.value(), &reply.inline_data);
-          reply.error = 0;
-        } else {
-          reply.error = static_cast<int32_t>(results.status().code());
-        }
-      } else {
-        reply.error = static_cast<int32_t>(ErrorCode::kUnavailable);
+      Result<std::vector<kern::ScanResult>> results = wifi_ops_.scan ? wifi_ops_.scan() : NoOp();
+      std::vector<uint8_t> records;
+      if (results.ok()) {
+        wire::EncodeScanResults(results.value(), &records);
       }
-      ctx_->ctl().Reply(msg, std::move(reply));
+      Answer(msg, results.status(), std::move(records));
       return;
     }
     case kWifiUpAssociate: {
       stats_.worker_dispatches.fetch_add(1, std::memory_order_relaxed);
-      UchanMsg reply;
-      if (wifi_registered_ && wifi_ops_.associate) {
-        std::string ssid(msg.inline_data.begin(), msg.inline_data.end());
-        reply.error = static_cast<int32_t>(wifi_ops_.associate(ssid).code());
-      } else {
-        reply.error = static_cast<int32_t>(ErrorCode::kUnavailable);
-      }
-      ctx_->ctl().Reply(msg, std::move(reply));
+      std::string ssid(msg.inline_data.begin(), msg.inline_data.end());
+      Answer(msg, wifi_ops_.associate ? wifi_ops_.associate(ssid) : NoOp());
       return;
     }
-    case kWifiUpEnableFeatures: {
+    case kWifiUpEnableFeatures:
       stats_.inline_dispatches.fetch_add(1, std::memory_order_relaxed);
-      if (wifi_registered_ && wifi_ops_.enable_features) {
+      if (wifi_ops_.enable_features) {
         wifi_ops_.enable_features(static_cast<uint32_t>(msg.args[0]));
       }
       return;
-    }
     case kAudioUpOpenStream: {
       stats_.worker_dispatches.fetch_add(1, std::memory_order_relaxed);
-      UchanMsg reply;
-      if (audio_registered_ && audio_ops_.open_stream) {
-        kern::PcmConfig config;
-        config.rate_hz = static_cast<uint32_t>(msg.args[0]);
-        config.channels = static_cast<uint32_t>(msg.args[1]);
-        config.sample_bytes = static_cast<uint32_t>(msg.args[2]);
-        config.period_bytes = static_cast<uint32_t>(msg.args[3]);
-        config.buffer_bytes = static_cast<uint32_t>(msg.args[4]);
-        reply.error = static_cast<int32_t>(audio_ops_.open_stream(config).code());
-      } else {
-        reply.error = static_cast<int32_t>(ErrorCode::kUnavailable);
-      }
-      ctx_->ctl().Reply(msg, std::move(reply));
+      kern::PcmConfig config;
+      config.rate_hz = static_cast<uint32_t>(msg.args[0]);
+      config.channels = static_cast<uint32_t>(msg.args[1]);
+      config.sample_bytes = static_cast<uint32_t>(msg.args[2]);
+      config.period_bytes = static_cast<uint32_t>(msg.args[3]);
+      config.buffer_bytes = static_cast<uint32_t>(msg.args[4]);
+      Answer(msg, audio_ops_.open_stream ? audio_ops_.open_stream(config) : NoOp());
       return;
     }
-    case kAudioUpCloseStream: {
+    case kAudioUpCloseStream:
       stats_.inline_dispatches.fetch_add(1, std::memory_order_relaxed);
-      UchanMsg reply;
-      reply.error = audio_registered_ && audio_ops_.close_stream
-                        ? static_cast<int32_t>(audio_ops_.close_stream().code())
-                        : static_cast<int32_t>(ErrorCode::kUnavailable);
-      ctx_->ctl().Reply(msg, std::move(reply));
+      Answer(msg, audio_ops_.close_stream ? audio_ops_.close_stream() : NoOp());
       return;
-    }
     case kAudioUpWrite: {
       stats_.inline_dispatches.fetch_add(1, std::memory_order_relaxed);
-      if (audio_registered_ && audio_ops_.write) {
+      if (audio_ops_.write) {
         Result<uint64_t> iova = ctx_->pool().BufferIova(msg.buffer_id);
         if (iova.ok()) {
           (void)audio_ops_.write(iova.value(), msg.buffer_len, msg.buffer_id);
@@ -578,11 +541,7 @@ void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
     default:
       stats_.unknown_upcalls.fetch_add(1, std::memory_order_relaxed);
       SUD_LOG(kWarning) << "sud-uml: unknown upcall opcode " << msg.opcode;
-      if (msg.needs_reply) {
-        UchanMsg reply;
-        reply.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);
-        ctx_->ctl().Reply(msg, std::move(reply));
-      }
+      Answer(msg, Status(ErrorCode::kInvalidArgument));
       return;
   }
 }

@@ -127,9 +127,11 @@ class UmlRuntime : public DriverEnv {
   // validator certifies control messages against).
   void Dispatch(UchanMsg& msg, uint16_t shard);
   // Structural rejection: counts the message in wire_rejects_, preserves the
-  // historical per-opcode counters, and replies kInvalidArgument when the
-  // sender is waiting.
+  // historical per-opcode counters, and answers kInvalidArgument.
   void RejectUpcall(UchanMsg& msg, wire::Malform verdict);
+  // The one reply to a synchronous upcall: `status`'s code as the error, with
+  // `payload`. The channel drops it when no sender waits (an async upcall).
+  void Answer(const UchanMsg& request, const Status& status, std::vector<uint8_t> payload = {});
   Status SyncDowncall(uint32_t opcode, UchanMsg* msg);
   // Every control downcall funnels through these so the pending rx arrays
   // always enter the kernel *before* later downcalls on their shard (ring
@@ -159,12 +161,11 @@ class UmlRuntime : public DriverEnv {
   std::array<std::vector<UchanMsg>, kSudMaxQueues> rx_pending_;
   std::array<std::vector<UchanMsg>, kSudMaxQueues> upcall_batch_;
   std::array<uint64_t, kSudMaxQueues> rx_pending_bytes_{};
+  // The driver's ops, set when it registers: an op that is still empty is
+  // one the driver never registered, and its upcall is answered kUnavailable.
   NetDriverOps net_ops_;
-  bool net_registered_ = false;
   WifiDriverOps wifi_ops_;
-  bool wifi_registered_ = false;
   AudioDriverOps audio_ops_;
-  bool audio_registered_ = false;
   Stats stats_;
   wire::RejectStats wire_rejects_;
   std::array<std::atomic<uint64_t>, kSudMaxQueues> queue_progress_{};

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
 
 #include "src/base/log.h"
+#include "src/devices/wifi_nic.h"
+#include "src/drivers/iwl.h"
 #include "src/drivers/malicious.h"
+#include "src/sud/proxy_wireless.h"
 #include "tests/harness.h"
 
 namespace sud {
@@ -290,6 +294,64 @@ TEST(Security, SyncUpcallToUnresponsiveDriverIsInterruptable) {
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), ErrorCode::kTimedOut);
   (void)bench.host->Kill();
+}
+
+// Plays the driver of a comatose host for one synchronous upcall: waits for
+// `opcode` on the control shard and answers it with `reply`.
+void ForgeReply(SudDeviceContext* ctx, uint32_t opcode, UchanMsg reply) {
+  std::vector<UchanMsg> batch;
+  while (ctx->ctl().WaitBatch(2000, 8, &batch).ok()) {
+    for (const UchanMsg& msg : batch) {
+      if (msg.opcode == opcode) {
+        ctx->ctl().Reply(msg, std::move(reply));
+        return;
+      }
+    }
+  }
+}
+
+TEST(Security, ReplyErrorCodeNamingNoErrorFailsBringUp) {
+  // The driver's error code is its word: 256 would wrap to kOk in the enum's
+  // byte, and ifconfig up would then succeed on a driver that said no.
+  NetBench::Options options;
+  options.sud.uchan.sync_timeout_ms = 2000;
+  NetBench bench(options);
+  ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::UnresponsiveDriver>(),
+                                uml::DriverHost::Mode::kComatose)
+                  .ok());
+  UchanMsg reply;
+  reply.error = 256;
+  std::thread driver(ForgeReply, bench.ctx, kEthUpOpen, std::move(reply));
+  Status status = bench.kernel.net().BringUp("eth0");
+  driver.join();
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(bench.kernel.net().Find("eth0")->is_up());
+  (void)bench.host->Kill();
+}
+
+TEST(Security, RaggedScanReplyIsRefusedBeforeDecoding) {
+  hw::Machine machine;
+  kern::Kernel kernel(&machine);
+  devices::RadioEnvironment air;
+  devices::WifiNic nic("iwl-nic", &air);
+  ASSERT_TRUE(machine.AttachDevice(machine.AddSwitch("sw0"), &nic).ok());
+  SafePciModule safe_pci(&kernel);
+  SudDeviceContext::Options options;
+  options.uchan.sync_timeout_ms = 2000;
+  SudDeviceContext* ctx = safe_pci.ExportDevice(&nic, kDriverUid, options).value();
+  WirelessProxy proxy(&kernel, ctx);
+  uml::DriverHost host(&kernel, ctx, "iwl-driver", kDriverUid);
+  ASSERT_TRUE(
+      host.Start(std::make_unique<drivers::IwlDriver>(), uml::DriverHost::Mode::kComatose).ok());
+  // One whole scan record and one stray byte: a result list the scan parser
+  // must never see.
+  UchanMsg reply;
+  reply.inline_data.assign(kWifiScanRecordBytes + 1, 0x41);
+  std::thread driver(ForgeReply, ctx, kWifiUpScan, std::move(reply));
+  Result<std::vector<kern::ScanResult>> results = kernel.wireless().Scan("wlan0");
+  driver.join();
+  EXPECT_EQ(results.status().code(), ErrorCode::kInvalidArgument);
+  (void)host.Kill();
 }
 
 TEST(Security, AsyncUpcallsToFullRingReportHungDriver) {

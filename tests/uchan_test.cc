@@ -155,6 +155,35 @@ TEST(Uchan, ConcurrentSyncSendersGetTheirOwnReplies) {
   EXPECT_EQ(uchan.stats().upcalls_timed_out, 0u);
 }
 
+// SendSync returns the driver's answer: a reply's error code comes back as
+// the Status, and a code that names no ErrorCode (256 wraps to kOk in the
+// enum's byte) as kInvalidArgument.
+TEST(Uchan, SyncReplyErrorCodeBecomesTheStatus) {
+  Uchan uchan(FastConfig());
+  int32_t answer = 0;
+  uchan.set_user_pump([&]() {
+    Result<UchanMsg> msg = WaitOne(uchan, 0);
+    ASSERT_TRUE(msg.ok());
+    UchanMsg reply;
+    reply.error = answer;
+    uchan.Reply(msg.value(), std::move(reply));
+  });
+  const std::pair<int32_t, ErrorCode> cases[] = {
+      {0, ErrorCode::kOk},
+      {static_cast<int32_t>(ErrorCode::kPermissionDenied), ErrorCode::kPermissionDenied},
+      {static_cast<int32_t>(ErrorCode::kInternal), ErrorCode::kInternal},
+      {static_cast<int32_t>(ErrorCode::kInternal) + 1, ErrorCode::kInvalidArgument},
+      {256, ErrorCode::kInvalidArgument},
+      {300, ErrorCode::kInvalidArgument},
+      {-1, ErrorCode::kInvalidArgument},
+  };
+  for (const auto& [error, code] : cases) {
+    answer = error;
+    EXPECT_EQ(uchan.SendSync(UchanMsg{}).status().code(), code) << "reply error " << error;
+  }
+  EXPECT_EQ(uchan.stats().upcalls_timed_out, 0u);
+}
+
 TEST(Uchan, PumpedDriverThatIgnoresRequestInterruptsSender) {
   Uchan uchan(FastConfig());
   uchan.set_user_pump([&]() {
