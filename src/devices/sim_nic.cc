@@ -518,7 +518,6 @@ void SimNic::ProcessTxRing(uint32_t q) {
   hw::DescRingEngine& engine = engines_[q]->tx;
   std::vector<uint8_t>& frame = tx_chain_frame_[q];
   std::vector<TxPendingDesc>& chain = tx_chain_descs_[q];
-  std::vector<uint8_t> chunk_buf;  // one allocation per reap pass, not per frag
   // Completions published this pass — wire frames AND dropped/resynced
   // chains: the driver's reap needs a TXDW for recycled descriptors too, or
   // a dropped frame's buffers sit unreclaimed until the ring fills.
@@ -559,8 +558,10 @@ void SimNic::ProcessTxRing(uint32_t q) {
       continue;
     }
     if (d.length > 0) {
-      chunk_buf.resize(d.length);
-      Status status = DmaRead(d.buffer_addr, ByteSpan(chunk_buf.data(), d.length));
+      // The fragment lands straight in the gather buffer.
+      size_t gathered = frame.size();
+      frame.resize(gathered + d.length);
+      Status status = DmaRead(d.buffer_addr, ByteSpan(frame.data() + gathered, d.length));
       if (!status.ok()) {
         // Whole-frame-or-nothing: a fault anywhere in the chain (a fragment
         // aimed outside the IOMMU mappings) aborts the entire frame. The
@@ -570,7 +571,6 @@ void SimNic::ProcessTxRing(uint32_t q) {
         completed_any = true;
         continue;
       }
-      frame.insert(frame.end(), chunk_buf.begin(), chunk_buf.end());
     }
     chain.push_back(consumed);
     if (!eop) {
@@ -595,12 +595,16 @@ void SimNic::ProcessTxRing(uint32_t q) {
     completed_any = true;
     if (link_ != nullptr && !frame.empty()) {
       // Move the gathered bytes out so the pending state is clean while the
-      // lock is dropped for the hop.
-      std::vector<uint8_t> wire;
+      // lock is dropped for the hop; the gather continues in the spare's
+      // capacity. A transmit that re-enters during the hop finds no spare
+      // and grows its own, and the last one back is kept.
+      std::vector<uint8_t> wire = std::move(tx_wire_spare_[q]);
       wire.swap(frame);
       lock.unlock();
       (void)link_->Transmit(link_side_, ConstByteSpan(wire.data(), wire.size()));
       lock.lock();
+      wire.clear();
+      tx_wire_spare_[q] = std::move(wire);
     } else {
       frame.clear();
     }

@@ -392,6 +392,9 @@ class SimNic : public hw::PciDevice, public EtherEndpoint {
     uint8_t status;
   };
   std::array<std::vector<uint8_t>, kNicNumQueues> tx_chain_frame_;
+  // An empty buffer whose capacity the next gathered frame reuses: the frame
+  // leaves in it for the link hop, and its buffer comes back as the spare.
+  std::array<std::vector<uint8_t>, kNicNumQueues> tx_wire_spare_;
   std::array<std::vector<TxPendingDesc>, kNicNumQueues> tx_chain_descs_;
   std::array<bool, kNicNumQueues> tx_skip_to_eop_{};
   // Drops the pending chain plus descriptor `last` (recycling everything

@@ -1,27 +1,44 @@
 #include "src/hw/phys_mem.h"
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cstring>
+#include <new>
 
 namespace sud::hw {
 
-PhysicalMemory::PhysicalMemory(uint64_t size_bytes) {
-  uint64_t rounded = PageAlignUp(size_bytes);
-  bytes_.resize(rounded, 0);
-  page_used_.resize(rounded / kPageSize, false);
+PhysicalMemory::PhysicalMemory(uint64_t size_bytes) : size_(PageAlignUp(size_bytes)) {
+  if (size_ != 0) {
+    // The host zero-fills each page when it is first touched, so an untouched
+    // page costs neither time nor resident memory.
+    void* mapped = mmap(nullptr, size_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                        -1, 0);
+    if (mapped == MAP_FAILED) {
+      throw std::bad_alloc();
+    }
+    bytes_ = static_cast<uint8_t*>(mapped);
+  }
+  page_used_.resize(size_ / kPageSize, false);
+}
+
+PhysicalMemory::~PhysicalMemory() {
+  if (bytes_ != nullptr) {
+    munmap(bytes_, size_);
+  }
 }
 
 Status PhysicalMemory::Read(uint64_t paddr, ByteSpan out) const {
-  if (paddr + out.size() > bytes_.size() || paddr + out.size() < paddr) {
+  if (!InRange(paddr, out.size())) {
     return Status(ErrorCode::kInvalidArgument,
                   "physical read out of range at " + Hex(paddr));
   }
-  std::memcpy(out.data(), bytes_.data() + paddr, out.size());
+  std::memcpy(out.data(), bytes_ + paddr, out.size());
   return Status::Ok();
 }
 
 Status PhysicalMemory::Write(uint64_t paddr, ConstByteSpan data) {
-  if (paddr + data.size() > bytes_.size() || paddr + data.size() < paddr) {
+  if (!InRange(paddr, data.size())) {
     return Status(ErrorCode::kInvalidArgument,
                   "physical write out of range at " + Hex(paddr));
   }
@@ -33,41 +50,35 @@ Status PhysicalMemory::Write(uint64_t paddr, ConstByteSpan data) {
     std::atomic_ref<uint8_t>(bytes_[paddr]).store(data[0], std::memory_order_release);
     return Status::Ok();
   }
-  std::memcpy(bytes_.data() + paddr, data.data(), data.size());
+  std::memcpy(bytes_ + paddr, data.data(), data.size());
   return Status::Ok();
 }
 
 uint32_t PhysicalMemory::Read32(uint64_t paddr) const {
-  if (paddr + 4 > bytes_.size()) {
-    return 0;
-  }
-  return LoadLe32(bytes_.data() + paddr);
+  return InRange(paddr, 4) ? LoadLe32(bytes_ + paddr) : 0;
 }
 
 uint64_t PhysicalMemory::Read64(uint64_t paddr) const {
-  if (paddr + 8 > bytes_.size()) {
-    return 0;
-  }
-  return LoadLe64(bytes_.data() + paddr);
+  return InRange(paddr, 8) ? LoadLe64(bytes_ + paddr) : 0;
 }
 
 void PhysicalMemory::Write32(uint64_t paddr, uint32_t value) {
-  if (paddr + 4 <= bytes_.size()) {
-    StoreLe32(bytes_.data() + paddr, value);
+  if (InRange(paddr, 4)) {
+    StoreLe32(bytes_ + paddr, value);
   }
 }
 
 void PhysicalMemory::Write64(uint64_t paddr, uint64_t value) {
-  if (paddr + 8 <= bytes_.size()) {
-    StoreLe64(bytes_.data() + paddr, value);
+  if (InRange(paddr, 8)) {
+    StoreLe64(bytes_ + paddr, value);
   }
 }
 
 Result<ByteSpan> PhysicalMemory::Window(uint64_t paddr, uint64_t len) {
-  if (paddr + len > bytes_.size() || paddr + len < paddr) {
+  if (!InRange(paddr, len)) {
     return Status(ErrorCode::kInvalidArgument, "window out of range at " + Hex(paddr));
   }
-  return ByteSpan(bytes_.data() + paddr, len);
+  return ByteSpan(bytes_ + paddr, len);
 }
 
 Result<uint64_t> PhysicalMemory::AllocPages(uint64_t num_pages) {

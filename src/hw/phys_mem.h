@@ -5,6 +5,10 @@
 // (the net stack's buffers, the firewall verdict cache, ...) live at known
 // physical ranges, so an unconfined malicious DMA visibly corrupts them —
 // which is exactly what the security tests check for.
+//
+// The storage is an anonymous private mapping: the host commits a page on
+// first touch, and a page never written reads as zero. Standing up a machine
+// therefore costs only the pages its round touches, not the whole DRAM size.
 
 #ifndef SUD_SRC_HW_PHYS_MEM_H_
 #define SUD_SRC_HW_PHYS_MEM_H_
@@ -28,8 +32,12 @@ inline bool IsPageAligned(uint64_t addr) { return (addr & kPageMask) == 0; }
 class PhysicalMemory {
  public:
   explicit PhysicalMemory(uint64_t size_bytes);
+  ~PhysicalMemory();
 
-  uint64_t size() const { return bytes_.size(); }
+  PhysicalMemory(const PhysicalMemory&) = delete;
+  PhysicalMemory& operator=(const PhysicalMemory&) = delete;
+
+  uint64_t size() const { return size_; }
 
   Status Read(uint64_t paddr, ByteSpan out) const;
   Status Write(uint64_t paddr, ConstByteSpan data);
@@ -57,7 +65,13 @@ class PhysicalMemory {
   }
 
  private:
-  std::vector<uint8_t> bytes_;
+  // [paddr, paddr + len) lies inside DRAM; a sum that wraps never does.
+  bool InRange(uint64_t paddr, uint64_t len) const {
+    return len <= size_ && paddr <= size_ - len;
+  }
+
+  uint64_t size_ = 0;
+  uint8_t* bytes_ = nullptr;  // size_ bytes, mapped zero-filled
   mutable std::mutex page_mu_;  // guards page_used_ and allocated_pages_
   std::vector<bool> page_used_;
   uint64_t allocated_pages_ = 0;

@@ -21,16 +21,10 @@ Result<DmaRegion> DmaSpace::Alloc(uint64_t bytes, bool coherent) {
   }
   next_iova_ += rounded;
   lock.unlock();
-  DmaRegion region{iova, paddr.value(), rounded, coherent};
-  // Resolve the host window once: the steady-state HostView is then pure
-  // pointer arithmetic off the cached base.
-  Result<ByteSpan> window = dram_->Window(region.paddr, region.bytes);
-  if (!window.ok()) {
-    (void)iommu_->Unmap(source_id_, iova, rounded);
-    dram_->FreePages(paddr.value(), rounded / hw::kPageSize);
-    return window.status();
-  }
-  region.host_base = window.value().data();
+  // Resolve the host window once (allocated pages always lie in DRAM): the
+  // steady-state HostView is then pure pointer arithmetic off the cached base.
+  DmaRegion region{iova, paddr.value(), rounded, coherent,
+                   dram_->Window(paddr.value(), rounded).value().data()};
   regions_[iova] = region;
   mru_region_.store(nullptr, std::memory_order_release);  // map may have rebalanced
   return region;

@@ -28,6 +28,19 @@ SudDeviceContext::SudDeviceContext(kern::Kernel* kernel, hw::PciDevice* device,
                                    kern::Uid owner_uid, Options options)
     : kernel_(kernel), device_(device), owner_uid_(owner_uid), options_(options) {
   num_queues_ = std::clamp<uint32_t>(options_.num_queues, 1, kSudMaxQueues);
+  // The ctl shards live as long as the context, shut while no driver is
+  // bound: a sender blocked across a rebind never outlives its shard. Each
+  // shard's handlers pin its index: two words, no heap copy per downcall.
+  for (uint16_t q = 0; q < num_queues_; ++q) {
+    shards_.push_back(std::make_unique<Uchan>(options_.uchan, &kernel_->machine().cpu()));
+    shards_[q]->set_downcall_handler([this, q](UchanMsg& msg) { Downcall(msg, q); });
+    shards_[q]->set_downcall_flush_handler([this, q] {
+      if (downcall_flush_handler_) {
+        downcall_flush_handler_(q);
+      }
+    });
+    shards_[q]->Shutdown();
+  }
 }
 
 SudDeviceContext::~SudDeviceContext() { Teardown(); }
@@ -149,20 +162,9 @@ Status SudDeviceContext::Acquire(kern::Process* proc) {
     }
   }
 
-  // The sharded ctl file: one ring pair per queue, each with its own lock
-  // and wakeup path. Shard 0 carries control traffic alongside queue 0. Each
-  // shard's handlers pin its index: two words, no heap copy per downcall.
-  std::vector<std::unique_ptr<Uchan>> shards;
-  for (uint16_t q = 0; q < num_queues_; ++q) {
-    shards.push_back(std::make_unique<Uchan>(options_.uchan, &machine.cpu()));
-    shards[q]->set_downcall_handler([this, q](UchanMsg& msg) { Downcall(msg, q); });
-    shards[q]->set_downcall_flush_handler([this, q] {
-      if (downcall_flush_handler_) {
-        downcall_flush_handler_(q);
-      }
-    });
+  for (auto& shard : shards_) {
+    shard->Reopen();
   }
-  shards_ = std::move(shards);
   dma_ = std::make_unique<DmaSpace>(&machine.dram(), &machine.iommu(), source_id());
   // Each bind is a new pool epoch: handles issued to the previous (dead)
   // driver instance fail validation everywhere in the fresh one.
@@ -179,7 +181,7 @@ Status SudDeviceContext::Acquire(kern::Process* proc) {
   return Status::Ok();
 }
 
-Result<uint32_t> SudDeviceContext::MmioRead(int bar, uint64_t offset) {
+Status SudDeviceContext::MmioAccess(int bar, uint64_t offset) {
   if (!bound_) {
     return Status(ErrorCode::kUnavailable, "device not bound");
   }
@@ -188,18 +190,16 @@ Result<uint32_t> SudDeviceContext::MmioRead(int bar, uint64_t offset) {
     return Status(ErrorCode::kInvalidArgument, "mmio access outside device bars");
   }
   kernel_->machine().cpu().Charge(kAccountDriver, kernel_->machine().cpu().costs().mmio_access);
+  return Status::Ok();
+}
+
+Result<uint32_t> SudDeviceContext::MmioRead(int bar, uint64_t offset) {
+  SUD_RETURN_IF_ERROR(MmioAccess(bar, offset));
   return device_->MmioRead(bar, offset);
 }
 
 Status SudDeviceContext::MmioWrite(int bar, uint64_t offset, uint32_t value) {
-  if (!bound_) {
-    return Status(ErrorCode::kUnavailable, "device not bound");
-  }
-  if (bar < 0 || static_cast<size_t>(bar) >= device_->bars().size() ||
-      device_->bars()[bar].is_io || offset + 4 > device_->bars()[bar].size) {
-    return Status(ErrorCode::kInvalidArgument, "mmio access outside device bars");
-  }
-  kernel_->machine().cpu().Charge(kAccountDriver, kernel_->machine().cpu().costs().mmio_access);
+  SUD_RETURN_IF_ERROR(MmioAccess(bar, offset));
   device_->MmioWrite(bar, offset, value);
   return Status::Ok();
 }

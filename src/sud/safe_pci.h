@@ -45,9 +45,9 @@
 // request_region itself and forwards device-class messages, with the verdict,
 // to the proxy's handler.
 //
-// Teardown() reclaims everything (uchans, IOMMU context, DMA pages, IOPB
-// grants, the MSI vectors), which is what makes `kill -9` + restart safe
-// (Section 4.1).
+// Teardown() shuts the uchans and reclaims everything else (IOMMU context,
+// DMA pages, IOPB grants, the MSI vectors), which is what makes `kill -9` +
+// restart safe (Section 4.1).
 
 #ifndef SUD_SRC_SUD_SAFE_PCI_H_
 #define SUD_SRC_SUD_SAFE_PCI_H_
@@ -184,6 +184,8 @@ class SudDeviceContext {
   // The handler Bind installs on every shard: the one structural check,
   // then the generic opcodes here and device-class ones to the proxy.
   void Downcall(UchanMsg& msg, uint16_t shard);
+  // The mmio file's bound and BAR-window check, charged as one access.
+  Status MmioAccess(int bar, uint64_t offset);
   // Bind's steps after the IOMMU context: on failure Bind runs Release.
   Status Acquire(kern::Process* proc);
   // Undoes Acquire and the context, for Teardown and a failed Bind alike.
@@ -205,7 +207,7 @@ class SudDeviceContext {
   std::atomic<uint32_t> bind_generation_{0};
   std::atomic<uint64_t> quarantined_buffers_{0};
 
-  std::vector<std::unique_ptr<Uchan>> shards_;  // one uchan ring pair per queue
+  std::vector<std::unique_ptr<Uchan>> shards_;  // built once, reopened per bind
   std::unique_ptr<DmaSpace> dma_;
   std::unique_ptr<SharedBufferPool> pool_;
   DowncallHandler downcall_handler_;

@@ -24,11 +24,7 @@ Status SharedBufferPool::Init() {
   if (!region.ok()) {
     return region.status();
   }
-  Result<ByteSpan> window = dma_->HostView(region.value().iova, bytes);
-  if (!window.ok()) {
-    return window.status();
-  }
-  host_base_ = window.value().data();
+  host_base_ = region.value().host_base;
   slots_.resize(kMaxBuffers);
   for (uint32_t index = 0; index < count_; ++index) {
     slots_[index].iova = region.value().iova + static_cast<uint64_t>(index) * buffer_bytes_;

@@ -1,5 +1,6 @@
 #include "src/sud/uchan.h"
 
+#include <algorithm>
 #include <chrono>
 #include <iterator>
 #include <thread>
@@ -46,9 +47,7 @@ const CpuCosts& Uchan::costs() const {
 }
 
 Uchan::Uchan(Config config, CpuModel* cpu) : config_(config), cpu_(cpu) {
-  if (config_.ring_entries == 0) {
-    config_.ring_entries = 1;
-  }
+  config_.ring_entries = std::max<size_t>(config_.ring_entries, 1);
   ring_.resize(config_.ring_entries);
 }
 
@@ -150,41 +149,37 @@ Result<UchanMsg> Uchan::SendSync(UchanMsg msg) {
   replies_.push_back(PendingReply{seq, false, {}});
   PublishLocked();
 
-  auto ready = [this, seq] {
-    PendingReply* pending = FindReplyLocked(seq);
-    return pending != nullptr && pending->ready;
+  // Shutdown ends the wait, and a Reopen since then withdrew the rendezvous.
+  PendingReply* pending = nullptr;
+  auto waiting = [&] {
+    pending = FindReplyLocked(seq);
+    return pending != nullptr && !pending->ready && !is_shutdown();
   };
   auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(config_.sync_timeout_ms);
-  while (!is_shutdown() && !ready()) {
-    if (user_pump_) {
-      // Single-threaded harness: run the driver inline instead of blocking.
-      auto pump = user_pump_;
+  while (waiting()) {
+    if (auto pump = user_pump_) {
+      // Single-threaded harness: run the driver inline instead of blocking;
+      // a driver that ran but did not reply is hung or malicious.
       lock.unlock();
       pump();
       lock.lock();
-      if (ready() || is_shutdown()) {
-        break;
-      }
-      // Driver ran but did not reply: a hung or malicious driver. The upcall
-      // is interruptable — give up.
-      kernel_stats_.upcalls_timed_out++;
-      EraseReplyLocked(seq);
-      return Status(ErrorCode::kTimedOut, "synchronous upcall interrupted (driver unresponsive)");
+    } else if (reply_cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
+      continue;
     }
-    if (reply_cv_.wait_until(lock, deadline) == std::cv_status::timeout && !ready()) {
+    if (waiting()) {
+      // The upcall is interruptable: give up, withdrawing the rendezvous so
+      // a late Reply is dropped instead of parking an orphaned entry forever.
       kernel_stats_.upcalls_timed_out++;
-      // Withdraw the rendezvous so a late Reply is dropped instead of parking
-      // an orphaned entry forever.
       EraseReplyLocked(seq);
       return Status(ErrorCode::kTimedOut, "synchronous upcall timed out");
     }
   }
-  if (!ready()) {
+  if (pending == nullptr || !pending->ready) {
     EraseReplyLocked(seq);
     return Status(ErrorCode::kUnavailable, "uchan shut down");
   }
-  UchanMsg reply = std::move(FindReplyLocked(seq)->msg);
+  UchanMsg reply = std::move(pending->msg);
   EraseReplyLocked(seq);
   Charge(kernel_stats_, kAccountKernel, costs().uchan_msg);
   SUD_RETURN_IF_ERROR(ReplyStatus(reply.error));
@@ -514,6 +509,16 @@ void Uchan::Shutdown() {
   }
   std::lock_guard<std::mutex> park(park_mu_);
   park_cv_.notify_all();
+}
+
+void Uchan::Reopen() {
+  std::scoped_lock lock(driver_mu_, mu_);
+  replies_.clear();
+  user_pump_ = nullptr;
+  next_downcall_seq_ = 1;
+  kernel_stats_ = driver_stats_ = Stats{};
+  driver_state_.store(kDriverIdle, std::memory_order_relaxed);
+  shutdown_.store(false, std::memory_order_release);
 }
 
 Uchan::Stats Uchan::stats() const {

@@ -195,6 +195,9 @@ class Uchan {
   // Channel teardown (driver killed / device revoked): every blocked or
   // future call fails with kUnavailable.
   void Shutdown();
+  // Opens a shut channel to the next driver: no rendezvous, pump or counters
+  // carry over. Upcall seqs continue, so a stale sender never takes a reply.
+  void Reopen();
   bool is_shutdown() const { return shutdown_.load(std::memory_order_acquire); }
 
   Stats stats() const;

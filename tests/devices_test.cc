@@ -166,6 +166,62 @@ TEST(SimNicTest, TransmitGathersEopChainsWholeFrame) {
   EXPECT_EQ(nic.MmioRead(0, kNicRegTdh), 3u);
 }
 
+TEST(SimNicTest, TransmitReenteredDuringTheLinkHopSendsEveryFrameIntact) {
+  // The far end rings the doorbell again from inside DeliverFrame, as an
+  // in-kernel driver answering on the delivering thread does: the nested
+  // reap gathers and sends a two-fragment frame while the outer frame's
+  // buffer is still on the wire, and a later frame reuses what came back.
+  SimNic nic("nic", kMac);
+  BareMetal hw(&nic);
+  EtherLink link;
+  nic.ConnectLink(&link, 0);
+  struct Answerer : EtherEndpoint {
+    SimNic* nic = nullptr;
+    std::vector<std::vector<uint8_t>> frames;
+    void DeliverFrame(ConstByteSpan frame) override {
+      frames.emplace_back(frame.begin(), frame.end());
+      if (frames.size() == 1) {
+        nic->MmioWrite(0, kNicRegTdt, 3);
+      }
+    }
+  } sink;
+  sink.nic = &nic;
+  link.Attach(1, &sink);
+
+  constexpr uint64_t kRing = 0x1000;
+  constexpr uint64_t kBuf = 0x2000;
+  std::vector<std::vector<uint8_t>> sent;
+  for (size_t len : {300, 900, 200}) {
+    std::vector<uint8_t> frame(len);
+    for (size_t i = 0; i < len; ++i) {
+      frame[i] = static_cast<uint8_t>(i * 7 + sent.size() + 1);
+    }
+    sent.push_back(std::move(frame));
+  }
+  (void)hw.machine.dram().Write(kBuf, {sent[0].data(), sent[0].size()});
+  (void)hw.machine.dram().Write(kBuf + 0x1000, {sent[1].data(), sent[1].size()});
+  (void)hw.machine.dram().Write(kBuf + 0x2000, {sent[2].data(), sent[2].size()});
+  WriteDesc(hw.machine, kRing, 0, kBuf, 300, kNicDescCmdEop, 0);
+  WriteDesc(hw.machine, kRing, 1, kBuf + 0x1000, 500, 0, 0);
+  WriteDesc(hw.machine, kRing, 2, kBuf + 0x1000 + 500, 400, kNicDescCmdEop, 0);
+  WriteDesc(hw.machine, kRing, 3, kBuf + 0x2000, 200, kNicDescCmdEop, 0);
+
+  nic.MmioWrite(0, kNicRegTdbal, kRing);
+  nic.MmioWrite(0, kNicRegTdlen, 16 * 16);
+  nic.MmioWrite(0, kNicRegTdh, 0);
+  nic.MmioWrite(0, kNicRegTctl, kNicTctlEnable);
+  nic.MmioWrite(0, kNicRegTdt, 1);
+  ASSERT_EQ(sink.frames.size(), 2u);
+  nic.MmioWrite(0, kNicRegTdt, 4);
+
+  EXPECT_EQ(sink.frames, sent);
+  EXPECT_EQ(nic.stats().tx_frames, 3u);
+  EXPECT_EQ(nic.MmioRead(0, kNicRegTdh), 4u);
+  for (uint32_t i = 0; i < 4; ++i) {
+    EXPECT_NE(DescStatus(hw.machine, kRing, i) & kNicDescStatusDone, 0) << "desc " << i;
+  }
+}
+
 TEST(SimNicTest, ReceiveWritesFrameAndRaisesInterrupt) {
   SimNic nic("nic", kMac);
   BareMetal hw(&nic);

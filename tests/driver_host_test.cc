@@ -156,6 +156,51 @@ TEST(DriverHost, ComatoseDriverHoldsResourcesUntilKilled) {
   EXPECT_TRUE(bench.ctx->ctl().is_shutdown());
 }
 
+// An `ifconfig up` blocked in a synchronous upcall while restarts rebind the
+// device under it: each rebind must leave the shard the sender waits on
+// alive, and the sender must come back refused, never answered by a later
+// instance.
+TEST(DriverHost, RestartsUnderABlockedSyncUpcallKeepItsShard) {
+  NetBench::Options options;
+  options.sud.uchan.sync_timeout_ms = 5;
+  NetBench bench(options);
+  auto restart = [&] {
+    return bench.host->Restart(std::make_unique<drivers::UnresponsiveDriver>(),
+                               uml::DriverHost::Mode::kComatose);
+  };
+  ASSERT_TRUE(restart().ok());
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  std::atomic<int> attempts{0};
+  std::atomic<int> unexpected{0};
+  std::thread ifconfig([&] {
+    started = true;
+    do {
+      // Timed out on a live instance, or refused by a shard shut mid-restart.
+      ErrorCode code = bench.kernel.net().BringUp("eth0").code();
+      if (code != ErrorCode::kTimedOut && code != ErrorCode::kUnavailable) {
+        ++unexpected;
+      }
+      ++attempts;
+    } while (!done);
+  });
+  while (!started) {
+    std::this_thread::yield();
+  }
+  int restarted = 0;
+  for (int i = 0; i < 300 && restart().ok(); ++i) {
+    ++restarted;
+  }
+  done = true;
+  ifconfig.join();
+  EXPECT_EQ(restarted, 300);
+  EXPECT_GT(attempts.load(), 0);
+  EXPECT_EQ(unexpected.load(), 0);
+  // The last instance still sits on the same shard, and still never answers.
+  EXPECT_EQ(bench.kernel.net().BringUp("eth0").code(), ErrorCode::kTimedOut);
+  ASSERT_TRUE(bench.host->Kill().ok());
+}
+
 TEST(DriverHost, RestartSwapsDriverType) {
   NetBench bench;
   ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::E1000eDriver>()).ok());

@@ -3,6 +3,11 @@
 // behaviour, the MSI controller, and Machine assembly.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <fstream>
 
 #include "src/base/log.h"
 #include "src/hw/machine.h"
@@ -62,6 +67,54 @@ TEST(PhysicalMemory, BoundsChecked) {
   uint8_t data[16] = {};
   EXPECT_FALSE(dram.Write((1 << 20) - 8, {data, 16}).ok());
   EXPECT_FALSE(dram.Read((1 << 20), {data, 16}).ok());
+}
+
+// This process's resident set, from /proc/self/statm.
+uint64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t size_pages = 0;
+  uint64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(PhysicalMemory, CommitsOnFirstTouchAndReadsZero) {
+  constexpr uint64_t kSize = 1ull << 30;
+  uint64_t before = ResidentBytes();
+  PhysicalMemory dram(kSize);
+  ASSERT_EQ(dram.size(), kSize);
+  for (uint64_t paddr : {uint64_t{0}, kSize / 2, kSize - 1}) {
+    uint8_t byte = 0xff;
+    ASSERT_TRUE(dram.Read(paddr, {&byte, 1}).ok());
+    EXPECT_EQ(byte, 0) << "paddr " << paddr;
+  }
+  Result<ByteSpan> window = dram.Window(kSize / 2 - kPageSize, 2 * kPageSize);
+  ASSERT_TRUE(window.ok());
+  EXPECT_TRUE(std::all_of(window.value().begin(), window.value().end(),
+                          [](uint8_t b) { return b == 0; }));
+  uint8_t written = 0x5a;
+  ASSERT_TRUE(dram.Write(kSize / 2, {&written, 1}).ok());
+  uint8_t read = 0;
+  ASSERT_TRUE(dram.Read(kSize / 2, {&read, 1}).ok());
+  EXPECT_EQ(read, 0x5a);
+  EXPECT_EQ(window.value()[kPageSize], 0x5a);
+  // A few touched pages of a 1 GiB DRAM commit a few pages, not the DRAM.
+  EXPECT_LT(ResidentBytes(), before + (64ull << 20));
+}
+
+TEST(PhysicalMemory, TypedAccessorsRefuseRangesThatWrap) {
+  PhysicalMemory dram(1 << 20);
+  dram.Write32((1 << 20) - 4, 0x01020304u);
+  EXPECT_EQ(dram.Read32((1 << 20) - 4), 0x01020304u);
+  EXPECT_EQ(dram.Read32((1 << 20) - 3), 0u);
+  EXPECT_EQ(dram.Read64((1 << 20) - 7), 0u);
+  // paddr + width wraps past 2^64 here: a check on the sum would pass, and
+  // the access would land just in front of DRAM, straddling its first bytes.
+  dram.Write32(UINT64_MAX - 1, 0xffffffffu);
+  dram.Write64(UINT64_MAX - 3, ~uint64_t{0});
+  EXPECT_EQ(dram.Read32(UINT64_MAX - 1), 0u);
+  EXPECT_EQ(dram.Read64(UINT64_MAX - 3), 0u);
+  EXPECT_EQ(dram.Read64(0), 0u);
 }
 
 TEST(PhysicalMemory, AllocatorFindsRunsAndFrees) {
