@@ -44,7 +44,9 @@
 namespace sud {
 namespace {
 
+using testing::E1000eFactory;
 using testing::NetBench;
+using testing::RebaseAcks;
 
 constexpr uint32_t kQueues = 4;
 constexpr int kCrashCycles = 8;
@@ -55,12 +57,6 @@ constexpr uint64_t kCyclePackets = 3000;
 constexpr uint32_t kPeerWindow = 128;
 constexpr uint64_t kUpgradePackets = 4000;
 constexpr size_t kPayloadBytes = 1448;
-
-uml::DriverSupervisor::DriverFactory E1000eFactory(uint32_t queues, uint32_t mtu) {
-  return [queues, mtu]() -> std::unique_ptr<uml::Driver> {
-    return std::make_unique<drivers::E1000eDriver>(queues, mtu);
-  };
-}
 
 struct CycleRow {
   int cycle = 0;
@@ -112,18 +108,6 @@ struct GiveUpResult {
   bool interface_parked = false;
 };
 
-// Replaces BuildQueueFlows' cumulative ack feeds with per-cycle baselined
-// ones, so each cycle's window pacing starts from zero regardless of what
-// earlier cycles delivered.
-void RebaseAcks(std::vector<devices::EtherLink::PeerFlow>& flows, kern::NetDevice* netdev) {
-  for (uint32_t q = 0; q < flows.size(); ++q) {
-    uint64_t base = netdev->queue_stats(static_cast<uint16_t>(q)).rx_packets.load();
-    flows[q].acked = [netdev, q, base]() {
-      return netdev->queue_stats(static_cast<uint16_t>(q)).rx_packets.load() - base;
-    };
-  }
-}
-
 StormResult RunStorm(bool threaded) {
   StormResult result;
   NetBench::Options options;
@@ -138,7 +122,6 @@ StormResult RunStorm(bool threaded) {
 
   uml::DriverSupervisor::Options sup_options;
   sup_options.max_restarts = kCrashCycles + 4;
-  sup_options.restart_mode = mode;
   uml::DriverSupervisor sup(&bench.kernel, bench.host.get(), E1000eFactory(kQueues, bench.mtu_),
                             sup_options);
   sup.ShadowNetdev("eth0");
@@ -281,10 +264,7 @@ UpgradeResult RunUpgrade(bool threaded) {
   }
   bench.MaskPeerIrq();
 
-  uml::DriverSupervisor::Options sup_options;
-  sup_options.restart_mode = mode;
-  uml::DriverSupervisor sup(&bench.kernel, bench.host.get(), E1000eFactory(kQueues, bench.mtu_),
-                            sup_options);
+  uml::DriverSupervisor sup(&bench.kernel, bench.host.get(), E1000eFactory(kQueues, bench.mtu_));
   sup.ShadowNetdev("eth0");
   sup.AttachProxy(bench.proxy.get());
 
@@ -358,7 +338,7 @@ UpgradeResult RunUpgrade(bool threaded) {
       for (uint16_t q = 0; q < kQueues; ++q) {
         SUD_LOG(kWarning) << "upgrade drain timeout: queue " << q << " delivered "
                           << netdev->queue_stats(q).rx_packets.load() << ", pending upcalls "
-                          << bench.host->pending_upcalls(q) << ", progress "
+                          << bench.ctx->ctl(q).pending_upcalls() << ", progress "
                           << bench.host->queue_progress(q);
       }
       SUD_LOG(kWarning) << "upgrade drain timeout: irq forwarded " << is.forwarded

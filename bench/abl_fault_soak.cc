@@ -49,7 +49,9 @@ namespace {
 
 using testing::CollectLedger;
 using testing::ConservationLedger;
+using testing::E1000eFactory;
 using testing::NetBench;
+using testing::RebaseAcks;
 
 constexpr uint32_t kQueues = 4;
 constexpr uint32_t kWindow = 64;
@@ -139,24 +141,6 @@ struct SeedRow {
 // The storm-shape registry snapshot (first storm only; the shape is
 // per-seed deterministic, one exemplar documents it).
 std::vector<FaultInjector::SiteSnapshot> g_sites;
-
-uml::DriverSupervisor::DriverFactory E1000eFactory(uint32_t queues, uint32_t mtu) {
-  return [queues, mtu]() -> std::unique_ptr<uml::Driver> {
-    return std::make_unique<drivers::E1000eDriver>(queues, mtu);
-  };
-}
-
-// Replaces BuildQueueFlows' cumulative ack feeds with phase-baselined ones,
-// so each phase's window pacing starts from zero regardless of what earlier
-// phases delivered.
-void RebaseAcks(std::vector<devices::EtherLink::PeerFlow>& flows, kern::NetDevice* netdev) {
-  for (uint32_t q = 0; q < flows.size(); ++q) {
-    uint64_t base = netdev->queue_stats(static_cast<uint16_t>(q)).rx_packets.load();
-    flows[q].acked = [netdev, q, base]() {
-      return netdev->queue_stats(static_cast<uint16_t>(q)).rx_packets.load() - base;
-    };
-  }
-}
 
 // Post-storm kicker: one frame per queue, RSS-pinned, sent through the peer
 // netdev AFTER disarming. Each one raises a fresh (undroppable now) MSI on
@@ -315,14 +299,12 @@ void RunStorm(NetBench& bench, uint64_t seed, bool threaded, StormRow& out) {
            out.dups_rejected <= out.dups_injected;
 }
 
-void RunStall(NetBench& bench, uint64_t seed, bool threaded, uml::DriverHost::Mode mode,
-              StallRow& out) {
+void RunStall(NetBench& bench, uint64_t seed, bool threaded, StallRow& out) {
   kern::NetDevice* netdev = bench.kernel.net().Find("eth0");
   std::vector<uint8_t> payload(kPayloadBytes, 0x3c);
 
   uml::DriverSupervisor::Options sup_options;
   sup_options.max_restarts = 6;
-  sup_options.restart_mode = mode;
   uml::DriverSupervisor sup(&bench.kernel, bench.host.get(), E1000eFactory(kQueues, bench.mtu_),
                             sup_options);
   sup.ShadowNetdev("eth0");
@@ -542,7 +524,7 @@ SeedRow RunSeed(uint64_t seed, bool threaded) {
   bench.MaskPeerIrq();
 
   RunStorm(bench, seed, threaded, row.storm);
-  RunStall(bench, seed, threaded, mode, row.stall);
+  RunStall(bench, seed, threaded, row.stall);
   RunClean(bench, threaded, row.clean);
 
   FaultInjector::Get().Disarm();

@@ -61,10 +61,10 @@ int main(int argc, char** argv) {
        {root + "sud/safe_pci.h", root + "sud/safe_pci.cc", root + "sud/dma_space.h",
         root + "sud/dma_space.cc", root + "sud/shared_pool.h", root + "sud/shared_pool.cc",
         root + "sud/uchan.h", root + "sud/uchan.cc", root + "sud/proto.h"},
-       2800, 2337, true},
+       2800, 2336, true},
       // Budget: heading for 800 lines (the paper's proxy is 300).
       {"Ethernet proxy driver",
-       {root + "sud/proxy_ethernet.h", root + "sud/proxy_ethernet.cc"}, 300, 930, true},
+       {root + "sud/proxy_ethernet.h", root + "sud/proxy_ethernet.cc"}, 300, 902, true},
       {"Wireless proxy driver",
        {root + "sud/proxy_wireless.h", root + "sud/proxy_wireless.cc"}, 600, 166, true},
       {"Audio card proxy driver",
@@ -76,14 +76,14 @@ int main(int argc, char** argv) {
       {"SUD-UML runtime",
        {root + "uml/uml_runtime.h", root + "uml/uml_runtime.cc", root + "uml/driver_env.h",
         root + "uml/driver_host.h", root + "uml/driver_host.cc"},
-       5000, 1152, false},
+       5000, 1135, false},
       // Kernel-side recovery policy: outside the total, since the paper has
       // no counterpart to compare it with.
-      {"Driver supervisor", {root + "uml/supervisor.h", root + "uml/supervisor.cc"}, -1, 452,
+      {"Driver supervisor", {root + "uml/supervisor.h", root + "uml/supervisor.cc"}, -1, 432,
        false},
   };
   constexpr int kTrustedPaperLoc = 4250;
-  constexpr int kTrustedBudget = 4450;
+  constexpr int kTrustedBudget = 4421;
 
   auto print_row = [](const char* name, int loc, int paper_loc) {
     std::string paper = paper_loc < 0 ? "-" : std::to_string(paper_loc);

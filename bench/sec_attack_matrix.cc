@@ -21,6 +21,7 @@
 namespace sud {
 namespace {
 
+using testing::E1000eFactory;
 using testing::NetBench;
 
 struct Cell {
@@ -109,8 +110,7 @@ Cell RunMsiStorm(NetBench::Options options, const std::string& config) {
 Cell RunUnresponsive(NetBench::Options options, const std::string& config) {
   options.sud.uchan.sync_timeout_ms = 25;
   NetBench bench(options);
-  (void)bench.host->Start(std::make_unique<drivers::UnresponsiveDriver>(),
-                          uml::DriverHost::Mode::kComatose);
+  (void)bench.host->Start(std::make_unique<drivers::UnresponsiveDriver>());
   Status status = bench.kernel.net().BringUp("eth0");
   bool contained = status.code() == ErrorCode::kTimedOut;
   return {"unresponsive driver", config, contained, "sync upcall interrupted, kernel live"};
@@ -540,12 +540,6 @@ Cell RunResourceHog(NetBench::Options options, const std::string& config) {
 // recovery machinery itself: stale handles replayed across an epoch, a
 // teardown the driver tries to wedge, crash loops against the restart
 // budget, and DMA landing in the windows where no driver instance exists.
-
-uml::DriverSupervisor::DriverFactory E1000eFactory(uint32_t queues, uint32_t mtu) {
-  return [queues, mtu]() -> std::unique_ptr<uml::Driver> {
-    return std::make_unique<drivers::E1000eDriver>(queues, mtu);
-  };
-}
 
 // Stale-handle replay: the driver harvests real pool buffer ids, crashes,
 // and its successor replays the dead epoch's handles as a free batch. Every

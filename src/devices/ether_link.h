@@ -69,13 +69,6 @@ class EtherLink {
   Status Transmit(int side, ConstByteSpan frame);
 
   const Stats& stats() const { return stats_; }
-  void ResetStats() {
-    for (int side = 0; side < 2; ++side) {
-      stats_.frames[side] = 0;
-      stats_.bytes[side] = 0;
-    }
-    stats_.dropped = 0;
-  }
 
   // Simulated wire time (ns) to carry `frames` frames of `payload` bytes.
   static double WireTimeNs(uint64_t frames, uint64_t payload_bytes);

@@ -6,15 +6,6 @@
 
 namespace sud::devices {
 
-const BssInfo* RadioEnvironment::FindBySsid(const std::string& ssid) const {
-  for (const BssInfo& bss : aps_) {
-    if (ssid == bss.ssid) {
-      return &bss;
-    }
-  }
-  return nullptr;
-}
-
 WifiNic::WifiNic(std::string name, RadioEnvironment* air)
     : PciDevice(std::move(name), /*vendor_id=*/0x8086, /*device_id=*/0x4235,
                 /*class_code=*/0x02, {hw::BarDesc{4096, /*is_io=*/false}}),

@@ -34,7 +34,6 @@ class RadioEnvironment {
  public:
   void AddAccessPoint(const BssInfo& bss) { aps_.push_back(bss); }
   const std::vector<BssInfo>& access_points() const { return aps_; }
-  const BssInfo* FindBySsid(const std::string& ssid) const;
 
  private:
   std::vector<BssInfo> aps_;

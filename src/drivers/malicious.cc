@@ -134,9 +134,10 @@ Status NeverAckDriver::TriggerInterrupt() {
 }
 
 Status UnresponsiveDriver::Probe(uml::DriverEnv& env) {
-  // Registers a netdev with no ops. A serviced runtime answers each sync
-  // upcall kUnavailable (an op the driver never registered); only a comatose
-  // host leaves it unanswered, which is the hang the kernel must survive.
+  // Registers a netdev with no ops. Were it serviced, the runtime would
+  // answer each sync upcall kUnavailable (an op the driver never registered);
+  // comatose, it leaves them unanswered, which is the hang the kernel must
+  // survive.
   uint8_t mac[6] = {0xde, 0xad, 0xbe, 0xef, 0x00, 0x01};
   return env.RegisterNetdev(mac, uml::NetDriverOps{});
 }

@@ -18,7 +18,7 @@
 //                          (the livelock of §5.2)
 //   NeverAckDriver         handles no interrupts, never acks: tests MSI
 //                          masking of device-originated storms
-//   UnresponsiveDriver     probes, registering no ops; on a comatose host
+//   UnresponsiveDriver     probes, registering no ops, then goes comatose:
 //                          no upcall is ever answered: tests interruptable
 //                          synchronous upcalls (ifconfig ^C)
 //   ConfigAttackDriver     tries to rewrite BARs / the MSI capability / evil
@@ -127,13 +127,14 @@ class NeverAckDriver : public uml::Driver {
   DmaRegion ring_{};
 };
 
-// Probes fine and registers no ops. Run on a comatose host (the
-// infinite-loop driver of Section 3), it leaves every upcall unanswered;
-// liveness tests point synchronous upcalls at it.
+// Probes fine, registers no ops, then goes comatose (the infinite-loop
+// driver of Section 3): it leaves every upcall unanswered; liveness tests
+// point synchronous upcalls at it.
 class UnresponsiveDriver : public uml::Driver {
  public:
   const char* name() const override { return "unresponsive"; }
   Status Probe(uml::DriverEnv& env) override;
+  bool comatose() const override { return true; }
 };
 
 // Attempts every filtered config-space write and records what got through.

@@ -347,12 +347,6 @@ void Iommu::InvalidateIotlb(uint16_t source_id) {
   iotlb_stats_.invalidations++;
 }
 
-void Iommu::InvalidateIotlbPage(uint16_t source_id, uint64_t iova) {
-  std::lock_guard<SpinLock> lock(mu_);
-  IotlbInvalidatePageNoCount(source_id, iova);
-  iotlb_stats_.invalidations++;
-}
-
 void Iommu::QueueInvalidate(uint16_t source_id, uint64_t iova) {
   std::lock_guard<SpinLock> lock(mu_);
   if (!queued_invalidation_) {

@@ -144,7 +144,6 @@ class Iommu {
   // Whole-source invalidation: bumps the source's generation counter so every
   // cached entry for it goes stale at once — O(1), no cache scan.
   void InvalidateIotlb(uint16_t source_id);
-  void InvalidateIotlbPage(uint16_t source_id, uint64_t iova);
   const IotlbStats& iotlb_stats() const { return iotlb_stats_; }
   // Reshapes (and empties) the IOTLB; stats are preserved.
   void set_iotlb_geometry(IotlbGeometry geometry);
@@ -182,7 +181,6 @@ class Iommu {
   uint64_t MappedBytes(uint16_t source_id) const;
 
   const std::vector<IommuFaultRecord>& faults() const { return faults_; }
-  void ClearFaults() { faults_.clear(); }
 
  private:
   // Three-level radix tree, 9 bits per level: covers a 39-bit IO-virtual

@@ -67,15 +67,6 @@ PciDevice* Machine::FindDevice(const PciAddress& address) const {
   return nullptr;
 }
 
-PciDevice* Machine::FindDeviceByName(const std::string& name) const {
-  for (PciDevice* device : devices_) {
-    if (device->name() == name) {
-      return device;
-    }
-  }
-  return nullptr;
-}
-
 PciDevice* Machine::MmioOwner(uint64_t paddr, int* bar_index, uint64_t* offset) const {
   for (PciDevice* device : devices_) {
     for (size_t b = 0; b < device->bars().size(); ++b) {

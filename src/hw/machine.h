@@ -57,7 +57,6 @@ class Machine {
 
   std::vector<PciDevice*> devices() const;
   PciDevice* FindDevice(const PciAddress& address) const;
-  PciDevice* FindDeviceByName(const std::string& name) const;
   const std::vector<std::unique_ptr<PcieSwitch>>& switches() const { return switches_; }
 
   // --- CPU-initiated accesses (the trusted kernel side; drivers get at

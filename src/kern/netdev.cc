@@ -60,11 +60,11 @@ Status NetSubsystem::BringUp(const std::string& name) {
   if (device == nullptr) {
     return Status(ErrorCode::kNotFound, "no netdev " + name);
   }
-  if (device->up_) {
+  if (device->is_up()) {
     return Status::Ok();
   }
   SUD_RETURN_IF_ERROR(device->ops()->Open());
-  device->up_ = true;
+  device->up_.store(true, std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -73,10 +73,10 @@ Status NetSubsystem::BringDown(const std::string& name) {
   if (device == nullptr) {
     return Status(ErrorCode::kNotFound, "no netdev " + name);
   }
-  if (!device->up_) {
+  if (!device->is_up()) {
     return Status::Ok();
   }
-  device->up_ = false;
+  device->up_.store(false, std::memory_order_relaxed);
   return device->ops()->Stop();
 }
 
@@ -110,7 +110,7 @@ Result<size_t> NetSubsystem::TransmitBatch(NetDevice* device, std::vector<SkbPtr
 }
 
 Result<size_t> NetSubsystem::XmitBurst(NetDevice* device, std::span<SkbPtr> skbs) {
-  if (!device->up_) {
+  if (!device->is_up()) {
     device->stats().tx_dropped += skbs.size();
     return Status(ErrorCode::kUnavailable, device->name() + " is down");
   }

@@ -58,7 +58,6 @@ inline constexpr uint32_t kIoctlGetMiiStatus = 0x8948;  // SIOCGMIIREG
 class Firewall {
  public:
   void DenyPort(uint16_t port) { denied_ports_.insert(port); }
-  void AllowPort(uint16_t port) { denied_ports_.erase(port); }
 
   // Verdict over exactly the bytes passed in.
   bool Accept(const PacketView& packet) const;
@@ -112,34 +111,36 @@ class NetDevice {
 
   // Link carrier: shared-memory state in Linux (netif_carrier_on/off);
   // mirrored by the proxy under SUD (Section 3.3).
-  bool carrier() const { return carrier_; }
-  void set_carrier(bool up) { carrier_ = up; }
+  bool carrier() const { return carrier_.load(std::memory_order_relaxed); }
+  void set_carrier(bool up) { carrier_.store(up, std::memory_order_relaxed); }
 
-  bool is_up() const { return up_; }
+  bool is_up() const { return up_.load(std::memory_order_relaxed); }
 
   // TX/RX queue pairs the driver services (netif_set_real_num_tx_queues).
   // The transmit path steers flows across [0, num_queues) by flow hash.
-  uint16_t num_queues() const { return num_queues_; }
+  uint16_t num_queues() const { return num_queues_.load(std::memory_order_relaxed); }
   void set_num_queues(uint16_t n) {
-    num_queues_ = n == 0 ? 1 : (n > kNetMaxQueues ? kNetMaxQueues : n);
+    num_queues_.store(n == 0 ? 1 : (n > kNetMaxQueues ? kNetMaxQueues : n),
+                      std::memory_order_relaxed);
   }
 
   // Interface MTU (driver-declared, like ndo_change_mtu, clamped to the
   // jumbo maximum): the bound every receive-path length check applies — a
   // standard-MTU interface must reject a 9014-byte netif_rx no matter what
   // the driver marshals later.
-  uint32_t mtu() const { return mtu_; }
+  uint32_t mtu() const { return mtu_.load(std::memory_order_relaxed); }
   void set_mtu(uint32_t mtu) {
-    mtu_ = static_cast<uint32_t>(
-        std::clamp<size_t>(mtu == 0 ? kStdMtu : mtu, kEthMinFrameBytes, kJumboMtu));
+    mtu_.store(static_cast<uint32_t>(
+                   std::clamp<size_t>(mtu == 0 ? kStdMtu : mtu, kEthMinFrameBytes, kJumboMtu)),
+               std::memory_order_relaxed);
   }
-  size_t max_frame_bytes() const { return MaxFrameBytes(mtu_); }
+  size_t max_frame_bytes() const { return MaxFrameBytes(mtu()); }
 
   // Scatter/gather transmit capability (NETIF_F_SG), driver-declared at
   // registration: frag skbs reach an SG driver as fragment chains; a non-SG
   // driver's ops layer linearizes them first (counted in tx_linearized).
-  bool sg() const { return sg_; }
-  void set_sg(bool sg) { sg_ = sg; }
+  bool sg() const { return sg_.load(std::memory_order_relaxed); }
+  void set_sg(bool sg) { sg_.store(sg, std::memory_order_relaxed); }
 
   NetDeviceOps* ops() { return ops_; }
   NetDeviceStats& stats() { return stats_; }
@@ -170,11 +171,13 @@ class NetDevice {
   std::string name_;
   std::array<uint8_t, 6> mac_{};
   NetDeviceOps* ops_;
-  bool carrier_ = false;
-  bool up_ = false;
-  bool sg_ = false;
-  uint16_t num_queues_ = 1;
-  uint32_t mtu_ = static_cast<uint32_t>(kStdMtu);
+  // Relaxed atomics: a restarted driver's register_netdev re-declares them
+  // while the stack transmits.
+  std::atomic<bool> carrier_{false};
+  std::atomic<bool> up_{false};
+  std::atomic<bool> sg_{false};
+  std::atomic<uint16_t> num_queues_{1};
+  std::atomic<uint32_t> mtu_{static_cast<uint32_t>(kStdMtu)};
   NetDeviceStats stats_;
   std::array<NetQueueStats, kNetMaxQueues> queue_stats_;
   RxSink rx_sink_;

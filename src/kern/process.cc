@@ -15,7 +15,7 @@ void Process::RevokeIoPorts(uint16_t first, uint16_t count) {
 }
 
 Status Process::ChargeMemory(uint64_t bytes) {
-  if (memory_used_ + bytes > rlimits_.memory_bytes) {
+  if (bytes > rlimits_.memory_bytes || memory_used_ > rlimits_.memory_bytes - bytes) {
     return Status(ErrorCode::kExhausted, name_ + ": rlimit memory exceeded");
   }
   memory_used_ += bytes;

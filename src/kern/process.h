@@ -64,10 +64,6 @@ class Process {
   SchedPolicy sched_policy() const { return sched_policy_; }
   void set_sched_policy(SchedPolicy policy) { sched_policy_ = policy; }
 
-  // CPU time accounting (simulated ns), fed by the CpuModel harness.
-  void ChargeCpu(uint64_t nanos) { cpu_ns_ += nanos; }
-  uint64_t cpu_ns() const { return cpu_ns_; }
-
  private:
   Pid pid_;
   Uid uid_;
@@ -75,7 +71,6 @@ class Process {
   bool alive_ = true;
   std::bitset<65536> iopb_;
   uint64_t memory_used_ = 0;
-  uint64_t cpu_ns_ = 0;
   Rlimits rlimits_;
   SchedPolicy sched_policy_ = SchedPolicy::kNormal;
 };

@@ -116,6 +116,7 @@ void DmaSpace::ReleaseAll() {
     (void)iommu_->Unmap(source_id_, iova, bytes);
   }
   grants_.clear();
+  next_iova_ = kDmaIovaBase;
 }
 
 uint64_t DmaSpace::total_bytes() const {

@@ -12,7 +12,8 @@
 // RX buffers in probe order reproduces the published layout bit-for-bit.
 //
 // ReleaseAll() is the reclamation path behind "kill -9 and restart"
-// (Section 4.1): it unmaps every region from the IOMMU and returns the pages.
+// (Section 4.1): it unmaps every region, returns the pages and rewinds the
+// arena, so the next driver instance gets the same IOVAs.
 //
 // TX grants (MapExternal) are device-only: a read-only IOMMU mapping of
 // kernel pages at a fresh IOVA, kept outside the region map, so HostView —
@@ -60,9 +61,8 @@ struct DmaFrag {
 
 class DmaSpace {
  public:
-  DmaSpace(hw::PhysicalMemory* dram, hw::Iommu* iommu, uint16_t source_id,
-           uint64_t iova_base = kDmaIovaBase)
-      : dram_(dram), iommu_(iommu), source_id_(source_id), next_iova_(iova_base) {}
+  DmaSpace(hw::PhysicalMemory* dram, hw::Iommu* iommu, uint16_t source_id)
+      : dram_(dram), iommu_(iommu), source_id_(source_id) {}
 
   ~DmaSpace() { ReleaseAll(); }
 
@@ -99,7 +99,7 @@ class DmaSpace {
   // Translate a driver virtual address (== IOVA) to the backing paddr.
   Result<uint64_t> IovaToPaddr(uint64_t iova) const;
 
-  // Tears down every mapping and returns all pages: full reclamation.
+  // Tears down every mapping, returns all pages and rewinds the arena.
   void ReleaseAll();
 
   const std::map<uint64_t, DmaRegion>& regions() const { return regions_; }
@@ -115,7 +115,7 @@ class DmaSpace {
   uint16_t source_id_;
   std::map<uint64_t, DmaRegion> regions_;  // keyed by iova
   std::mutex iova_mu_;                     // guards next_iova_ and grants_
-  uint64_t next_iova_;
+  uint64_t next_iova_ = kDmaIovaBase;
   std::map<uint64_t, uint64_t> grants_;    // grant iova -> mapped bytes
   // MRU cache of the last region FindRegion resolved (the region carries its
   // own host base); invalidated on Free/ReleaseAll. An atomic pointer rather

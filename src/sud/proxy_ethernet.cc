@@ -75,9 +75,9 @@ void EthernetProxy::NoteXmitFull() {
 // pool can stage — one shared buffer for a single-buffer driver, a bounded
 // chain of them for an SG driver. A driver claiming more would otherwise
 // lure the stack into frames the transmit path must truncate.
-uint32_t EthernetProxy::DeclaredMtu(uint64_t declared) const {
+uint32_t EthernetProxy::DeclaredMtu(uint64_t declared, bool sg) const {
   uint64_t stage_bytes = ctx_->pool().buffer_bytes();
-  if (driver_sg_) {
+  if (sg) {
     stage_bytes *= kern::kMaxChainFrags;
   }
   uint64_t pool_cap = stage_bytes > kern::kEthHeaderBytes
@@ -90,12 +90,14 @@ Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t
   kern::Skb& skb = *skb_ptr;
   CpuModel& cpu = kernel_->machine().cpu();
   uint32_t buffer_bytes = ctx_->pool().buffer_bytes();
-  if (!skb.is_linear() && (!driver_sg_ || skb.TxChunks(buffer_bytes) > kern::kMaxChainFrags)) {
+  // Once per frame: a restarted driver can re-register mid-frame.
+  const bool sg = driver_sg_.load(std::memory_order_relaxed);
+  if (!skb.is_linear() && (!sg || skb.TxChunks(buffer_bytes) > kern::kMaxChainFrags)) {
     // Linearize fallback: non-SG drivers always, and — like the real stack
     // linearizing skbs over MAX_SKB_FRAGS — frames whose fragment geometry
     // (many tiny frags) would burst the chain cap even for an SG driver.
     // One extra charged full-frame pass, the copy the SG path deletes.
-    size_t linear_cap = driver_sg_ ? buffer_bytes * kern::kMaxChainFrags : buffer_bytes;
+    size_t linear_cap = sg ? buffer_bytes * kern::kMaxChainFrags : buffer_bytes;
     cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_copy, skb.total_len());
     if (!skb.Linearize(linear_cap)) {
       stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
@@ -105,7 +107,7 @@ Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t
       netdev_->stats().tx_linearized++;
     }
   }
-  if (!driver_sg_ && skb.data_len() > buffer_bytes) {
+  if (!sg && skb.data_len() > buffer_bytes) {
     // Never truncate: a frame one staging buffer cannot hold is dropped whole
     // (only reachable by handing the interface frames above its MTU — the
     // MTU itself is clamped to pool capacity at registration).
@@ -294,21 +296,6 @@ Result<std::string> EthernetProxy::Ioctl(uint32_t cmd) {
   return std::string(reply.value().inline_data.begin(), reply.value().inline_data.end());
 }
 
-void EthernetProxy::OnDriverRestart() {
-  consecutive_full_.store(0, std::memory_order_relaxed);
-  // The replacement driver binds a FRESH uchan set whose seqs restart at 1:
-  // the dedup watermarks must restart with them.
-  last_rx_seq_.fill(0);
-  for (auto& bundle : rx_bundle_) {
-    // Packets whose NAPI flush died with the driver: dropping them here is
-    // part of the bounded, counted crash loss. Guard copies are private
-    // skbs; sealed (extern) skbs fire their release hooks right here, and
-    // the epoch guard in ReleaseSealedPages turns each into a counted
-    // quarantine instead of an unseal into the dead context's IO space.
-    bundle.clear();
-  }
-}
-
 void EthernetProxy::HandleDowncall(UchanMsg& msg, uint16_t shard, wire::Malform verdict) {
   // The context certified the shape (or refused it, counted). Semantic
   // checks — DMA-space lookups, the interface's declared MTU, queue-count
@@ -345,33 +332,25 @@ void EthernetProxy::HandleDowncall(UchanMsg& msg, uint16_t shard, wire::Malform 
       }
       // Feature bits: only bits the kernel knows are honoured; everything
       // else a driver claims is ignored.
-      driver_sg_ = (msg.args[2] & kEthFeatureSg) != 0;
-      // A register_netdev marks a new driver generation speaking a freshly
-      // bound uchan whose seqs restart at 1 — the netif_rx dedup watermarks
-      // must restart with it. The supervisor's OnDriverRestart also resets
-      // them, but an administrator's manual kill+start bypasses it.
-      last_rx_seq_.fill(0);
+      bool sg = (msg.args[2] & kEthFeatureSg) != 0;
+      driver_sg_.store(sg, std::memory_order_relaxed);
       if (netdev_ != nullptr) {
         // A restarted driver re-registering: keep the existing interface and
         // refresh the MAC (shadow-driver-style recovery, Section 2).
         netdev_->set_dev_addr(msg.inline_data.data());
-        netdev_->set_num_queues(queues);
-        netdev_->set_sg(driver_sg_);
-        netdev_->set_mtu(DeclaredMtu(msg.args[1]));
-        msg.error = 0;
-        return;
+      } else {
+        std::string name = kernel_->net().NextName("eth");
+        Result<kern::NetDevice*> netdev =
+            kernel_->net().RegisterNetdev(name, msg.inline_data.data(), this);
+        if (!netdev.ok()) {
+          msg.error = static_cast<int32_t>(netdev.status().code());
+          return;
+        }
+        netdev_ = netdev.value();
       }
-      std::string name = kernel_->net().NextName("eth");
-      Result<kern::NetDevice*> netdev =
-          kernel_->net().RegisterNetdev(name, msg.inline_data.data(), this);
-      if (!netdev.ok()) {
-        msg.error = static_cast<int32_t>(netdev.status().code());
-        return;
-      }
-      netdev_ = netdev.value();
       netdev_->set_num_queues(queues);
-      netdev_->set_sg(driver_sg_);
-      netdev_->set_mtu(DeclaredMtu(msg.args[1]));
+      netdev_->set_sg(sg);
+      netdev_->set_mtu(DeclaredMtu(msg.args[1], sg));
       msg.error = 0;
       return;
     }

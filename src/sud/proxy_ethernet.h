@@ -107,12 +107,6 @@ class EthernetProxy : public kern::NetDeviceOps {
 
   kern::NetDevice* netdev() { return netdev_; }
 
-  // Supervisor hook, called between Kill and the replacement Start (no pump
-  // threads alive): drops per-queue rx bundles still referencing the dead
-  // instance's buffers and resets the hung-driver accounting so the fresh
-  // driver does not inherit its predecessor's strikes.
-  void OnDriverRestart();
-
   // Give-up hook: the supervisor unregistered the interface; drop the raw
   // pointer so nothing dereferences the dead netdev.
   void DetachNetdev() { netdev_ = nullptr; }
@@ -220,7 +214,7 @@ class EthernetProxy : public kern::NetDeviceOps {
   Status PrepareXmit(kern::SkbPtr& skb, UchanMsg* msg, uint16_t queue);
   // The driver-declared MTU clamped to what the TX staging pool can hold
   // (one buffer for single-buffer drivers, a bounded chain of them for SG).
-  uint32_t DeclaredMtu(uint64_t declared) const;
+  uint32_t DeclaredMtu(uint64_t declared, bool sg) const;
   void NoteXmitFull();
   // Delivers queue `shard`'s guard-copied rx bundle accumulated during the
   // current downcall kernel entry (the NAPI poll-end point).
@@ -232,7 +226,7 @@ class EthernetProxy : public kern::NetDeviceOps {
   kern::NetDevice* netdev_ = nullptr;
   // NETIF_F_SG as the driver declared it at register_netdev (kEthFeatureSg
   // in the marshalled feature bits): selects fragment staging vs linearize.
-  bool driver_sg_ = false;
+  std::atomic<bool> driver_sg_{false};
   std::atomic<uint32_t> consecutive_full_{0};
   Stats stats_;
   ToctouHook toctou_hook_;
@@ -260,10 +254,9 @@ class EthernetProxy : public kern::NetDeviceOps {
   // one bundle per queue (only ever touched from that shard's pump thread).
   std::array<std::vector<kern::SkbPtr>, kSudMaxQueues> rx_bundle_;
   // Highest downcall seq accepted per shard for netif_rx delivery: shard
-  // seqs are assigned monotonically at enqueue and the channel preserves
-  // per-shard order, so any non-increasing seq is a duplicate. Touched only
-  // from that shard's pump thread; reset (with the fresh uchan's seq space)
-  // on driver restart.
+  // seqs are assigned monotonically at enqueue, across rebinds, and the
+  // channel preserves per-shard order, so any non-increasing seq is a
+  // duplicate. Touched only from that shard's pump thread.
   std::array<uint64_t, kSudMaxQueues> last_rx_seq_{};
 };
 

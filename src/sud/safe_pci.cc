@@ -165,16 +165,13 @@ Status SudDeviceContext::Acquire(kern::Process* proc) {
   for (auto& shard : shards_) {
     shard->Reopen();
   }
-  dma_ = std::make_unique<DmaSpace>(&machine.dram(), &machine.iommu(), source_id());
   // Each bind is a new pool epoch: handles issued to the previous (dead)
   // driver instance fail validation everywhere in the fresh one.
   ++bind_generation_;
-  pool_ = std::make_unique<SharedBufferPool>(
-      dma_.get(), options_.pool_buffers, kern::kRxDefaultBufferBytes, bind_generation_);
   // A zero-buffer pool is legal (non-networking device classes may never
   // exchange bulk data); the pool then reports kUnavailable on Alloc.
   if (options_.pool_buffers > 0) {
-    SUD_RETURN_IF_ERROR(pool_->Init());
+    SUD_RETURN_IF_ERROR(pool_.Init(bind_generation_));
     SUD_RETURN_IF_ERROR(proc->ChargeMemory(static_cast<uint64_t>(options_.pool_buffers) *
                                            kern::kRxDefaultBufferBytes));
   }
@@ -186,7 +183,8 @@ Status SudDeviceContext::MmioAccess(int bar, uint64_t offset) {
     return Status(ErrorCode::kUnavailable, "device not bound");
   }
   if (bar < 0 || static_cast<size_t>(bar) >= device_->bars().size() ||
-      device_->bars()[bar].is_io || offset + 4 > device_->bars()[bar].size) {
+      device_->bars()[bar].is_io || device_->bars()[bar].size < 4 ||
+      offset > device_->bars()[bar].size - 4) {
     return Status(ErrorCode::kInvalidArgument, "mmio access outside device bars");
   }
   kernel_->machine().cpu().Charge(kAccountDriver, kernel_->machine().cpu().costs().mmio_access);
@@ -449,7 +447,7 @@ void SudDeviceContext::Teardown() {
                             kern::kRxDefaultBufferBytes);
   // TX staging the dead driver never completed: those buffers leave with the
   // dying epoch (counted loss), never back into a live free list.
-  quarantined_buffers_ += pool_->outstanding();
+  quarantined_buffers_ += pool_.outstanding();
   Release();
   process_ = nullptr;
   SUD_LOG(kInfo) << device_->name() << ": context torn down, all resources reclaimed";
@@ -459,9 +457,7 @@ void SudDeviceContext::Release() {
   for (auto& shard : shards_) {
     shard->Shutdown();
   }
-  if (dma_ != nullptr) {
-    dma_->ReleaseAll();
-  }
+  dma_.ReleaseAll();
   (void)kernel_->machine().iommu().DestroyContext(source_id());
   for (; irq_vectors_ > 0; --irq_vectors_) {
     (void)kernel_->FreeIrq(static_cast<uint8_t>(vector_base_ + irq_vectors_ - 1));

@@ -45,9 +45,10 @@
 // request_region itself and forwards device-class messages, with the verdict,
 // to the proxy's handler.
 //
-// Teardown() shuts the uchans and reclaims everything else (IOMMU context,
-// DMA pages, IOPB grants, the MSI vectors), which is what makes `kill -9` +
-// restart safe (Section 4.1).
+// The context builds its shards, DMA space and pool once, and a bind re-carves
+// the pool under a new epoch. Teardown() shuts the uchans and reclaims all
+// else (IOMMU context, DMA pages, IOPB grants, the MSI vectors), which is what
+// makes `kill -9` + restart safe (Section 4.1).
 
 #ifndef SUD_SRC_SUD_SAFE_PCI_H_
 #define SUD_SRC_SUD_SAFE_PCI_H_
@@ -130,8 +131,8 @@ class SudDeviceContext {
   Uchan& ctl(uint16_t queue) { return *shards_[queue]; }
   // Sums every shard's counters (the single-lane view of the channel).
   Uchan::Stats AggregateCtlStats() const;
-  DmaSpace& dma() { return *dma_; }
-  SharedBufferPool& pool() { return *pool_; }
+  DmaSpace& dma() { return dma_; }
+  SharedBufferPool& pool() { return pool_; }
 
   // mmio file: register access confined to this device's own BARs.
   Result<uint32_t> MmioRead(int bar, uint64_t offset);
@@ -207,9 +208,9 @@ class SudDeviceContext {
   std::atomic<uint32_t> bind_generation_{0};
   std::atomic<uint64_t> quarantined_buffers_{0};
 
-  std::vector<std::unique_ptr<Uchan>> shards_;  // built once, reopened per bind
-  std::unique_ptr<DmaSpace> dma_;
-  std::unique_ptr<SharedBufferPool> pool_;
+  std::vector<std::unique_ptr<Uchan>> shards_;  // built once, like dma_ and pool_
+  DmaSpace dma_{&kernel_->machine().dram(), &kernel_->machine().iommu(), source_id()};
+  SharedBufferPool pool_{&dma_, options_.pool_buffers, kern::kRxDefaultBufferBytes};
   DowncallHandler downcall_handler_;
   FlushHandler downcall_flush_handler_;
   wire::RejectStats wire_rejects_;

@@ -4,40 +4,36 @@
 
 namespace sud {
 
-SharedBufferPool::SharedBufferPool(DmaSpace* dma, uint32_t count, uint32_t buffer_bytes,
-                                   uint32_t epoch)
-    : dma_(dma),
-      count_(count > kMaxBuffers ? kMaxBuffers : count),
-      buffer_bytes_(buffer_bytes),
-      epoch_(epoch & kEpochMask) {
-  if (epoch_ == 0) {
-    epoch_ = 1;  // epoch 0 never exists, so zero-extended raw ints never match
-  }
-}
+SharedBufferPool::SharedBufferPool(DmaSpace* dma, uint32_t count, uint32_t buffer_bytes)
+    : dma_(dma), count_(count > kMaxBuffers ? kMaxBuffers : count), buffer_bytes_(buffer_bytes) {}
 
-Status SharedBufferPool::Init() {
-  if (initialized_) {
-    return Status(ErrorCode::kAlreadyExists, "pool already initialized");
+Status SharedBufferPool::Init(uint32_t epoch) {
+  Result<DmaRegion> region =
+      dma_->Alloc(static_cast<uint64_t>(count_) * buffer_bytes_, /*coherent=*/false);
+  std::vector<std::function<void()>> dropped;  // old grant hooks, destroyed unrun, unlocked
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (Slot& slot : slots_) {
+      if (slot.release) {
+        dropped.push_back(std::move(slot.release));
+      }
+    }
+    // Epoch 0 never exists, so zero-extended raw ints never match.
+    epoch_ = (epoch & kEpochMask) == 0 ? 1 : epoch & kEpochMask;
+    slots_.assign(count_, Slot{});  // grant slots join on demand
+    free_list_.clear();
+    grant_free_.clear();
+    active_grants_ = allocated_count_ = 0;
+    double_frees_ = stale_frees_ = 0;
+    initialized_ = region.ok();
+    host_base_ = initialized_ ? region.value().host_base : nullptr;
+    // The free list hands out its lowest slot first.
+    for (uint32_t index = count_; initialized_ && index-- > 0;) {
+      slots_[index].iova = region.value().iova + static_cast<uint64_t>(index) * buffer_bytes_;
+      free_list_.push_back(index);
+    }
   }
-  uint64_t bytes = static_cast<uint64_t>(count_) * buffer_bytes_;
-  Result<DmaRegion> region = dma_->Alloc(bytes, /*coherent=*/false);
-  if (!region.ok()) {
-    return region.status();
-  }
-  host_base_ = region.value().host_base;
-  slots_.resize(kMaxBuffers);
-  for (uint32_t index = 0; index < count_; ++index) {
-    slots_[index].iova = region.value().iova + static_cast<uint64_t>(index) * buffer_bytes_;
-  }
-  // Both free lists hand out their lowest slot first.
-  for (uint32_t index = count_; index > 0; --index) {
-    free_list_.push_back(index - 1);
-  }
-  for (uint32_t index = kMaxBuffers; index > count_; --index) {
-    grant_free_.push_back(index - 1);
-  }
-  initialized_ = true;
-  return Status::Ok();
+  return region.status();
 }
 
 int32_t SharedBufferPool::IssueLocked(uint32_t index) {
@@ -63,7 +59,7 @@ int32_t SharedBufferPool::ValidateLocked(int32_t id, bool* stale_epoch) const {
     }
     return -1;
   }
-  if (!slots_[index].in_use || gen != slots_[index].gen) {
+  if (index >= slots_.size() || !slots_[index].in_use || gen != slots_[index].gen) {
     return -1;
   }
   return static_cast<int32_t>(index);
@@ -71,17 +67,21 @@ int32_t SharedBufferPool::ValidateLocked(int32_t id, bool* stale_epoch) const {
 
 Result<int32_t> SharedBufferPool::GrantExternal(uint64_t iova, uint32_t len,
                                                 std::function<void()> release) {
-  if (!initialized_) {
-    return Status(ErrorCode::kUnavailable, "pool not initialized");
-  }
   if (len == 0 || len > buffer_bytes_) {
     // The driver-side semantic check bounds every fragment by one staging
     // buffer; a grant that couldn't pass it would be armed nowhere.
     return Status(ErrorCode::kInvalidArgument, "grant length exceeds buffer size");
   }
   std::lock_guard<std::mutex> lock(mu_);
+  if (!initialized_) {
+    return Status(ErrorCode::kUnavailable, "pool not initialized");
+  }
   if (grant_free_.empty()) {
-    return Status(ErrorCode::kExhausted, "grant slots exhausted");
+    if (slots_.size() >= kMaxBuffers) {
+      return Status(ErrorCode::kExhausted, "grant slots exhausted");
+    }
+    grant_free_.push_back(static_cast<uint32_t>(slots_.size()));  // open the next grant slot
+    slots_.emplace_back();
   }
   uint32_t index = grant_free_.back();
   grant_free_.pop_back();
@@ -92,10 +92,10 @@ Result<int32_t> SharedBufferPool::GrantExternal(uint64_t iova, uint32_t len,
 }
 
 Result<int32_t> SharedBufferPool::Alloc() {
+  std::lock_guard<std::mutex> lock(mu_);
   if (!initialized_) {
     return Status(ErrorCode::kUnavailable, "pool not initialized");
   }
-  std::lock_guard<std::mutex> lock(mu_);
   // Injected memory pressure: the pool reports exhaustion with buffers still
   // free. Callers must treat it exactly like a genuinely empty free list —
   // counted TX backpressure, never silent loss or partial staging.

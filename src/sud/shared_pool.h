@@ -11,8 +11,8 @@
 // Buffer ids are epoch-tagged handles, not raw indices. A handle encodes
 // the buffer index, a per-buffer allocation generation (bumped on every
 // free, so a handle dies the moment its buffer is returned) and the pool
-// epoch (the device-context bind generation). A restarted driver gets a
-// pool with a new epoch, so every id the *previous* instance ever held —
+// epoch (the device-context bind generation). Each bind re-carves the pool
+// under a new epoch, so every id the *previous* driver instance ever held —
 // including ids it squirreled away to replay after the crash — fails
 // validation. Rejected frees are tolerated and counted; the stale-epoch
 // subset is counted separately so restart-time replay attacks are visible.
@@ -49,13 +49,13 @@ class SharedBufferPool {
   static constexpr int kEpochBits = 9;
   static constexpr uint32_t kMaxBuffers = 1u << kIndexBits;
 
-  // Carves `count` buffers of `buffer_bytes` out of `dma` (one contiguous
-  // cacheable region). `epoch` tags every handle this pool instance issues;
-  // the device context passes its bind generation.
-  SharedBufferPool(DmaSpace* dma, uint32_t count = 512, uint32_t buffer_bytes = 2048,
-                   uint32_t epoch = 1);
+  // A pool of `count` buffers of `buffer_bytes`, carved from `dma` by Init.
+  SharedBufferPool(DmaSpace* dma, uint32_t count = 512, uint32_t buffer_bytes = 2048);
 
-  Status Init();
+  // Carves the buffers out of `dma` (one contiguous cacheable region) under
+  // `epoch` (the bind generation), dropping every earlier handle, counter and
+  // grant release hook (destroyed outside the lock, never run).
+  Status Init(uint32_t epoch);
 
   // sud_alloc: returns a buffer handle, or kExhausted. Thread-safe: the proxy
   // allocates on the kernel's transmit path while per-queue driver threads
@@ -84,7 +84,10 @@ class SharedBufferPool {
 
   uint32_t buffer_bytes() const { return buffer_bytes_; }
   uint32_t count() const { return count_; }
-  uint32_t epoch() const { return epoch_; }
+  uint32_t epoch() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return epoch_;
+  }
   uint32_t free_count() const {
     std::lock_guard<std::mutex> lock(mu_);
     return static_cast<uint32_t>(free_list_.size());
@@ -138,12 +141,11 @@ class SharedBufferPool {
   DmaSpace* dma_;
   uint32_t count_;
   uint32_t buffer_bytes_;
-  uint32_t epoch_;
+  mutable std::mutex mu_;  // guards everything below
+  uint32_t epoch_ = 1;
   uint8_t* host_base_ = nullptr;  // host view of the whole pool region
   bool initialized_ = false;
-  // Guards the slot table, both free lists and the counters.
-  mutable std::mutex mu_;
-  std::vector<Slot> slots_;          // [0, kMaxBuffers)
+  std::vector<Slot> slots_;          // staged slots, then grant slots opened so far
   std::vector<uint32_t> free_list_;  // free staged slots
   std::vector<uint32_t> grant_free_;  // free grant slots
   uint32_t active_grants_ = 0;

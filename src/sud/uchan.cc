@@ -515,7 +515,6 @@ void Uchan::Reopen() {
   std::scoped_lock lock(driver_mu_, mu_);
   replies_.clear();
   user_pump_ = nullptr;
-  next_downcall_seq_ = 1;
   kernel_stats_ = driver_stats_ = Stats{};
   driver_state_.store(kDriverIdle, std::memory_order_relaxed);
   shutdown_.store(false, std::memory_order_release);

@@ -195,8 +195,8 @@ class Uchan {
   // Channel teardown (driver killed / device revoked): every blocked or
   // future call fails with kUnavailable.
   void Shutdown();
-  // Opens a shut channel to the next driver: no rendezvous, pump or counters
-  // carry over. Upcall seqs continue, so a stale sender never takes a reply.
+  // Opens a shut channel to the next driver: no rendezvous, pump or counters carry over.
+  // Both seq spaces continue: no stale reply is taken and no dedup watermark resets.
   void Reopen();
   bool is_shutdown() const { return shutdown_.load(std::memory_order_acquire); }
 
@@ -264,7 +264,7 @@ class Uchan {
   std::vector<UchanMsg> downcall_batch_;  // pending async downcalls
   DowncallHandler downcall_handler_;
   std::function<void()> downcall_flush_handler_;
-  // Monotonic per shard: the proxy rejects a duplicate by its seq alone.
+  // Monotonic per shard across rebinds: the proxy rejects a duplicate by its seq alone.
   uint64_t next_downcall_seq_ = 1;
   Stats driver_stats_;
 };

@@ -157,6 +157,9 @@ class Driver {
   virtual const char* name() const = 0;
   virtual Status Probe(DriverEnv& env) = 0;
   virtual void Remove(DriverEnv& env) {}
+  // A driver stuck in an infinite loop after its probe: its process exists
+  // and holds its resources, but no host mode ever services its uchan.
+  virtual bool comatose() const { return false; }
 };
 
 }  // namespace sud::uml

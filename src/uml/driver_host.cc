@@ -41,7 +41,7 @@ Status DriverHost::StartLocked(std::unique_ptr<Driver> driver, Mode mode) {
   mode_ = mode;
   running_ = true;
 
-  if (mode == Mode::kPumped) {
+  if (mode == Mode::kPumped && !driver_->comatose()) {
     // Under the lifecycle lock, like any Pump: a sync upcall's inline pass
     // never runs the driver while another thread kills the host.
     ctx_->ctl().set_user_pump([this]() { Pump(); });
@@ -54,7 +54,7 @@ Status DriverHost::StartLocked(std::unique_ptr<Driver> driver, Mode mode) {
     return probed;
   }
 
-  if (mode == Mode::kThreadedPerQueue) {
+  if (mode == Mode::kThreadedPerQueue && !driver_->comatose()) {
     stop_requested_ = false;
     for (uint16_t q = 0; q < ctx_->num_queues(); ++q) {
       threads_.emplace_back([this, q]() { QueueThreadLoop(q); });
@@ -118,22 +118,6 @@ uint64_t DriverHost::queue_progress(uint16_t queue) const {
   return runtime_->queue_progress(queue);
 }
 
-uint64_t DriverHost::pending_upcalls(uint16_t queue) const {
-  std::lock_guard<std::recursive_mutex> lock(lifecycle_mu_);
-  if (!running_ || queue >= ctx_->num_queues()) {
-    return 0;
-  }
-  return ctx_->ctl(queue).pending_upcalls();
-}
-
-uint32_t DriverHost::pool_outstanding() const {
-  std::lock_guard<std::recursive_mutex> lock(lifecycle_mu_);
-  if (!running_) {
-    return 0;
-  }
-  return ctx_->pool().outstanding();
-}
-
 void DriverHost::Pump() {
   // Comatose drivers never service their uchan (that is the point), and in
   // per-queue mode the pump threads own the dispatch loop — draining from
@@ -141,7 +125,7 @@ void DriverHost::Pump() {
   // keeps runtime_ alive against a concurrent Kill; a pass that re-enters
   // through a ring-full retry pump takes it again on the same thread.
   std::lock_guard<std::recursive_mutex> lock(lifecycle_mu_);
-  if (running_ && runtime_ != nullptr && mode_ == Mode::kPumped) {
+  if (running_ && runtime_ != nullptr && mode_ == Mode::kPumped && !driver_->comatose()) {
     runtime_->ProcessPending();
   }
 }

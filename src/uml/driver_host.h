@@ -15,8 +15,9 @@
 //    single-queue device), each pumping its own queue's ring pair, so the
 //    packet path runs with no lock shared between queues. A pump drains its
 //    ring without the kernel's lock, polls briefly when it is empty, then
-//    parks in uchan WaitBatch; the modeled charges are the same either way;
-//  * comatose: the process exists but never services its uchan.
+//    parks in uchan WaitBatch; the modeled charges are the same either way.
+// Neither mode services a comatose driver (Driver::comatose()): its process
+// exists, but no pump runs it.
 
 #ifndef SUD_SRC_UML_DRIVER_HOST_H_
 #define SUD_SRC_UML_DRIVER_HOST_H_
@@ -36,9 +37,7 @@ namespace sud::uml {
 
 class DriverHost {
  public:
-  // kComatose models a driver process stuck in an infinite loop: it exists,
-  // holds its resources, but never services its uchan.
-  enum class Mode { kPumped, kThreadedPerQueue, kComatose };
+  enum class Mode { kPumped, kThreadedPerQueue };
 
   DriverHost(kern::Kernel* kernel, SudDeviceContext* ctx, std::string name, kern::Uid uid);
   ~DriverHost();
@@ -60,10 +59,10 @@ class DriverHost {
   Status Restart(std::unique_ptr<Driver> driver, Mode mode = Mode::kPumped);
 
   // Pumped mode: process pending upcalls now, under the lifecycle lock (a
-  // sync upcall's inline pump runs this too). In the other modes this is
-  // a no-op — the pump threads own the dispatch loop, and draining shards
-  // from the caller's thread as well would race the per-queue rx arrays that
-  // each pump thread touches without a lock.
+  // sync upcall's inline pump runs this too). For a comatose driver, and in
+  // threaded mode, this is a no-op — there the pump threads own the dispatch
+  // loop, and draining shards from the caller's thread as well would race the
+  // per-queue rx arrays that each pump thread touches without a lock.
   void Pump();
 
   bool running() const { return running_; }
@@ -77,13 +76,10 @@ class DriverHost {
   // The device context (stable across restarts — owned by the SafePciModule).
   SudDeviceContext* ctx() { return ctx_; }
 
-  // Watchdog-safe snapshots: each takes the lifecycle lock, so a supervisor
-  // thread can sample them while another thread kills or restarts the host
-  // (runtime_ and the uchan shards are replaced under that same lock).
-  // All return 0 when the host is not running.
+  // Queue `queue`'s dispatch progress, 0 when the host is not running. It
+  // takes the lifecycle lock, so a supervisor thread can sample it while
+  // another thread kills or restarts the host (which replaces runtime_).
   uint64_t queue_progress(uint16_t queue) const;
-  uint64_t pending_upcalls(uint16_t queue) const;
-  uint32_t pool_outstanding() const;
 
  private:
   void QueueThreadLoop(uint16_t queue);
@@ -100,7 +96,7 @@ class DriverHost {
   std::vector<std::thread> threads_;  // one per shard (kThreadedPerQueue)
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> running_{false};
-  Mode mode_ = Mode::kPumped;
+  std::atomic<Mode> mode_{Mode::kPumped};  // a supervisor restarts into it
   // Serializes Start/Kill/Restart (supervisor recovery vs concurrent admin
   // kill) with pumped passes; never held while pump threads dispatch.
   mutable std::recursive_mutex lifecycle_mu_;

@@ -73,7 +73,7 @@ bool DriverSupervisor::WatchdogSawWedgeLocked() {
   uint32_t queues = host_->ctx()->num_queues();
   for (uint16_t q = 0; q < queues && q < kSudMaxQueues; ++q) {
     uint64_t progress = host_->queue_progress(q);
-    uint64_t pending = host_->pending_upcalls(q);
+    uint64_t pending = host_->ctx()->ctl(q).pending_upcalls();
     if (pending > 0 && progress == last_progress_[q]) {
       if (++strikes_[q] >= options_.watchdog_strikes) {
         SUD_LOG(kWarning) << "supervisor watchdog: queue " << q << " wedged ("
@@ -129,18 +129,23 @@ bool DriverSupervisor::RecoverLocked(Reason reason) {
       break;
   }
   auto t0 = std::chrono::steady_clock::now();
-
-  // Shadow state to replay: the interface's live MTU survives in the netdev
-  // (which persists across the restart) but is refreshed to driver defaults
-  // at re-register, so sample it before the kill.
-  uint32_t recorded_mtu = 0;
-  if (!shadow_ifname_.empty()) {
-    kern::NetDevice* dev = kernel_->net().Find(shadow_ifname_);
-    if (dev != nullptr) {
-      recorded_mtu = dev->mtu();
-    }
+  Status started = CutoverLocked(ShadowMtuLocked());
+  if (!started.ok()) {
+    SUD_LOG(kWarning) << "supervisor: replacement driver failed to start: "
+                      << started.ToString();
+    return false;  // the budget is consumed regardless
   }
+  stats_.last_recovery_ns = ElapsedNs(t0);
+  return true;
+}
 
+uint32_t DriverSupervisor::ShadowMtuLocked() {
+  kern::NetDevice* dev =
+      shadow_ifname_.empty() ? nullptr : kernel_->net().Find(shadow_ifname_);
+  return dev != nullptr ? dev->mtu() : 0;
+}
+
+Status DriverSupervisor::CutoverLocked(uint32_t recorded_mtu) {
   // Kill BEFORE BringDown: a dead process can't be asked to stop, and a
   // wedged one must not be — once the shards are shut down, the BringDown
   // Stop upcall fails fast instead of eating the sync timeout.
@@ -148,32 +153,17 @@ bool DriverSupervisor::RecoverLocked(Reason reason) {
   if (host_->running()) {
     (void)host_->Kill();
   }
-  stats_.buffers_quarantined +=
-      host_->ctx()->quarantined_buffers() - quarantined_before;
-  if (proxy_ != nullptr) {
-    proxy_->OnDriverRestart();
-  }
+  stats_.buffers_quarantined += host_->ctx()->quarantined_buffers() - quarantined_before;
   if (!shadow_ifname_.empty()) {
     // The interface is administratively down while the driver is dead.
     (void)kernel_->net().BringDown(shadow_ifname_);
   }
   ResetWatchdogLocked();
-
-  Status started = host_->Start(factory_(), options_.restart_mode);
+  Status started = host_->Start(factory_(), host_->mode());
   if (proxy_ != nullptr) {
     proxy_hung_baseline_ = proxy_->stats().hung_reports.load(std::memory_order_relaxed);
   }
-  if (!started.ok()) {
-    SUD_LOG(kWarning) << "supervisor: replacement driver failed to start: "
-                      << started.ToString();
-    return false;  // the budget is consumed regardless
-  }
-  ReplayShadowConfigLocked(recorded_mtu);
-  stats_.last_recovery_ns = ElapsedNs(t0);
-  return true;
-}
-
-void DriverSupervisor::ReplayShadowConfigLocked(uint32_t recorded_mtu) {
+  SUD_RETURN_IF_ERROR(started);
   if (!shadow_ifname_.empty()) {
     (void)kernel_->net().BringUp(shadow_ifname_);
     kern::NetDevice* dev = kernel_->net().Find(shadow_ifname_);
@@ -184,6 +174,7 @@ void DriverSupervisor::ReplayShadowConfigLocked(uint32_t recorded_mtu) {
   if (config_replay_) {
     config_replay_(host_);
   }
+  return Status::Ok();
 }
 
 Status DriverSupervisor::Upgrade(DriverFactory new_factory) {
@@ -196,14 +187,17 @@ Status DriverSupervisor::Upgrade(DriverFactory new_factory) {
   }
   auto t0 = std::chrono::steady_clock::now();
   auto deadline = t0 + kDrainTimeout;
-  uint32_t queues = host_->ctx()->num_queues();
+  SudDeviceContext* ctx = host_->ctx();
   auto drained = [&]() {
-    for (uint16_t q = 0; q < queues; ++q) {
-      if (host_->pending_upcalls(q) > 0) {
+    if (!host_->running()) {
+      return true;  // killed meanwhile: nothing is left to drain
+    }
+    for (uint16_t q = 0; q < ctx->num_queues(); ++q) {
+      if (ctx->ctl(q).pending_upcalls() > 0) {
         return false;
       }
     }
-    return host_->pool_outstanding() == 0;
+    return ctx->pool().outstanding() == 0;
   };
   // Per-queue drain: every pending upcall serviced and every TX staging
   // buffer reaped before cutover. Pump() drives a pumped host; per-queue
@@ -217,12 +211,8 @@ Status DriverSupervisor::Upgrade(DriverFactory new_factory) {
                          "will be quarantined with the old epoch";
   }
 
-  uint32_t recorded_mtu = 0;
+  uint32_t recorded_mtu = ShadowMtuLocked();
   if (!shadow_ifname_.empty()) {
-    kern::NetDevice* dev = kernel_->net().Find(shadow_ifname_);
-    if (dev != nullptr) {
-      recorded_mtu = dev->mtu();
-    }
     // Graceful, unlike recovery: the driver is alive, so the Stop upcall
     // completes and the stack stops transmitting before the cutover.
     (void)kernel_->net().BringDown(shadow_ifname_);
@@ -232,24 +222,8 @@ Status DriverSupervisor::Upgrade(DriverFactory new_factory) {
     std::this_thread::yield();
   }
 
-  uint64_t quarantined_before = host_->ctx()->quarantined_buffers();
-  (void)host_->Kill();
-  stats_.buffers_quarantined +=
-      host_->ctx()->quarantined_buffers() - quarantined_before;
-  if (proxy_ != nullptr) {
-    proxy_->OnDriverRestart();
-  }
   factory_ = std::move(new_factory);
-  ResetWatchdogLocked();
-
-  Status started = host_->Start(factory_(), options_.restart_mode);
-  if (proxy_ != nullptr) {
-    proxy_hung_baseline_ = proxy_->stats().hung_reports.load(std::memory_order_relaxed);
-  }
-  if (!started.ok()) {
-    return started;
-  }
-  ReplayShadowConfigLocked(recorded_mtu);
+  SUD_RETURN_IF_ERROR(CutoverLocked(recorded_mtu));
   ++stats_.upgrades;
   SUD_LOG(kInfo) << "supervisor: hot upgrade complete in " << ElapsedNs(t0) << " ns";
   return Status::Ok();

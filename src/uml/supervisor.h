@@ -18,12 +18,13 @@
 // instead of eating a sync timeout), then reap (SudDeviceContext::Teardown
 // revokes the IOMMU context, releases the DMA space, quarantines in-flight
 // pool buffers with the dying epoch), then a fresh driver instance from the
-// factory, then shadow-config replay: interface up, recorded MTU, and an
-// optional operator hook (e.g. re-programming a rebalanced RSS RETA).
+// factory in the host's own mode, then shadow-config replay: interface up,
+// recorded MTU, and an optional operator hook (e.g. re-programming a
+// rebalanced RSS RETA).
 //
 // Upgrade() swaps the driver factory live: each queue is drained (pending
-// upcalls serviced, TX staging returned) before cutover, so a hot upgrade
-// under streaming load loses nothing that was in the kernel's hands.
+// upcalls serviced, TX staging returned) before the same cutover, so a hot
+// upgrade under streaming load loses nothing that was in the kernel's hands.
 //
 // When the restart budget is exhausted the supervisor enters a terminal
 // gave_up() state (counted, loggable, assertable) — the point where the
@@ -61,9 +62,6 @@ class DriverSupervisor {
     // Consecutive no-progress checks on a queue with pending upcalls before
     // the watchdog declares the driver wedged.
     uint32_t watchdog_strikes = 3;
-    // Mode replacement drivers start in (the bench restarts into
-    // threaded-per-queue; tests default to pumped).
-    DriverHost::Mode restart_mode = DriverHost::Mode::kPumped;
   };
 
   struct Stats {
@@ -90,8 +88,8 @@ class DriverSupervisor {
   // state: which interface to bring up; its MTU is sampled at recovery time).
   void ShadowNetdev(const std::string& ifname);
 
-  // Attaches the proxy so hung detection reads hung_reports directly and
-  // restarts reset the proxy's per-instance state (rx bundles, strikes).
+  // Attaches the proxy whose hung_reports hung detection reads, and whose
+  // netdev pointer a give-up detaches.
   void AttachProxy(EthernetProxy* proxy);
 
   // Operator-config replay after restarts (e.g. RETA reprogramming).
@@ -117,10 +115,18 @@ class DriverSupervisor {
 
  private:
   bool CheckAndRecoverLocked();
-  // The kill→reap→restart→replay path. `reason` feeds the stats breakdown.
+  // Recovery: the budget and stats around a cutover. `reason` feeds the
+  // stats breakdown.
   enum class Reason { kDead, kHung, kWedged };
   bool RecoverLocked(Reason reason);
-  void ReplayShadowConfigLocked(uint32_t recorded_mtu);
+  // The shadow interface's live MTU (0 without one), sampled before a
+  // cutover: re-registration refreshes it to the driver's default.
+  uint32_t ShadowMtuLocked();
+  // The one kill→reap→restart→replay path of recovery and upgrade: kill and
+  // tally quarantine, bring the interface down, reset the watchdog, start
+  // factory_'s driver in the host's mode, rebaseline hung reports and replay
+  // the shadow config (interface up, recorded MTU, the operator hook).
+  Status CutoverLocked(uint32_t recorded_mtu);
   // Samples the per-queue watchdog counters; true when some queue has had
   // pending upcalls without progress for watchdog_strikes checks.
   bool WatchdogSawWedgeLocked();

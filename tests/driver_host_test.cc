@@ -1,6 +1,6 @@
-// DriverHost lifecycle tests: pumped / per-queue threaded / comatose modes, restart
-// semantics, resource reclamation across repeated kill cycles, and rlimit /
-// scheduling-policy plumbing (§4.1).
+// DriverHost lifecycle tests: pumped and per-queue threaded modes, comatose
+// drivers, restart semantics, resource reclamation across repeated kill
+// cycles, and rlimit / scheduling-policy plumbing (§4.1).
 
 #include <gtest/gtest.h>
 
@@ -142,18 +142,34 @@ TEST(DriverHost, KillUnblocksSleepingThread) {
 
 TEST(DriverHost, ComatoseDriverHoldsResourcesUntilKilled) {
   NetBench bench;
-  ASSERT_TRUE(bench.host
-                  ->Start(std::make_unique<drivers::UnresponsiveDriver>(),
-                          uml::DriverHost::Mode::kComatose)
-                  .ok());
+  ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::UnresponsiveDriver>()).ok());
   // Upcalls pile up unserviced.
   auto frame = kern::BuildPacket(testing::kMacB, testing::kMacA, 1, 2, {});
   for (int i = 0; i < 4; ++i) {
     (void)testing::ProxyXmit(*bench.proxy, {frame.data(), frame.size()});
   }
+  bench.host->Pump();  // services nothing: the driver is comatose
   EXPECT_GT(bench.ctx->ctl().pending_upcalls(), 0u);
   ASSERT_TRUE(bench.host->Kill().ok());
   EXPECT_TRUE(bench.ctx->ctl().is_shutdown());
+}
+
+// A threaded host starts no pump for a comatose driver either: its upcalls
+// stay pending as on a pumped host.
+TEST(DriverHost, ComatoseDriverOnAThreadedHostGetsNoPumpThreads) {
+  NetBench::Options options;
+  options.nic_queues = 2;
+  NetBench bench(options);
+  ASSERT_TRUE(bench.host
+                  ->Start(std::make_unique<drivers::UnresponsiveDriver>(),
+                          uml::DriverHost::Mode::kThreadedPerQueue)
+                  .ok());
+  EXPECT_EQ(bench.host->thread_count(), 0u);
+  auto frame = kern::BuildPacket(testing::kMacB, testing::kMacA, 1, 2, {});
+  ASSERT_TRUE(testing::ProxyXmit(*bench.proxy, {frame.data(), frame.size()}));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(bench.ctx->ctl().pending_upcalls(), 1u);
+  ASSERT_TRUE(bench.host->Kill().ok());
 }
 
 // An `ifconfig up` blocked in a synchronous upcall while restarts rebind the
@@ -165,8 +181,7 @@ TEST(DriverHost, RestartsUnderABlockedSyncUpcallKeepItsShard) {
   options.sud.uchan.sync_timeout_ms = 5;
   NetBench bench(options);
   auto restart = [&] {
-    return bench.host->Restart(std::make_unique<drivers::UnresponsiveDriver>(),
-                               uml::DriverHost::Mode::kComatose);
+    return bench.host->Restart(std::make_unique<drivers::UnresponsiveDriver>());
   };
   ASSERT_TRUE(restart().ok());
   std::atomic<bool> started{false};
@@ -198,6 +213,45 @@ TEST(DriverHost, RestartsUnderABlockedSyncUpcallKeepItsShard) {
   EXPECT_EQ(unexpected.load(), 0);
   // The last instance still sits on the same shard, and still never answers.
   EXPECT_EQ(bench.kernel.net().BringUp("eth0").code(), ErrorCode::kTimedOut);
+  ASSERT_TRUE(bench.host->Kill().ok());
+}
+
+// A kernel transmit racing administrator restarts (ROADMAP 1(h)): the
+// transmit path reaches the context's pool with no lock against a rebind, so
+// each bind must re-carve that pool under a new epoch, never free it.
+TEST(DriverHost, TransmitRacingRestartsKeepsThePool) {
+  NetBench bench;
+  const auto threaded = uml::DriverHost::Mode::kThreadedPerQueue;
+  ASSERT_TRUE(bench.StartSut(threaded).ok());
+  std::vector<uint8_t> payload(64, 0x4d);
+  auto frame = kern::BuildPacket(testing::kMacB, testing::kMacA, 7100, 80,
+                                 {payload.data(), payload.size()});
+  std::atomic<bool> done{false};
+  std::atomic<int> attempts{0};
+  std::thread sender([&] {
+    while (!done) {
+      (void)bench.kernel.net().Transmit("eth0", kern::MakeSkb({frame.data(), frame.size()}));
+      ++attempts;
+    }
+  });
+  int restarted = 0;
+  for (int i = 0; i < 300; ++i) {
+    if (bench.host->Restart(std::make_unique<drivers::E1000eDriver>(), threaded).ok() &&
+        bench.kernel.net().BringUp("eth0").ok()) {
+      ++restarted;
+    }
+  }
+  done = true;
+  sender.join();
+  EXPECT_EQ(restarted, 300);
+  EXPECT_GT(attempts.load(), 0);
+  // One pool throughout, at the last bind's epoch, and it drains.
+  EXPECT_EQ(bench.ctx->pool().epoch(), bench.ctx->bind_generation());
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (bench.ctx->pool().outstanding() != 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(bench.ctx->pool().outstanding(), 0u);
   ASSERT_TRUE(bench.host->Kill().ok());
 }
 

@@ -8,6 +8,7 @@
 #define SUD_TESTS_HARNESS_H_
 
 #include <cstring>
+#include <functional>
 #include <memory>
 
 #include "src/devices/ether_link.h"
@@ -81,6 +82,29 @@ inline kern::SkbPtr MakeDramFragSkb(hw::PhysicalMemory& dram, ConstByteSpan fram
   uint64_t base = paddr.value();
   skb->set_release([dram_ptr, base, pages] { dram_ptr->FreePages(base, pages); });
   return skb;
+}
+
+// A supervisor driver factory minting fresh e1000e instances. A plain
+// std::function (DriverSupervisor::DriverFactory's type), so this header
+// needs no supervisor include.
+inline std::function<std::unique_ptr<uml::Driver>()> E1000eFactory(uint32_t queues,
+                                                                   uint32_t mtu) {
+  return [queues, mtu]() -> std::unique_ptr<uml::Driver> {
+    return std::make_unique<drivers::E1000eDriver>(queues, mtu);
+  };
+}
+
+// Replaces NetBench::BuildQueueFlows' cumulative ack feeds with ones
+// baselined now, so a phase's window pacing starts from zero whatever earlier
+// phases delivered.
+inline void RebaseAcks(std::vector<devices::EtherLink::PeerFlow>& flows,
+                       kern::NetDevice* netdev) {
+  for (uint32_t q = 0; q < flows.size(); ++q) {
+    uint64_t base = netdev->queue_stats(static_cast<uint16_t>(q)).rx_packets.load();
+    flows[q].acked = [netdev, q, base]() {
+      return netdev->queue_stats(static_cast<uint16_t>(q)).rx_packets.load() - base;
+    };
+  }
 }
 
 // Hands the Ethernet proxy's transmit op `frame` as a one-frame burst on

@@ -171,6 +171,17 @@ TEST(Process, MemoryRlimit) {
   EXPECT_TRUE(proc.ChargeMemory(100).ok());
 }
 
+// A charge near 2^64 must not wrap the rlimit check: it is refused, and the
+// count stays where it was.
+TEST(Process, MemoryChargeThatWouldWrapIsRefused) {
+  ProcessTable table;
+  Process& proc = table.Spawn("drv", 1000);
+  ASSERT_TRUE(proc.ChargeMemory(17838080).ok());
+  EXPECT_EQ(proc.ChargeMemory(UINT64_MAX - 8191).code(), ErrorCode::kExhausted);
+  EXPECT_EQ(proc.ChargeMemory(UINT64_MAX).code(), ErrorCode::kExhausted);
+  EXPECT_EQ(proc.memory_used(), 17838080u);
+}
+
 TEST(Process, KillMarksDead) {
   ProcessTable table;
   Process& proc = table.Spawn("drv", 1000);

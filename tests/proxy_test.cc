@@ -405,11 +405,11 @@ TEST_F(ProxyFaultTest, InjectedPoolExhaustionCountsTxBackpressureAndRecovers) {
   EXPECT_EQ(bench.ctx->pool().free_count(), bench.ctx->pool().count());
 }
 
-// An administrator's manual kill -9 + restart (no supervisor, so no
-// OnDriverRestart) binds a fresh uchan whose seqs restart at 1. The proxy's
-// netif_rx dedup watermarks must restart with the new driver generation at
-// register_netdev, or every post-restart delivery below the old high-water
-// mark is rejected as a duplicate.
+// An administrator's manual kill -9 + restart (no supervisor) rebinds the
+// device's uchan shards, whose downcall seqs keep rising across the rebind.
+// The proxy's netif_rx dedup watermarks therefore hold for the new driver
+// generation as they stand: no post-restart delivery falls below the old
+// high-water mark and is rejected as a duplicate.
 TEST(EthernetProxyTest, ManualRestartResetsRxDedupWatermark) {
   NetBench bench;
   ASSERT_TRUE(bench.StartSut().ok());

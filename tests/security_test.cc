@@ -285,9 +285,7 @@ TEST(Security, SyncUpcallToUnresponsiveDriverIsInterruptable) {
   NetBench::Options options;
   options.sud.uchan.sync_timeout_ms = 30;  // fast test
   NetBench bench(options);
-  ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::UnresponsiveDriver>(),
-                                uml::DriverHost::Mode::kComatose)
-                  .ok());
+  ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::UnresponsiveDriver>()).ok());
   // ifconfig up: the open upcall gets no reply; the kernel thread does NOT
   // hang — it returns an error after the (interruptable) timeout.
   Status status = bench.kernel.net().BringUp("eth0");
@@ -296,7 +294,7 @@ TEST(Security, SyncUpcallToUnresponsiveDriverIsInterruptable) {
   (void)bench.host->Kill();
 }
 
-// Plays the driver of a comatose host for one synchronous upcall: waits for
+// Plays a comatose driver's part for one synchronous upcall: waits for
 // `opcode` on the control shard and answers it with `reply`.
 void ForgeReply(SudDeviceContext* ctx, uint32_t opcode, UchanMsg reply) {
   std::vector<UchanMsg> batch;
@@ -316,9 +314,7 @@ TEST(Security, ReplyErrorCodeNamingNoErrorFailsBringUp) {
   NetBench::Options options;
   options.sud.uchan.sync_timeout_ms = 2000;
   NetBench bench(options);
-  ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::UnresponsiveDriver>(),
-                                uml::DriverHost::Mode::kComatose)
-                  .ok());
+  ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::UnresponsiveDriver>()).ok());
   UchanMsg reply;
   reply.error = 256;
   std::thread driver(ForgeReply, bench.ctx, kEthUpOpen, std::move(reply));
@@ -341,8 +337,11 @@ TEST(Security, RaggedScanReplyIsRefusedBeforeDecoding) {
   SudDeviceContext* ctx = safe_pci.ExportDevice(&nic, kDriverUid, options).value();
   WirelessProxy proxy(&kernel, ctx);
   uml::DriverHost host(&kernel, ctx, "iwl-driver", kDriverUid);
-  ASSERT_TRUE(
-      host.Start(std::make_unique<drivers::IwlDriver>(), uml::DriverHost::Mode::kComatose).ok());
+  // An iwl driver that probes and then never services its uchan.
+  struct ComatoseIwlDriver : drivers::IwlDriver {
+    bool comatose() const override { return true; }
+  };
+  ASSERT_TRUE(host.Start(std::make_unique<ComatoseIwlDriver>()).ok());
   // One whole scan record and one stray byte: a result list the scan parser
   // must never see.
   UchanMsg reply;
@@ -360,9 +359,7 @@ TEST(Security, AsyncUpcallsToFullRingReportHungDriver) {
   NetBench bench(options);
   // A driver that registers but never processes its queue. Use the
   // unresponsive driver and force the netdev up administratively.
-  ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::UnresponsiveDriver>(),
-                                uml::DriverHost::Mode::kComatose)
-                  .ok());
+  ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::UnresponsiveDriver>()).ok());
   kern::NetDevice* netdev = bench.kernel.net().Find("eth0");
   ASSERT_NE(netdev, nullptr);
 

@@ -86,7 +86,7 @@ TEST_F(DmaSpaceTest, ReleaseAllReclaimsEverything) {
 class PoolTest : public DmaSpaceTest {
  protected:
   PoolTest() : pool_(space_.get(), /*count=*/8, /*buffer_bytes=*/512) {
-    EXPECT_TRUE(pool_.Init().ok());
+    EXPECT_TRUE(pool_.Init(/*epoch=*/1).ok());
   }
   SharedBufferPool pool_;
 };
@@ -148,6 +148,57 @@ TEST_F(PoolTest, ForgedHandleForNeverAllocatedSlotIsRefused) {
   EXPECT_EQ(pool_.outstanding(), 0u);
 }
 
+// A rebind re-carves the same pool under a new epoch: every handle of the
+// old one is refused, as it was by a freshly built pool, the counters start
+// over, the old epoch's grant release hooks are dropped without running, and
+// the carve lands at the same IOVAs once the DMA space has been emptied.
+TEST_F(PoolTest, InitUnderANewEpochRetiresEveryEarlierHandle) {
+  int32_t staged = pool_.Alloc().value();
+  uint64_t iova = pool_.BufferIova(staged).value();
+  auto released = std::make_shared<int>(0);
+  int32_t grant = pool_.GrantExternal(iova, 64, [released] { ++*released; }).value();
+  pool_.Free(-5);
+  space_->ReleaseAll();
+  ASSERT_TRUE(pool_.Init(/*epoch=*/2).ok());
+  EXPECT_EQ(*released, 0);
+  EXPECT_EQ(released.use_count(), 1);  // the hook is gone with its epoch
+  EXPECT_EQ(pool_.epoch(), 2u);
+  EXPECT_EQ(pool_.double_frees(), 0u);
+  EXPECT_EQ(pool_.outstanding(), 0u);
+  EXPECT_EQ(pool_.free_count(), 8u);
+  for (int32_t stale : {staged, grant}) {
+    EXPECT_FALSE(pool_.Buffer(stale).ok());
+    EXPECT_FALSE(pool_.BufferIova(stale).ok());
+    pool_.Free(stale);
+  }
+  EXPECT_EQ(pool_.stale_frees(), 2u);
+  EXPECT_EQ(pool_.free_count(), 8u);
+  int32_t fresh = pool_.Alloc().value();
+  EXPECT_NE(fresh, staged);
+  EXPECT_EQ(pool_.BufferIova(fresh).value(), iova);
+}
+
+// Grant slots fill the index space above the staged buffers, lowest first,
+// up to the handle's index cap; a freed one is reused before a new opens.
+TEST_F(PoolTest, GrantSlotsRunFromCountToTheIndexCap) {
+  constexpr uint32_t kIndexMask = SharedBufferPool::kMaxBuffers - 1;
+  std::vector<int32_t> grants;
+  for (Result<int32_t> grant = pool_.GrantExternal(0x1000, 64, nullptr); grant.ok();
+       grant = pool_.GrantExternal(0x1000, 64, nullptr)) {
+    grants.push_back(grant.value());
+  }
+  ASSERT_EQ(grants.size(), SharedBufferPool::kMaxBuffers - pool_.count());
+  EXPECT_EQ(grants.front() & kIndexMask, pool_.count());
+  EXPECT_EQ(grants.back() & kIndexMask, SharedBufferPool::kMaxBuffers - 1);
+  EXPECT_EQ(pool_.GrantExternal(0x1000, 64, nullptr).status().code(), ErrorCode::kExhausted);
+  pool_.Free(grants[5]);
+  int32_t reused = pool_.GrantExternal(0x2000, 64, nullptr).value();
+  EXPECT_EQ(reused & kIndexMask, grants[5] & kIndexMask);
+  EXPECT_NE(reused, grants[5]);  // a new generation: the freed handle stays dead
+  EXPECT_EQ(pool_.BufferIova(reused).value(), 0x2000u);
+  EXPECT_EQ(pool_.active_grants(), SharedBufferPool::kMaxBuffers - pool_.count());
+}
+
 TEST_F(PoolTest, BuffersDoNotOverlap) {
   int32_t a = pool_.Alloc().value();
   int32_t b = pool_.Alloc().value();
@@ -193,6 +244,9 @@ TEST_F(ContextTest, MmioConfinedToDeviceBars) {
   EXPECT_FALSE(bench_.ctx->MmioRead(1, 0).ok());               // no such BAR
   EXPECT_FALSE(bench_.ctx->MmioRead(-1, 0).ok());
   EXPECT_FALSE(bench_.ctx->MmioWrite(0, 128 * 1024 - 2, 1).ok());  // partial overrun
+  // Offsets whose end wraps past 2^64 stay outside the BAR.
+  EXPECT_FALSE(bench_.ctx->MmioRead(0, UINT64_MAX - 1).ok());
+  EXPECT_FALSE(bench_.ctx->MmioWrite(0, UINT64_MAX - 3, 1).ok());
 }
 
 using ConfigCase = std::tuple<uint16_t, int, uint32_t, bool>;  // offset,width,value,allowed

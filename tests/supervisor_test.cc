@@ -55,10 +55,7 @@ TEST(Supervisor, RecoversFromHungDriver) {
   options.sud.uchan.sync_timeout_ms = 25;
   NetBench bench(options);
   // A comatose driver: probe succeeds, then it services nothing.
-  ASSERT_TRUE(bench.host
-                  ->Start(std::make_unique<drivers::UnresponsiveDriver>(),
-                          uml::DriverHost::Mode::kComatose)
-                  .ok());
+  ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::UnresponsiveDriver>()).ok());
   uml::DriverSupervisor supervisor(&bench.kernel, bench.host.get(), MakeE1000e);
   supervisor.ShadowNetdev("eth0");
   supervisor.AttachProxy(bench.proxy.get());
@@ -321,7 +318,6 @@ TEST_F(SupervisorFaultTest, BackgroundWatchdogRecoversStalledThreadedQueue) {
   bench.MaskPeerIrq();
   uml::DriverSupervisor::Options sup_options;
   sup_options.max_restarts = 8;
-  sup_options.restart_mode = uml::DriverHost::Mode::kThreadedPerQueue;
   uml::DriverSupervisor supervisor(&bench.kernel, bench.host.get(), MakeTwoQueueE1000e,
                                    sup_options);
   supervisor.ShadowNetdev("eth0");

@@ -247,6 +247,29 @@ TEST(Uchan, ShutdownFailsEverything) {
   EXPECT_EQ(uchan.DowncallSync(msg).code(), ErrorCode::kUnavailable);
 }
 
+// A rebind reopens the same channel, and its downcall seqs keep rising: a
+// receiver's duplicate check (the proxy's netif_rx watermark) holds across
+// driver generations without a reset.
+TEST(Uchan, DowncallSeqsKeepRisingAcrossShutdownAndReopen) {
+  Uchan uchan;
+  std::vector<uint64_t> seqs;
+  uchan.set_downcall_handler([&](UchanMsg& msg) { seqs.push_back(msg.seq); });
+  auto send_two = [&] {
+    ASSERT_TRUE(uchan.DowncallAsync(UchanMsg{}).ok());
+    ASSERT_TRUE(uchan.DowncallAsync(UchanMsg{}).ok());
+    uchan.FlushDowncalls();
+  };
+  send_two();
+  uchan.Shutdown();
+  uchan.Reopen();
+  send_two();
+  ASSERT_EQ(seqs.size(), 4u);
+  EXPECT_EQ(seqs.front(), 1u);
+  for (size_t i = 1; i < seqs.size(); ++i) {
+    EXPECT_GT(seqs[i], seqs[i - 1]) << i;
+  }
+}
+
 TEST(Uchan, ShutdownUnblocksSleepingDriver) {
   Uchan uchan;
   std::thread sleeper([&]() {
