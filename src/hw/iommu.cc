@@ -9,7 +9,7 @@
 namespace sud::hw {
 
 Iommu::Iommu(IommuMode mode, CpuModel* cpu, SimClock* clock)
-    : mode_(mode), cpu_(cpu), clock_(clock), source_gen_(1 << 16, 0) {
+    : mode_(mode), cpu_(cpu), clock_(clock) {
   set_iotlb_geometry(IotlbGeometry{});
 }
 
@@ -33,8 +33,7 @@ Iommu::IotlbEntry* Iommu::IotlbLookup(uint16_t source_id, uint64_t page) {
   size_t base = IotlbSetBase(source_id, page);
   for (size_t way = 0; way < iotlb_geometry_.ways; ++way) {
     IotlbEntry& entry = iotlb_[base + way];
-    if (entry.valid && entry.source_id == source_id && entry.page == page &&
-        entry.generation == source_gen_[source_id]) {
+    if (entry.valid && entry.source_id == source_id && entry.page == page) {
       return &entry;
     }
   }
@@ -46,8 +45,8 @@ void Iommu::IotlbInsert(uint16_t source_id, uint64_t page, const Pte& pte) {
   size_t victim = iotlb_geometry_.ways;  // sentinel: none free
   for (size_t way = 0; way < iotlb_geometry_.ways; ++way) {
     IotlbEntry& entry = iotlb_[base + way];
-    if (!entry.valid || entry.generation != source_gen_[entry.source_id]) {
-      victim = way;  // free or stale slot: reuse without an eviction
+    if (!entry.valid) {
+      victim = way;  // free slot: reuse without an eviction
       break;
     }
   }
@@ -60,7 +59,6 @@ void Iommu::IotlbInsert(uint16_t source_id, uint64_t page, const Pte& pte) {
   IotlbEntry& entry = iotlb_[base + victim];
   entry.page = page;
   entry.source_id = source_id;
-  entry.generation = source_gen_[source_id];
   entry.valid = true;
   entry.pte = pte;
 }
@@ -89,10 +87,7 @@ Status Iommu::DestroyContext(uint16_t source_id) {
     return Status(ErrorCode::kNotFound, "no iommu context for source " + Hex(source_id));
   }
   contexts_.erase(it);
-  // Whole-source IOTLB invalidation (generation bump), inline: the public
-  // InvalidateIotlb takes mu_.
-  ++source_gen_[source_id];
-  iotlb_stats_.invalidations++;
+  IotlbInvalidateSourceLocked(source_id);
   // Drop interrupt-remapping entries belonging to this source.
   for (auto ir = irte_.begin(); ir != irte_.end();) {
     if (ir->first.first == source_id) {
@@ -342,8 +337,15 @@ Status Iommu::Fault(uint16_t source_id, uint64_t iova, bool is_write, std::strin
 
 void Iommu::InvalidateIotlb(uint16_t source_id) {
   std::lock_guard<SpinLock> lock(mu_);
-  // Generation bump: every cached entry for this source goes stale at once.
-  ++source_gen_[source_id];
+  IotlbInvalidateSourceLocked(source_id);
+}
+
+void Iommu::IotlbInvalidateSourceLocked(uint16_t source_id) {
+  for (IotlbEntry& entry : iotlb_) {
+    if (entry.source_id == source_id) {
+      entry.valid = false;
+    }
+  }
   iotlb_stats_.invalidations++;
 }
 

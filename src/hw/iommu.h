@@ -11,8 +11,8 @@
 //    Section 3.1.2 (see CpuCosts::iotlb_miss and the queued-invalidation
 //    feature from Section 6). The IOTLB is a fixed-size direct-indexed
 //    set-associative cache (like the hardware it models): Translate is
-//    allocation-free in steady state, and whole-source invalidation is a
-//    per-source generation bump, O(1) instead of a full-cache scan;
+//    allocation-free in steady state. Whole-source invalidation scans the
+//    cache (64 entries by default): it runs only when a context dies;
 //  * the MSI address range: Intel VT-d keeps an *implicit identity mapping*
 //    for 0xFEE00000-0xFEF00000 in every IO page table (the weakness Section
 //    5.2 reports); AMD-Vi does not, so unmap-the-MSI-page works there;
@@ -141,8 +141,9 @@ class Iommu {
   Result<uint64_t> Translate(uint16_t source_id, uint64_t iova, uint64_t len, bool is_write);
 
   // --- IOTLB
-  // Whole-source invalidation: bumps the source's generation counter so every
-  // cached entry for it goes stale at once — O(1), no cache scan.
+  // Whole-source invalidation: clears every cached entry for the source. A
+  // scan of the cache, which DestroyContext alone runs outside tests, so no
+  // per-source generation table (64K counters per machine) is worth keeping.
   void InvalidateIotlb(uint16_t source_id);
   const IotlbStats& iotlb_stats() const { return iotlb_stats_; }
   // Reshapes (and empties) the IOTLB; stats are preserved.
@@ -220,12 +221,10 @@ class Iommu {
 
   Status Fault(uint16_t source_id, uint64_t iova, bool is_write, std::string reason);
 
-  // One IOTLB entry. An entry is live iff `valid` and its generation matches
-  // the owning source's current generation (stale generations are lazily
-  // overwritten by later fills).
+  // One IOTLB entry, live iff `valid`: every invalidation, of a page or of a
+  // whole source, clears the flag in place.
   struct IotlbEntry {
     uint64_t page = 0;
-    uint32_t generation = 0;
     uint16_t source_id = 0;
     bool valid = false;
     Pte pte;
@@ -235,6 +234,7 @@ class Iommu {
   IotlbEntry* IotlbLookup(uint16_t source_id, uint64_t page);
   void IotlbInsert(uint16_t source_id, uint64_t page, const Pte& pte);
   void IotlbInvalidatePageNoCount(uint16_t source_id, uint64_t iova);
+  void IotlbInvalidateSourceLocked(uint16_t source_id);  // counts one invalidation
 
   IommuMode mode_;
   CpuModel* cpu_;
@@ -263,7 +263,6 @@ class Iommu {
   IotlbGeometry iotlb_geometry_{};
   std::vector<IotlbEntry> iotlb_;        // sets * ways, flat
   std::vector<uint8_t> iotlb_fill_rr_;   // per-set round-robin fill cursor
-  std::vector<uint32_t> source_gen_;     // 64K per-source generation counters
   IotlbStats iotlb_stats_;
 
   bool interrupt_remapping_ = false;

@@ -27,8 +27,6 @@ class AudioProxy : public kern::PcmOps {
   Status CloseStream() override;
   Status WriteSamples(ConstByteSpan samples) override;
 
-  kern::PcmDevice* pcm() { return pcm_; }
-
   struct Stats {
     uint64_t write_upcalls = 0;
     uint64_t write_dropped = 0;

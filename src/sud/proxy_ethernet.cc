@@ -92,27 +92,25 @@ Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t
   uint32_t buffer_bytes = ctx_->pool().buffer_bytes();
   // Once per frame: a restarted driver can re-register mid-frame.
   const bool sg = driver_sg_.load(std::memory_order_relaxed);
+  const size_t cap = sg ? buffer_bytes * kern::kMaxChainFrags : buffer_bytes;
+  if (skb.total_len() > cap) {
+    // Never truncate: a frame the staging pool cannot hold (one buffer for a
+    // single-buffer driver, a bounded chain for SG) is dropped whole. Only
+    // reachable by handing the interface frames above its MTU — the MTU
+    // itself is clamped to pool capacity at registration.
+    stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
+    return Status(ErrorCode::kInvalidArgument, "frame exceeds staging buffer");
+  }
   if (!skb.is_linear() && (!sg || skb.TxChunks(buffer_bytes) > kern::kMaxChainFrags)) {
     // Linearize fallback: non-SG drivers always, and — like the real stack
     // linearizing skbs over MAX_SKB_FRAGS — frames whose fragment geometry
     // (many tiny frags) would burst the chain cap even for an SG driver.
     // One extra charged full-frame pass, the copy the SG path deletes.
-    size_t linear_cap = sg ? buffer_bytes * kern::kMaxChainFrags : buffer_bytes;
     cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_copy, skb.total_len());
-    if (!skb.Linearize(linear_cap)) {
-      stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
-      return Status(ErrorCode::kInvalidArgument, "frame exceeds staging buffer");
-    }
+    (void)skb.Linearize(cap);  // cannot fail: the frame fits the cap
     if (netdev_ != nullptr) {
       netdev_->stats().tx_linearized++;
     }
-  }
-  if (!sg && skb.data_len() > buffer_bytes) {
-    // Never truncate: a frame one staging buffer cannot hold is dropped whole
-    // (only reachable by handing the interface frames above its MTU — the
-    // MTU itself is clamped to pool capacity at registration).
-    stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
-    return Status(ErrorCode::kInvalidArgument, "frame exceeds staging buffer");
   }
   // Sealed TX: DRAM-backed frags (page-cache pages the kernel owns) cross as
   // read-only grants — one external mapping spanning the frame's frag pages,
@@ -146,11 +144,9 @@ Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t
   // bigger chains across STANDARD buffers instead of one oversized one. A
   // granted chunk gets the same record as a staged one, with no memcpy: its
   // handle resolves (driver-side, unchanged) to the granted IOVA inside the
-  // frame's external mapping. The list is bounded by the same chain cap the
-  // ring setup asserts — unreachable here, since the geometry check above
-  // linearizes over-fragmented skbs and the registration-time MTU clamp
-  // bounds the total — and a frame that somehow cannot be expressed within
-  // it is dropped whole, never truncated.
+  // frame's external mapping. The list fits the chain cap by construction:
+  // the staging cap above bounds the total, and the geometry check
+  // linearizes any skb whose fragments would need more chunks.
   std::array<int32_t, kern::kMaxChainFrags> ids;
   std::array<uint32_t, kern::kMaxChainFrags> lens;
   size_t count = 0;
@@ -159,10 +155,6 @@ Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t
   auto stage_segment = [&](ConstByteSpan segment, uint64_t paddr) {
     bool grant = group != nullptr && paddr != 0;
     for (size_t off = 0; off < segment.size() && staging.ok();) {
-      if (count >= kern::kMaxChainFrags) {
-        staging = Status(ErrorCode::kInvalidArgument, "frame exceeds the staging chain cap");
-        return;
-      }
       uint32_t chunk = static_cast<uint32_t>(std::min<size_t>(segment.size() - off, buffer_bytes));
       Result<int32_t> id =
           grant ? ctx_->pool().GrantExternal(group->region_iova + (paddr + off - grant_lo), chunk,
@@ -229,11 +221,10 @@ Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t
 }
 
 size_t EthernetProxy::StartXmitBatch(std::span<kern::SkbPtr> skbs, uint16_t queue) {
-  if (queue >= ctx_->num_queues()) {
-    queue = 0;
-  }
-  // Stage every frame first, so the whole array crosses in one enqueue, into
-  // this thread's array (a nested transmit, in a ring-full pump, gets a new one).
+  // The stack steers over netdev_->num_queues(), which register_netdev
+  // clamps to the context's shards: `queue` names one of them. Stage every
+  // frame first, so the whole array crosses in one enqueue, into this
+  // thread's array (a nested transmit, in a ring-full pump, gets a new one).
   thread_local std::vector<UchanMsg> t_staged;
   std::vector<UchanMsg> msgs = std::move(t_staged);
   Status staging = Status::Ok();
@@ -318,10 +309,7 @@ void EthernetProxy::HandleDowncall(UchanMsg& msg, uint16_t shard, wire::Malform 
       // The driver's advertised queue count, clamped to the shards the
       // kernel actually exported: a malicious count cannot grow the
       // attack surface.
-      uint16_t queues = static_cast<uint16_t>(msg.args[0]);
-      if (queues == 0) {
-        queues = 1;
-      }
+      uint16_t queues = static_cast<uint16_t>(msg.args[0]);  // set_num_queues maps 0 to 1
       if (queues > ctx_->num_queues()) {
         if (netdev_ != nullptr) {
           netdev_->stats().driver_errors++;
@@ -477,9 +465,9 @@ void EthernetProxy::HandleNetifRx(UchanMsg& msg, uint16_t shard) {
       // Cannot fail: the total was bounded by max_frame above.
       (void)skb->AppendFrag(ConstByteSpan(views[i].data(), views[i].size()), max_frame);
     }
-    bool checksum_ok = skb->VerifyChecksumPrivate();
+    (void)skb->VerifyChecksumPrivate();
     charge_guard_copy(total);
-    FinishRxSkb(std::move(skb), checksum_ok, static_cast<size_t>(total), shard);
+    FinishRxSkb(std::move(skb), shard);
     msg.error = 0;  // a dropped packet is not a downcall failure
     return;
   }
@@ -499,9 +487,9 @@ void EthernetProxy::HandleNetifRx(UchanMsg& msg, uint16_t shard) {
   // are one traversal (AssignAndVerifyChecksum), and the stack skips its
   // (redundant) checksum pass for skbs the proxy already verified.
   auto skb = std::make_unique<kern::Skb>();
-  bool checksum_ok = skb->AssignAndVerifyChecksum(ConstByteSpan(shared.data(), shared.size()));
+  (void)skb->AssignAndVerifyChecksum(ConstByteSpan(shared.data(), shared.size()));
   charge_guard_copy(shared.size());
-  FinishRxSkb(std::move(skb), checksum_ok, shared.size(), shard);
+  FinishRxSkb(std::move(skb), shard);
 }
 
 bool EthernetProxy::TrySealedDeliver(uint64_t iova, ByteSpan shared, uint16_t shard) {
@@ -512,19 +500,15 @@ bool EthernetProxy::TrySealedDeliver(uint64_t iova, ByteSpan shared, uint16_t sh
   if (!hw::IsPageAligned(iova)) {
     return false;
   }
-  // Injected seal failure (fault site "iommu.seal"): nothing sealed, nothing
-  // delivered — the caller degrades to the counted guard-copy fallback.
-  if (SUD_FAULT_POINT("iommu.seal")) {
-    return false;
-  }
   hw::Iommu* iommu = ctx_->dma().iommu();
   uint16_t source = ctx_->source_id();
   uint32_t epoch = ctx_->bind_generation();
   uint64_t len = hw::PageAlignUp(shared.size());
   {
     std::lock_guard<std::mutex> lock(seal_mu_);
-    Status sealed = iommu->SealWrite(source, iova, len);
-    if (!sealed.ok()) {
+    // An injected (fault site "iommu.seal") or genuine seal failure: nothing
+    // sealed, nothing delivered — the caller degrades to the guard copy.
+    if (SUD_FAULT_POINT("iommu.seal") || !iommu->SealWrite(source, iova, len).ok()) {
       return false;
     }
     for (uint64_t off = 0; off < len; off += hw::kPageSize) {
@@ -547,12 +531,11 @@ bool EthernetProxy::TrySealedDeliver(uint64_t iova, ByteSpan shared, uint16_t sh
   // replaces the private copy as the TOCTOU guarantee, so the charged pass
   // is checksum-only — exactly what the fused guard copy charged. The copy
   // itself is what this path deletes.
-  bool checksum_ok = skb->VerifyChecksumPrivate();
+  (void)skb->VerifyChecksumPrivate();
   CpuModel& cpu = kernel_->machine().cpu();
   cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_checksum, shared.size());
   stats_.sealed_deliveries.fetch_add(1, std::memory_order_relaxed);
-  size_t frame_bytes = skb->data_len();
-  FinishRxSkb(std::move(skb), checksum_ok, frame_bytes, shard);
+  FinishRxSkb(std::move(skb), shard);
   return true;
 }
 
@@ -585,26 +568,12 @@ void EthernetProxy::ReleaseSealedPages(uint64_t base, uint64_t len, uint32_t epo
   }
 }
 
-void EthernetProxy::FinishRxSkb(kern::SkbPtr skb, bool checksum_ok, size_t frame_bytes,
-                                uint16_t shard) {
+void EthernetProxy::FinishRxSkb(kern::SkbPtr skb, uint16_t shard) {
   CpuModel& cpu = kernel_->machine().cpu();
   cpu.Charge(kAccountKernel, cpu.costs().skb_alloc + cpu.costs().stack_work_per_pkt);
-  if (!checksum_ok) {
-    // Same drop accounting the stack's own pass would have applied (the
-    // skb_alloc + stack charge above still applies first, as it did when
-    // these packets died inside NetifRx).
-    if (frame_bytes < kern::kPacketMinSize) {
-      netdev_->stats().rx_dropped++;
-      netdev_->stats().driver_errors++;
-      SUD_LOG_RL(kWarning) << netdev_->name() << ": driver delivered runt packet, dropping";
-    } else {
-      netdev_->stats().rx_bad_checksum++;
-      netdev_->stats().rx_dropped++;
-    }
-    return;
-  }
-  // NAPI-style: the private copy joins the shard's poll bundle; the whole
-  // array enters the stack once, at the end of this kernel entry.
+  // NAPI-style: the skb joins the shard's poll bundle; the whole array enters
+  // the stack once, at the end of this kernel entry. A runt or a frame whose
+  // checksum failed enters it too, and the stack drops and counts it.
   rx_bundle_[shard].push_back(std::move(skb));
 }
 

@@ -193,24 +193,25 @@ class EthernetProxy : public kern::NetDeviceOps {
   // bind generation moved on (crash-reap quarantine: never unseal a dead
   // epoch's page into a successor's IO space).
   void ReleaseSealedPages(uint64_t base, uint64_t len, uint32_t epoch);
-  // Tail of every rx delivery: charges the stack costs, applies the
-  // bad-checksum drop accounting, and joins the shard's NAPI bundle.
-  void FinishRxSkb(kern::SkbPtr skb, bool checksum_ok, size_t frame_bytes, uint16_t shard);
+  // Tail of every rx delivery: charges the stack costs and joins the shard's
+  // NAPI bundle. The stack drops (and counts) the runts and bad checksums.
+  void FinishRxSkb(kern::SkbPtr skb, uint16_t shard);
   // Frees the ids a free-buffer batch's payload carries. A batch the context
   // refused on its shape is tolerated and counted, its ids salvaged.
   void HandleFreeBuffer(UchanMsg& msg, wire::Malform verdict);
   // Stages one skb for transmit and fills `msg` with its kEthUpXmit upcall:
-  // head and frags chunked by the pool buffer size into a fragment list
-  // bounded by kern::kMaxChainFrags (one fragment for a linear frame that
-  // fits one buffer), behind the linearize fallback (an extra charged
-  // full-frame copy) for frag skbs headed at a non-SG driver or over the
-  // fragment cap. One chunk loop serves both kinds of fragment: a chunk of a
-  // DRAM-backed frag becomes a read-only grant, any other chunk a staged
-  // copy (same records; a grant costs no memcpy). On failure the drop and
-  // hung-driver accounting has already been applied and nothing stays
-  // allocated. Takes the skb by owning pointer: a frame with grants moves it
-  // into its grant group (the DRAM frag pages must outlive the device's
-  // reads); every other frame leaves it with the caller.
+  // a frame over the staging cap is refused first; the rest are chunked by
+  // the pool buffer size into a fragment list bounded by kern::kMaxChainFrags
+  // (one fragment for a linear frame that fits one buffer), behind the
+  // linearize fallback (an extra charged full-frame copy) for frag skbs
+  // headed at a non-SG driver or over the fragment cap. One chunk loop
+  // serves both kinds of fragment: a chunk of a DRAM-backed frag becomes a
+  // read-only grant, any other chunk a staged copy (same records; a grant
+  // costs no memcpy). On failure the drop and hung-driver accounting has
+  // already been applied and nothing stays allocated. Takes the skb by
+  // owning pointer: a frame with grants moves it into its grant group (the
+  // DRAM frag pages must outlive the device's reads); every other frame
+  // leaves it with the caller.
   Status PrepareXmit(kern::SkbPtr& skb, UchanMsg* msg, uint16_t queue);
   // The driver-declared MTU clamped to what the TX staging pool can hold
   // (one buffer for single-buffer drivers, a bounded chain of them for SG).

@@ -33,8 +33,6 @@ class WirelessProxy : public kern::WirelessOps {
   Result<std::vector<kern::ScanResult>> Scan() override;
   Status Associate(const std::string& ssid) override;
 
-  kern::WirelessDevice* wdev() { return wdev_; }
-
   struct Stats {
     uint64_t feature_upcalls_queued = 0;
     uint64_t atomic_violations = 0;  // sync upcalls attempted in atomic ctx (must stay 0)

@@ -299,7 +299,17 @@ Status SudDeviceContext::RequestIoRegion() {
 }
 
 void SudDeviceContext::OnDeviceInterrupt(uint16_t queue, uint16_t msi_source_id) {
-  if (queue >= num_queues_) {
+  if (msi_source_id != source_id()) {
+    // Our vector, someone else's requester id: a forged interrupt via stray
+    // DMA to the MSI address. Masking *our* device is useless — escalate
+    // against the storming device's context, under its lock, not ours.
+    {
+      std::lock_guard<SpinLock> lock(irq_mu_);
+      ++irq_stats_.forged_received;
+    }
+    SUD_LOG(kAttack) << device_->name() << ": forged MSI (vector "
+                     << int{vector_base_} + queue << ") from source " << Hex(msi_source_id);
+    module_->ReportForgedMsi(msi_source_id);
     return;
   }
   std::lock_guard<SpinLock> lock(irq_mu_);
@@ -307,45 +317,22 @@ void SudDeviceContext::OnDeviceInterrupt(uint16_t queue, uint16_t msi_source_id)
     return;
   }
   hw::Machine& machine = kernel_->machine();
-  if (msi_source_id != source_id()) {
-    // Our vector, someone else's requester id: a forged interrupt via stray
-    // DMA to the MSI address. Masking *our* device is useless — escalate
-    // against the storming device's context.
-    ++irq_stats_.forged_received;
-    SUD_LOG(kAttack) << device_->name() << ": forged MSI (vector "
-                     << int{vector_base_} + queue << ") from source " << Hex(msi_source_id);
-    if (module_ != nullptr) {
-      module_->ReportForgedMsi(msi_source_id);
-    }
-    return;
-  }
   if (device_->config().msi_masked()) {
     // MSI is masked, yet an interrupt arrived: it cannot have come from the
     // device's MSI logic — this is a stray DMA write to the MSI address
-    // (Section 3.2.2) or remapping passthrough. Count toward a storm.
+    // (Section 3.2.2). Count toward a storm; once one is escalated, remapping
+    // or the unmapped MSI page stops delivery upstream.
     // It can ALSO be a genuine message that raced the mask flip (the device
     // checked the mask bit before a coalesce set it); the source id already
     // matched, so pend the queue — a spurious re-poll is harmless, a lost
     // edge wedges the queue forever.
     irq_pended_[queue] = true;
     ++interrupts_while_masked_;
-    if (irq_stats_.remap_blocked || irq_stats_.msi_page_unmapped) {
-      // Escalation already applied and yet delivery happened: accounting
-      // only (should not occur — the defences block delivery upstream).
-      ++irq_stats_.unstoppable;
-      return;
-    }
     if (interrupts_while_masked_ >= kStormThreshold) {
       EscalateStorm();
     } else if (interrupts_while_masked_ == 1) {
       SUD_LOG(kAttack) << device_->name()
                        << ": interrupt delivered while MSI masked (stray DMA to MSI address)";
-    }
-    if (!irq_stats_.remap_blocked && !irq_stats_.msi_page_unmapped &&
-        interrupts_while_masked_ >= kStormThreshold) {
-      // Intel without interrupt remapping: nothing more SUD can do; the
-      // paper's testbed is vulnerable to exactly this livelock (§5.2).
-      ++irq_stats_.unstoppable;
     }
     return;
   }
@@ -392,6 +379,9 @@ void SudDeviceContext::EscalateStorm() {
     SUD_LOG(kAttack) << device_->name() << ": interrupt storm — unmapped MSI page (AMD-Vi)";
     return;
   }
+  // Intel without interrupt remapping: nothing more SUD can do; the paper's
+  // testbed is vulnerable to exactly this livelock (§5.2).
+  ++irq_stats_.unstoppable;
   SUD_LOG(kAttack) << device_->name()
                    << ": interrupt storm from stray DMA — no interrupt remapping available, "
                       "livelock cannot be stopped (Intel VT-d without IR, §5.2)";
@@ -504,41 +494,14 @@ SudDeviceContext* SafePciModule::Find(hw::PciDevice* device) {
   return it == contexts_.end() ? nullptr : it->second.get();
 }
 
-SudDeviceContext* SafePciModule::FindBySourceId(uint16_t source_id) {
-  for (auto& [device, context] : contexts_) {
-    if (device->address().source_id() == source_id) {
-      return context.get();
+void SafePciModule::ReportForgedMsi(uint16_t attacker_source_id) {
+  // A forger SUD does not export has no context: the victim's count is all.
+  for (auto& [device, attacker] : contexts_) {
+    if (attacker->source_id() == attacker_source_id) {
+      std::lock_guard<SudDeviceContext::SpinLock> lock(attacker->irq_mu_);
+      attacker->EscalateStorm();
     }
   }
-  return nullptr;
-}
-
-void SafePciModule::ReportForgedMsi(uint16_t attacker_source_id) {
-  SudDeviceContext* attacker = FindBySourceId(attacker_source_id);
-  if (attacker == nullptr) {
-    SUD_LOG(kAttack) << "forged MSI from source " << Hex(attacker_source_id)
-                     << " which is not an exported device";
-    return;
-  }
-  attacker->irq_stats_.storm_escalations++;
-  hw::Machine& machine = kernel_->machine();
-  if (machine.iommu().interrupt_remapping()) {
-    // With interrupt remapping the forged write would have been blocked
-    // before delivery; reaching here means remapping was enabled after the
-    // fact — blank the attacker's entries anyway.
-    attacker->irq_stats_.remap_blocked = true;
-    return;
-  }
-  if (machine.iommu().mode() == hw::IommuMode::kAmdVi) {
-    (void)machine.iommu().Unmap(attacker_source_id, hw::kMsiRangeBase, hw::kPageSize);
-    attacker->irq_stats_.msi_page_unmapped = true;
-    SUD_LOG(kAttack) << attacker->device()->name()
-                     << ": forged-MSI storm stopped by unmapping its MSI page (AMD-Vi)";
-    return;
-  }
-  attacker->irq_stats_.unstoppable++;
-  SUD_LOG(kAttack) << attacker->device()->name()
-                   << ": forged-MSI storm cannot be stopped (Intel VT-d without IR, §5.2)";
 }
 
 }  // namespace sud

@@ -192,7 +192,7 @@ class SudDeviceContext {
   // Undoes Acquire and the context, for Teardown and a failed Bind alike.
   void Release();
   void OnDeviceInterrupt(uint16_t queue, uint16_t source_id);
-  void EscalateStorm();
+  void EscalateStorm();  // stops this device's MSI storm; caller holds irq_mu_
   bool ConfigWriteAllowed(uint16_t offset, int width, uint32_t value, std::string* why) const;
 
   friend class SafePciModule;
@@ -264,10 +264,10 @@ class SafePciModule {
                                          SudDeviceContext::Options options);
   Status RevokeDevice(hw::PciDevice* device);
   SudDeviceContext* Find(hw::PciDevice* device);
-  SudDeviceContext* FindBySourceId(uint16_t source_id);
 
   // A context received an interrupt whose MSI write originated from another
-  // device (a stray-DMA-forged vector): escalate against the *attacker*.
+  // device (a stray-DMA-forged vector): the attacker's context escalates its
+  // storm, under its own interrupt lock.
   void ReportForgedMsi(uint16_t attacker_source_id);
 
  private:

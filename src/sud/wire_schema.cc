@@ -116,7 +116,6 @@ constexpr std::array<MessageSchema, kRegistryCapacity> BuildRegistry() {
   }
   {
     MessageSchema s = Msg(Dir::kUp, kWifiUpScan, "wifi_scan", Lane::kControl);
-    s.reply_payload = PayloadKind::kRecords;
     s.reply_record = ScanRecord();
     s.reply_max_records = kMaxScanRecords;
     reg[i++] = s;
@@ -261,9 +260,9 @@ uint64_t LoadField(const FieldSpec& f, const uint8_t* record) {
     case FieldType::kLe64:
       return LoadLe64(record + f.offset);
     case FieldType::kBytes:
-      return 0;  // opaque spans have no scalar value to bound
+      break;
   }
-  return 0;
+  return 0;  // opaque spans have no scalar value to bound: [0, 0] admits it
 }
 
 // `sum` starts at the head fragment's length (0 when there is none).
@@ -284,9 +283,6 @@ Malform ValidateRecords(const RecordSpec& record, uint32_t min_records, uint32_t
     const uint8_t* bytes = payload.data() + r * record.bytes;
     for (size_t f = 0; f < record.num_fields; ++f) {
       const FieldSpec& field = record.fields[f];
-      if (field.type == FieldType::kBytes) {
-        continue;
-      }
       uint64_t value = LoadField(field, bytes);
       if (value < field.min || value > field.max) {
         return Malform::kFieldRange;
@@ -307,7 +303,7 @@ Malform ValidateRecords(const RecordSpec& record, uint32_t min_records, uint32_t
 const char* MalformName(Malform verdict) {
   switch (verdict) {
     case Malform::kNone:
-      return "none";
+      break;
     case Malform::kUnknownOpcode:
       return "unknown_opcode";
     case Malform::kWrongLane:
@@ -383,45 +379,24 @@ Malform ValidateStructure(Dir dir, const UchanMsg& msg, uint16_t shard) {
                  ? Malform::kNone
                  : Malform::kPayloadSize;
     case PayloadKind::kRecords:
-      if (msg.inline_data.empty() && s->min_records == 0) {
-        // Nothing to walk (every one-fragment frame): the count must say so,
-        // and the head alone must fit the frame cap.
-        if (s->count_arg >= 0 && msg.args[static_cast<size_t>(s->count_arg)] != 0) {
-          return Malform::kCountMismatch;
-        }
-        return s->record.sum_field < 0 || head_len <= s->record.sum_max ? Malform::kNone
-                                                                        : Malform::kFieldRange;
-      }
-      return ValidateRecords(s->record, s->min_records, s->max_records, s->count_arg, msg,
-                             msg.inline_data, head_len);
+      break;
   }
-  return Malform::kNone;
+  if (msg.inline_data.empty() && s->min_records == 0) {
+    // Nothing to walk (every one-fragment frame): the count must say so, and
+    // the head alone must fit the frame cap.
+    if (s->count_arg >= 0 && msg.args[static_cast<size_t>(s->count_arg)] != 0) {
+      return Malform::kCountMismatch;
+    }
+    return s->record.sum_field < 0 || head_len <= s->record.sum_max ? Malform::kNone
+                                                                    : Malform::kFieldRange;
+  }
+  return ValidateRecords(s->record, s->min_records, s->max_records, s->count_arg, msg,
+                         msg.inline_data, head_len);
 }
 
 Malform ValidateReplyStructure(const MessageSchema& schema, const UchanMsg& reply) {
-  switch (schema.reply_payload) {
-    case PayloadKind::kNone:
-      return Malform::kNone;  // reply payloads are free-form unless declared
-    case PayloadKind::kRecords:
-      return ValidateRecords(schema.reply_record, 0, schema.reply_max_records,
-                             /*count_arg=*/-1, reply, reply.inline_data, /*sum=*/0);
-    default:
-      return Malform::kNone;
-  }
-}
-
-std::vector<std::pair<std::string, uint64_t>> RejectStats::NonZero() const {
-  std::vector<std::pair<std::string, uint64_t>> out;
-  for (size_t i = 0; i < kRegistryCapacity; ++i) {
-    uint64_t n = counts_[i].load(std::memory_order_relaxed);
-    if (n > 0) {
-      out.emplace_back(kRegistry[i].name, n);
-    }
-  }
-  if (uint64_t n = counts_[kRegistryCapacity].load(std::memory_order_relaxed); n > 0) {
-    out.emplace_back("unknown_opcode", n);
-  }
-  return out;
+  return ValidateRecords(schema.reply_record, 0, schema.reply_max_records, /*count_arg=*/-1,
+                         reply, reply.inline_data, /*sum=*/0);
 }
 
 // ---- typed codec ------------------------------------------------------------

@@ -30,8 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "src/base/bytes.h"
@@ -58,7 +56,7 @@ enum class Lane : uint8_t { kControl, kQueue };
 enum class FieldType : uint8_t { kU8, kI8, kLe32, kLe64, kBytes };
 
 // One field of an inline-payload record. min/max bound scalar fields
-// (inclusive, STATIC values only); kBytes fields are opaque spans.
+// (inclusive, STATIC values only); kBytes fields, opaque spans, read as 0.
 struct FieldSpec {
   const char* name = nullptr;
   FieldType type = FieldType::kLe32;
@@ -125,8 +123,8 @@ struct MessageSchema {
   uint32_t max_records = 0;
   RecordSpec record{};
   FrameHead head = FrameHead::kNone;
-  // Sync messages whose REPLY carries a record payload (kWifiUpScan).
-  PayloadKind reply_payload = PayloadKind::kNone;
+  // Sync messages whose REPLY carries a record payload (kWifiUpScan). A
+  // zero-stride reply_record means a free-form reply, which nothing checks.
   RecordSpec reply_record{};
   uint32_t reply_max_records = 0;
 };
@@ -166,7 +164,7 @@ int SchemaIndexOf(Dir dir, uint32_t opcode);
 Malform ValidateStructure(Dir dir, const UchanMsg& msg, uint16_t shard = 0);
 
 // Structural validation of a sync REPLY's payload against the request
-// schema's reply layout (kNone for schemas whose replies carry no records).
+// schema's reply records (a schema with none refuses every payload).
 Malform ValidateReplyStructure(const MessageSchema& schema, const UchanMsg& reply);
 
 // ---- rejection accounting ---------------------------------------------------
@@ -196,9 +194,6 @@ class RejectStats {
     }
     return sum;
   }
-  // (schema name, count) for every non-zero slot; unknown opcodes report as
-  // "unknown_opcode".
-  std::vector<std::pair<std::string, uint64_t>> NonZero() const;
 
  private:
   std::array<std::atomic<uint64_t>, kRegistryCapacity + 1> counts_{};

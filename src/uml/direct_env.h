@@ -65,8 +65,6 @@ class DirectEnv : public DriverEnv {
   void SubmitKeyEvent(uint8_t usage_code) override;
 
   kern::NetDevice* netdev() { return netdev_; }
-  kern::WirelessDevice* wdev() { return wdev_; }
-  kern::PcmDevice* pcm() { return pcm_; }
 
  private:
   // Adapters bridging kernel subsystem ops to the driver's callbacks.

@@ -386,9 +386,11 @@ TEST(IntegrationNet, TxScatterGatherSerialVsThreadedDeterminism) {
   struct WireRecorder : devices::EtherEndpoint {
     std::atomic<uint64_t> frames{0};
     std::atomic<uint64_t> digest{0};
+    // The count is the completion signal the test waits on, so it moves
+    // after the digest: a reader that sees N frames sees their N hashes.
     void DeliverFrame(ConstByteSpan frame) override {
-      frames.fetch_add(1, std::memory_order_relaxed);
       digest.fetch_add(devices::EtherLink::FrameHash(frame), std::memory_order_relaxed);
+      frames.fetch_add(1, std::memory_order_release);
     }
   };
 
@@ -629,9 +631,11 @@ TEST(IntegrationNet, ConcurrentTxSendersMatchSerialPerQueue) {
   struct WireRecorder : devices::EtherEndpoint {
     std::atomic<uint64_t> frames{0};
     std::atomic<uint64_t> digest{0};
+    // The count is the completion signal the test waits on, so it moves
+    // after the digest: a reader that sees N frames sees their N hashes.
     void DeliverFrame(ConstByteSpan frame) override {
-      frames.fetch_add(1, std::memory_order_relaxed);
       digest.fetch_add(devices::EtherLink::FrameHash(frame), std::memory_order_relaxed);
+      frames.fetch_add(1, std::memory_order_release);
     }
   };
 

@@ -25,6 +25,12 @@ using testing::kMacA;
 using testing::kMacB;
 using testing::NetBench;
 
+std::vector<kern::SkbPtr> MakeBurst(kern::SkbPtr skb) {
+  std::vector<kern::SkbPtr> burst;
+  burst.push_back(std::move(skb));
+  return burst;
+}
+
 TEST(EthernetProxyTest, XmitExhaustsPoolThenRecovers) {
   NetBench::Options options;
   options.sud.pool_buffers = 4;
@@ -167,6 +173,136 @@ TEST(EthernetProxyTest, UnknownDowncallOpcodeRejected) {
   msg.opcode = 0xdead;
   Status status = bench.ctx->ctl().DowncallSync(msg);
   EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+  // A well-formed downcall of another device class passes the schema and is
+  // refused by the proxy it reaches.
+  UchanMsg audio;
+  audio.opcode = kAudioDownRegister;
+  EXPECT_EQ(bench.ctx->ctl().DowncallSync(audio).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(bench.ctx->wire_rejects().total(), 1u);  // only the unknown opcode
+}
+
+// ---- a driver the test plays downcall by downcall --------------------------
+
+// The SUT context bound to a process no driver runs in: the test sends the
+// driver's downcalls itself, and nothing consumes the xmit upcalls.
+class PlayedDriverTest : public ::testing::Test {
+ protected:
+  explicit PlayedDriverTest(uint32_t pool_buffers = 512) : bench_(MakeOptions(pool_buffers)) {
+    EXPECT_TRUE(bench_.ctx->Bind(&bench_.kernel.processes().Spawn("drv", kDriverUid)).ok());
+  }
+  static NetBench::Options MakeOptions(uint32_t pool_buffers) {
+    NetBench::Options options;
+    options.start_peer = false;
+    options.sud.pool_buffers = pool_buffers;
+    return options;
+  }
+  Status RegisterNetdev(uint64_t queues, bool sg) {
+    UchanMsg msg;
+    msg.opcode = kEthDownRegisterNetdev;
+    msg.args[0] = queues;
+    msg.args[1] = kern::kStdMtu;
+    msg.args[2] = sg ? kEthFeatureSg : 0;
+    msg.inline_data.assign(kMacB, kMacB + 6);
+    return bench_.ctx->ctl().DowncallSync(msg);
+  }
+  // A netif_rx of `len` bytes of a fresh DMA buffer.
+  Status NetifRx(uint32_t len) {
+    DmaFrag frag{bench_.ctx->dma().Alloc(4096, false).value().iova, len};
+    UchanMsg msg;
+    wire::EncodeNetifRx({&frag, 1}, &msg);
+    return bench_.ctx->ctl().DowncallSync(msg);
+  }
+  // Transmits `skbs` as one burst on queue 0; returns the frames accepted.
+  size_t Xmit(std::vector<kern::SkbPtr> skbs) { return bench_.proxy->StartXmitBatch(skbs, 0); }
+  kern::SkbPtr Frame(size_t bytes) {
+    std::vector<uint8_t> frame(bytes, 0x6b);
+    return kern::MakeSkb({frame.data(), frame.size()});
+  }
+  uint64_t dropped() const { return bench_.proxy->stats().xmit_dropped.load(); }
+
+  NetBench bench_;
+};
+
+// register_netdev: a name the kernel already holds fails the registration
+// whole; a queue count past the context's is clamped, and counted once there
+// is an interface to count it on. Before any registration netif_rx has no
+// interface to deliver to, and a runt delivered after it is the stack's drop.
+TEST_F(PlayedDriverTest, RegisterNetdevBoundsWhatTheDriverClaims) {
+  EXPECT_EQ(NetifRx(64).code(), ErrorCode::kUnavailable);
+  ASSERT_TRUE(bench_.kernel.net().RegisterNetdev("eth0", kMacA, bench_.proxy.get()).ok());
+  EXPECT_EQ(RegisterNetdev(1, false).code(), ErrorCode::kAlreadyExists);
+  EXPECT_EQ(bench_.proxy->netdev(), nullptr);
+
+  ASSERT_TRUE(RegisterNetdev(8, false).ok());
+  kern::NetDevice* netdev = bench_.proxy->netdev();
+  ASSERT_NE(netdev, nullptr);
+  EXPECT_EQ(netdev->name(), "eth1");
+  EXPECT_EQ(netdev->num_queues(), 1u);
+  EXPECT_EQ(netdev->stats().driver_errors.load(), 0u);
+  ASSERT_TRUE(RegisterNetdev(8, false).ok());  // the same claim again, re-registering
+  EXPECT_EQ(bench_.proxy->netdev(), netdev);
+  EXPECT_EQ(netdev->num_queues(), 1u);
+  EXPECT_EQ(netdev->stats().driver_errors.load(), 1u);
+
+  ASSERT_TRUE(NetifRx(static_cast<uint32_t>(kern::kPacketMinSize) - 1).ok());
+  EXPECT_EQ(netdev->stats().rx_dropped.load(), 1u);
+  EXPECT_EQ(netdev->stats().driver_errors.load(), 2u);
+  EXPECT_EQ(netdev->stats().rx_packets.load(), 0u);
+  EXPECT_EQ(bench_.proxy->stats().rx_bundles.load(), 1u);
+}
+
+// A frame the staging pool cannot hold is refused whole before any copy:
+// over one buffer for a single-buffer driver, over the chain for SG. So is
+// an empty one, and neither leaves a buffer behind.
+TEST_F(PlayedDriverTest, OversizeAndEmptyFramesAreDroppedWhole) {
+  const size_t buffer = bench_.ctx->pool().buffer_bytes();
+  ASSERT_TRUE(RegisterNetdev(1, false).ok());
+  kern::NetDevice* netdev = bench_.proxy->netdev();
+  EXPECT_EQ(Xmit(MakeBurst(Frame(buffer))), 1u);
+  EXPECT_EQ(Xmit(MakeBurst(Frame(buffer + 1))), 0u);
+  std::vector<uint8_t> frag_frame(2 * buffer, 0x6c);
+  EXPECT_EQ(Xmit(MakeBurst(kern::MakeFragSkb({frag_frame.data(), frag_frame.size()}, 64, 64))), 0u);
+  EXPECT_EQ(netdev->stats().tx_linearized.load(), 0u);  // refused before the linearize copy
+  EXPECT_EQ(dropped(), 2u);
+
+  ASSERT_TRUE(RegisterNetdev(1, true).ok());
+  EXPECT_EQ(Xmit(MakeBurst(Frame(buffer * kern::kMaxChainFrags))), 1u);
+  EXPECT_EQ(Xmit(MakeBurst(Frame(buffer * kern::kMaxChainFrags + 1))), 0u);
+  EXPECT_EQ(Xmit(MakeBurst(std::make_unique<kern::Skb>())), 0u);
+  EXPECT_EQ(dropped(), 4u);
+  EXPECT_EQ(bench_.ctx->pool().outstanding(), 1u + kern::kMaxChainFrags);
+}
+
+// A burst that fails mid-way drops its unstaged tail with the failing frame,
+// counted frame by frame: as pool backpressure (each one a no-buffer drop
+// toward the hung-driver count) when the pool ran out, and as plain drops
+// when a frame failed for its own reasons.
+class SmallPoolPlayedDriverTest : public PlayedDriverTest {
+ protected:
+  SmallPoolPlayedDriverTest() : PlayedDriverTest(/*pool_buffers=*/4) {}
+};
+
+TEST_F(SmallPoolPlayedDriverTest, MidBurstFailuresCountTheUnstagedTail) {
+  ASSERT_TRUE(RegisterNetdev(1, false).ok());
+  kern::NetDevice* netdev = bench_.proxy->netdev();
+  const size_t buffer = bench_.ctx->pool().buffer_bytes();
+  std::vector<kern::SkbPtr> burst;
+  burst.push_back(Frame(64));
+  burst.push_back(Frame(buffer + 1));  // fails on its own: the two behind it go too
+  burst.push_back(Frame(64));
+  burst.push_back(Frame(64));
+  EXPECT_EQ(Xmit(std::move(burst)), 1u);
+  EXPECT_EQ(dropped(), 3u);
+  EXPECT_EQ(netdev->stats().tx_no_buffer.load(), 0u);
+
+  burst.clear();
+  for (int i = 0; i < 6; ++i) {
+    burst.push_back(Frame(64));
+  }
+  EXPECT_EQ(Xmit(std::move(burst)), 3u);  // three buffers were left
+  EXPECT_EQ(dropped(), 6u);
+  EXPECT_EQ(netdev->stats().tx_no_buffer.load(), 3u);
+  EXPECT_EQ(bench_.ctx->pool().outstanding(), 4u);
 }
 
 // ---- multi-queue: RSS steering, shard isolation, coalesced completions -----
@@ -514,6 +650,34 @@ TEST(SealedDeliveryTest, HeldSkbAcrossRestartQuarantinesInsteadOfUnsealing) {
   EXPECT_EQ(bench.proxy->stats().sealed_deliveries.load(), delivered_before + 1);
 }
 
+// A delivery the seal cannot take falls back to the counted guard copy:
+// buffers that are not page-aligned (an 8-queue arena's 2 KB slots) and an
+// injected seal failure (fault site "iommu.seal") alike. Nothing is lost.
+TEST_F(ProxyFaultTest, UnsealableDeliveriesFallBackToTheGuardCopy) {
+  std::vector<uint8_t> payload(128, 0x5a);
+  for (uint32_t queues : {8u, 1u}) {
+    NetBench::Options options;
+    options.proxy.sealed_delivery = true;
+    options.nic_queues = queues;
+    NetBench bench(options);
+    ASSERT_TRUE(bench.StartSut().ok());
+    if (queues == 1) {
+      FaultInjector::Get().Configure("iommu.seal", FaultInjector::EveryNth(1));
+      FaultInjector::Get().Arm(41);
+    }
+    ASSERT_TRUE(bench.PeerSendFlowBurst(31000, 80, {payload.data(), payload.size()}, 16, 16).ok());
+    bench.host->Pump();
+    FaultInjector::Get().Disarm();
+    const EthernetProxy::Stats& stats = bench.proxy->stats();
+    EXPECT_EQ(bench.kernel.net().Find("eth0")->stats().rx_packets.load(), 16u) << queues;
+    EXPECT_EQ(stats.sealed_deliveries.load() + stats.sealed_fallback_copies.load(), 16u);
+    EXPECT_GT(stats.sealed_fallback_copies.load(), 0u) << queues;
+    if (queues == 1) {
+      EXPECT_EQ(stats.sealed_deliveries.load(), 0u);
+    }
+  }
+}
+
 // TX grants are pool-tracked in-flight work: a crash with grants outstanding
 // must quarantine them like staged buffers, the successor must see a whole
 // pool, and a dead epoch's grant id replayed against the fresh pool must be
@@ -587,6 +751,25 @@ TEST(SealedTxTest, OnlyDramBackedFragsMintGrants) {
   EXPECT_EQ(bench.proxy->stats().tx_grant_frames.load(), 4u);
   EXPECT_GT(bench.proxy->stats().tx_grants.load(), 0u);
   EXPECT_EQ(bench.ctx->pool().outstanding(), 0u);  // every buffer and grant came back
+
+  // One frame mixing both kinds: its heap frag stages a copy, its DRAM frag
+  // crosses as the frame's one grant, and the peer gets the bytes in order.
+  auto frame = kern::BuildPacket(kMacB, kMacA, 6000, 80, {payload.data(), 3000});
+  kern::SkbPtr dram = testing::MakeDramFragSkb(
+      bench.machine.dram(), {frame.data() + 1024, frame.size() - 1024}, 0, 4096);
+  ASSERT_NE(dram, nullptr);
+  auto mixed = std::make_unique<kern::Skb>(ConstByteSpan(frame.data(), 512));
+  mixed->AppendTxFrag({frame.data() + 512, 512});
+  mixed->AppendDramFrag(dram->tx_frag_paddr(0), dram->tx_frag(0));
+  uint64_t grants_before = bench.proxy->stats().tx_grants.load();
+  std::vector<kern::SkbPtr> burst;
+  burst.push_back(std::move(mixed));
+  ASSERT_TRUE(bench.kernel.net().TransmitBatch("eth0", std::move(burst)).ok());
+  bench.host->Pump();
+  EXPECT_EQ(bench.peer_nic.stats().rx_frames.load(), 9u);
+  EXPECT_EQ(bench.proxy->stats().tx_grant_frames.load(), 5u);
+  EXPECT_EQ(bench.proxy->stats().tx_grants.load(), grants_before + 1);
+  EXPECT_EQ(bench.ctx->pool().outstanding(), 0u);
 }
 
 // Grants are minted on the transmit path (this thread) and retired on the
@@ -636,6 +819,26 @@ TEST(WirelessProxyTest, ScanFromAtomicContextIsRefusedNotDeadlocked) {
   Result<std::vector<kern::ScanResult>> result = bench.proxy->Scan();
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(bench.proxy->stats().atomic_violations, 1u);
+  EXPECT_EQ(bench.proxy->Associate("lab").code(), ErrorCode::kInternal);
+  EXPECT_EQ(bench.proxy->stats().atomic_violations, 2u);
+}
+
+// The kernel-side failures a wireless driver can meet: its interface name
+// is taken, its registration is of another device class, and a scan finds
+// the channel dead.
+TEST(WirelessProxyTest, RefusedRegistrationsAndDeadChannelScans) {
+  WifiProxyBench bench;
+  ASSERT_TRUE(bench.kernel.wireless().Register("wlan0", bench.proxy.get(), 0).ok());
+  ASSERT_TRUE(bench.ctx->Bind(&bench.kernel.processes().Spawn("iwl", kDriverUid)).ok());
+  UchanMsg wifi;
+  wifi.opcode = kWifiDownRegister;
+  EXPECT_EQ(bench.ctx->ctl().DowncallSync(wifi).code(), ErrorCode::kAlreadyExists);
+  UchanMsg audio;
+  audio.opcode = kAudioDownRegister;
+  EXPECT_EQ(bench.ctx->ctl().DowncallSync(audio).code(), ErrorCode::kInvalidArgument);
+  bench.ctx->ctl().Shutdown();
+  EXPECT_EQ(bench.proxy->Scan().status().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(bench.proxy->stats().scans, 1u);
 }
 
 TEST(WirelessProxyTest, BitrateMirrorSurvivesDriverRestart) {
@@ -652,19 +855,32 @@ TEST(WirelessProxyTest, BitrateMirrorSurvivesDriverRestart) {
   EXPECT_EQ(wdev->bitrates().size(), 11u);
 }
 
-TEST(AudioProxyTest, LargeWriteSplitsAcrossBuffers) {
-  hw::Machine machine;
-  kern::Kernel kernel(&machine);
-  devices::AudioDev card("hda", &machine.clock());
-  auto& sw = machine.AddSwitch("sw0");
-  (void)machine.AttachDevice(sw, &card);
-  SafePciModule safe_pci(&kernel);
-  SudDeviceContext* ctx = safe_pci.ExportDevice(&card, kDriverUid).value();
-  AudioProxy proxy(&kernel, ctx);
-  uml::DriverHost host(&kernel, ctx, "hda", kDriverUid);
-  ASSERT_TRUE(host.Start(std::make_unique<drivers::SndHdaDriver>()).ok());
+class AudioProxyBench {
+ public:
+  explicit AudioProxyBench(uint32_t pool_buffers = 512)
+      : kernel(&machine), card("hda", &machine.clock()), safe_pci(&kernel) {
+    (void)machine.AttachDevice(machine.AddSwitch("sw0"), &card);
+    SudDeviceContext::Options options;
+    options.pool_buffers = pool_buffers;
+    ctx = safe_pci.ExportDevice(&card, kDriverUid, options).value();
+    proxy = std::make_unique<AudioProxy>(&kernel, ctx);
+    host = std::make_unique<uml::DriverHost>(&kernel, ctx, "hda", kDriverUid);
+  }
 
-  kern::PcmDevice* pcm = kernel.audio().Find("pcm0");
+  hw::Machine machine;
+  kern::Kernel kernel;
+  devices::AudioDev card;
+  SafePciModule safe_pci;
+  SudDeviceContext* ctx;
+  std::unique_ptr<AudioProxy> proxy;
+  std::unique_ptr<uml::DriverHost> host;
+};
+
+TEST(AudioProxyTest, LargeWriteSplitsAcrossBuffers) {
+  AudioProxyBench bench;
+  ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::SndHdaDriver>()).ok());
+
+  kern::PcmDevice* pcm = bench.kernel.audio().Find("pcm0");
   kern::PcmConfig config;
   config.buffer_bytes = 65536;
   ASSERT_TRUE(pcm->ops()->OpenStream(config).ok());
@@ -672,12 +888,61 @@ TEST(AudioProxyTest, LargeWriteSplitsAcrossBuffers) {
   // 10 KB write with 2 KB pool buffers: five upcalls, all bytes delivered.
   std::vector<uint8_t> samples(10240, 0x5a);
   ASSERT_TRUE(pcm->ops()->WriteSamples({samples.data(), samples.size()}).ok());
-  host.Pump();
-  EXPECT_EQ(proxy.stats().write_upcalls, 5u);
-  auto* driver = static_cast<drivers::SndHdaDriver*>(host.driver());
+  bench.host->Pump();
+  EXPECT_EQ(bench.proxy->stats().write_upcalls, 5u);
+  auto* driver = static_cast<drivers::SndHdaDriver*>(bench.host->driver());
   EXPECT_EQ(driver->stats().bytes_written, 10240u);
   // All pool buffers returned after the driver consumed them.
-  EXPECT_EQ(ctx->pool().free_count(), ctx->pool().count());
+  EXPECT_EQ(bench.ctx->pool().free_count(), bench.ctx->pool().count());
+
+  // A restarted driver re-registers onto the same pcm device.
+  ASSERT_TRUE(bench.host->Restart(std::make_unique<drivers::SndHdaDriver>()).ok());
+  EXPECT_EQ(bench.kernel.audio().Find("pcm0"), pcm);
+  EXPECT_EQ(bench.kernel.audio().Find("pcm1"), nullptr);
+}
+
+// A write the pool or the channel cannot take stops at the first chunk that
+// fails, counted, with its buffer back in the pool.
+TEST(AudioProxyTest, WritesStopAtAnEmptyPoolOrADeadChannel) {
+  AudioProxyBench bench(/*pool_buffers=*/2);
+  ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::SndHdaDriver>()).ok());
+  kern::PcmConfig config;
+  config.buffer_bytes = 65536;
+  ASSERT_TRUE(bench.proxy->OpenStream(config).ok());
+  std::vector<uint8_t> samples(3 * bench.ctx->pool().buffer_bytes(), 0x5a);
+  EXPECT_EQ(bench.proxy->WriteSamples({samples.data(), samples.size()}).code(),
+            ErrorCode::kQueueFull);  // two chunks staged, the third finds no buffer
+  EXPECT_EQ(bench.proxy->stats().write_upcalls, 2u);
+  EXPECT_EQ(bench.proxy->stats().write_dropped, 1u);
+  bench.host->Pump();
+  ASSERT_EQ(bench.ctx->pool().outstanding(), 0u);
+
+  bench.ctx->ctl().Shutdown();
+  EXPECT_EQ(bench.proxy->WriteSamples({samples.data(), 64}).code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(bench.proxy->stats().write_dropped, 2u);
+  EXPECT_EQ(bench.ctx->pool().outstanding(), 0u);
+}
+
+// Downcalls the audio proxy refuses: a malformed one (already counted by
+// the context), another class's registration, and a registration whose pcm
+// name the kernel already holds.
+TEST(AudioProxyTest, RefusedDowncallsRegisterNothing) {
+  AudioProxyBench bench;
+  ASSERT_TRUE(bench.kernel.audio().Register("pcm0", bench.proxy.get()).ok());
+  ASSERT_TRUE(bench.ctx->Bind(&bench.kernel.processes().Spawn("hda", kDriverUid)).ok());
+  UchanMsg malformed;
+  malformed.opcode = kAudioDownPeriodElapsed;
+  malformed.args[0] = 1;  // a dead slot carrying bytes
+  EXPECT_EQ(bench.ctx->ctl().DowncallSync(malformed).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(bench.ctx->wire_rejects().total(), 1u);
+  UchanMsg wifi;
+  wifi.opcode = kWifiDownRegister;
+  EXPECT_EQ(bench.ctx->ctl().DowncallSync(wifi).code(), ErrorCode::kInvalidArgument);
+  UchanMsg audio;
+  audio.opcode = kAudioDownRegister;
+  EXPECT_EQ(bench.ctx->ctl().DowncallSync(audio).code(), ErrorCode::kAlreadyExists);
+  EXPECT_EQ(bench.kernel.audio().Find("pcm1"), nullptr);
+  EXPECT_EQ(bench.ctx->wire_rejects().total(), 1u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@ namespace sud {
 namespace {
 
 using testing::kDriverUid;
+using testing::kMacB;
 using testing::NetBench;
 
 // ---- DMA attacks -------------------------------------------------------------
@@ -277,6 +278,84 @@ TEST(Security, StrayDmaMsiStormStoppedOnAmdByUnmapping) {
   if (bench.ctx->interrupt_stats().msi_page_unmapped) {
     EXPECT_EQ(bench.machine.msi().total_delivered(), delivered_at_cutoff);
   }
+}
+
+// ---- MSI squatting: one device forging another's interrupt ---------------------
+
+// A second exported NIC, the victim, bound to a driver process of its own.
+// The SUT's MsiStormDriver aims every RX buffer at the MSI doorbell, and each
+// of 40 frames the peer sends forges the victim's vector under the SUT's
+// requester id. Escalation must act on the attacker, never the victim.
+struct MsiSquat {
+  explicit MsiSquat(NetBench::Options options) : victim_nic("victim", kMacB), bench(options) {
+    EXPECT_TRUE(bench.machine.AttachDevice(*bench.sw, &victim_nic).ok());
+    victim = bench.safe_pci.ExportDevice(&victim_nic, kDriverUid).value();
+    EXPECT_TRUE(victim->Bind(&bench.kernel.processes().Spawn("victim", kDriverUid)).ok());
+    auto attack = std::make_unique<drivers::MsiStormDriver>(victim->irq_vector());
+    drivers::MsiStormDriver* attacker = attack.get();
+    EXPECT_TRUE(bench.host->Start(std::move(attack)).ok());
+    EXPECT_TRUE(attacker->Arm(128).ok());
+    frame[0] = victim->irq_vector();
+  }
+  void Forge(int count) {
+    for (int i = 0; i < count; ++i) {
+      (void)bench.link.Transmit(1, {frame.data(), frame.size()});
+    }
+  }
+
+  devices::SimNic victim_nic;  // outlives the bench whose module exports it
+  NetBench bench;
+  SudDeviceContext* victim = nullptr;
+  std::vector<uint8_t> frame = std::vector<uint8_t>(64);
+};
+
+// The paper's testbed: nothing stops the forged writes. Each reaches the
+// victim's vector, and each escalates against the attacker, whose storm is
+// counted unstoppable; the victim's own interrupt state is untouched.
+TEST(Security, MsiSquattingIsUnstoppableOnIntelWithoutIr) {
+  MsiSquat squat{NetBench::Options{}};
+  squat.Forge(40);
+  EXPECT_EQ(squat.victim->interrupt_stats().forged_received, 40u);
+  EXPECT_EQ(squat.victim->interrupt_stats().forwarded, 0u);
+  EXPECT_EQ(squat.victim->interrupt_stats().storm_escalations, 0u);
+  const SudDeviceContext::InterruptStats& attacker = squat.bench.ctx->interrupt_stats();
+  EXPECT_EQ(attacker.storm_escalations, 40u);
+  EXPECT_EQ(attacker.unstoppable, 40u);
+  EXPECT_FALSE(attacker.remap_blocked);
+  EXPECT_FALSE(attacker.msi_page_unmapped);
+}
+
+// Interrupt remapping has no entry for (attacker, victim's vector): every
+// forged write is blocked before delivery, so nothing needs escalating.
+TEST(Security, MsiSquattingBlockedByInterruptRemapping) {
+  NetBench::Options options;
+  options.machine.interrupt_remapping = true;
+  MsiSquat squat(options);
+  uint64_t blocked_before = squat.bench.machine.msi().blocked();
+  squat.Forge(40);
+  EXPECT_EQ(squat.bench.machine.msi().blocked() - blocked_before, 40u);
+  EXPECT_EQ(squat.victim->interrupt_stats().forged_received, 0u);
+  EXPECT_EQ(squat.bench.ctx->interrupt_stats().storm_escalations, 0u);
+}
+
+// AMD-Vi: the first forged MSI unmaps the attacker's MSI page; the root
+// complex drops every later write to the MSI window from the attacker, so
+// none reaches the victim.
+TEST(Security, MsiSquattingStoppedOnAmdByUnmappingTheAttackersPage) {
+  NetBench::Options options;
+  options.machine.iommu_mode = hw::IommuMode::kAmdVi;
+  MsiSquat squat(options);
+  squat.Forge(1);
+  EXPECT_EQ(squat.victim->interrupt_stats().forged_received, 1u);
+  EXPECT_TRUE(squat.bench.ctx->interrupt_stats().msi_page_unmapped);
+  EXPECT_EQ(squat.bench.ctx->interrupt_stats().storm_escalations, 1u);
+  uint64_t delivered = squat.bench.machine.msi().total_delivered();
+  uint64_t dropped = squat.bench.machine.root().dropped_transactions();
+  squat.Forge(39);
+  EXPECT_EQ(squat.bench.machine.msi().total_delivered(), delivered);
+  EXPECT_EQ(squat.victim->interrupt_stats().forged_received, 1u);
+  EXPECT_EQ(squat.bench.machine.root().dropped_transactions() - dropped, 39u);
+  EXPECT_FALSE(squat.victim->interrupt_stats().msi_page_unmapped);
 }
 
 // ---- liveness attacks -----------------------------------------------------------

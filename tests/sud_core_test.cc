@@ -63,6 +63,19 @@ TEST_F(DmaSpaceTest, HostViewRejectsOutOfRegion) {
   EXPECT_FALSE(space_->HostView(region.iova + 4090, 16).ok());  // straddles end
   EXPECT_FALSE(space_->HostView(0x1000, 4).ok());               // before base
   EXPECT_FALSE(space_->HostView(region.iova + 8192, 4).ok());   // past it
+  EXPECT_FALSE(space_->HostView(region.iova, UINT64_MAX).ok());  // end wraps past 2^64
+  EXPECT_EQ(space_->IovaToPaddr(region.iova + 4096).status().code(), ErrorCode::kNotFound);
+}
+
+// Requests the space cannot honour fail whole: nothing mapped, no page kept.
+TEST_F(DmaSpaceTest, RefusedRequestsLeaveNothingBehind) {
+  EXPECT_EQ(space_->Alloc(0, false).status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(space_->MapExternal(0x1234, 4096).status().code(), ErrorCode::kInvalidArgument);
+  // A source with no IOMMU context: the pages come back when the map fails.
+  DmaSpace orphan(&dram_, &iommu_, kSrc + 1);
+  EXPECT_FALSE(orphan.Alloc(8192, false).ok());
+  EXPECT_EQ(dram_.allocated_pages(), 0u);
+  EXPECT_EQ(orphan.total_bytes(), 0u);
 }
 
 TEST_F(DmaSpaceTest, FreeUnmapsAndReturnsPages) {
@@ -199,6 +212,19 @@ TEST_F(PoolTest, GrantSlotsRunFromCountToTheIndexCap) {
   EXPECT_EQ(pool_.active_grants(), SharedBufferPool::kMaxBuffers - pool_.count());
 }
 
+// Before Init the pool has no storage, and a grant must fit one buffer.
+TEST_F(PoolTest, RefusesBeforeInitAndOutsizedGrants) {
+  SharedBufferPool fresh(space_.get(), /*count=*/8, /*buffer_bytes=*/512);
+  EXPECT_EQ(fresh.Alloc().status().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(fresh.GrantExternal(0x1000, 64, nullptr).status().code(), ErrorCode::kUnavailable);
+  for (uint32_t len : {0u, 513u}) {
+    EXPECT_EQ(pool_.GrantExternal(0x1000, len, nullptr).status().code(),
+              ErrorCode::kInvalidArgument)
+        << len;
+  }
+  EXPECT_EQ(pool_.active_grants(), 0u);
+}
+
 TEST_F(PoolTest, BuffersDoNotOverlap) {
   int32_t a = pool_.Alloc().value();
   int32_t b = pool_.Alloc().value();
@@ -235,6 +261,31 @@ TEST_F(ContextTest, BindSetsUpInterruptAndPool) {
   EXPECT_GT(proc_->memory_used(), 0u);
   // Double bind refused.
   EXPECT_EQ(bench_.ctx->Bind(proc_).code(), ErrorCode::kAlreadyExists);
+}
+
+// A bind that cannot finish leaves the device as it found it: a dead process
+// is refused outright, and with no free vector range Acquire fails after the
+// IOMMU context exists, which Release then destroys.
+TEST_F(ContextTest, RefusedBindsLeaveTheDeviceReady) {
+  kern::Process& dead = bench_.kernel.processes().Spawn("dead", kDriverUid);
+  dead.MarkDead();
+  EXPECT_EQ(bench_.ctx->Bind(&dead).code(), ErrorCode::kInvalidArgument);
+
+  std::vector<uint8_t> taken;
+  for (int v = 32; v <= 254; ++v) {
+    if (bench_.kernel.RequestIrq(static_cast<uint8_t>(v), [](uint16_t) {}).ok()) {
+      taken.push_back(static_cast<uint8_t>(v));
+    }
+  }
+  EXPECT_EQ(bench_.ctx->Bind(proc_).code(), ErrorCode::kExhausted);
+  EXPECT_FALSE(bench_.ctx->bound());
+  EXPECT_FALSE(bench_.machine.iommu().HasContext(bench_.ctx->source_id()));
+  EXPECT_EQ(proc_->memory_used(), 0u);
+
+  for (uint8_t v : taken) {
+    ASSERT_TRUE(bench_.kernel.FreeIrq(v).ok());
+  }
+  EXPECT_TRUE(bench_.ctx->Bind(proc_).ok());
 }
 
 TEST_F(ContextTest, MmioConfinedToDeviceBars) {
@@ -315,6 +366,28 @@ TEST_F(ContextTest, TeardownQuiescesDeviceAndFreesVector) {
   // Driver-facing surfaces now fail cleanly.
   EXPECT_EQ(bench_.ctx->MmioRead(0, 0).status().code(), ErrorCode::kUnavailable);
   EXPECT_EQ(bench_.ctx->ConfigRead(0, 2).status().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(bench_.ctx->ConfigWrite(hw::kPciCommand, 2, 0).code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(bench_.ctx->IoPortRead(0xc000).status().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(bench_.ctx->IoPortWrite(0xc000, 1).code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(bench_.ctx->RequestIoRegion().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(bench_.ctx->InterruptAck(0).code(), ErrorCode::kUnavailable);
+}
+
+// An exported device whose proxy was never installed: generic downcalls are
+// served, a device-class one has nowhere to go.
+TEST_F(ContextTest, ClassDowncallWithoutAProxyIsUnavailable) {
+  devices::SimNic bare("bare-nic", kMacA);
+  ASSERT_TRUE(bench_.machine.AttachDevice(*bench_.sw, &bare).ok());
+  SudDeviceContext* ctx = bench_.safe_pci.ExportDevice(&bare, kDriverUid).value();
+  ASSERT_TRUE(ctx->Bind(&bench_.kernel.processes().Spawn("bare", kDriverUid)).ok());
+  UchanMsg carrier;
+  carrier.opcode = kEthDownSetCarrier;
+  EXPECT_EQ(ctx->ctl().DowncallSync(carrier).code(), ErrorCode::kUnavailable);
+  UchanMsg region;
+  region.opcode = kOpRequestRegion;
+  EXPECT_EQ(ctx->ctl().DowncallSync(region).code(), ErrorCode::kNotFound);  // no IO BAR
+  EXPECT_EQ(ctx->wire_rejects().total(), 0u);
+  ASSERT_TRUE(bench_.safe_pci.RevokeDevice(&bare).ok());  // before `bare` goes
 }
 
 TEST_F(ContextTest, ExportRevokeLifecycle) {
@@ -428,6 +501,13 @@ TEST_F(ShardTest, PerShardCpuAccountingAndAggregate) {
   EXPECT_EQ(total.kernel_ns + total.driver_ns,
             static_cast<uint64_t>(cpu.busy(kAccountKernel) + cpu.busy(kAccountDriver) -
                                   busy_before));
+}
+
+// An ack names a queue by the shard it arrives on; called directly, a queue
+// past the device's is refused.
+TEST_F(ShardTest, InterruptAckForAQueueTheDeviceLacksIsRefused) {
+  EXPECT_EQ(bench_.ctx->InterruptAck(4).code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(bench_.ctx->InterruptAck(3).ok());
 }
 
 TEST_F(ShardTest, TeardownShutsEveryShard) {

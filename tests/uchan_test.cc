@@ -63,6 +63,31 @@ TEST(Uchan, RingFullReportsQueueFull) {
   }
   EXPECT_EQ(uchan.SendAsync(UchanMsg{}).code(), ErrorCode::kQueueFull);
   EXPECT_EQ(uchan.stats().upcalls_dropped_full, 1u);
+  // A synchronous upcall into the full ring fails at once, counted the same.
+  EXPECT_EQ(uchan.SendSync(UchanMsg{}).status().code(), ErrorCode::kQueueFull);
+  EXPECT_EQ(uchan.stats().upcalls_dropped_full, 2u);
+  EXPECT_EQ(uchan.stats().upcalls_sync, 1u);
+}
+
+// A pumped driver gets the bounded ring-full retry as its chance to drain:
+// the retry runs the pump instead of polling, and the send then lands.
+TEST(Uchan, RingFullRetryRunsThePumpedDriver) {
+  Uchan::Config config;
+  config.ring_entries = 2;
+  Uchan uchan(config);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(uchan.SendAsync(UchanMsg{}).ok());
+  }
+  int pumps = 0;
+  uchan.set_user_pump([&] {
+    ++pumps;
+    (void)WaitStatus(uchan, 0, 64);
+  });
+  ASSERT_TRUE(uchan.SendAsync(UchanMsg{}).ok());
+  EXPECT_EQ(pumps, 1);
+  EXPECT_EQ(uchan.stats().ring_full_retries, 1u);
+  EXPECT_EQ(uchan.stats().upcalls_dropped_full, 0u);
+  EXPECT_EQ(uchan.pending_upcalls(), 1u);
 }
 
 TEST(Uchan, SyncUpcallTimesOutWithoutResponder) {
@@ -210,6 +235,25 @@ TEST(Uchan, DowncallBatchingFlushesOnWait) {
   EXPECT_EQ(uchan.stats().downcall_batches, 1u);  // one kernel entry for all four
 }
 
+// The batch is bounded by the ring size: a full one enters the kernel before
+// the next downcall joins it, in order.
+TEST(Uchan, FullDowncallBatchEntersTheKernelBeforeGrowing) {
+  Uchan::Config config;
+  config.ring_entries = 2;
+  Uchan uchan(config);
+  std::vector<uint32_t> handled;
+  uchan.set_downcall_handler([&](UchanMsg& msg) { handled.push_back(msg.opcode); });
+  for (uint32_t i = 0; i < 3; ++i) {
+    UchanMsg msg;
+    msg.opcode = 20 + i;
+    ASSERT_TRUE(uchan.DowncallAsync(std::move(msg)).ok());
+  }
+  EXPECT_EQ(handled, (std::vector<uint32_t>{20, 21}));
+  uchan.FlushDowncalls();
+  EXPECT_EQ(handled, (std::vector<uint32_t>{20, 21, 22}));
+  EXPECT_EQ(uchan.stats().downcall_batches, 2u);
+}
+
 TEST(Uchan, SyncDowncallFlushesBatchFirstAndReturnsResultInPlace) {
   Uchan uchan;
   std::vector<uint32_t> handled;
@@ -231,9 +275,11 @@ TEST(Uchan, SyncDowncallFlushesBatchFirstAndReturnsResultInPlace) {
 
 TEST(Uchan, DowncallErrorPropagates) {
   Uchan uchan;
+  UchanMsg msg;
+  // No kernel handler installed: the downcall has nowhere to go.
+  EXPECT_EQ(uchan.DowncallSync(msg).code(), ErrorCode::kUnavailable);
   uchan.set_downcall_handler(
       [](UchanMsg& msg) { msg.error = static_cast<int32_t>(ErrorCode::kPermissionDenied); });
-  UchanMsg msg;
   EXPECT_EQ(uchan.DowncallSync(msg).code(), ErrorCode::kPermissionDenied);
 }
 
@@ -245,6 +291,7 @@ TEST(Uchan, ShutdownFailsEverything) {
   EXPECT_EQ(WaitOne(uchan, 0).status().code(), ErrorCode::kUnavailable);
   UchanMsg msg;
   EXPECT_EQ(uchan.DowncallSync(msg).code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(uchan.DowncallAsync(UchanMsg{}).code(), ErrorCode::kUnavailable);
 }
 
 // A rebind reopens the same channel, and its downcall seqs keep rising: a

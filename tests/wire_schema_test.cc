@@ -111,7 +111,7 @@ TEST(WireSchema, EveryCanonicalMessageValidates) {
   for (size_t i = 0; i < SchemaCount(); ++i) {
     const MessageSchema& s = SchemaAt(i);
     UchanMsg msg = ValidMessageFor(s);
-    EXPECT_EQ(ValidateStructure(s.dir, msg, 0), Malform::kNone) << s.name;
+    EXPECT_STREQ(MalformName(ValidateStructure(s.dir, msg, 0)), "none") << s.name;
     // Queue-lane messages are legal on any shard; control-lane ones are not.
     EXPECT_EQ(ValidateStructure(s.dir, msg, 2),
               s.lane == Lane::kControl ? Malform::kWrongLane : Malform::kNone)
@@ -429,16 +429,6 @@ TEST(WireSchema, RejectStatsCountsPerMessageAndUnknown) {
   EXPECT_EQ(stats.rejected(Dir::kUp, kEthUpXmit), 1u);
   EXPECT_EQ(stats.unknown_opcode(), 1u);
   EXPECT_EQ(stats.total(), 4u);
-  auto nonzero = stats.NonZero();
-  ASSERT_EQ(nonzero.size(), 3u);
-  bool saw_unknown = false;
-  for (const auto& [name, n] : nonzero) {
-    if (name == "unknown_opcode") {
-      saw_unknown = true;
-      EXPECT_EQ(n, 1u);
-    }
-  }
-  EXPECT_TRUE(saw_unknown);
 }
 
 }  // namespace
