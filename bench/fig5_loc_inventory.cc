@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
        {root + "sud/safe_pci.h", root + "sud/safe_pci.cc", root + "sud/dma_space.h",
         root + "sud/dma_space.cc", root + "sud/shared_pool.h", root + "sud/shared_pool.cc",
         root + "sud/uchan.h", root + "sud/uchan.cc", root + "sud/proto.h"},
-       2800, 2298, true},
+       2800, 2299, true},
       // Budget: heading for 800 lines (the paper's proxy is 300).
       {"Ethernet proxy driver",
        {root + "sud/proxy_ethernet.h", root + "sud/proxy_ethernet.cc"}, 300, 872, true},
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
        false},
   };
   constexpr int kTrustedPaperLoc = 4250;
-  constexpr int kTrustedBudget = 4319;
+  constexpr int kTrustedBudget = 4320;
 
   auto print_row = [](const char* name, int loc, int paper_loc) {
     std::string paper = paper_loc < 0 ? "-" : std::to_string(paper_loc);

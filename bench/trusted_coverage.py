@@ -1,33 +1,34 @@
 #!/usr/bin/env python3
 """Trusted-code coverage report and ratchet.
 
-Usage: trusted_coverage.py [--build-dir DIR] [--jobs N]
+Usage: trusted_coverage.py
 
-Builds DIR (default build-cov, under the repo root) as a Debug tree with
-gcc's --coverage instrumentation, runs the three gates that drive the
-kernel-side code (ctest, sec_attack_matrix and fuzz_wire 1), then runs gcov
-on the eight trusted .cc files: safe-PCI's device context, uchan, shared
+Builds build-cov (under the repo root) as a Debug tree with GCC 12 and its
+--coverage instrumentation, runs the three gates that drive the kernel-side
+code (ctest, sec_attack_matrix and fuzz_wire 1), then runs gcov on every
+trusted .cc file, src/sud/*.cc: safe-PCI's device context, uchan, shared
 pool and DMA space, the three proxies, and the wire schema. It prints each
-line no gate executed, and then, per Figure 5 component, the unexecuted and
-executable line counts. Headers are not counted, and neither are lines gcov
-marks ===== (reached only by exception unwinding, such as the destructor
-calls behind a function's closing brace).
+line no gate executed, and then, per file, the unexecuted and executable
+line counts. Headers are not counted, and neither are lines gcov marks =====
+(reached only by exception unwinding, such as the destructor calls behind a
+function's closing brace).
 
-Exits 1 when a component has more unexecuted lines than its budget in
-BUDGETS. Like fig5_loc_inventory's line budgets, these are a ratchet: lower
-one when a change covers or deletes lines, never raise it. A gate that fails
-is named on stderr but does not fail the report: the Release test job gates
+Exits 1 when a file has more unexecuted lines than its budget in BUDGETS.
+Like fig5_loc_inventory's line budgets, these are a ratchet: lower one when
+a change covers or deletes lines, never raise it. A gate that fails is named
+on stderr but does not fail the report: the Release test job gates
 correctness, and this one gates what the tests run. The counters are
 updated atomically (-fprofile-update=atomic): the gates run threaded
 drivers, and racing plain increments can leave a line that ran reading as
 unexecuted, or one that did not as run.
 
+The budgets were read with GCC 12's gcov, and another GCC can attribute a
+few lines differently, so the build and gcov are pinned to GCC 12. Even so,
 gcov at -O0 can attribute a line to the wrong block (a closing `return` can
 read as unexecuted while its branch ran). Check a listed line against the
 counts of its enclosing branch before writing a test for it or deleting it.
 """
 
-import argparse
 import json
 import os
 import pathlib
@@ -35,38 +36,33 @@ import subprocess
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+BUILD_DIR = REPO / "build-cov"
+JOBS = str(os.cpu_count() or 1)
+COMPILER = "g++-12"
+GCOV = "gcov-12"
 
-# Figure 5 component -> trusted sources (the .cc halves of its fig5 files).
-COMPONENTS = {
-    "Safe PCI device access module": [
-        "src/sud/safe_pci.cc",
-        "src/sud/uchan.cc",
-        "src/sud/shared_pool.cc",
-        "src/sud/dma_space.cc",
-    ],
-    "Ethernet proxy driver": ["src/sud/proxy_ethernet.cc"],
-    "Wireless proxy driver": ["src/sud/proxy_wireless.cc"],
-    "Audio card proxy driver": ["src/sud/proxy_audio.cc"],
-    "Wire schema": ["src/sud/wire_schema.cc"],
-}
-
-# Unexecuted-line budgets per component. The lines left need a race or a
-# torn-down context, which no deterministic gate makes: an interrupt racing
-# a teardown (safe_pci.cc, OnDeviceInterrupt's !bound_ return), an IOMMU that
-# refuses a TX grant mapping (proxy_ethernet.cc, only once the context is
-# gone) and a rebind re-carving the pool between Alloc and Buffer
-# (proxy_audio.cc).
+# Unexecuted-line budgets per trusted file; a file not named here has none.
+# Each line left needs a race or a torn-down context, which no deterministic
+# gate makes, so a run can read it as executed and the budget is its upper
+# bound:
+# - safe_pci.cc: OnDeviceInterrupt's !bound_ return, an interrupt racing a
+#   teardown.
+# - uchan.cc: WaitForUpcalls' early return, an upcall enqueued between
+#   WaitBatch's empty-ring check and the driver's idle store.
+# - proxy_ethernet.cc: PrepareXmit's TX grant mapping failure; the IOMMU
+#   refuses the mapping only once the context is gone.
+# - proxy_audio.cc: WriteSamples' Buffer failure after Alloc, a rebind
+#   re-carving the pool between the two.
 BUDGETS = {
-    "Safe PCI device access module": 1,
-    "Ethernet proxy driver": 1,
-    "Wireless proxy driver": 0,
-    "Audio card proxy driver": 1,
-    "Wire schema": 0,
+    "safe_pci.cc": 1,
+    "uchan.cc": 1,
+    "proxy_ethernet.cc": 1,
+    "proxy_audio.cc": 1,
 }
 
 # The gates, run from the build directory.
 GATES = [
-    ["ctest", "--output-on-failure", "-j", "{jobs}"],
+    ["ctest", "--output-on-failure", "-j", JOBS],
     ["./sec_attack_matrix"],
     ["./fuzz_wire", "1"],
 ]
@@ -76,26 +72,26 @@ def run(cmd, cwd):
     return subprocess.run(cmd, cwd=cwd, stdout=subprocess.DEVNULL, check=False).returncode
 
 
-def build(build_dir, jobs):
+def build():
     configure = [
-        "cmake", "-B", str(build_dir), "-S", str(REPO), "-DCMAKE_BUILD_TYPE=Debug",
+        "cmake", "-B", str(BUILD_DIR), "-S", str(REPO), "-DCMAKE_BUILD_TYPE=Debug",
+        f"-DCMAKE_CXX_COMPILER={COMPILER}",
         "-DCMAKE_CXX_FLAGS=--coverage -fprofile-update=atomic",
         "-DCMAKE_EXE_LINKER_FLAGS=--coverage",
     ]
     if run(configure, REPO) != 0:
         sys.exit("configure failed")
-    if run(["cmake", "--build", str(build_dir), "-j", str(jobs)], REPO) != 0:
+    if run(["cmake", "--build", str(BUILD_DIR), "-j", JOBS], REPO) != 0:
         sys.exit("build failed")
     # Counts accumulate across runs: start every report from zero.
-    for gcda in build_dir.rglob("*.gcda"):
+    for gcda in BUILD_DIR.rglob("*.gcda"):
         gcda.unlink()
 
 
-def line_counts(build_dir, source):
+def line_counts(source):
     """Returns {line number: ran} for `source`'s executable lines."""
-    obj_dir = build_dir / "CMakeFiles" / "sud.dir" / pathlib.Path(source).parent
-    gcda = obj_dir / (pathlib.Path(source).name + ".gcda")
-    result = subprocess.run(["gcov", "--json-format", "--stdout", str(gcda)], cwd=build_dir,
+    gcda = BUILD_DIR / "CMakeFiles" / "sud.dir" / source.parent / (source.name + ".gcda")
+    result = subprocess.run([GCOV, "--json-format", "--stdout", str(gcda)], cwd=BUILD_DIR,
                             capture_output=True, text=True, check=True)
     counts = {}
     for document in result.stdout.splitlines():
@@ -114,42 +110,28 @@ def line_counts(build_dir, source):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--build-dir", default="build-cov")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    args = parser.parse_args()
-    build_dir = (REPO / args.build_dir).resolve()
-
-    build(build_dir, args.jobs)
-    failed = []
-    for gate in GATES:
-        cmd = [part.format(jobs=args.jobs) for part in gate]
-        if run(cmd, build_dir) != 0:
-            failed.append(" ".join(cmd))
+    build()
+    failed = [" ".join(gate) for gate in GATES if run(gate, BUILD_DIR) != 0]
 
     rows = []
-    for component, sources in COMPONENTS.items():
-        unexecuted = executable = 0
-        for source in sources:
-            counts = line_counts(build_dir, source)
-            text = (REPO / source).read_text().splitlines()
-            for number in sorted(counts):
-                executable += 1
-                if not counts[number]:
-                    unexecuted += 1
-                    print(f"{source}:{number}: {text[number - 1].strip()}")
-        rows.append((component, unexecuted, executable))
+    for source in sorted(p.relative_to(REPO) for p in (REPO / "src" / "sud").glob("*.cc")):
+        counts = line_counts(source)
+        text = (REPO / source).read_text().splitlines()
+        unexecuted = [number for number in sorted(counts) if not counts[number]]
+        for number in unexecuted:
+            print(f"{source}:{number}: {text[number - 1].strip()}")
+        rows.append((source.name, len(unexecuted), len(counts)))
 
-    print(f"\n{'Component':<34} {'unexecuted':>10} {'executable':>10} {'budget':>7}")
-    print("-" * 64)
+    print(f"\n{'File':<20} {'unexecuted':>10} {'executable':>10} {'budget':>7}")
+    print("-" * 50)
     over = []
-    for component, unexecuted, executable in rows:
-        budget = BUDGETS[component]
-        print(f"{component:<34} {unexecuted:>10} {executable:>10} {budget:>7}")
+    for name, unexecuted, executable in rows:
+        budget = BUDGETS.get(name, 0)
+        print(f"{name:<20} {unexecuted:>10} {executable:>10} {budget:>7}")
         if unexecuted > budget:
-            over.append(f"{component}: {unexecuted} unexecuted lines, over its budget of {budget}")
-    print("-" * 64)
-    print(f"{'Trusted total':<34} {sum(r[1] for r in rows):>10} {sum(r[2] for r in rows):>10}")
+            over.append(f"{name}: {unexecuted} unexecuted lines, over its budget of {budget}")
+    print("-" * 50)
+    print(f"{'Trusted total':<20} {sum(r[1] for r in rows):>10} {sum(r[2] for r in rows):>10}")
 
     for gate in failed:
         print(f"note: gate failed, so lines after its failure may read unexecuted: {gate}",

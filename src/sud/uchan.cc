@@ -287,37 +287,38 @@ Status Uchan::WaitForUpcalls(uint64_t timeout_ms) {
   // no producer saw the driver idle for is seen here: no select, no wakeup.
   driver_state_.store(kDriverIdle, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (pending_upcalls() == 0 || driver_state_.exchange(kDriverBusy) != kDriverIdle) {
-    {
-      std::lock_guard<std::mutex> lock(driver_mu_);
-      Charge(driver_stats_, kAccountDriver, costs().syscall);
+  if (pending_upcalls() != 0 && driver_state_.exchange(kDriverBusy) == kDriverIdle) {
+    return Status::Ok();
+  }
+  {
+    std::lock_guard<std::mutex> lock(driver_mu_);
+    Charge(driver_stats_, kAccountDriver, costs().syscall);
+  }
+  if (timeout_ms == 0) {
+    return Status(ErrorCode::kTimedOut, "no pending upcalls");
+  }
+  auto now = std::chrono::steady_clock::now();
+  auto deadline = now + std::chrono::milliseconds(timeout_ms);
+  auto woken = [this] {
+    return driver_state_.load(std::memory_order_acquire) == kDriverBusy || is_shutdown();
+  };
+  // Only the host thread polls (the model already has the driver idle), and
+  // only with another CPU to run the producer it waits for.
+  static const bool multi_cpu = std::thread::hardware_concurrency() > 1;
+  auto poll_until = now + kIdlePollWindow;
+  for (uint32_t pauses = 1; multi_cpu && !woken(); ++pauses) {
+    CpuRelax();
+    if (pauses % kPausesPerClockRead == 0 && std::chrono::steady_clock::now() >= poll_until) {
+      break;
     }
-    if (timeout_ms == 0) {
-      return Status(ErrorCode::kTimedOut, "no pending upcalls");
-    }
-    auto now = std::chrono::steady_clock::now();
-    auto deadline = now + std::chrono::milliseconds(timeout_ms);
-    auto woken = [this] {
-      return driver_state_.load(std::memory_order_acquire) == kDriverBusy || is_shutdown();
-    };
-    // Only the host thread polls (the model already has the driver idle), and
-    // only with another CPU to run the producer it waits for.
-    static const bool multi_cpu = std::thread::hardware_concurrency() > 1;
-    auto poll_until = now + kIdlePollWindow;
-    for (uint32_t pauses = 1; multi_cpu && !woken(); ++pauses) {
-      CpuRelax();
-      if (pauses % kPausesPerClockRead == 0 && std::chrono::steady_clock::now() >= poll_until) {
-        break;
-      }
-    }
-    std::unique_lock<std::mutex> park(park_mu_);
-    int idle = kDriverIdle;
-    int parked = kDriverParked;
-    if (driver_state_.compare_exchange_strong(idle, kDriverParked) &&
-        !park_cv_.wait_until(park, deadline, woken) &&
-        driver_state_.compare_exchange_strong(parked, kDriverIdle)) {
-      return Status(ErrorCode::kTimedOut, "no pending upcalls");
-    }
+  }
+  std::unique_lock<std::mutex> park(park_mu_);
+  int idle = kDriverIdle;
+  int parked = kDriverParked;
+  if (driver_state_.compare_exchange_strong(idle, kDriverParked) &&
+      !park_cv_.wait_until(park, deadline, woken) &&
+      driver_state_.compare_exchange_strong(parked, kDriverIdle)) {
+    return Status(ErrorCode::kTimedOut, "no pending upcalls");
   }
   return is_shutdown() ? Status(ErrorCode::kUnavailable, "uchan shut down") : Status::Ok();
 }

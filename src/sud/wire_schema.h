@@ -123,8 +123,8 @@ struct MessageSchema {
   uint32_t max_records = 0;
   RecordSpec record{};
   FrameHead head = FrameHead::kNone;
-  // Sync messages whose REPLY carries a record payload (kWifiUpScan). A
-  // zero-stride reply_record means a free-form reply, which nothing checks.
+  // Sync messages whose REPLY carries records (kWifiUpScan). Against a zero
+  // stride, ValidateReplyStructure refuses every reply, even an empty one.
   RecordSpec reply_record{};
   uint32_t reply_max_records = 0;
 };

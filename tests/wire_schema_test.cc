@@ -417,6 +417,11 @@ TEST(WireCodec, ScanResultsRoundTripWithSsidTruncation) {
   // An oversize result list is too.
   reply.inline_data.assign((kMaxScanRecords + 1) * kWifiScanRecordBytes, 0);
   EXPECT_EQ(ValidateReplyStructure(*schema, reply), Malform::kCountMismatch);
+  // A schema without reply records refuses every reply, even an empty one.
+  const MessageSchema* no_records = FindSchema(Dir::kUp, kWifiUpAssociate);
+  ASSERT_NE(no_records, nullptr);
+  reply.inline_data.clear();
+  EXPECT_EQ(ValidateReplyStructure(*no_records, reply), Malform::kPayloadSize);
 }
 
 TEST(WireSchema, RejectStatsCountsPerMessageAndUnknown) {
