@@ -57,6 +57,14 @@ Status SndHdaDriver::CloseStream() {
 }
 
 Status SndHdaDriver::Write(uint64_t samples_iova, uint32_t len, int32_t pool_buffer_id) {
+  Status copied = CopyToRing(samples_iova, len);
+  if (pool_buffer_id >= 0) {
+    env_->FreeTxBuffers(0, {&pool_buffer_id, 1});
+  }
+  return copied;
+}
+
+Status SndHdaDriver::CopyToRing(uint64_t samples_iova, uint32_t len) {
   if (!stream_open_) {
     return Status(ErrorCode::kUnavailable, "no open stream");
   }
@@ -78,9 +86,6 @@ Status SndHdaDriver::Write(uint64_t samples_iova, uint32_t len, int32_t pool_buf
   }
   ++stats_.writes;
   stats_.bytes_written += len;
-  if (pool_buffer_id >= 0) {
-    env_->FreeTxBuffers(0, {&pool_buffer_id, 1});
-  }
   return Status::Ok();
 }
 

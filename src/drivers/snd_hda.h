@@ -31,7 +31,10 @@ class SndHdaDriver : public uml::Driver {
  private:
   Status OpenStream(const kern::PcmConfig& config);
   Status CloseStream();
+  // Copies the samples into the ring, then returns the pool buffer whether
+  // or not the copy succeeded.
   Status Write(uint64_t samples_iova, uint32_t len, int32_t pool_buffer_id);
+  Status CopyToRing(uint64_t samples_iova, uint32_t len);
   void IrqHandler();
 
   uml::DriverEnv* env_ = nullptr;

@@ -8,6 +8,16 @@
 
 namespace sud::hw {
 
+namespace {
+
+// The pages from `iova` to the end of its leaf table, at most `pages`: the
+// slice of a range that one table walk reaches.
+uint64_t LeafSlice(uint64_t iova, uint64_t pages) {
+  return std::min<uint64_t>(pages, 512 - ((iova >> 12) & 0x1ff));
+}
+
+}  // namespace
+
 Iommu::Iommu(IommuMode mode, CpuModel* cpu, SimClock* clock)
     : mode_(mode), cpu_(cpu), clock_(clock) {
   set_iotlb_geometry(IotlbGeometry{});
@@ -151,21 +161,34 @@ Status Iommu::Map(uint16_t source_id, uint64_t iova, uint64_t paddr, uint64_t le
   if (it == contexts_.end()) {
     return Status(ErrorCode::kNotFound, "no iommu context for source " + Hex(source_id));
   }
-  // Reject overlap with existing mappings first (all-or-nothing).
-  for (uint64_t off = 0; off < len; off += kPageSize) {
-    const Pte* pte = LookupPte(it->second, iova + off);
-    if (pte != nullptr && pte->present) {
-      return Status(ErrorCode::kAlreadyExists, "iova " + Hex(iova + off) + " already mapped");
+  // One table walk per leaf table: LookupPte returns the slice's first PTE,
+  // and the rest of the slice follows it in the same table. Reject overlap
+  // with existing mappings first (all-or-nothing); a missing leaf table
+  // overlaps nothing.
+  const uint64_t pages = len / kPageSize;
+  for (uint64_t page = 0, slice = 0; page < pages; page += slice) {
+    uint64_t at = iova + page * kPageSize;
+    slice = LeafSlice(at, pages - page);
+    const Pte* ptes = LookupPte(it->second, at);
+    for (uint64_t i = 0; ptes != nullptr && i < slice; ++i) {
+      if (ptes[i].present) {
+        return Status(ErrorCode::kAlreadyExists,
+                      "iova " + Hex(at + i * kPageSize) + " already mapped");
+      }
     }
   }
-  for (uint64_t off = 0; off < len; off += kPageSize) {
-    Pte* pte = LookupPte(it->second, iova + off, /*create=*/true);
-    pte->paddr = paddr + off;
-    pte->readable = readable;
-    pte->writable = writable;
-    pte->present = true;
+  for (uint64_t page = 0, slice = 0; page < pages; page += slice) {
+    uint64_t at = iova + page * kPageSize;
+    slice = LeafSlice(at, pages - page);
+    Pte* ptes = LookupPte(it->second, at, /*create=*/true);
+    for (uint64_t i = 0; i < slice; ++i) {
+      ptes[i].paddr = paddr + (page + i) * kPageSize;
+      ptes[i].readable = readable;
+      ptes[i].writable = writable;
+      ptes[i].present = true;
+    }
   }
-  it->second.mapped_pages += len / kPageSize;
+  it->second.mapped_pages += pages;
   return Status::Ok();
 }
 
@@ -178,15 +201,32 @@ Status Iommu::Unmap(uint16_t source_id, uint64_t iova, uint64_t len) {
   if (it == contexts_.end()) {
     return Status(ErrorCode::kNotFound, "no iommu context for source " + Hex(source_id));
   }
-  for (uint64_t off = 0; off < len; off += kPageSize) {
-    Pte* pte = LookupPte(it->second, iova + off, /*create=*/false);
-    if (pte != nullptr && pte->present) {
-      pte->present = false;
-      it->second.mapped_pages--;
-      IotlbInvalidatePageNoCount(source_id, iova + off);
-      iotlb_stats_.invalidations++;
+  // One table walk per leaf table, as in Map.
+  const uint64_t pages = len / kPageSize;
+  uint64_t unmapped = 0;
+  for (uint64_t page = 0, slice = 0; page < pages; page += slice) {
+    uint64_t at = iova + page * kPageSize;
+    slice = LeafSlice(at, pages - page);
+    Pte* ptes = LookupPte(it->second, at, /*create=*/false);
+    for (uint64_t i = 0; ptes != nullptr && i < slice; ++i) {
+      if (ptes[i].present) {
+        ptes[i].present = false;
+        ++unmapped;
+      }
     }
   }
+  it->second.mapped_pages -= unmapped;
+  // The IOTLB caches only present pages, so dropping the source's entries
+  // in the range is the per-page invalidation, done in one pass over the
+  // cache; it still counts one invalidation per page unmapped.
+  if (unmapped != 0) {
+    for (IotlbEntry& entry : iotlb_) {
+      if (entry.source_id == source_id && entry.page - iova < len) {
+        entry.valid = false;
+      }
+    }
+  }
+  iotlb_stats_.invalidations += unmapped;
   return Status::Ok();
 }
 

@@ -2,7 +2,9 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <new>
 
@@ -19,7 +21,8 @@ PhysicalMemory::PhysicalMemory(uint64_t size_bytes) : size_(PageAlignUp(size_byt
     }
     bytes_ = static_cast<uint8_t*>(mapped);
   }
-  page_used_.resize(size_ / kPageSize, false);
+  pages_ = size_ / kPageSize;
+  used_words_.assign((pages_ + 63) / 64, 0);
 }
 
 PhysicalMemory::~PhysicalMemory() {
@@ -81,22 +84,57 @@ Result<ByteSpan> PhysicalMemory::Window(uint64_t paddr, uint64_t len) {
   return ByteSpan(bytes_ + paddr, len);
 }
 
+uint64_t PhysicalMemory::FindPage(uint64_t page, bool used) const {
+  uint64_t word = page / 64;
+  if (word >= used_words_.size()) {
+    return pages_;
+  }
+  // Set bits of `wanted` are the pages whose bit equals `used`.
+  const uint64_t flip = used ? 0 : ~uint64_t{0};
+  uint64_t wanted = (used_words_[word] ^ flip) & (~uint64_t{0} << (page % 64));
+  while (wanted == 0) {
+    if (++word == used_words_.size()) {
+      return pages_;
+    }
+    wanted = used_words_[word] ^ flip;
+  }
+  return std::min<uint64_t>(word * 64 + std::countr_zero(wanted), pages_);
+}
+
+uint64_t PhysicalMemory::MarkPages(uint64_t first, uint64_t end, bool used) {
+  uint64_t changed = 0;
+  for (uint64_t page = first; page < end;) {
+    uint64_t bit = page % 64;
+    uint64_t count = std::min<uint64_t>(64 - bit, end - page);
+    uint64_t mask = (~uint64_t{0} >> (64 - count)) << bit;
+    uint64_t& word = used_words_[page / 64];
+    changed += std::popcount(used ? mask & ~word : mask & word);
+    word = used ? word | mask : word & ~mask;
+    page += count;
+  }
+  return changed;
+}
+
 Result<uint64_t> PhysicalMemory::AllocPages(uint64_t num_pages) {
   if (num_pages == 0) {
     return Status(ErrorCode::kInvalidArgument, "zero-page allocation");
   }
   std::lock_guard<std::mutex> lock(page_mu_);
-  uint64_t run = 0;
-  for (uint64_t i = 0; i < page_used_.size(); ++i) {
-    run = page_used_[i] ? 0 : run + 1;
-    if (run == num_pages) {
-      uint64_t first = i + 1 - num_pages;
-      for (uint64_t j = first; j <= i; ++j) {
-        page_used_[j] = true;
-      }
+  free_hint_ = FindPage(free_hint_, /*used=*/false);
+  // First fit: a free run ends at the next allocated page, and a run too
+  // short is skipped whole, since any start inside it ends at the same page.
+  for (uint64_t first = free_hint_; num_pages <= pages_ - first;) {
+    uint64_t end = FindPage(first, /*used=*/true);
+    if (end - first >= num_pages) {
+      end = first + num_pages;
+      MarkPages(first, end, /*used=*/true);
       allocated_pages_ += num_pages;
+      if (first == free_hint_) {
+        free_hint_ = end;
+      }
       return first * kPageSize;
     }
+    first = FindPage(end, /*used=*/false);
   }
   return Status(ErrorCode::kExhausted, "out of physical pages");
 }
@@ -104,11 +142,11 @@ Result<uint64_t> PhysicalMemory::AllocPages(uint64_t num_pages) {
 void PhysicalMemory::FreePages(uint64_t paddr, uint64_t num_pages) {
   std::lock_guard<std::mutex> lock(page_mu_);
   uint64_t first = paddr / kPageSize;
-  for (uint64_t j = first; j < first + num_pages && j < page_used_.size(); ++j) {
-    if (page_used_[j]) {
-      page_used_[j] = false;
-      --allocated_pages_;
-    }
+  // A count that wraps frees nothing: `end` then lies below `first`.
+  uint64_t end = std::min(first + num_pages, pages_);
+  if (first < end) {
+    allocated_pages_ -= MarkPages(first, end, /*used=*/false);
+    free_hint_ = std::min(free_hint_, first);
   }
 }
 

@@ -53,8 +53,14 @@ class PhysicalMemory {
   // span stays valid for the lifetime of the PhysicalMemory.
   Result<ByteSpan> Window(uint64_t paddr, uint64_t len);
 
-  // A simple first-fit page allocator over DRAM for the harness: kernel
-  // structures, DMA pools and uchan rings carve their backing store here.
+  // A first-fit page allocator over DRAM: DMA regions, pools and kernel
+  // structures carve their backing store here, and a bind allocates about
+  // 4,100 pages for each e1000e instance. AllocPages returns the lowest run
+  // of `num_pages` free pages. The map keeps one bit per page in 64-bit
+  // words, plus a hint below which every page is allocated: a search starts
+  // at the hint, skips full words, measures a free run a word at a time
+  // (count trailing zeros), and a run is set or cleared whole words at a
+  // time. FreePages ignores pages that are already free or past the end.
   // Thread-safe: the transmit path allocates frag pages while a pump thread
   // reaping TX frees another frame's.
   Result<uint64_t> AllocPages(uint64_t num_pages);
@@ -70,10 +76,23 @@ class PhysicalMemory {
     return len <= size_ && paddr <= size_ - len;
   }
 
+  // The first page at or after `page` whose bit equals `used`, or pages_
+  // when there is none. Callers hold page_mu_.
+  uint64_t FindPage(uint64_t page, bool used) const;
+  // Sets (or clears) the bits of pages [first, end) and returns how many of
+  // them changed. Callers hold page_mu_.
+  uint64_t MarkPages(uint64_t first, uint64_t end, bool used);
+
   uint64_t size_ = 0;
   uint8_t* bytes_ = nullptr;  // size_ bytes, mapped zero-filled
-  mutable std::mutex page_mu_;  // guards page_used_ and allocated_pages_
-  std::vector<bool> page_used_;
+  uint64_t pages_ = 0;        // size_ / kPageSize
+  // Guards used_words_, free_hint_ and allocated_pages_.
+  mutable std::mutex page_mu_;
+  // Bit (page % 64) of word (page / 64) is set while the page is allocated;
+  // the last word's bits past pages_ stay clear, and FindPage clamps to
+  // pages_, so no run reaches beyond DRAM.
+  std::vector<uint64_t> used_words_;
+  uint64_t free_hint_ = 0;  // every page below it is allocated
   uint64_t allocated_pages_ = 0;
 };
 

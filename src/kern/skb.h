@@ -147,14 +147,6 @@ struct Skb {
   // Nonzero iff fragment `i` is DRAM-backed (a sealed grant candidate): the
   // physical address of its first byte. Owned fragments report 0.
   uint64_t tx_frag_paddr(size_t i) const { return tx_frags_[i].paddr; }
-  bool has_dram_frags() const {
-    for (const TxFrag& frag : tx_frags_) {
-      if (frag.paddr != 0) {
-        return true;
-      }
-    }
-    return false;
-  }
   // Head bytes plus every fragment: the length the wire will carry.
   size_t total_len() const { return len_ + tx_frag_bytes_; }
   // Transmit descriptors the frame needs when the head and each fragment are

@@ -1,5 +1,7 @@
 #include "src/sud/dma_space.h"
 
+#include <algorithm>
+
 namespace sud {
 
 Result<DmaRegion> DmaSpace::Alloc(uint64_t bytes, bool coherent) {
@@ -30,17 +32,31 @@ Result<DmaRegion> DmaSpace::Alloc(uint64_t bytes, bool coherent) {
   return region;
 }
 
-Result<uint64_t> DmaSpace::MapExternal(uint64_t paddr, uint64_t bytes) {
-  if (bytes == 0 || !hw::IsPageAligned(paddr)) {
-    return Status(ErrorCode::kInvalidArgument, "external dma grant not page aligned");
-  }
-  uint64_t rounded = hw::PageAlignUp(bytes);
+Result<uint64_t> DmaSpace::MapExternal(std::vector<std::pair<uint64_t, uint64_t>> extents) {
+  std::sort(extents.begin(), extents.end());
+  const uint64_t lo = extents.empty() ? 0 : hw::PageAlignDown(extents.front().first);
   std::lock_guard<std::mutex> lock(iova_mu_);
-  uint64_t iova = next_iova_;
-  SUD_RETURN_IF_ERROR(iommu_->Map(source_id_, iova, paddr, rounded, /*readable=*/true,
-                                  /*writable=*/false));
-  next_iova_ += rounded;
-  grants_[iova] = rounded;
+  const uint64_t iova = next_iova_;
+  uint64_t end = lo;  // every covered page below `end` is mapped
+  Status mapped = Status::Ok();
+  for (auto [paddr, bytes] : extents) {
+    uint64_t first = std::max(hw::PageAlignDown(paddr), end);
+    uint64_t last = hw::PageAlignUp(paddr + bytes);
+    if (mapped.ok() && first < last) {
+      mapped = iommu_->Map(source_id_, iova + (first - lo), first, last - first,
+                           /*readable=*/true, /*writable=*/false);
+      end = mapped.ok() ? last : end;
+    }
+  }
+  if (mapped.ok() && end == lo) {
+    mapped = Status(ErrorCode::kInvalidArgument, "external dma grant covers no page");
+  }
+  if (!mapped.ok()) {
+    (void)iommu_->Unmap(source_id_, iova, end - lo);
+    return mapped;
+  }
+  next_iova_ += end - lo;
+  grants_[iova] = end - lo;
   return iova;
 }
 
@@ -96,14 +112,6 @@ Result<ByteSpan> DmaSpace::HostView(uint64_t iova, uint64_t len) {
   return ByteSpan(region->host_base + (iova - region->iova), len);
 }
 
-Result<uint64_t> DmaSpace::IovaToPaddr(uint64_t iova) const {
-  const DmaRegion* region = FindRegion(iova, 1);
-  if (region == nullptr) {
-    return Status(ErrorCode::kNotFound, "iova not in any dma region");
-  }
-  return region->paddr + (iova - region->iova);
-}
-
 void DmaSpace::ReleaseAll() {
   for (const auto& [iova, region] : regions_) {
     (void)iommu_->Unmap(source_id_, region.iova, region.bytes);
@@ -117,14 +125,6 @@ void DmaSpace::ReleaseAll() {
   }
   grants_.clear();
   next_iova_ = kDmaIovaBase;
-}
-
-uint64_t DmaSpace::total_bytes() const {
-  uint64_t total = 0;
-  for (const auto& [iova, region] : regions_) {
-    total += region.bytes;
-  }
-  return total;
 }
 
 }  // namespace sud

@@ -33,6 +33,8 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <utility>
+#include <vector>
 
 #include "src/base/status.h"
 #include "src/hw/iommu.h"
@@ -75,13 +77,15 @@ class DmaSpace {
   // attribute on real hardware).
   Result<DmaRegion> Alloc(uint64_t bytes, bool coherent);
 
-  // Maps caller-owned DRAM pages (page-aligned `paddr`) into the device's IO
-  // page table READ-ONLY and returns the grant's IOVA. This is the sealed TX
+  // Maps the caller-owned DRAM pages under the (paddr, bytes) extents into
+  // the device's IO page table READ-ONLY, in a fresh IOVA window laid out
+  // like DRAM from the lowest extent's page (window pages no extent covers
+  // stay unmapped), and returns the window's IOVA. This is the sealed TX
   // path: kernel frag pages become device-readable without a staging copy,
   // and read-only IS the seal — a driver-directed device write faults. The
   // pages are not owned: Free unmaps without returning them to DRAM.
   // Thread-safe against other grants and against HostView.
-  Result<uint64_t> MapExternal(uint64_t paddr, uint64_t bytes);
+  Result<uint64_t> MapExternal(std::vector<std::pair<uint64_t, uint64_t>> extents);
 
   // Frees one region or grant by IOVA (must match an Alloc or MapExternal).
   Status Free(uint64_t iova);
@@ -96,16 +100,12 @@ class DmaSpace {
   // contract as real dma_alloc_coherent vs the datapath).
   Result<ByteSpan> HostView(uint64_t iova, uint64_t len);
 
-  // Translate a driver virtual address (== IOVA) to the backing paddr.
-  Result<uint64_t> IovaToPaddr(uint64_t iova) const;
-
   // Tears down every mapping, returns all pages and rewinds the arena.
   void ReleaseAll();
 
   const std::map<uint64_t, DmaRegion>& regions() const { return regions_; }
   // The device's IOMMU: the proxy seals/unseals delivered RX pages through it.
   hw::Iommu* iommu() const { return iommu_; }
-  uint64_t total_bytes() const;
 
  private:
   const DmaRegion* FindRegion(uint64_t iova, uint64_t len) const;

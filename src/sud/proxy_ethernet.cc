@@ -113,28 +113,24 @@ Status EthernetProxy::PrepareXmit(kern::SkbPtr& skb_ptr, UchanMsg* msg, uint16_t
     }
   }
   // Sealed TX: DRAM-backed frags (page-cache pages the kernel owns) cross as
-  // read-only grants — one external mapping spanning the frame's frag pages,
-  // per-chunk grant handles in the ordinary fragment records — instead of
-  // staging copies. Read-only IS the seal: a driver-directed device write to
-  // a granted page faults in the IOMMU. A mapping failure degrades to the
-  // counted staging-copy fallback, never a dropped frame.
+  // read-only grants — one external mapping of exactly the frame's frag
+  // pages, per-chunk grant handles in the ordinary fragment records —
+  // instead of staging copies. Read-only IS the seal: a driver-directed
+  // device write to a granted page faults in the IOMMU. A mapping failure
+  // degrades to the counted staging-copy fallback, never a dropped frame.
   std::shared_ptr<TxGrantGroup> group;
-  uint64_t grant_lo = 0;
-  if (skb.has_dram_frags()) {
-    uint64_t lo = UINT64_MAX;
-    uint64_t hi = 0;
-    for (size_t i = 0; i < skb.nr_frags(); ++i) {
-      uint64_t paddr = skb.tx_frag_paddr(i);
-      if (paddr == 0) {
-        continue;
-      }
-      lo = std::min(lo, hw::PageAlignDown(paddr));
-      hi = std::max(hi, hw::PageAlignUp(paddr + skb.tx_frag(i).size()));
+  uint64_t grant_lo = UINT64_MAX;  // the grant window's first page
+  std::vector<std::pair<uint64_t, uint64_t>> extents;
+  for (size_t i = 0; i < skb.nr_frags(); ++i) {
+    if (skb.tx_frag_paddr(i) != 0) {
+      extents.emplace_back(skb.tx_frag_paddr(i), skb.tx_frag(i).size());
+      grant_lo = std::min(grant_lo, hw::PageAlignDown(skb.tx_frag_paddr(i)));
     }
-    Result<uint64_t> region_iova = ctx_->dma().MapExternal(lo, hi - lo);
+  }
+  if (!extents.empty()) {
+    Result<uint64_t> region_iova = ctx_->dma().MapExternal(std::move(extents));
     if (region_iova.ok()) {
       group = std::make_shared<TxGrantGroup>(ctx_, region_iova.value(), ctx_->bind_generation());
-      grant_lo = lo;
     } else {
       stats_.tx_grant_fallbacks.fetch_add(1, std::memory_order_relaxed);
     }

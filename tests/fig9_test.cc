@@ -98,7 +98,7 @@ TEST(Figure9, MaliciousDriverCanOnlyCorruptItsOwnRegions) {
       continue;
     }
     for (uint64_t iova = m.iova_start; iova < m.iova_end; iova += hw::kPageSize) {
-      EXPECT_TRUE(bench.ctx->dma().IovaToPaddr(iova).ok())
+      EXPECT_TRUE(bench.ctx->dma().HostView(iova, hw::kPageSize).ok())
           << "mapping at " << Hex(iova) << " is not driver-owned DMA memory";
     }
   }

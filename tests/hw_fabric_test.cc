@@ -8,8 +8,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <utility>
+#include <vector>
 
 #include "src/base/log.h"
+#include "src/base/rng.h"
 #include "src/hw/machine.h"
 
 namespace sud::hw {
@@ -132,6 +135,111 @@ TEST(PhysicalMemory, AllocatorFindsRunsAndFrees) {
   EXPECT_EQ(dram.allocated_pages(), 0u);
   EXPECT_TRUE(dram.AllocPages(16).ok());
 }
+
+// The first-fit allocator as it was first written, one page at a time: the
+// reference the word-bitmap allocator must agree with on every call.
+class BitAtATimeAllocator {
+ public:
+  explicit BitAtATimeAllocator(uint64_t pages) : used_(pages, false) {}
+
+  Result<uint64_t> AllocPages(uint64_t num_pages) {
+    uint64_t run = 0;
+    for (uint64_t i = 0; i < used_.size(); ++i) {
+      run = used_[i] ? 0 : run + 1;
+      if (run == num_pages) {
+        for (uint64_t j = i + 1 - num_pages; j <= i; ++j) {
+          used_[j] = true;
+        }
+        allocated_ += num_pages;
+        return (i + 1 - num_pages) * kPageSize;
+      }
+    }
+    return Status(ErrorCode::kExhausted, "out of physical pages");
+  }
+
+  void FreePages(uint64_t paddr, uint64_t num_pages) {
+    for (uint64_t j = paddr / kPageSize; j < paddr / kPageSize + num_pages && j < used_.size();
+         ++j) {
+      allocated_ -= used_[j] ? 1 : 0;
+      used_[j] = false;
+    }
+  }
+
+  uint64_t allocated_pages() const { return allocated_; }
+
+ private:
+  std::vector<bool> used_;
+  uint64_t allocated_ = 0;
+};
+
+// Property: over a seeded mix of a few thousand calls, every AllocPages
+// result and every allocated_pages() count equals the reference's. The DRAM
+// is not a whole number of 64-page words, runs reach 3,000 pages and
+// straddle words, frees hit free, never-allocated and out-of-DRAM pages, and
+// DRAM runs out.
+class PhysicalMemoryAllocatorPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PhysicalMemoryAllocatorPropertyTest, MatchesBitAtATimeFirstFit) {
+  constexpr uint64_t kPages = 64 * 96 + 37;
+  Rng rng(GetParam());
+  PhysicalMemory dram(kPages * kPageSize);
+  BitAtATimeAllocator reference(kPages);
+  std::vector<std::pair<uint64_t, uint64_t>> live;  // (paddr, pages)
+  int exhausted = 0;
+  int big_runs = 0;  // runs of 1,000 pages or more
+  int straddles = 0;
+  int stray_frees = 0;
+  for (int call = 0; call < 3000; ++call) {
+    uint64_t pick = rng.Below(100);
+    if (pick < 50) {
+      uint64_t pages = rng.Chance(1, 20)   ? rng.Between(1000, 3000)
+                       : rng.Chance(1, 4) ? rng.Between(64, 300)
+                                          : rng.Between(1, 70);
+      Result<uint64_t> got = dram.AllocPages(pages);
+      Result<uint64_t> want = reference.AllocPages(pages);
+      ASSERT_EQ(got.ok(), want.ok()) << "call " << call << ", " << pages << " pages";
+      if (got.ok()) {
+        ASSERT_EQ(got.value(), want.value()) << "call " << call << ", " << pages << " pages";
+        live.emplace_back(got.value(), pages);
+        big_runs += pages >= 1000;
+        straddles += (got.value() / kPageSize) / 64 != (got.value() / kPageSize + pages - 1) / 64;
+      } else {
+        EXPECT_EQ(got.status().code(), ErrorCode::kExhausted);
+        ++exhausted;
+      }
+    } else if (pick < 85 && !live.empty()) {
+      // Free a live run whole, or a slice of it that may start mid-word.
+      size_t index = rng.Below(live.size());
+      auto [paddr, pages] = live[index];
+      uint64_t skip = rng.Chance(1, 3) ? rng.Below(pages) : 0;
+      uint64_t count = skip != 0 ? rng.Between(1, pages - skip) : pages;
+      dram.FreePages(paddr + skip * kPageSize, count);
+      reference.FreePages(paddr + skip * kPageSize, count);
+      live.erase(live.begin() + index);
+    } else {
+      // A stray free: any pages, free or not, possibly past the end of DRAM.
+      uint64_t first = rng.Below(kPages + 100);
+      uint64_t count = rng.Between(1, 200);
+      dram.FreePages(first * kPageSize, count);
+      reference.FreePages(first * kPageSize, count);
+      ++stray_frees;
+    }
+    ASSERT_EQ(dram.allocated_pages(), reference.allocated_pages()) << "call " << call;
+  }
+  EXPECT_GT(exhausted, 0);
+  EXPECT_GT(big_runs, 0);
+  EXPECT_GT(straddles, 0);
+  EXPECT_GT(stray_frees, 0);
+  // Freed whole, DRAM takes one run of every page and not one more.
+  dram.FreePages(0, kPages);
+  EXPECT_EQ(dram.allocated_pages(), 0u);
+  EXPECT_EQ(dram.AllocPages(kPages + 1).status().code(), ErrorCode::kExhausted);
+  EXPECT_EQ(dram.AllocPages(kPages).value(), 0u);
+  EXPECT_EQ(dram.AllocPages(1).status().code(), ErrorCode::kExhausted);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PhysicalMemoryAllocatorPropertyTest,
+                         ::testing::Values(1u, 2u, 3u, 25u));
 
 TEST(PciConfig, VendorDeviceAndCapabilities) {
   PciConfigSpace config(0x8086, 0x10d3, 0x02);

@@ -308,6 +308,107 @@ TEST(Iommu, MappedBytesTracksMapUnmap) {
   EXPECT_EQ(iommu.MappedBytes(kSrc), 2 * kPageSize);
 }
 
+// Map walks to each leaf table once (512 PTEs, 2 MiB of IOVA) and keeps its
+// all-or-nothing overlap pass: an overlap in the second leaf of a straddling
+// map refuses it whole, with no PTE written in the first. A missing leaf
+// table overlaps nothing.
+TEST(Iommu, MapStraddlingALeafTableIsRefusedWholeOnASecondLeafOverlap) {
+  constexpr uint64_t kLeafBytes = 512 * kPageSize;
+  Iommu iommu;
+  ASSERT_TRUE(iommu.CreateContext(kSrc).ok());
+  ASSERT_TRUE(iommu.Map(kSrc, kLeafBytes + 5 * kPageSize, 0x900000, kPageSize, true, true).ok());
+  Status refused = iommu.Map(kSrc, kLeafBytes - 8 * kPageSize, 0x800000, 16 * kPageSize, true,
+                             true);
+  EXPECT_EQ(refused.code(), ErrorCode::kAlreadyExists);
+  EXPECT_NE(refused.ToString().find(Hex(kLeafBytes + 5 * kPageSize)), std::string::npos)
+      << refused.ToString();
+  std::vector<IoMapping> walk = iommu.WalkMappings(kSrc);
+  ASSERT_EQ(walk.size(), 2u);  // the one page, then the MSI window
+  EXPECT_EQ(walk[0].iova_start, kLeafBytes + 5 * kPageSize);
+  EXPECT_EQ(walk[0].iova_end, kLeafBytes + 6 * kPageSize);
+  EXPECT_EQ(iommu.MappedBytes(kSrc), kPageSize);
+  EXPECT_FALSE(iommu.Translate(kSrc, kLeafBytes - 8 * kPageSize, 4, false).ok());
+
+  // Without the overlap, the same map spans both leaves, and a map over three
+  // leaf tables translates page by page.
+  ASSERT_TRUE(iommu.Unmap(kSrc, kLeafBytes + 5 * kPageSize, kPageSize).ok());
+  ASSERT_TRUE(
+      iommu.Map(kSrc, kLeafBytes - 8 * kPageSize, 0x800000, 16 * kPageSize, true, true).ok());
+  walk = iommu.WalkMappings(kSrc);
+  ASSERT_EQ(walk.size(), 2u);
+  EXPECT_EQ(walk[0].iova_start, kLeafBytes - 8 * kPageSize);
+  EXPECT_EQ(walk[0].iova_end, kLeafBytes + 8 * kPageSize);
+  constexpr uint64_t kWideIova = 8 * kLeafBytes + 3 * kPageSize;  // slices of 509, 512, 100
+  constexpr uint64_t kWide = 2 * kLeafBytes + 97 * kPageSize;
+  ASSERT_TRUE(iommu.Map(kSrc, kWideIova, 0x4000000, kWide, false, true).ok());
+  for (uint64_t off = 0; off < kWide; off += kPageSize) {
+    Result<uint64_t> got = iommu.Translate(kSrc, kWideIova + off + 8, 4, true);
+    ASSERT_TRUE(got.ok()) << Hex(off);
+    EXPECT_EQ(got.value(), 0x4000000 + off + 8);
+  }
+  EXPECT_EQ(iommu.MappedBytes(kSrc), 16 * kPageSize + kWide);
+}
+
+// Unmap drops a source's IOTLB entries in one pass over the cache. Wider than
+// the IOTLB, it must drop exactly that source's entries in the range:
+// another source's entries and the source's pages outside the range still
+// hit. It counts one invalidation per page it unmapped, not per page asked.
+TEST(Iommu, UnmapWiderThanTheIotlbInvalidatesOnlyThatSourcesRange) {
+  Iommu iommu;
+  // 512 entries. A source's consecutive pages fill distinct sets, so the
+  // pages below share a set at most two at a time and nothing is evicted.
+  iommu.set_iotlb_geometry({128, 4});
+  ASSERT_TRUE(iommu.CreateContext(kSrc).ok());
+  ASSERT_TRUE(iommu.CreateContext(kOther).ok());
+  constexpr uint64_t kBase = 0x100000;
+  constexpr uint64_t kPages = 600;  // the unmapped range: wider than the IOTLB
+  // kSrc maps [kBase - 8 pages, kBase + 608 pages) except a 10-page hole in
+  // the range; kOther maps the range itself.
+  ASSERT_TRUE(iommu.Map(kSrc, kBase - 8 * kPageSize, 0x800000, 158 * kPageSize, true, true).ok());
+  ASSERT_TRUE(iommu.Map(kSrc, kBase + 160 * kPageSize, 0x900000, 448 * kPageSize, true, true).ok());
+  ASSERT_TRUE(iommu.Map(kOther, kBase, 0xa00000, kPages * kPageSize, true, true).ok());
+  std::vector<uint64_t> inside;   // kSrc pages in the range
+  std::vector<uint64_t> outside;  // kSrc pages next to the range
+  for (uint64_t page = 0; page < 40; ++page) {
+    inside.push_back(kBase + page * kPageSize);
+    inside.push_back(kBase + (300 + page) * kPageSize);
+  }
+  for (uint64_t page = 0; page < 8; ++page) {
+    outside.push_back(kBase - (page + 1) * kPageSize);
+    outside.push_back(kBase + (kPages + page) * kPageSize);
+  }
+  auto translate_all = [&iommu](uint16_t source, const std::vector<uint64_t>& pages) {
+    for (uint64_t iova : pages) {
+      EXPECT_TRUE(iommu.Translate(source, iova, 4, false).ok()) << Hex(iova);
+    }
+  };
+  translate_all(kSrc, inside);
+  translate_all(kSrc, outside);
+  translate_all(kOther, inside);
+  ASSERT_EQ(iommu.iotlb_stats().evictions, 0u);  // every page above is cached
+  const uint64_t cached = 2 * inside.size() + outside.size();
+  const uint64_t hits = iommu.iotlb_stats().hits;
+  translate_all(kSrc, inside);
+  translate_all(kSrc, outside);
+  translate_all(kOther, inside);
+  ASSERT_EQ(iommu.iotlb_stats().hits, hits + cached);
+
+  const uint64_t invalidations = iommu.iotlb_stats().invalidations;
+  ASSERT_TRUE(iommu.Unmap(kSrc, kBase, kPages * kPageSize).ok());
+  EXPECT_EQ(iommu.iotlb_stats().invalidations, invalidations + kPages - 10);
+  EXPECT_EQ(iommu.MappedBytes(kSrc), 16 * kPageSize);
+  // A cached entry left behind would still translate: each must fault.
+  for (uint64_t iova : inside) {
+    EXPECT_FALSE(iommu.Translate(kSrc, iova, 4, false).ok()) << Hex(iova);
+  }
+  const uint64_t hits_after = iommu.iotlb_stats().hits;
+  const uint64_t misses_after = iommu.iotlb_stats().misses;
+  translate_all(kOther, inside);
+  translate_all(kSrc, outside);
+  EXPECT_EQ(iommu.iotlb_stats().hits, hits_after + inside.size() + outside.size());
+  EXPECT_EQ(iommu.iotlb_stats().misses, misses_after);
+}
+
 // ---- IOTLB cache behaviour ------------------------------------------------------
 
 TEST(IommuIotlb, StatsAcrossConflictEviction) {

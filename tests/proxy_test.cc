@@ -772,6 +772,57 @@ TEST(SealedTxTest, OnlyDramBackedFragsMintGrants) {
   EXPECT_EQ(bench.ctx->pool().outstanding(), 0u);
 }
 
+// A frame's grant maps the pages its DRAM frags lie on and none between
+// them: an unrelated kernel page between two frags stays out of the device's
+// reach while the frame is in flight, and the frame still arrives intact.
+TEST(SealedTxTest, GrantLeavesAPageBetweenFragsUnmapped) {
+  NetBench bench;
+  ASSERT_TRUE(bench.StartSut().ok());
+  std::vector<uint8_t> received;
+  bench.peer_env->netdev()->set_rx_sink([&received](const kern::Skb& skb) {
+    received.assign(skb.span().begin(), skb.span().end());
+  });
+  std::vector<uint8_t> payload(1200);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 7);
+  }
+  auto frame = kern::BuildPacket(kMacB, kMacA, 6000, 80, {payload.data(), payload.size()});
+  // Pages P, P+1 and P+2: the frags lie on P and P+2, and P+1 is unrelated.
+  hw::PhysicalMemory& dram = bench.machine.dram();
+  const uint64_t page = dram.AllocPages(3).value();
+  const uint64_t frag_paddr[2] = {page + 100, page + 2 * hw::kPageSize};
+  const size_t head = 128;
+  const size_t body = frame.size() - head;
+  const size_t frag_len[2] = {body / 2, body - body / 2};
+  auto skb = std::make_unique<kern::Skb>(ConstByteSpan(frame.data(), head));
+  for (size_t i = 0, off = head; i < 2; off += frag_len[i++]) {
+    ASSERT_TRUE(dram.Write(frag_paddr[i], {frame.data() + off, frag_len[i]}).ok());
+    skb->AppendDramFrag(frag_paddr[i], dram.Window(frag_paddr[i], frag_len[i]).value());
+  }
+  std::vector<kern::SkbPtr> burst;
+  burst.push_back(std::move(skb));
+  ASSERT_TRUE(bench.kernel.net().TransmitBatch("eth0", std::move(burst)).ok());
+  ASSERT_EQ(bench.proxy->stats().tx_grant_frames.load(), 1u);
+
+  // In flight: P and P+2 are device-readable, P+1 is not.
+  std::vector<uint64_t> granted;
+  for (const hw::IoMapping& m :
+       bench.machine.iommu().WalkMappings(bench.sut_nic.address().source_id())) {
+    for (uint64_t off = 0; !m.implicit_msi && off < m.iova_end - m.iova_start;
+         off += hw::kPageSize) {
+      if (m.paddr_start + off >= page && m.paddr_start + off < page + 3 * hw::kPageSize) {
+        granted.push_back(m.paddr_start + off);
+      }
+    }
+  }
+  EXPECT_EQ(granted, (std::vector<uint64_t>{page, page + 2 * hw::kPageSize}));
+
+  bench.host->Pump();
+  EXPECT_EQ(received, frame);
+  EXPECT_EQ(bench.ctx->pool().outstanding(), 0u);
+  dram.FreePages(page, 3);
+}
+
 // Grants are minted on the transmit path (this thread) and retired on the
 // pump thread that reaps the frame, while the transmit path maps the next
 // frame's grant and allocates its pages: the grant map and the page
@@ -920,6 +971,21 @@ TEST(AudioProxyTest, WritesStopAtAnEmptyPoolOrADeadChannel) {
   bench.ctx->ctl().Shutdown();
   EXPECT_EQ(bench.proxy->WriteSamples({samples.data(), 64}).code(), ErrorCode::kUnavailable);
   EXPECT_EQ(bench.proxy->stats().write_dropped, 2u);
+  EXPECT_EQ(bench.ctx->pool().outstanding(), 0u);
+}
+
+// The driver refuses a write before OpenStream, and still returns its pool
+// buffer: refused writes must not hold buffers until the next bind.
+TEST(AudioProxyTest, RefusedWritesReturnTheirBuffers) {
+  AudioProxyBench bench;
+  ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::SndHdaDriver>()).ok());
+  std::vector<uint8_t> samples(256, 0x5a);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(bench.proxy->WriteSamples({samples.data(), samples.size()}).ok());
+  }
+  bench.host->Pump();
+  auto* driver = static_cast<drivers::SndHdaDriver*>(bench.host->driver());
+  EXPECT_EQ(driver->stats().writes, 0u);
   EXPECT_EQ(bench.ctx->pool().outstanding(), 0u);
 }
 

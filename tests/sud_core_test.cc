@@ -44,7 +44,7 @@ TEST_F(DmaSpaceTest, SequentialAllocationsAreContiguousInIova) {
   uint64_t c = space_->Alloc(100, false).value().iova;  // rounds to a page
   EXPECT_EQ(b, a + 4096);
   EXPECT_EQ(c, b + 8192);
-  EXPECT_EQ(space_->total_bytes(), 4096u + 8192u + 4096u);
+  EXPECT_EQ(space_->regions().at(c).bytes, 4096u);
 }
 
 TEST_F(DmaSpaceTest, HostViewSharesBackingStore) {
@@ -52,9 +52,8 @@ TEST_F(DmaSpaceTest, HostViewSharesBackingStore) {
   ByteSpan view = space_->HostView(region.iova, 16).value();
   view[0] = 0xaa;
   // Visible through physical memory at the mapped frame.
-  uint64_t paddr = space_->IovaToPaddr(region.iova).value();
   uint8_t byte;
-  ASSERT_TRUE(dram_.Read(paddr, {&byte, 1}).ok());
+  ASSERT_TRUE(dram_.Read(region.paddr, {&byte, 1}).ok());
   EXPECT_EQ(byte, 0xaa);
 }
 
@@ -64,18 +63,59 @@ TEST_F(DmaSpaceTest, HostViewRejectsOutOfRegion) {
   EXPECT_FALSE(space_->HostView(0x1000, 4).ok());               // before base
   EXPECT_FALSE(space_->HostView(region.iova + 8192, 4).ok());   // past it
   EXPECT_FALSE(space_->HostView(region.iova, UINT64_MAX).ok());  // end wraps past 2^64
-  EXPECT_EQ(space_->IovaToPaddr(region.iova + 4096).status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(space_->HostView(region.iova + 4096, 1).status().code(), ErrorCode::kNotFound);
 }
 
 // Requests the space cannot honour fail whole: nothing mapped, no page kept.
 TEST_F(DmaSpaceTest, RefusedRequestsLeaveNothingBehind) {
   EXPECT_EQ(space_->Alloc(0, false).status().code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(space_->MapExternal(0x1234, 4096).status().code(), ErrorCode::kInvalidArgument);
+  // A grant must cover at least one page.
+  EXPECT_EQ(space_->MapExternal({}).status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(space_->MapExternal({{0x5000, 0}}).status().code(), ErrorCode::kInvalidArgument);
   // A source with no IOMMU context: the pages come back when the map fails.
   DmaSpace orphan(&dram_, &iommu_, kSrc + 1);
   EXPECT_FALSE(orphan.Alloc(8192, false).ok());
+  EXPECT_EQ(orphan.MapExternal({{0x5000, 4096}}).status().code(), ErrorCode::kNotFound);
   EXPECT_EQ(dram_.allocated_pages(), 0u);
-  EXPECT_EQ(orphan.total_bytes(), 0u);
+  EXPECT_TRUE(orphan.regions().empty());
+  EXPECT_EQ(iommu_.MappedBytes(kSrc), 0u);
+}
+
+// A TX grant maps exactly the pages its extents cover, read-only, at the
+// IOVA layout of DRAM from its lowest page: a page between two extents stays
+// unreachable. Extents may come in any order and share pages.
+TEST_F(DmaSpaceTest, GrantMapsOnlyTheCoveredPages) {
+  constexpr uint64_t kP = 0x100000;
+  uint64_t iova = space_->MapExternal({{kP + 2 * hw::kPageSize + 8, 100},
+                                       {kP + 0x10, 64},
+                                       {kP + 2 * hw::kPageSize, 2 * hw::kPageSize}})
+                      .value();
+  EXPECT_EQ(iova, kDmaIovaBase);
+  EXPECT_EQ(iommu_.Translate(kSrc, iova + 0x10, 4, false).value(), kP + 0x10);
+  EXPECT_FALSE(iommu_.Translate(kSrc, iova + hw::kPageSize, 4, false).ok());
+  EXPECT_EQ(iommu_.Translate(kSrc, iova + 3 * hw::kPageSize + 8, 4, false).value(),
+            kP + 3 * hw::kPageSize + 8);
+  EXPECT_FALSE(iommu_.Translate(kSrc, iova + 0x10, 4, true).ok());  // read-only
+  EXPECT_EQ(iommu_.MappedBytes(kSrc), 3 * hw::kPageSize);
+  // The next grant's window starts past this one's last page.
+  uint64_t next = space_->MapExternal({{kP, 1}}).value();
+  EXPECT_EQ(next, iova + 4 * hw::kPageSize);
+  ASSERT_TRUE(space_->Free(iova).ok());
+  ASSERT_TRUE(space_->Free(next).ok());
+  EXPECT_EQ(iommu_.MappedBytes(kSrc), 0u);
+}
+
+// A grant whose later run cannot be mapped unmaps the runs it did map, and
+// nothing else.
+TEST_F(DmaSpaceTest, GrantFailingMidwayUnmapsItsOwnRuns) {
+  ASSERT_TRUE(iommu_.Map(kSrc, kDmaIovaBase + 2 * hw::kPageSize, 0x300000, hw::kPageSize, true,
+                         true).ok());
+  Result<uint64_t> refused =
+      space_->MapExternal({{0x100000, hw::kPageSize}, {0x102000, hw::kPageSize}});
+  EXPECT_EQ(refused.status().code(), ErrorCode::kAlreadyExists);
+  EXPECT_EQ(iommu_.MappedBytes(kSrc), hw::kPageSize);
+  EXPECT_FALSE(iommu_.Translate(kSrc, kDmaIovaBase, 4, false).ok());
+  EXPECT_TRUE(iommu_.Translate(kSrc, kDmaIovaBase + 2 * hw::kPageSize, 4, false).ok());
 }
 
 TEST_F(DmaSpaceTest, FreeUnmapsAndReturnsPages) {
