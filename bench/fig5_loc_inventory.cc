@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
        2800, 2299, true},
       // Budget: heading for 800 lines (the paper's proxy is 300).
       {"Ethernet proxy driver",
-       {root + "sud/proxy_ethernet.h", root + "sud/proxy_ethernet.cc"}, 300, 868, true},
+       {root + "sud/proxy_ethernet.h", root + "sud/proxy_ethernet.cc"}, 300, 867, true},
       {"Wireless proxy driver",
        {root + "sud/proxy_wireless.h", root + "sud/proxy_wireless.cc"}, 600, 164, true},
       {"Audio card proxy driver",
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
        false},
   };
   constexpr int kTrustedPaperLoc = 4250;
-  constexpr int kTrustedBudget = 4316;
+  constexpr int kTrustedBudget = 4315;
 
   auto print_row = [](const char* name, int loc, int paper_loc) {
     std::string paper = paper_loc < 0 ? "-" : std::to_string(paper_loc);

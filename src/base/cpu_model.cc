@@ -2,8 +2,45 @@
 
 #include <algorithm>
 #include <functional>
+#include <mutex>
 
 namespace sud {
+
+namespace {
+static_assert(CpuModel::kShards < 64, "the shard map is one 64-bit word");
+
+std::mutex g_shard_mu;
+uint64_t g_shards_taken = 0;  // bit i: shard i belongs to a live thread
+}  // namespace
+
+// Gives the thread's shard back at thread exit. A charge after that (from a
+// later thread-exit destructor) goes to the shared last shard.
+struct CpuModel::ShardRelease {
+  bool armed = false;
+  ~ShardRelease() {
+    if (armed) {
+      std::lock_guard<std::mutex> lock(g_shard_mu);
+      g_shards_taken &= ~(uint64_t{1} << t_shard_);
+    }
+    t_shard_ = kShards;
+  }
+};
+thread_local CpuModel::ShardRelease CpuModel::t_release_;
+
+size_t CpuModel::AcquireShard() {
+  size_t shard = kShards;
+  {
+    std::lock_guard<std::mutex> lock(g_shard_mu);
+    uint64_t free = ~g_shards_taken & ((uint64_t{1} << kShards) - 1);
+    if (free != 0) {
+      shard = static_cast<size_t>(__builtin_ctzll(free));
+      g_shards_taken |= uint64_t{1} << shard;
+    }
+  }
+  t_shard_ = static_cast<uint32_t>(shard);
+  t_release_.armed = shard < kShards;
+  return shard;
+}
 
 CoreSchedule ScheduleOnCores(const std::vector<uint64_t>& queue_kernel_ns,
                              const std::vector<uint64_t>& queue_driver_ns, double serial_ns,

@@ -74,59 +74,96 @@ inline constexpr CpuAccount kAccountPeer = CpuAccount::kPeer;  // the traffic ge
 // benchmark harness decides how charged time maps onto wall time (a single
 // core runs accounts serially; a dual-core harness may overlap them).
 //
-// Charges are lock-free relaxed atomics: the multi-queue packet path charges
-// from one thread per NIC queue concurrently (sharded uchans, per-queue
-// proxies), and the only consistency the benches need is an eventually
-// complete sum read after the workers quiesce.
+// Charges run on every packet path, from one thread per NIC queue at once
+// (sharded uchans, per-queue proxies), so each thread charges its own shard:
+// a relaxed load and store, no bus-locked add. A thread takes a shard index
+// on its first charge and gives it back when it exits; its successor keeps
+// adding to the same cells, so nothing is lost. Threads beyond kShards share
+// one last shard through fetch_add. Reads sum the shards, exactly, and the
+// only consistency the benches need is a complete sum read after the
+// workers quiesce. Reset() moves a baseline instead of zeroing the shards,
+// so it never races a shard's writer.
 class CpuModel {
  public:
-  explicit CpuModel(CpuCosts costs = CpuCosts{}) : costs_(costs) { Reset(); }
+  static constexpr size_t kShards = 32;
+
+  explicit CpuModel(CpuCosts costs = CpuCosts{}) : costs_(costs) {}
 
   const CpuCosts& costs() const { return costs_; }
   void set_costs(const CpuCosts& costs) { costs_ = costs; }
 
   void Charge(CpuAccount account, SimTime nanos) {
-    busy_[static_cast<size_t>(account)].fetch_add(nanos, std::memory_order_relaxed);
+    size_t shard = ThreadShard();
+    std::atomic<SimTime>& cell = shards_[shard].busy[static_cast<size_t>(account)];
+    if (shard < kShards) {
+      cell.store(cell.load(std::memory_order_relaxed) + nanos, std::memory_order_relaxed);
+    } else {
+      cell.fetch_add(nanos, std::memory_order_relaxed);
+    }
   }
 
   // Fractional per-byte charges (copy/checksum passes).
   void ChargeBytes(CpuAccount account, double ns_per_byte, uint64_t bytes) {
-    busy_[static_cast<size_t>(account)].fetch_add(
-        static_cast<SimTime>(ns_per_byte * static_cast<double>(bytes) + 0.5),
-        std::memory_order_relaxed);
+    Charge(account, static_cast<SimTime>(ns_per_byte * static_cast<double>(bytes) + 0.5));
   }
 
-  SimTime busy(CpuAccount account) const {
-    return busy_[static_cast<size_t>(account)].load(std::memory_order_relaxed);
-  }
+  SimTime busy(CpuAccount account) const { return accounts()[static_cast<size_t>(account)]; }
 
   // Total across all accounts.
   SimTime total_busy() const {
     SimTime sum = 0;
-    for (const auto& nanos : busy_) {
-      sum += nanos.load(std::memory_order_relaxed);
+    for (SimTime nanos : accounts()) {
+      sum += nanos;
     }
     return sum;
   }
 
   void Reset() {
-    for (auto& nanos : busy_) {
-      nanos.store(0, std::memory_order_relaxed);
+    std::array<SimTime, kAccounts> sums = Sums();
+    for (size_t i = 0; i < kAccounts; ++i) {
+      base_[i].store(sums[i], std::memory_order_relaxed);
     }
   }
 
-  // Snapshot of all accounts (by value: the live array is atomic).
+  // Snapshot of all accounts since the last Reset.
   std::array<SimTime, static_cast<size_t>(CpuAccount::kCount)> accounts() const {
-    std::array<SimTime, static_cast<size_t>(CpuAccount::kCount)> snapshot{};
-    for (size_t i = 0; i < snapshot.size(); ++i) {
-      snapshot[i] = busy_[i].load(std::memory_order_relaxed);
+    std::array<SimTime, kAccounts> snapshot = Sums();
+    for (size_t i = 0; i < kAccounts; ++i) {
+      snapshot[i] -= base_[i].load(std::memory_order_relaxed);
     }
     return snapshot;
   }
 
  private:
+  static constexpr size_t kAccounts = static_cast<size_t>(CpuAccount::kCount);
+  struct alignas(64) Shard {
+    std::array<std::atomic<SimTime>, kAccounts> busy{};
+  };
+
+  // The calling thread's shard index; kShards once every shard is taken.
+  static size_t ThreadShard() {
+    uint32_t shard = t_shard_;
+    return shard != kNoShard ? shard : AcquireShard();
+  }
+  static size_t AcquireShard();
+  std::array<SimTime, kAccounts> Sums() const {
+    std::array<SimTime, kAccounts> sums{};
+    for (const Shard& shard : shards_) {
+      for (size_t i = 0; i < kAccounts; ++i) {
+        sums[i] += shard.busy[i].load(std::memory_order_relaxed);
+      }
+    }
+    return sums;
+  }
+
+  static constexpr uint32_t kNoShard = UINT32_MAX;
+  static inline thread_local uint32_t t_shard_ = kNoShard;
+  struct ShardRelease;
+  static thread_local ShardRelease t_release_;
+
   CpuCosts costs_;
-  std::array<std::atomic<SimTime>, static_cast<size_t>(CpuAccount::kCount)> busy_{};
+  std::array<Shard, kShards + 1> shards_{};
+  std::array<std::atomic<SimTime>, kAccounts> base_{};
 };
 
 // --- Core-affinity wall-time mapping ----------------------------------------

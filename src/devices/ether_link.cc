@@ -1,6 +1,7 @@
 #include "src/devices/ether_link.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <vector>
 
@@ -41,7 +42,7 @@ Status EtherLink::Transmit(int side, ConstByteSpan frame) {
     return Status(ErrorCode::kInvalidArgument, "oversize frame");
   }
   if (frame.size() < kEthMinFrame) {
-    std::vector<uint8_t> padded(kEthMinFrame, 0);
+    std::array<uint8_t, kEthMinFrame> padded{};
     std::copy(frame.begin(), frame.end(), padded.begin());
     peer->DeliverFrame(ConstByteSpan(padded.data(), padded.size()));
   } else {
@@ -69,12 +70,12 @@ uint64_t EtherLink::FrameHash(ConstByteSpan frame) {
 void EtherLink::TransmitFromPeer(int side, PeerGen& gen) {
   ConstByteSpan frame(gen.flow.frame.data(), gen.flow.frame.size());
   if (Transmit(side, frame).ok()) {
-    gen.stats.frames.fetch_add(1, std::memory_order_relaxed);
-    gen.stats.bytes.fetch_add(frame.size(), std::memory_order_relaxed);
+    gen.stats.frames.Add();
+    gen.stats.bytes.Add(frame.size());
     // The flow's frame never changes: the digest is hashed once at setup,
     // not per transmit (a per-frame pass over 1.5 KB would dominate the
     // generator itself).
-    gen.stats.frame_hash.fetch_add(gen.frame_digest, std::memory_order_relaxed);
+    gen.stats.frame_hash.Add(gen.frame_digest);
   }
   ++gen.sent;
 }
@@ -135,7 +136,7 @@ void EtherLink::StartPeers(std::vector<PeerFlow> flows, int side, uint64_t give_
               // retransmissions inflate stats.frames past the budget.
               cursor = acked;
               last_rewind = now;
-              gen->stats.rewinds.fetch_add(1, std::memory_order_relaxed);
+              gen->stats.rewinds.Add();
               continue;
             }
             if (now - last_progress > std::chrono::milliseconds(give_up_ms)) {

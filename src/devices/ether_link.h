@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/base/bytes.h"
+#include "src/base/counter.h"
 #include "src/base/status.h"
 #include "src/kern/net_limits.h"
 
@@ -99,16 +100,17 @@ class EtherLink {
   // frame_hash is an order-independent digest (wrapping sum of per-frame
   // FNV-1a hashes), so a threaded run can be compared bit-for-bit against a
   // serial replay of the same flows regardless of interleaving.
+  // Written only by the generator's own thread (or the serial replay).
   struct PeerStats {
-    std::atomic<uint64_t> frames{0};
-    std::atomic<uint64_t> bytes{0};
-    std::atomic<uint64_t> frame_hash{0};
+    Counter frames;
+    Counter bytes;
+    Counter frame_hash;
     // The generator abandoned its budget after the give-up stall bound; the
     // flow's last heartbeat (what it sent, what the consumer acked) is logged
     // at the moment it quits so a wedged queue is attributable from CI logs.
     std::atomic<bool> gave_up{false};
     // Go-back-N rewinds performed (each one resends the unacked window tail).
-    std::atomic<uint64_t> rewinds{0};
+    Counter rewinds;
   };
 
   // One request/response flow — netperf's UDP_RR client: the generator

@@ -396,15 +396,12 @@ void SimNic::MmioWrite(int bar, uint64_t offset, uint32_t value) {
   }
 }
 
-void SimNic::AccumulateEngineStats(const hw::DescRingEngine& engine,
+void SimNic::AccumulateEngineStats(uint32_t q, const hw::DescRingEngine& engine,
                                    hw::DescRingEngine::Stats* folded) {
   const hw::DescRingEngine::Stats& s = engine.stats();
-  stats_.desc_fetch_dma.fetch_add(s.burst_fetches - folded->burst_fetches,
-                                  std::memory_order_relaxed);
-  stats_.desc_fetched.fetch_add(s.descs_fetched - folded->descs_fetched,
-                                std::memory_order_relaxed);
-  stats_.desc_writeback_dma.fetch_add(s.writebacks - folded->writebacks,
-                                      std::memory_order_relaxed);
+  stats_.desc_fetch_dma.Add(q, s.burst_fetches - folded->burst_fetches);
+  stats_.desc_fetched.Add(q, s.descs_fetched - folded->descs_fetched);
+  stats_.desc_writeback_dma.Add(q, s.writebacks - folded->writebacks);
   *folded = s;
 }
 
@@ -585,11 +582,10 @@ void SimNic::ProcessTxRing(uint32_t q) {
       (void)PublishRetry(engine, pending.index,
                          static_cast<uint8_t>(pending.status | kNicDescStatusDone));
     }
-    stats_.tx_frames.fetch_add(1, std::memory_order_relaxed);
-    queue_stats_[q].tx_frames.fetch_add(1, std::memory_order_relaxed);
+    stats_.tx_frames.Add(q);
     if (chain.size() > 1) {
-      stats_.tx_chain_frames.fetch_add(1, std::memory_order_relaxed);
-      stats_.tx_chain_descs.fetch_add(chain.size(), std::memory_order_relaxed);
+      stats_.tx_chain_frames.Add(q);
+      stats_.tx_chain_descs.Add(q, chain.size());
     }
     chain.clear();
     completed_any = true;
@@ -609,7 +605,7 @@ void SimNic::ProcessTxRing(uint32_t q) {
       frame.clear();
     }
   }
-  AccumulateEngineStats(engine, &engines_[q]->tx_folded);
+  AccumulateEngineStats(q, engine, &engines_[q]->tx_folded);
   lock.unlock();
   if (completed_any) {
     // Raised after the lock is dropped: the MSI dispatch can synchronously
@@ -670,7 +666,7 @@ SimNic::RxOutcome SimNic::ReceiveIntoRingLocked(uint32_t q, ConstByteSpan frame)
       // The fetch faulted in the IOMMU (or an injected transient fault): the
       // whole frame is dropped, and counted — never a silent loss.
       stats_.rx_dropped_dma.fetch_add(1, std::memory_order_relaxed);
-      AccumulateEngineStats(engine, &engines_[q]->rx_folded);
+      AccumulateEngineStats(q, engine, &engines_[q]->rx_folded);
       return RxOutcome::kDropped;
     }
     chain_desc[i] = desc.value();
@@ -679,7 +675,7 @@ SimNic::RxOutcome SimNic::ReceiveIntoRingLocked(uint32_t q, ConstByteSpan frame)
     if (!status.ok()) {
       stats_.dma_errors.fetch_add(1, std::memory_order_relaxed);
       stats_.rx_dropped_dma.fetch_add(1, std::memory_order_relaxed);
-      AccumulateEngineStats(engine, &engines_[q]->rx_folded);
+      AccumulateEngineStats(q, engine, &engines_[q]->rx_folded);
       return RxOutcome::kDropped;
     }
     off += chunk;
@@ -710,7 +706,7 @@ SimNic::RxOutcome SimNic::ReceiveIntoRingLocked(uint32_t q, ConstByteSpan frame)
         // still be dropped WHOLE and counted — the slot is reused for the
         // next delivery.
         stats_.rx_dropped_dma.fetch_add(1, std::memory_order_relaxed);
-        AccumulateEngineStats(engine, &engines_[q]->rx_folded);
+        AccumulateEngineStats(q, engine, &engines_[q]->rx_folded);
         return RxOutcome::kDropped;
       }
       // Mid-chain hole after retries: earlier descriptors are already
@@ -720,13 +716,12 @@ SimNic::RxOutcome SimNic::ReceiveIntoRingLocked(uint32_t q, ConstByteSpan frame)
     off += chunk;
   }
   regs.head = (regs.head + needed) % regs.size();
-  stats_.rx_frames.fetch_add(1, std::memory_order_relaxed);
-  queue_stats_[q].rx_frames.fetch_add(1, std::memory_order_relaxed);
+  stats_.rx_frames.Add(q);
   if (needed > 1) {
-    stats_.rx_chain_frames.fetch_add(1, std::memory_order_relaxed);
-    stats_.rx_chain_descs.fetch_add(needed, std::memory_order_relaxed);
+    stats_.rx_chain_frames.Add(q);
+    stats_.rx_chain_descs.Add(q, needed);
   }
-  AccumulateEngineStats(engine, &engines_[q]->rx_folded);
+  AccumulateEngineStats(q, engine, &engines_[q]->rx_folded);
   // The interrupt is raised by the caller AFTER the queue lock is released:
   // a synchronous in-kernel dispatch can transmit a reply from inside the
   // handler, and its doorbell must find this queue's lock free (see the

@@ -92,6 +92,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/base/counter.h"
 #include "src/base/status.h"
 #include "src/devices/ether_link.h"
 #include "src/hw/desc_ring.h"
@@ -208,15 +209,18 @@ class SimNic : public hw::PciDevice, public EtherEndpoint {
   // EtherEndpoint — a frame arrives from the wire. RSS-steers it to a queue.
   void DeliverFrame(ConstByteSpan frame) override;
 
+  // The per-packet totals are written under each queue's lock, one slot per
+  // queue (summed on read); the drop and fault counters stay atomics.
+  using QueueTotal = PerQueueCounter<kNicNumQueues>;
   struct Stats {
-    std::atomic<uint64_t> tx_frames{0};
-    std::atomic<uint64_t> rx_frames{0};
+    QueueTotal tx_frames;
+    QueueTotal rx_frames;
     std::atomic<uint64_t> rx_dropped_no_desc{0};
     std::atomic<uint64_t> rx_dropped_oversize{0};  // LPE off, or chain cap hit
-    std::atomic<uint64_t> rx_chain_frames{0};      // frames scattered over >1 descriptor
-    std::atomic<uint64_t> rx_chain_descs{0};       // descriptors those frames used
-    std::atomic<uint64_t> tx_chain_frames{0};      // frames gathered from >1 descriptor
-    std::atomic<uint64_t> tx_chain_descs{0};       // descriptors those frames spanned
+    QueueTotal rx_chain_frames;      // frames scattered over >1 descriptor
+    QueueTotal rx_chain_descs;       // descriptors those frames used
+    QueueTotal tx_chain_frames;      // frames gathered from >1 descriptor
+    QueueTotal tx_chain_descs;       // descriptors those frames spanned
     // Forged endless/over-cap TX chains (and mid-chain data faults) dropped
     // whole: descriptors recycled, nothing on the wire, device live.
     std::atomic<uint64_t> tx_dropped_chain{0};
@@ -229,9 +233,9 @@ class SimNic : public hw::PciDevice, public EtherEndpoint {
     // Descriptor-engine fabric accounting, summed over every queue:
     // transactions that fetched descriptors (cacheline bursts), descriptors
     // they carried, and completion writebacks.
-    std::atomic<uint64_t> desc_fetch_dma{0};
-    std::atomic<uint64_t> desc_fetched{0};
-    std::atomic<uint64_t> desc_writeback_dma{0};
+    QueueTotal desc_fetch_dma;
+    QueueTotal desc_fetched;
+    QueueTotal desc_writeback_dma;
     // Interrupt-moderation accounting: events whose MSI the EITR throttle
     // absorbed into the window's single deferred message.
     std::atomic<uint64_t> itr_suppressed{0};
@@ -240,11 +244,14 @@ class SimNic : public hw::PciDevice, public EtherEndpoint {
     std::atomic<uint64_t> reta_writes{0};
   };
   const Stats& stats() const { return stats_; }
+  // Queue q's slots of the frame totals.
   struct QueueStats {
-    std::atomic<uint64_t> tx_frames{0};
-    std::atomic<uint64_t> rx_frames{0};
+    const Counter& tx_frames;
+    const Counter& rx_frames;
   };
-  const QueueStats& queue_stats(uint32_t q) const { return queue_stats_[q]; }
+  QueueStats queue_stats(uint32_t q) const {
+    return {stats_.tx_frames.queue(q), stats_.rx_frames.queue(q)};
+  }
   const uint8_t* mac() const { return mac_.data(); }
   bool link_up() const { return link_ != nullptr; }
   // RSS queues currently enabled by MRQC (1 when unprogrammed).
@@ -317,7 +324,7 @@ class SimNic : public hw::PciDevice, public EtherEndpoint {
   void RaiseRxInterrupt(uint32_t q, uint64_t count);
   // Folds one engine's counter growth since `folded` into stats_ (called at
   // the end of each ring pass, under the queue lock).
-  void AccumulateEngineStats(const hw::DescRingEngine& engine,
+  void AccumulateEngineStats(uint32_t q, const hw::DescRingEngine& engine,
                              hw::DescRingEngine::Stats* folded);
   // Single-queue (legacy) cause assertion: level-ish on ICR & IMS edges.
   void SetInterruptCause(uint32_t bits);
@@ -414,7 +421,6 @@ class SimNic : public hw::PciDevice, public EtherEndpoint {
   std::array<std::unique_ptr<QueueEngines>, kNicNumQueues> engines_;
 
   Stats stats_;
-  std::array<QueueStats, kNicNumQueues> queue_stats_;
 };
 
 }  // namespace sud::devices

@@ -151,6 +151,7 @@ Status E1000eDriver::Probe(uml::DriverEnv& env) {
   for (uint32_t q = 0; q < num_queues_; ++q) {
     queues_[q].rx_buffers_iova = rx_buffers_.iova + static_cast<uint64_t>(q) *
                                                         (kRxBufferBytes / num_queues_);
+    queues_[q].pending_rearm.assign(kRxDescriptors, 0);
     queues_[q].tx_slot_buffer.assign(kTxDescriptors, -1);
     queues_[q].tx_slot_eop.assign(kTxDescriptors, 1);
     queues_[q].tx_eng = std::make_unique<hw::DescRingEngine>(&ring_mem_);
@@ -203,11 +204,11 @@ void E1000eDriver::DrainRearmBacklog(uint16_t queue, uint64_t rx_base) {
   QueueState& qs = queues_[queue];
   bool advanced = false;
   uint32_t last = 0;
-  while (!qs.pending_rearm.empty()) {
-    uint32_t index = qs.pending_rearm.front();
+  while (qs.rearm_count > 0) {
+    uint32_t index = qs.pending_rearm[qs.rearm_head];
     Status armed = ArmRxDescriptor(queue, index);
     for (int retry = 0; !armed.ok() && retry < kRearmRetries; ++retry) {
-      stats_.rearm_retries.fetch_add(1, std::memory_order_relaxed);
+      stats_.rearm_retries.Add(queue);
       armed = ArmRxDescriptor(queue, index);
     }
     if (!armed.ok()) {
@@ -216,7 +217,8 @@ void E1000eDriver::DrainRearmBacklog(uint16_t queue, uint64_t rx_base) {
       // next reap pass retries from here.
       break;
     }
-    qs.pending_rearm.pop_front();
+    qs.rearm_head = (qs.rearm_head + 1) % kRxDescriptors;
+    --qs.rearm_count;
     last = index;
     advanced = true;
   }
@@ -225,8 +227,15 @@ void E1000eDriver::DrainRearmBacklog(uint16_t queue, uint64_t rx_base) {
   }
 }
 
+void E1000eDriver::QueueRearm(uint16_t queue, uint32_t index) {
+  QueueState& qs = queues_[queue];
+  if (qs.rearm_count < kRxDescriptors) {
+    qs.pending_rearm[(qs.rearm_head + qs.rearm_count++) % kRxDescriptors] = index;
+  }
+}
+
 void E1000eDriver::ArmRxAndAdvanceTail(uint16_t queue, uint32_t index, uint64_t rx_base) {
-  queues_[queue].pending_rearm.push_back(index);
+  QueueRearm(queue, index);
   DrainRearmBacklog(queue, rx_base);
 }
 
@@ -301,7 +310,8 @@ Status E1000eDriver::Open() {
     qs.chain.clear();
     qs.chain_bytes = 0;
     qs.skip_to_eop = false;
-    qs.pending_rearm.clear();
+    qs.rearm_head = 0;
+    qs.rearm_count = 0;
     // Tail one behind head: the full ring minus one is armed, as on real HW.
     SUD_RETURN_IF_ERROR(env_->MmioWrite32(0, rx_base + 0x18, kRxDescriptors - 1));
     qs.tx_tail = 0;
@@ -394,10 +404,10 @@ Status E1000eDriver::Xmit(std::span<const uml::TxFrag> frags, uint16_t queue) {
     qs.tx_slot_eop[qs.tx_tail] = last ? 1 : 0;
     qs.tx_tail = (qs.tx_tail + 1) % kTxDescriptors;
   }
-  stats_.tx_queued.fetch_add(1, std::memory_order_relaxed);
-  stats_.tx_desc_queued.fetch_add(frags.size(), std::memory_order_relaxed);
+  stats_.tx_queued.Add(queue);
+  stats_.tx_desc_queued.Add(queue, frags.size());
   if (frags.size() > 1) {
-    stats_.tx_chains.fetch_add(1, std::memory_order_relaxed);
+    stats_.tx_chains.Add(queue);
   }
   // One doorbell for the whole chain.
   return env_->MmioWrite32(0, QueueRegBase(devices::kNicRegTdbal, queue) + 0x18, qs.tx_tail);
@@ -436,13 +446,13 @@ void E1000eDriver::ReapTxCompletions(uint16_t queue) {
       qs.tx_slot_buffer[qs.tx_reap] = -1;
     }
     if (qs.tx_slot_eop[qs.tx_reap] != 0) {
-      stats_.tx_completed.fetch_add(1, std::memory_order_relaxed);
+      stats_.tx_completed.Add(queue);
     }
     qs.tx_reap = (qs.tx_reap + 1) % kTxDescriptors;
   }
   if (!qs.free_scratch.empty()) {
     if (qs.free_scratch.size() > 1) {
-      stats_.free_batches.fetch_add(1, std::memory_order_relaxed);
+      stats_.free_batches.Add(queue);
     }
     env_->FreeTxBuffers(queue, qs.free_scratch);
   }
@@ -454,7 +464,7 @@ void E1000eDriver::RecycleChain(uint16_t queue) {
     return;
   }
   for (size_t i = 0; i < qs.chain.size(); ++i) {
-    qs.pending_rearm.push_back((qs.chain_start + static_cast<uint32_t>(i)) % kRxDescriptors);
+    QueueRearm(queue, (qs.chain_start + static_cast<uint32_t>(i)) % kRxDescriptors);
   }
   DrainRearmBacklog(queue, QueueRegBase(devices::kNicRegRdbal, queue));
   qs.chain.clear();
@@ -514,7 +524,7 @@ void E1000eDriver::ReapRxRing(uint16_t queue) {
       // boundary before parsing anything as a new frame — the driver stays
       // live no matter what descriptor memory claims.
       if (qs.chain.size() >= kern::kMaxChainFrags || qs.chain_bytes > max_frame) {
-        stats_.rx_chain_dropped.fetch_add(1, std::memory_order_relaxed);
+        stats_.rx_chain_dropped.Add(queue);
         RecycleChain(queue);
         qs.skip_to_eop = true;
       }
@@ -525,16 +535,16 @@ void E1000eDriver::ReapRxRing(uint16_t queue) {
     // no-EOP overflow above (the device never produces them; forged rings
     // can).
     if (qs.chain_bytes > max_frame) {
-      stats_.rx_chain_dropped.fetch_add(1, std::memory_order_relaxed);
+      stats_.rx_chain_dropped.Add(queue);
       RecycleChain(queue);
       continue;
     }
     // One netif_rx per frame, then the frame's descriptors go back to the
     // device with one tail write (arm + tail write per one-descriptor frame).
     (void)env_->NetifRx(qs.chain, queue);
-    stats_.rx_delivered.fetch_add(1, std::memory_order_relaxed);
+    stats_.rx_delivered.Add(queue);
     if (qs.chain.size() > 1) {
-      stats_.rx_chains.fetch_add(1, std::memory_order_relaxed);
+      stats_.rx_chains.Add(queue);
     }
     RecycleChain(queue);
   }

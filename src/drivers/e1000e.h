@@ -58,11 +58,11 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "src/base/counter.h"
 #include "src/devices/sim_nic.h"
 #include "src/hw/desc_ring.h"
 #include "src/kern/net_limits.h"
@@ -108,20 +108,24 @@ class E1000eDriver : public uml::Driver {
   // units; 0 = off, the reset default every historical row ran under).
   Status ProgramItr(uint32_t itr_units);
 
+  // Each queue's counts come from that queue's thread only (its pump thread
+  // under SUD): one slot per queue, summed on read. `interrupts` stays an
+  // atomic: in-kernel, the handler runs on whichever thread raised the MSI.
+  using QueueTotal = PerQueueCounter<devices::kNicNumQueues>;
   struct Stats {
-    std::atomic<uint64_t> tx_queued{0};          // frames (not descriptors)
-    std::atomic<uint64_t> tx_desc_queued{0};     // TX descriptors armed
-    std::atomic<uint64_t> tx_chains{0};          // frames armed as >1 descriptor
-    std::atomic<uint64_t> tx_completed{0};
-    std::atomic<uint64_t> rx_delivered{0};       // frames (not descriptors)
-    std::atomic<uint64_t> rx_chains{0};          // multi-descriptor frames delivered
-    std::atomic<uint64_t> rx_chain_dropped{0};   // torn/endless/oversize chains dropped
+    QueueTotal tx_queued;          // frames (not descriptors)
+    QueueTotal tx_desc_queued;     // TX descriptors armed
+    QueueTotal tx_chains;          // frames armed as >1 descriptor
+    QueueTotal tx_completed;
+    QueueTotal rx_delivered;       // frames (not descriptors)
+    QueueTotal rx_chains;          // multi-descriptor frames delivered
+    QueueTotal rx_chain_dropped;   // torn/endless/oversize chains dropped
     std::atomic<uint64_t> interrupts{0};
-    std::atomic<uint64_t> free_batches{0};  // coalesced completion downcalls
+    QueueTotal free_batches;  // coalesced completion downcalls
     // RX re-arm attempts repeated after a transient descriptor-write fault
     // (injected DMA-view failures): the re-arm barrier retries in place and
     // the tail doorbell never passes a slot that is still unarmed.
-    std::atomic<uint64_t> rearm_retries{0};
+    QueueTotal rearm_retries;
   };
   const Stats& stats() const { return stats_; }
   // Descriptor-window accounting summed over every ring engine: DmaView
@@ -188,8 +192,13 @@ class E1000eDriver : public uml::Driver {
     // order. They form a BARRIER: the tail doorbell never advances past the
     // first of them — an unarmed slot handed back to the device still shows
     // stale DD state, and the device would re-deliver a stale frame from it.
-    // Retried at the head of every reap pass.
-    std::deque<uint32_t> pending_rearm;
+    // Retried at the head of every reap pass. A FIFO over a fixed ring of
+    // kRxDescriptors entries: a consumed slot is queued once and the device
+    // cannot fill it again before it is re-armed, so the FIFO never holds
+    // more than the ring.
+    std::vector<uint32_t> pending_rearm;
+    uint32_t rearm_head = 0;
+    uint32_t rearm_count = 0;
     // Pool buffer ids in flight per TX slot (-1 when in-kernel bounce).
     std::vector<int32_t> tx_slot_buffer;
     // Whether the TX slot carries a frame's last fragment (CMD.EOP as we
@@ -216,6 +225,8 @@ class E1000eDriver : public uml::Driver {
   void ReapTxCompletions(uint16_t queue);
   void ReapRxRing(uint16_t queue);
   Status ArmRxDescriptor(uint16_t queue, uint32_t index);
+  // Appends `index` to the queue's re-arm FIFO.
+  void QueueRearm(uint16_t queue, uint32_t index);
   // Queues `index` for re-arm and drains the backlog (arm + one tail write).
   void ArmRxAndAdvanceTail(uint16_t queue, uint32_t index, uint64_t rx_base);
   // Arms as many pending slots as the DMA window allows, in ring order, with

@@ -16,6 +16,14 @@ uint64_t LeafSlice(uint64_t iova, uint64_t pages) {
   return std::min<uint64_t>(pages, 512 - ((iova >> 12) & 0x1ff));
 }
 
+// Whether [iova, iova + len) lies in the table's 39-bit IO-virtual space.
+// The table indexes bits 12-38 only, so an address past it would alias one
+// inside; like VT-d, every entry point refuses it instead.
+bool InIoSpace(uint64_t iova, uint64_t len) {
+  constexpr uint64_t kIoSpace = uint64_t{1} << 39;
+  return iova < kIoSpace && len <= kIoSpace - iova;
+}
+
 }  // namespace
 
 Iommu::Iommu(IommuMode mode, CpuModel* cpu, SimClock* clock)
@@ -154,7 +162,7 @@ Status Iommu::Map(uint16_t source_id, uint64_t iova, uint64_t paddr, uint64_t le
   if (!IsPageAligned(iova) || !IsPageAligned(paddr) || !IsPageAligned(len) || len == 0) {
     return Status(ErrorCode::kInvalidArgument, "iommu map not page aligned");
   }
-  if ((iova >> 39) != 0) {
+  if (!InIoSpace(iova, len)) {
     return Status(ErrorCode::kInvalidArgument, "iova beyond 39-bit io-virtual space");
   }
   auto it = contexts_.find(source_id);
@@ -182,10 +190,9 @@ Status Iommu::Map(uint16_t source_id, uint64_t iova, uint64_t paddr, uint64_t le
     slice = LeafSlice(at, pages - page);
     Pte* ptes = LookupPte(it->second, at, /*create=*/true);
     for (uint64_t i = 0; i < slice; ++i) {
-      ptes[i].paddr = paddr + (page + i) * kPageSize;
-      ptes[i].readable = readable;
-      ptes[i].writable = writable;
-      ptes[i].present = true;
+      // The whole entry: a page sealed before an Unmap comes back unsealed.
+      ptes[i] = Pte{paddr + (page + i) * kPageSize, readable, writable, /*present=*/true,
+                    /*sealed=*/false};
     }
   }
   it->second.mapped_pages += pages;
@@ -196,6 +203,9 @@ Status Iommu::Unmap(uint16_t source_id, uint64_t iova, uint64_t len) {
   std::lock_guard<SpinLock> lock(mu_);
   if (!IsPageAligned(iova) || !IsPageAligned(len) || len == 0) {
     return Status(ErrorCode::kInvalidArgument, "iommu unmap not page aligned");
+  }
+  if (!InIoSpace(iova, len)) {
+    return Status(ErrorCode::kInvalidArgument, "iova beyond 39-bit io-virtual space");
   }
   auto it = contexts_.find(source_id);
   if (it == contexts_.end()) {
@@ -235,6 +245,9 @@ Status Iommu::SealWrite(uint16_t source_id, uint64_t iova, uint64_t len) {
   if (!IsPageAligned(iova) || len == 0) {
     return Status(ErrorCode::kInvalidArgument, "iommu seal not page aligned");
   }
+  if (!InIoSpace(iova, len)) {
+    return Status(ErrorCode::kInvalidArgument, "iova beyond 39-bit io-virtual space");
+  }
   auto it = contexts_.find(source_id);
   if (it == contexts_.end()) {
     return Status(ErrorCode::kNotFound, "no iommu context for source " + Hex(source_id));
@@ -272,6 +285,9 @@ Status Iommu::UnsealWrite(uint16_t source_id, uint64_t iova, uint64_t len) {
   std::lock_guard<SpinLock> lock(mu_);
   if (!IsPageAligned(iova) || len == 0) {
     return Status(ErrorCode::kInvalidArgument, "iommu unseal not page aligned");
+  }
+  if (!InIoSpace(iova, len)) {
+    return Status(ErrorCode::kInvalidArgument, "iova beyond 39-bit io-virtual space");
   }
   auto it = contexts_.find(source_id);
   if (it == contexts_.end()) {
@@ -315,7 +331,7 @@ Status Iommu::UnsealWrite(uint16_t source_id, uint64_t iova, uint64_t len) {
 bool Iommu::IsWriteSealed(uint16_t source_id, uint64_t iova) const {
   std::lock_guard<SpinLock> lock(mu_);
   auto it = contexts_.find(source_id);
-  if (it == contexts_.end()) {
+  if (it == contexts_.end() || !InIoSpace(iova, 1)) {
     return false;
   }
   const Pte* pte = LookupPte(it->second, PageAlignDown(iova));
@@ -332,6 +348,9 @@ Result<uint64_t> Iommu::Translate(uint16_t source_id, uint64_t iova, uint64_t le
     // Hardware splits page-crossing bursts; the root complex does the same
     // (see RootComplex), so a single Translate call never crosses a page.
     return Fault(source_id, iova, is_write, "access crosses page boundary");
+  }
+  if (!InIoSpace(iova, len)) {
+    return Fault(source_id, iova, is_write, "iova beyond 39-bit io-virtual space");
   }
 
   uint64_t page = PageAlignDown(iova);

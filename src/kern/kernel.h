@@ -56,17 +56,14 @@ class Kernel {
     return spurious_interrupts_.load(std::memory_order_relaxed);
   }
 
-  // --- non-preemptable context tracking.
-  bool InAtomicContext() const { return atomic_depth_.load(std::memory_order_relaxed) > 0; }
+  // --- non-preemptable context tracking, per thread like a CPU's preempt
+  // count: an interrupt handler on one thread leaves every other thread
+  // free to block.
+  bool InAtomicContext() const { return atomic_depth_ > 0; }
   class ScopedAtomic {
    public:
-    explicit ScopedAtomic(Kernel& kernel) : kernel_(kernel) {
-      kernel_.atomic_depth_.fetch_add(1, std::memory_order_relaxed);
-    }
-    ~ScopedAtomic() { kernel_.atomic_depth_.fetch_sub(1, std::memory_order_relaxed); }
-
-   private:
-    Kernel& kernel_;
+    explicit ScopedAtomic(Kernel&) { ++atomic_depth_; }
+    ~ScopedAtomic() { --atomic_depth_; }
   };
 
  private:
@@ -81,11 +78,11 @@ class Kernel {
   std::map<uint8_t, IrqHandler> irq_handlers_;
   uint8_t next_vector_ = 32;
   // Interrupts are delivered from every queue's pump thread under the
-  // multi-queue NIC model; counters and the atomic-context depth are relaxed
-  // atomics so dispatch stays lock-free.
+  // multi-queue NIC model; the counters are relaxed atomics so dispatch
+  // stays lock-free.
   std::atomic<uint64_t> interrupts_handled_{0};
   std::atomic<uint64_t> spurious_interrupts_{0};
-  std::atomic<int> atomic_depth_{0};
+  static inline thread_local int atomic_depth_ = 0;
 };
 
 }  // namespace sud::kern

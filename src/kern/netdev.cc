@@ -15,7 +15,6 @@ bool Firewall::Accept(const PacketView& packet) const {
     ++rejected_;
     return false;
   }
-  ++accepted_;
   return true;
 }
 
@@ -147,11 +146,13 @@ Result<size_t> NetSubsystem::XmitBurst(NetDevice* device, std::span<SkbPtr> skbs
     }
   }
   device->stats().tx_packets += accepted;
-  device->stats().tx_dropped += total - accepted;
+  if (accepted != total) {
+    device->stats().tx_dropped += total - accepted;
+  }
   return accepted;
 }
 
-size_t NetSubsystem::NetifRxBatch(NetDevice* device, std::vector<SkbPtr> skbs, uint16_t queue) {
+size_t NetSubsystem::NetifRxBatch(NetDevice* device, std::span<SkbPtr> skbs, uint16_t queue) {
   size_t accepted = 0;
   for (SkbPtr& skb : skbs) {
     if (NetifRx(device, std::move(skb), queue).ok()) {
@@ -197,10 +198,7 @@ Status NetSubsystem::NetifRx(NetDevice* device, SkbPtr skb, uint16_t queue) {
   // The counters are the completion signal, so they move last: a thread that
   // polls rx_packets from outside finds the flow record and the sink's work
   // for every frame it counts.
-  if (queue < kNetMaxQueues) {
-    device->queue_stats(queue).rx_packets++;
-  }
-  device->stats().rx_packets++;
+  device->stats().rx_packets.Add(queue < kNetMaxQueues ? queue : 0);
   return Status::Ok();
 }
 

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/counter.h"
 #include "src/base/status.h"
 #include "src/kern/flow_table.h"
 #include "src/kern/net_limits.h"
@@ -62,18 +63,20 @@ class Firewall {
   // Verdict over exactly the bytes passed in.
   bool Accept(const PacketView& packet) const;
 
-  uint64_t accepted() const { return accepted_.load(std::memory_order_relaxed); }
   uint64_t rejected() const { return rejected_.load(std::memory_order_relaxed); }
 
  private:
   std::set<uint16_t> denied_ports_;
-  // Relaxed atomics: the verdict runs on every queue's receive thread.
-  mutable std::atomic<uint64_t> accepted_{0};
+  // A relaxed atomic: the verdict runs on every interface's receive threads.
   mutable std::atomic<uint64_t> rejected_{0};
 };
 
-// Interface counters. Relaxed atomics: with multi-queue drivers the receive
-// path runs concurrently from one thread per queue.
+// Upper bound on TX/RX queues per interface (matches the device models).
+inline constexpr uint16_t kNetMaxQueues = 8;
+
+// Interface counters. With multi-queue drivers the receive path runs
+// concurrently from one thread per queue, so rx_packets keeps one slot per
+// queue; the rest are relaxed atomics (any thread may transmit).
 struct NetDeviceStats {
   std::atomic<uint64_t> tx_packets{0};
   std::atomic<uint64_t> tx_dropped{0};
@@ -84,21 +87,19 @@ struct NetDeviceStats {
   // backpressure under memory pressure — a subset of tx_dropped, never a
   // silent loss).
   std::atomic<uint64_t> tx_no_buffer{0};
-  std::atomic<uint64_t> rx_packets{0};
+  PerQueueCounter<kNetMaxQueues> rx_packets;
   std::atomic<uint64_t> rx_dropped{0};
   std::atomic<uint64_t> rx_bad_checksum{0};
   std::atomic<uint64_t> driver_errors{0};  // "driver acting in unexpected ways" messages
 };
 
 // Per-queue packet counters (the per-queue accounting the multi-queue benches
-// report alongside per-shard uchan crossings).
+// report alongside per-shard uchan crossings): queue q's transmit count and
+// its slot of the interface's rx_packets.
 struct NetQueueStats {
-  std::atomic<uint64_t> tx_packets{0};
-  std::atomic<uint64_t> rx_packets{0};
+  std::atomic<uint64_t>& tx_packets;
+  const Counter& rx_packets;
 };
-
-// Upper bound on TX/RX queues per interface (matches the device models).
-inline constexpr uint16_t kNetMaxQueues = 8;
 
 // One registered network interface.
 class NetDevice {
@@ -145,8 +146,9 @@ class NetDevice {
   NetDeviceOps* ops() { return ops_; }
   NetDeviceStats& stats() { return stats_; }
   const NetDeviceStats& stats() const { return stats_; }
-  NetQueueStats& queue_stats(uint16_t queue) { return queue_stats_[queue]; }
-  const NetQueueStats& queue_stats(uint16_t queue) const { return queue_stats_[queue]; }
+  NetQueueStats queue_stats(uint16_t queue) {
+    return {queue_tx_packets_[queue], stats_.rx_packets.queue(queue)};
+  }
 
   // Receiver sink: where accepted packets go (a test harness, the netperf
   // endpoint, ...). Default discards.
@@ -179,7 +181,7 @@ class NetDevice {
   std::atomic<uint16_t> num_queues_{1};
   std::atomic<uint32_t> mtu_{static_cast<uint32_t>(kStdMtu)};
   NetDeviceStats stats_;
-  std::array<NetQueueStats, kNetMaxQueues> queue_stats_;
+  std::array<std::atomic<uint64_t>, kNetMaxQueues> queue_tx_packets_{};
   RxSink rx_sink_;
   std::unique_ptr<FlowTable> flow_table_;
 };
@@ -221,7 +223,7 @@ class NetSubsystem {
   // NAPI-style receive: delivers a whole poll bundle from RX queue `queue`.
   // Every packet still runs the per-packet checksum + firewall validation.
   // Returns how many packets the stack accepted.
-  size_t NetifRxBatch(NetDevice* device, std::vector<SkbPtr> skbs, uint16_t queue = 0);
+  size_t NetifRxBatch(NetDevice* device, std::span<SkbPtr> skbs, uint16_t queue = 0);
 
   Firewall& firewall() { return firewall_; }
 

@@ -62,8 +62,7 @@ Status EthernetProxy::Stop() {
 }
 
 void EthernetProxy::NoteXmitFull() {
-  if (consecutive_full_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-      kHungThreshold) {
+  if (consecutive_full_.fetch_add(1, std::memory_order_relaxed) + 1 >= kHungThreshold) {
     stats_.hung_reports.fetch_add(1, std::memory_order_relaxed);
     SUD_LOG_RL(kWarning) << "ethernet driver not consuming buffers; reporting hung";
     consecutive_full_.store(0, std::memory_order_relaxed);
@@ -288,7 +287,7 @@ void EthernetProxy::HandleDowncall(UchanMsg& msg, uint16_t shard, wire::Malform 
   // checks — DMA-space lookups, the interface's declared MTU, queue-count
   // clamps — stay in the handlers below, with their historical counters.
   if (msg.opcode == kEthDownFreeBuffer) {
-    HandleFreeBuffer(msg, verdict);  // valid or salvaged
+    HandleFreeBuffer(msg, shard, verdict);  // valid or salvaged
     return;
   }
   if (verdict != wire::Malform::kNone) {
@@ -356,7 +355,7 @@ void EthernetProxy::HandleDowncall(UchanMsg& msg, uint16_t shard, wire::Malform 
   }
 }
 
-void EthernetProxy::HandleFreeBuffer(UchanMsg& msg, wire::Malform verdict) {
+void EthernetProxy::HandleFreeBuffer(UchanMsg& msg, uint16_t shard, wire::Malform verdict) {
   // One message per TX reap pass; a single completion is a batch of one.
   size_t count = wire::FreeBufferPayloadCount(msg);
   if (verdict != wire::Malform::kNone) {
@@ -370,7 +369,7 @@ void EthernetProxy::HandleFreeBuffer(UchanMsg& msg, wire::Malform verdict) {
                      << " disagrees with payload (" << count << " ids)";
   }
   if (count > 1 || verdict != wire::Malform::kNone) {
-    stats_.free_batches.fetch_add(1, std::memory_order_relaxed);
+    stats_.free_batches.Add(shard);
   }
   for (size_t i = 0; i < count; ++i) {
     // Bogus ids are tolerated and counted by the pool (double_frees).
@@ -388,7 +387,7 @@ bool EthernetProxy::RxDowncallProlog(UchanMsg& msg, uint16_t shard) {
     return false;
   }
   last_rx_seq_[shard] = msg.seq;
-  stats_.rx_downcalls.fetch_add(1, std::memory_order_relaxed);
+  stats_.rx_downcalls.Add(shard);
   if (netdev_ == nullptr) {
     msg.error = static_cast<int32_t>(ErrorCode::kUnavailable);
     return false;
@@ -433,7 +432,7 @@ void EthernetProxy::HandleNetifRx(UchanMsg& msg, uint16_t shard) {
   auto charge_guard_copy = [&](uint64_t bytes) {
     // The copy is fused with the checksum pass: one charged pass (§3.1.2).
     cpu.ChargeBytes(kAccountKernel, cpu.costs().per_byte_checksum, bytes);
-    stats_.guard_copies.fetch_add(1, std::memory_order_relaxed);
+    stats_.guard_copies.Add(shard);
   };
   if (count > 1) {
     // An EOP-chained frame: validate every tail fragment, then guard-copy
@@ -577,19 +576,21 @@ void EthernetProxy::DeliverRxBundle(uint16_t shard) {
   if (rx_bundle_[shard].empty() || netdev_ == nullptr) {
     return;
   }
-  std::vector<kern::SkbPtr> bundle;
+  thread_local std::vector<kern::SkbPtr> t_bundle;
+  std::vector<kern::SkbPtr> bundle = std::move(t_bundle);
   bundle.swap(rx_bundle_[shard]);
-  stats_.rx_bundles.fetch_add(1, std::memory_order_relaxed);
+  stats_.rx_bundles.Add(shard);
   if (hold_rx_.load(std::memory_order_relaxed)) {
     // Test seam: the modeled socket queue retains the delivery — sealed skbs
     // stay alive (and their pages sealed) past this kernel entry.
     std::lock_guard<std::mutex> lock(hold_mu_);
-    for (kern::SkbPtr& skb : bundle) {
-      held_rx_.push_back(std::move(skb));
-    }
+    held_rx_.insert(held_rx_.end(), std::make_move_iterator(bundle.begin()),
+                    std::make_move_iterator(bundle.end()));
     return;
   }
-  (void)kernel_->net().NetifRxBatch(netdev_, std::move(bundle), shard);
+  (void)kernel_->net().NetifRxBatch(netdev_, bundle, shard);
+  bundle.clear();
+  t_bundle = std::move(bundle);
   if (options_.sealed_delivery) {
     // Skbs died inside the batch; their unseals queued their IOTLB
     // invalidations (when the IOMMU batches). One sync here amortizes the

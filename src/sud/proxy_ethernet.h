@@ -39,7 +39,7 @@
 // queue a downcall belongs to comes from the shard it arrived on — never
 // from driver-marshalled bytes — so a malicious driver cannot cross-talk
 // queues or corrupt another queue's bundle. Per-queue state is only ever
-// touched from its own shard's pump thread; shared counters are atomics.
+// touched from its own shard's pump thread, and so are per-shard counters.
 //
 // Downcalls reach the proxy through SudDeviceContext, which schema-checks
 // each one, serves interrupt_ack and request_region, and hands the rest over
@@ -115,8 +115,8 @@ class EthernetProxy : public kern::NetDeviceOps {
     std::atomic<uint64_t> xmit_upcalls{0};
     std::atomic<uint64_t> xmit_batches{0};      // transmit crossings (a single send is one)
     std::atomic<uint64_t> xmit_dropped{0};
-    std::atomic<uint64_t> rx_downcalls{0};
-    std::atomic<uint64_t> rx_bundles{0};        // NAPI deliveries into the stack
+    PerQueueCounter<kSudMaxQueues> rx_downcalls;
+    PerQueueCounter<kSudMaxQueues> rx_bundles;  // NAPI deliveries into the stack
     // Malformed netif_rx deliveries (bad shape, a fragment outside the
     // driver's DMA space, a frame over the interface maximum), each rejected
     // before a byte is copied.
@@ -126,9 +126,9 @@ class EthernetProxy : public kern::NetDeviceOps {
     // fault-injected) delivery, rejected before any guard copy. Neither a
     // loss nor a delivery in the conservation books.
     std::atomic<uint64_t> rx_dups_rejected{0};
-    std::atomic<uint64_t> free_batches{0};      // coalesced free-buffer messages
+    PerQueueCounter<kSudMaxQueues> free_batches;  // coalesced free-buffer messages
     std::atomic<uint64_t> hung_reports{0};
-    std::atomic<uint64_t> guard_copies{0};
+    PerQueueCounter<kSudMaxQueues> guard_copies;
     // Frames delivered by reference under an IOMMU write seal (no copy).
     std::atomic<uint64_t> sealed_deliveries{0};
     // Deliveries that wanted the sealed path but fell back to the guard copy
@@ -163,9 +163,7 @@ class EthernetProxy : public kern::NetDeviceOps {
   void set_hold_rx_for_test(bool hold) { hold_rx_.store(hold, std::memory_order_relaxed); }
   std::vector<kern::SkbPtr> TakeHeldRx() {
     std::lock_guard<std::mutex> lock(hold_mu_);
-    std::vector<kern::SkbPtr> held;
-    held.swap(held_rx_);
-    return held;
+    return std::exchange(held_rx_, {});
   }
 
  private:
@@ -198,7 +196,7 @@ class EthernetProxy : public kern::NetDeviceOps {
   void FinishRxSkb(kern::SkbPtr skb, uint16_t shard);
   // Frees the ids a free-buffer batch's payload carries. A batch the context
   // refused on its shape is tolerated and counted, its ids salvaged.
-  void HandleFreeBuffer(UchanMsg& msg, wire::Malform verdict);
+  void HandleFreeBuffer(UchanMsg& msg, uint16_t shard, wire::Malform verdict);
   // Stages one skb for transmit and fills `msg` with its kEthUpXmit upcall:
   // a frame over the staging cap is refused first; the rest are chunked by
   // the pool buffer size into a fragment list bounded by kern::kMaxChainFrags
@@ -251,8 +249,8 @@ class EthernetProxy : public kern::NetDeviceOps {
   // such skbs at destruction (held_rx_, rx_bundle_), so the hooks fire while
   // those members are alive.
   std::vector<kern::SkbPtr> held_rx_;
-  // Guard-copied packets awaiting the end-of-entry NetifRxBatch delivery,
-  // one bundle per queue (only ever touched from that shard's pump thread).
+  // Guard-copied packets awaiting the end-of-entry NetifRxBatch delivery, one
+  // per queue (touched only by its shard's pump, which trades it for a spare).
   std::array<std::vector<kern::SkbPtr>, kSudMaxQueues> rx_bundle_;
   // Highest downcall seq accepted per shard for netif_rx delivery: shard
   // seqs are assigned monotonically at enqueue, across rebinds, and the

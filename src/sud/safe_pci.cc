@@ -256,7 +256,7 @@ Status SudDeviceContext::ConfigWrite(uint16_t offset, int width, uint32_t value)
   return Status::Ok();
 }
 
-Result<uint8_t> SudDeviceContext::IoPortRead(uint16_t port) {
+Status SudDeviceContext::IoPortAccess(uint16_t port) {
   if (!bound_ || process_ == nullptr) {
     return Status(ErrorCode::kUnavailable, "device not bound");
   }
@@ -264,17 +264,16 @@ Result<uint8_t> SudDeviceContext::IoPortRead(uint16_t port) {
     SUD_LOG(kAttack) << device_->name() << ": io port " << Hex(port) << " not in process IOPB";
     return Status(ErrorCode::kPermissionDenied, "io port not granted");
   }
+  return Status::Ok();
+}
+
+Result<uint8_t> SudDeviceContext::IoPortRead(uint16_t port) {
+  SUD_RETURN_IF_ERROR(IoPortAccess(port));
   return kernel_->machine().IoPortRead(port);
 }
 
 Status SudDeviceContext::IoPortWrite(uint16_t port, uint8_t value) {
-  if (!bound_ || process_ == nullptr) {
-    return Status(ErrorCode::kUnavailable, "device not bound");
-  }
-  if (!process_->MayAccessIoPort(port)) {
-    SUD_LOG(kAttack) << device_->name() << ": io port " << Hex(port) << " not in process IOPB";
-    return Status(ErrorCode::kPermissionDenied, "io port not granted");
-  }
+  SUD_RETURN_IF_ERROR(IoPortAccess(port));
   kernel_->machine().IoPortWrite(port, value);
   return Status::Ok();
 }

@@ -187,6 +187,7 @@ class SudDeviceContext {
   void Downcall(UchanMsg& msg, uint16_t shard);
   // The mmio file's bound and BAR-window check, charged as one access.
   Status MmioAccess(int bar, uint64_t offset);
+  Status IoPortAccess(uint16_t port);  // the io-port file's bound and IOPB check
   // Bind's steps after the IOMMU context: on failure Bind runs Release.
   Status Acquire(kern::Process* proc);
   // Undoes Acquire and the context, for Teardown and a failed Bind alike.

@@ -128,10 +128,7 @@ void SharedBufferPool::Free(int32_t id) {
     // even after the slot is reissued — is a counted rejection, not a free.
     Slot& slot = slots_[index];
     slot.in_use = false;
-    slot.gen = (slot.gen + 1) & kGenMask;
-    if (slot.gen == 0) {
-      slot.gen = 1;
-    }
+    slot.gen = slot.gen % kGenMask + 1;  // 1..kGenMask, never 0
     if (static_cast<uint32_t>(index) < count_) {
       free_list_.push_back(static_cast<uint32_t>(index));
       --allocated_count_;

@@ -295,7 +295,7 @@ Status Uchan::WaitForUpcalls(uint64_t timeout_ms) {
     Charge(driver_stats_, kAccountDriver, costs().syscall);
   }
   if (timeout_ms == 0) {
-    return Status(ErrorCode::kTimedOut, "no pending upcalls");
+    return Status(ErrorCode::kTimedOut, "no upcalls");
   }
   auto now = std::chrono::steady_clock::now();
   auto deadline = now + std::chrono::milliseconds(timeout_ms);
@@ -318,7 +318,7 @@ Status Uchan::WaitForUpcalls(uint64_t timeout_ms) {
   if (driver_state_.compare_exchange_strong(idle, kDriverParked) &&
       !park_cv_.wait_until(park, deadline, woken) &&
       driver_state_.compare_exchange_strong(parked, kDriverIdle)) {
-    return Status(ErrorCode::kTimedOut, "no pending upcalls");
+    return Status(ErrorCode::kTimedOut, "no upcalls");
   }
   return is_shutdown() ? Status(ErrorCode::kUnavailable, "uchan shut down") : Status::Ok();
 }
@@ -357,7 +357,7 @@ Status Uchan::WaitBatch(uint64_t timeout_ms, size_t max_msgs, std::vector<UchanM
     std::lock_guard<std::mutex> lock(driver_mu_);
     DrainLocked(max_msgs, out);
   }
-  return out->empty() ? Status(ErrorCode::kTimedOut, "no pending upcalls") : Status::Ok();
+  return out->empty() ? Status(ErrorCode::kTimedOut, "no upcalls") : Status::Ok();
 }
 
 void Uchan::Reply(const UchanMsg& request, UchanMsg reply) {
@@ -478,6 +478,9 @@ void Uchan::EnterKernelLocked(UchanMsg* sync, std::unique_lock<std::mutex>& lock
 
   lock.lock();
   driver_stats_ += entry;
+  for (size_t i = 0; i < delayed && spare_payload_.capacity() == 0; ++i) {
+    spare_payload_.swap(batch[i].inline_data);
+  }
   // A delayed tail goes back ahead of what was appended meanwhile, and the
   // next batch reuses this one's capacity.
   batch.erase(batch.begin(), batch.begin() + static_cast<long>(delayed));

@@ -59,6 +59,7 @@
 #include <functional>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/base/cpu_model.h"
@@ -123,22 +124,15 @@ class Uchan {
 
     // Element-wise sum (aggregating shard stats into a single-lane view).
     Stats& operator+=(const Stats& other) {
-      upcalls_sync += other.upcalls_sync;
-      upcalls_async += other.upcalls_async;
-      upcalls_timed_out += other.upcalls_timed_out;
-      upcalls_dropped_full += other.upcalls_dropped_full;
-      upcall_batches += other.upcall_batches;
-      downcalls_sync += other.downcalls_sync;
-      downcalls_async += other.downcalls_async;
-      downcall_batches += other.downcall_batches;
-      wakeups += other.wakeups;
-      ring_full_retries += other.ring_full_retries;
-      injected_ring_full += other.injected_ring_full;
-      injected_drops += other.injected_drops;
-      injected_dups += other.injected_dups;
-      injected_delays += other.injected_delays;
-      kernel_ns += other.kernel_ns;
-      driver_ns += other.driver_ns;
+      for (uint64_t Stats::*field :
+           {&Stats::upcalls_sync, &Stats::upcalls_async, &Stats::upcalls_timed_out,
+            &Stats::upcalls_dropped_full, &Stats::upcall_batches, &Stats::downcalls_sync,
+            &Stats::downcalls_async, &Stats::downcall_batches, &Stats::wakeups,
+            &Stats::ring_full_retries, &Stats::injected_ring_full, &Stats::injected_drops,
+            &Stats::injected_dups, &Stats::injected_delays, &Stats::kernel_ns,
+            &Stats::driver_ns}) {
+        this->*field += other.*field;
+      }
       return *this;
     }
   };
@@ -182,6 +176,11 @@ class Uchan {
   // NAPI rx path hands over its netif_rx array this way), leaving `*msgs`
   // empty when it succeeds.
   Status DowncallAsyncBatch(std::vector<UchanMsg>* msgs) { return AppendDowncalls(*msgs, msgs); }
+  // A consumed downcall's payload buffer (stale bytes) for the next one to reuse.
+  std::vector<uint8_t> TakePayload() {
+    std::lock_guard<std::mutex> lock(driver_mu_);
+    return std::exchange(spare_payload_, {});
+  }
   void FlushDowncalls();
   // Invoked at the end of every downcall kernel entry (after the flush loop
   // and after a sync downcall). The Ethernet proxy uses it to hand the
@@ -262,6 +261,7 @@ class Uchan {
 
   mutable std::mutex driver_mu_;  // taken by driver threads (and Shutdown)
   std::vector<UchanMsg> downcall_batch_;  // pending async downcalls
+  std::vector<uint8_t> spare_payload_;    // TakePayload's next buffer
   DowncallHandler downcall_handler_;
   std::function<void()> downcall_flush_handler_;
   // Monotonic per shard across rebinds: the proxy rejects a duplicate by its seq alone.

@@ -297,19 +297,11 @@ Result<uint64_t> DirectEnv::AcquireTxBounce() {
       return region.status();
     }
     tx_bounce_ = region.value();
-    for (uint32_t i = 0; i < kTxBounceCount; ++i) {
-      tx_bounce_free_.push_back(tx_bounce_.iova + static_cast<uint64_t>(i) * kTxBounceBytes);
-    }
   }
-  if (tx_bounce_free_.empty()) {
-    // Recycle round-robin: the device has long consumed the oldest frame by
-    // the time 64 more were queued (the model has no in-flight overlap).
-    for (uint32_t i = 0; i < kTxBounceCount; ++i) {
-      tx_bounce_free_.push_back(tx_bounce_.iova + static_cast<uint64_t>(i) * kTxBounceBytes);
-    }
-  }
-  uint64_t iova = tx_bounce_free_.front();
-  tx_bounce_free_.pop_front();
+  // Recycle round-robin: the device has long consumed the oldest frame by
+  // the time 64 more were queued (the model has no in-flight overlap).
+  uint64_t iova = tx_bounce_.iova + static_cast<uint64_t>(tx_bounce_next_) * kTxBounceBytes;
+  tx_bounce_next_ = (tx_bounce_next_ + 1) % kTxBounceCount;
   return iova;
 }
 

@@ -11,7 +11,6 @@
 #ifndef SUD_SRC_UML_DIRECT_ENV_H_
 #define SUD_SRC_UML_DIRECT_ENV_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -95,7 +94,7 @@ class DirectEnv : public DriverEnv {
 
   // TX bounce ring modelling dma_map_single of outgoing skbs.
   DmaRegion tx_bounce_{};
-  std::deque<uint64_t> tx_bounce_free_;
+  uint32_t tx_bounce_next_ = 0;
   static constexpr uint32_t kTxBounceCount = 64;
   // Sized for the largest frame the stack can hand down (net_limits.h): a
   // jumbo skb must never be silently truncated at the dma_map stand-in.

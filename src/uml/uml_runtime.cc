@@ -187,7 +187,7 @@ void UmlRuntime::FlushRxPendingQueue(uint16_t queue, bool enter_kernel) {
   if (!rx_pending_[queue].empty() &&
       ctx_->ctl(queue).DowncallAsyncBatch(&rx_pending_[queue]).ok()) {
     rx_pending_bytes_[queue] = 0;
-    stats_.rx_batches_flushed.fetch_add(1, std::memory_order_relaxed);
+    stats_.rx_batches_flushed.Add(queue);
   }
   if (enter_kernel) {
     ctx_->ctl(queue).FlushDowncalls();
@@ -265,6 +265,7 @@ void UmlRuntime::FreeTxBuffers(uint16_t queue, std::span<const int32_t> pool_buf
   // kEthDownFreeBuffer per transmitted buffer.
   FlushRxPendingQueue(queue, /*enter_kernel=*/false);
   UchanMsg msg;
+  msg.inline_data = ctx_->ctl(queue).TakePayload();
   wire::EncodeFreeBuffers(pool_buffer_ids.data(), pool_buffer_ids.size(), &msg);
   (void)ctx_->ctl(queue).DowncallAsync(std::move(msg));
 }
@@ -332,7 +333,7 @@ Status UmlRuntime::RunOnceQueue(uint16_t queue, uint64_t timeout_ms) {
   for (UchanMsg& msg : batch) {
     Dispatch(msg, queue);
   }
-  queue_progress_[queue].fetch_add(batch.size(), std::memory_order_relaxed);
+  queue_progress_.Add(queue, batch.size());
   upcall_batch_[queue] = std::move(batch);
   return status;
 }
@@ -392,7 +393,7 @@ void UmlRuntime::Answer(const UchanMsg& request, const Status& status,
 }
 
 void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
-  stats_.upcalls_dispatched.fetch_add(1, std::memory_order_relaxed);
+  stats_.upcalls_dispatched.Add(shard);
   // Schema-certify the shape (opcode known, lane right for the shard, args in
   // their static bounds, payload well-formed) before any handler parses a
   // byte. Semantic checks — which pool ids resolve, what the pool's buffer
@@ -404,12 +405,12 @@ void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
   }
   switch (msg.opcode) {  // every upcall the schema knows has a case
     case kOpInterrupt: {
-      stats_.irq_upcalls.fetch_add(1, std::memory_order_relaxed);
+      stats_.irq_upcalls.Add(shard);
       // Interrupt handlers may block in Linux driver conventions only when
       // threaded; the UML idle thread therefore hands them to a worker
       // (Section 4.2). The pool is modelled: dispatch stays inline but is
       // accounted as a worker dispatch.
-      stats_.worker_dispatches.fetch_add(1, std::memory_order_relaxed);
+      stats_.worker_dispatches.Add(shard);
       uint16_t queue = static_cast<uint16_t>(msg.args[0]);
       if (queue >= ctx_->num_queues()) {
         queue = 0;
@@ -433,15 +434,15 @@ void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
       return;
     }
     case kEthUpOpen:
-      stats_.inline_dispatches.fetch_add(1, std::memory_order_relaxed);
+      stats_.inline_dispatches.Add(shard);
       Answer(msg, net_ops_.open ? net_ops_.open() : NoOp());
       return;
     case kEthUpStop:
-      stats_.inline_dispatches.fetch_add(1, std::memory_order_relaxed);
+      stats_.inline_dispatches.Add(shard);
       Answer(msg, net_ops_.stop ? net_ops_.stop() : NoOp());
       return;
     case kEthUpXmit: {
-      stats_.inline_dispatches.fetch_add(1, std::memory_order_relaxed);
+      stats_.inline_dispatches.Add(shard);
       // The schema already certified the shape (tail count vs payload vs the
       // chain cap, no empty fragment, the jumbo total). The fragments are
       // still kernel-crossing data: re-validate the SEMANTIC facts — every
@@ -481,7 +482,7 @@ void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
     }
     case kEthUpIoctl: {
       // Ioctls may block (MII reads sleep on real hardware): worker rule.
-      stats_.worker_dispatches.fetch_add(1, std::memory_order_relaxed);
+      stats_.worker_dispatches.Add(shard);
       Result<std::string> text =
           net_ops_.ioctl ? net_ops_.ioctl(static_cast<uint32_t>(msg.args[0])) : NoOp();
       std::vector<uint8_t> payload;
@@ -492,7 +493,7 @@ void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
       return;
     }
     case kWifiUpScan: {
-      stats_.worker_dispatches.fetch_add(1, std::memory_order_relaxed);
+      stats_.worker_dispatches.Add(shard);
       Result<std::vector<kern::ScanResult>> results = wifi_ops_.scan ? wifi_ops_.scan() : NoOp();
       std::vector<uint8_t> records;
       if (results.ok()) {
@@ -502,19 +503,19 @@ void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
       return;
     }
     case kWifiUpAssociate: {
-      stats_.worker_dispatches.fetch_add(1, std::memory_order_relaxed);
+      stats_.worker_dispatches.Add(shard);
       std::string ssid(msg.inline_data.begin(), msg.inline_data.end());
       Answer(msg, wifi_ops_.associate ? wifi_ops_.associate(ssid) : NoOp());
       return;
     }
     case kWifiUpEnableFeatures:
-      stats_.inline_dispatches.fetch_add(1, std::memory_order_relaxed);
+      stats_.inline_dispatches.Add(shard);
       if (wifi_ops_.enable_features) {
         wifi_ops_.enable_features(static_cast<uint32_t>(msg.args[0]));
       }
       return;
     case kAudioUpOpenStream: {
-      stats_.worker_dispatches.fetch_add(1, std::memory_order_relaxed);
+      stats_.worker_dispatches.Add(shard);
       kern::PcmConfig config;
       config.rate_hz = static_cast<uint32_t>(msg.args[0]);
       config.channels = static_cast<uint32_t>(msg.args[1]);
@@ -525,11 +526,11 @@ void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
       return;
     }
     case kAudioUpCloseStream:
-      stats_.inline_dispatches.fetch_add(1, std::memory_order_relaxed);
+      stats_.inline_dispatches.Add(shard);
       Answer(msg, audio_ops_.close_stream ? audio_ops_.close_stream() : NoOp());
       return;
     case kAudioUpWrite: {
-      stats_.inline_dispatches.fetch_add(1, std::memory_order_relaxed);
+      stats_.inline_dispatches.Add(shard);
       if (audio_ops_.write) {
         Result<uint64_t> iova = ctx_->pool().BufferIova(msg.buffer_id);
         if (iova.ok()) {

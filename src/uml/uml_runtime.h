@@ -86,13 +86,14 @@ class UmlRuntime : public DriverEnv {
   // returns how many bursts it dispatched.
   size_t ProcessPendingQueue(uint16_t queue);
 
+  // The dispatch counts come from each shard's pump only: one slot per shard.
   struct Stats {
-    std::atomic<uint64_t> upcalls_dispatched{0};
-    std::atomic<uint64_t> irq_upcalls{0};
-    std::atomic<uint64_t> worker_dispatches{0};  // blockable callbacks (modelled pool)
-    std::atomic<uint64_t> inline_dispatches{0};
+    PerQueueCounter<kSudMaxQueues> upcalls_dispatched;
+    PerQueueCounter<kSudMaxQueues> irq_upcalls;
+    PerQueueCounter<kSudMaxQueues> worker_dispatches;  // blockable callbacks (modelled pool)
+    PerQueueCounter<kSudMaxQueues> inline_dispatches;
     std::atomic<uint64_t> unknown_upcalls{0};
-    std::atomic<uint64_t> rx_batches_flushed{0};  // netif_rx arrays handed to the kernel
+    PerQueueCounter<kSudMaxQueues> rx_batches_flushed;  // netif_rx arrays handed to the kernel
     // Malformed kEthUpXmit messages (count/payload mismatch, bogus pool ids,
     // over-cap or oversize fragments) rejected before any DMA arming.
     std::atomic<uint64_t> xmit_rejected{0};
@@ -115,9 +116,7 @@ class UmlRuntime : public DriverEnv {
   // supervisor's watchdog reads these — a queue with pending upcalls whose
   // counter stops advancing is a wedged driver, no hand-fed report needed.
   uint64_t queue_progress(uint16_t queue) const {
-    return queue < kSudMaxQueues
-               ? queue_progress_[queue].load(std::memory_order_relaxed)
-               : 0;
+    return queue < kSudMaxQueues ? queue_progress_.queue(queue).load() : 0;
   }
 
   SudDeviceContext* ctx() { return ctx_; }
@@ -168,7 +167,7 @@ class UmlRuntime : public DriverEnv {
   AudioDriverOps audio_ops_;
   Stats stats_;
   wire::RejectStats wire_rejects_;
-  std::array<std::atomic<uint64_t>, kSudMaxQueues> queue_progress_{};
+  PerQueueCounter<kSudMaxQueues> queue_progress_;
   // The xmit upcall being dispatched, its fragments resolved against the
   // pool: one scratch list per shard, touched only by that shard's pump.
   std::array<std::array<TxFrag, kern::kMaxChainFrags>, kSudMaxQueues> xmit_frags_{};

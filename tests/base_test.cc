@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "src/base/bytes.h"
 #include "src/base/clock.h"
+#include "src/base/counter.h"
 #include "src/base/cpu_model.h"
 #include "src/base/log.h"
 #include "src/base/rng.h"
@@ -208,6 +213,133 @@ TEST(CpuModel, CostsAreOverridable) {
   costs.process_wakeup = 9999;
   CpuModel cpu(costs);
   EXPECT_EQ(cpu.costs().process_wakeup, 9999u);
+}
+
+TEST(CpuModel, ResetKeepsCountingFromZero) {
+  CpuModel cpu;
+  cpu.Charge(kAccountDriver, 70);
+  cpu.Reset();
+  cpu.ChargeBytes(kAccountDriver, 0.5, 41);  // 20.5 rounds to 21
+  EXPECT_EQ(cpu.busy(kAccountDriver), 21u);
+  EXPECT_EQ(cpu.accounts()[static_cast<size_t>(kAccountDriver)], 21u);
+}
+
+constexpr int kThreads = 4;
+constexpr uint64_t kAddsPerThread = 100000;
+
+// Each thread charges its own shard; the sums on read are exact.
+TEST(CpuModel, ShardedChargesFromFourThreadsSumExactly) {
+  CpuModel cpu;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cpu, t] {
+      for (uint64_t i = 0; i < kAddsPerThread; ++i) {
+        cpu.Charge(t % 2 == 0 ? kAccountKernel : kAccountDriver, 3);
+        cpu.Charge(kAccountDevice, 1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(cpu.busy(kAccountKernel), 2 * kAddsPerThread * 3);
+  EXPECT_EQ(cpu.busy(kAccountDriver), 2 * kAddsPerThread * 3);
+  EXPECT_EQ(cpu.busy(kAccountDevice), kThreads * kAddsPerThread);
+  EXPECT_EQ(cpu.total_busy(), kThreads * kAddsPerThread * 4);
+}
+
+// A thread's shard outlives the thread: its successor on the same shard, and
+// threads beyond the shard count (which share the last shard), lose nothing.
+TEST(CpuModel, ShardsSurviveThreadTurnoverAndOverflow) {
+  CpuModel cpu;
+  for (int round = 0; round < 3; ++round) {
+    std::thread([&cpu] { cpu.Charge(kAccountPeer, 5); }).join();
+  }
+  std::vector<std::thread> threads;
+  std::atomic<int> charged{0};
+  std::atomic<bool> release{false};
+  for (size_t t = 0; t < CpuModel::kShards + 4; ++t) {
+    threads.emplace_back([&] {
+      cpu.Charge(kAccountPeer, 1);
+      charged.fetch_add(1);
+      while (!release.load()) {
+        std::this_thread::yield();
+      }
+      cpu.Charge(kAccountPeer, 1);
+    });
+  }
+  while (charged.load() < static_cast<int>(threads.size())) {
+    std::this_thread::yield();
+  }
+  release.store(true);
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(cpu.busy(kAccountPeer), 15 + 2 * (CpuModel::kShards + 4));
+}
+
+// One Counter, written by four threads in turn (each add under one lock):
+// the single-writer-at-a-time discipline every converted counter keeps.
+TEST(Counter, SerializedWritersFromFourThreadsAreExact) {
+  Counter counter;
+  std::mutex mu;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (uint64_t i = 0; i < kAddsPerThread; ++i) {
+        std::lock_guard<std::mutex> lock(mu);
+        counter.Add();
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(counter.load(), kThreads * kAddsPerThread);
+  EXPECT_EQ(static_cast<uint64_t>(counter), kThreads * kAddsPerThread);
+}
+
+// A reader that acquires the count also sees what the writer did before it
+// counted: the count is a completion signal.
+TEST(Counter, LoadSeesEverythingWrittenBeforeTheAdd) {
+  Counter published;
+  std::vector<uint64_t> values(kAddsPerThread);
+  std::thread writer([&] {
+    for (uint64_t i = 0; i < kAddsPerThread; ++i) {
+      values[i] = i + 1;
+      published.Add();
+    }
+  });
+  uint64_t seen = 0;
+  while (seen < kAddsPerThread) {
+    uint64_t count = published.load();
+    for (; seen < count; ++seen) {
+      ASSERT_EQ(values[seen], seen + 1);
+    }
+  }
+  writer.join();
+}
+
+// One slot per writer thread, summed on read: exact, with all four writing
+// at once.
+TEST(PerQueueCounter, ConcurrentSlotsSumExactly) {
+  PerQueueCounter<kThreads> total;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&total, t] {
+      for (uint64_t i = 0; i < kAddsPerThread; ++i) {
+        total.Add(static_cast<size_t>(t), static_cast<uint64_t>(t) + 1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(total.load(), kAddsPerThread * (1 + 2 + 3 + 4));
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(total.queue(static_cast<size_t>(t)).load(),
+              kAddsPerThread * (static_cast<uint64_t>(t) + 1));
+  }
 }
 
 // With two cores and a single queue, the core-affinity mapping must be the

@@ -127,6 +127,20 @@ TEST(DriverHost, ThreadedModeServicesUpcalls) {
   ASSERT_TRUE(bench.host->Kill().ok());
 }
 
+// Tearing a bench down with threaded transmits still in flight: the SUT's
+// pump threads keep putting frames on the wire into the peer NIC, whose
+// interrupt runs the peer driver, until the host has stopped them.
+TEST(DriverHost, TeardownWithThreadedTransmitsInFlightStopsThePumpsFirst) {
+  for (int round = 0; round < 4; ++round) {
+    NetBench bench;
+    ASSERT_TRUE(bench.StartSut(uml::DriverHost::Mode::kThreadedPerQueue).ok());
+    std::vector<uint8_t> payload(64, 0x5a);
+    for (int burst = 0; burst < 64; ++burst) {
+      (void)bench.SutSendBurst(7000, 9, {payload.data(), payload.size()}, 8);
+    }
+  }
+}
+
 TEST(DriverHost, KillUnblocksSleepingThread) {
   NetBench bench;
   ASSERT_TRUE(bench.host

@@ -142,6 +142,20 @@ class NetBench {
   };
 
   NetBench() : NetBench(Options{}) {}
+  NetBench(const NetBench&) = delete;
+  NetBench& operator=(const NetBench&) = delete;
+
+  // The members' reverse order alone would destroy the drivers first. Every
+  // thread that can still run a driver stops before anything it reaches
+  // dies: the link's generators, then the SUT's pump threads, whose transmits
+  // land in the peer NIC and run the peer driver's interrupt handler. Each
+  // in-kernel driver's interrupts are freed before the driver itself.
+  ~NetBench() {
+    link.StopPeers();
+    host.reset();
+    sut_env.reset();
+    peer_env.reset();
+  }
 
   explicit NetBench(Options options)
       : machine(options.machine),

@@ -166,6 +166,52 @@ TEST(IommuSeal, SealAndUnsealAreIdempotent) {
   EXPECT_TRUE(iommu.Translate(kSrc, 0x10000, 4, true).ok());
 }
 
+TEST(IommuSeal, AMappingOverAnUnmappedSealedPageStartsUnsealed) {
+  Iommu iommu;
+  ASSERT_TRUE(iommu.CreateContext(kSrc).ok());
+  ASSERT_TRUE(iommu.Map(kSrc, 0x10000, 0x80000, kPageSize, true, true).ok());
+  ASSERT_TRUE(iommu.SealWrite(kSrc, 0x10000, kPageSize).ok());
+  ASSERT_TRUE(iommu.Unmap(kSrc, 0x10000, kPageSize).ok());
+  ASSERT_TRUE(iommu.Map(kSrc, 0x10000, 0x90000, kPageSize, true, true).ok());
+  EXPECT_FALSE(iommu.IsWriteSealed(kSrc, 0x10000));
+  Result<uint64_t> write = iommu.Translate(kSrc, 0x10010, 8, true);
+  ASSERT_TRUE(write.ok());
+  EXPECT_EQ(write.value(), 0x90010u);
+  EXPECT_TRUE(iommu.faults().empty());
+}
+
+// The table indexes bits 12-38: an IOVA at or past 2^39 must be refused by
+// every entry point, never taken for the page 2^39 below it.
+TEST(Iommu, IovasPastTheIoSpaceAreRefusedEverywhere) {
+  constexpr uint64_t kIoSpace = uint64_t{1} << 39;
+  Iommu iommu;
+  ASSERT_TRUE(iommu.CreateContext(kSrc).ok());
+  ASSERT_TRUE(iommu.Map(kSrc, 0x20000, 0x80000, kPageSize, true, true).ok());
+  Result<uint64_t> read = iommu.Translate(kSrc, kIoSpace + 0x20000, 4, false);
+  EXPECT_EQ(read.status().code(), ErrorCode::kIommuFault);
+  ASSERT_EQ(iommu.faults().size(), 1u);
+  EXPECT_EQ(iommu.faults()[0].reason, "iova beyond 39-bit io-virtual space");
+  EXPECT_FALSE(iommu.Translate(kSrc, UINT64_MAX - 3, 4, false).ok());
+  EXPECT_EQ(iommu.SealWrite(kSrc, kIoSpace + 0x20000, kPageSize).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(iommu.IsWriteSealed(kSrc, 0x20000));
+  ASSERT_TRUE(iommu.SealWrite(kSrc, 0x20000, kPageSize).ok());
+  EXPECT_FALSE(iommu.IsWriteSealed(kSrc, kIoSpace + 0x20000));
+  EXPECT_EQ(iommu.UnsealWrite(kSrc, kIoSpace + 0x20000, kPageSize).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(iommu.IsWriteSealed(kSrc, 0x20000));
+  EXPECT_EQ(iommu.Unmap(kSrc, kIoSpace + 0x20000, kPageSize).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(iommu.MappedBytes(kSrc), kPageSize);
+  // A range that starts inside and runs past the end is refused whole.
+  EXPECT_EQ(iommu.Map(kSrc, kIoSpace - kPageSize, 0x90000, 2 * kPageSize, true, true).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(iommu.Unmap(kSrc, kIoSpace - kPageSize, 2 * kPageSize).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(iommu.MappedBytes(kSrc), kPageSize);
+  EXPECT_TRUE(iommu.Translate(kSrc, 0x20000, 4, false).ok());
+}
+
 TEST(IommuSeal, PartialRangeIsRejectedWhole) {
   Iommu iommu;
   ASSERT_TRUE(iommu.CreateContext(kSrc).ok());

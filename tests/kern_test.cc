@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <thread>
 
 #include "src/base/log.h"
 #include "src/hw/machine.h"
@@ -410,6 +412,31 @@ TEST(Kernel, IrqHandlersRunAtomically) {
       kernel.RequestIrq(vector, [&](uint16_t) { was_atomic = kernel.InAtomicContext(); }).ok());
   ASSERT_TRUE(machine.msi().HandleWrite(0x100, hw::kMsiRangeBase, vector).ok());
   EXPECT_TRUE(was_atomic);
+  EXPECT_FALSE(kernel.InAtomicContext());
+}
+
+// The atomic context is the CURRENT thread's: while one thread sits in an
+// interrupt handler, another thread may still block (a wireless scan, an
+// association), as on a real multi-core kernel.
+TEST(Kernel, AtomicContextBelongsToTheHandlersThreadOnly) {
+  hw::Machine machine;
+  Kernel kernel(&machine);
+  std::atomic<bool> in_handler{false};
+  std::atomic<bool> release{false};
+  uint8_t vector = kernel.AllocIrqVector().value();
+  ASSERT_TRUE(kernel.RequestIrq(vector, [&](uint16_t) {
+    in_handler.store(true);
+    while (!release.load()) {
+      std::this_thread::yield();
+    }
+  }).ok());
+  std::thread irq([&] { (void)machine.msi().HandleWrite(0x100, hw::kMsiRangeBase, vector); });
+  while (!in_handler.load()) {
+    std::this_thread::yield();
+  }
+  EXPECT_FALSE(kernel.InAtomicContext());
+  release.store(true);
+  irq.join();
   EXPECT_FALSE(kernel.InAtomicContext());
 }
 
